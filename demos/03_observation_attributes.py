@@ -29,7 +29,7 @@ print("sup vector [c, phi_cc, phi_co] =", np.round(sup_vector(K), 4))
 
 
 def describe(tag, rig):
-    attrs = shape_analyze(rig, grid, K)
+    _, attrs = shape_analyze(rig, grid, K)
     stack = attrs.stack()
     print(f"\n{tag}")
     for i, name in enumerate(("c", "phi_cc", "phi_co")):

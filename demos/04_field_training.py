@@ -32,7 +32,7 @@ rig = CameraRig(tuple(pose_from_forward(
     (2.5 * np.cos(a), 2.5 * np.sin(a), 0.0),
     (-np.cos(a), -np.sin(a), 0.0)) for a in angles), intr)
 
-attrs = shape_analyze(rig, grid, K)
+_, attrs = shape_analyze(rig, grid, K)
 t0 = time.perf_counter()
 field = lean_neof(None, grid, attrs, seed=0)
 t_fit = time.perf_counter() - t0
@@ -53,7 +53,7 @@ print(f"off-lattice probes stay in range: "
 
 # After a rig change, a warm-started refresh is much cheaper than refitting.
 rig2 = CameraRig(rig.poses[:2], intr)
-attrs2 = shape_analyze(rig2, grid, K)
+_, attrs2 = shape_analyze(rig2, grid, K)
 t0 = time.perf_counter()
 field2 = lean_neof(field, grid, attrs2)
 t_warm = time.perf_counter() - t0

@@ -42,8 +42,6 @@ from camopt.field import (
     ObservationField,
     PlacementLoss,
     capture_visible,
-    field_from_bytes,
-    field_to_bytes,
     lean_neof,
     placement_loss,
 )
@@ -97,8 +95,6 @@ __all__ = [
     "coverage_optimality_gap",
     "default_intrinsics",
     "evaluate_rig",
-    "field_from_bytes",
-    "field_to_bytes",
     "generate_planar_shape",
     "hidden_point_removal",
     "initialize",

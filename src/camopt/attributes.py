@@ -115,9 +115,10 @@ def attributes_from_coverage(E: CoverageMatrix, positions, centers, normals, K) 
     return ObservationAttributes(c=c, phi_cc=phi_cc, phi_co=phi_co, K=k)
 
 
-def shape_analyze(rig: CameraRig, grid, K) -> ObservationAttributes:
-    """Coverage analysis of a rig against a voxel grid: visibility followed by
-    the per-voxel attribute triple, degenerate substitutions applied."""
+def shape_analyze(rig: CameraRig, grid, K) -> tuple:
+    """Coverage analysis of a rig against a voxel grid: the coverage matrix
+    and the per-voxel attribute triple (degenerate substitutions applied),
+    as (E, attrs)."""
     E = coverage_matrix(rig, grid)
     positions = np.stack([pose.position for pose in rig.poses])
-    return attributes_from_coverage(E, positions, grid.centers, grid.normals, K)
+    return E, attributes_from_coverage(E, positions, grid.centers, grid.normals, K)

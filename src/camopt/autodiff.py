@@ -83,9 +83,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded tape."""
         if self.data.size != 1:

@@ -79,7 +79,7 @@ def _perturb(rig: CameraRig, cam: int, sigma_pos: float, sigma_rot: float,
     pos = pose.position + rng.normal(0.0, sigma_pos, 3)
     fwd = pose.rotation()[:, 2] + rng.normal(0.0, sigma_rot, 3)
     if planar:
-        pos[2] = 0.0
+        pos[2] = pose.position[2]
         fwd[2] = 0.0
     if np.linalg.norm(fwd) < 1e-9:
         fwd = pose.rotation()[:, 2]

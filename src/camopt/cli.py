@@ -337,14 +337,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_result(path) -> tuple:
-    data = json.loads(Path(path).read_text())
-    config = ExperimentConfig.from_dict(
-        {k: v for k, v in data["config"].items() if k not in ("k", "seed")})
-    poses = tuple(
-        CameraPose(np.asarray(p["position"], dtype=np.float64),
-                   np.asarray(p["rot6"], dtype=np.float64))
-        for p in data["final"]["poses"])
-    return data, config, poses
+    """(config, final poses) of a cell results file; a file that does not
+    hold them is a usage error, like a malformed config."""
+    try:
+        data = json.loads(Path(path).read_text())
+        config = ExperimentConfig.from_dict(
+            {k: v for k, v in data["config"].items() if k not in ("k", "seed")})
+        poses = tuple(
+            CameraPose(np.asarray(p["position"], dtype=np.float64),
+                       np.asarray(p["rot6"], dtype=np.float64))
+            for p in data["final"]["poses"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed results file {path}: {exc!r}") from exc
+    return config, poses
 
 
 def main(argv=None) -> int:
@@ -363,7 +368,7 @@ def main(argv=None) -> int:
                        seed_override=args.seed_override, out_override=args.out)
 
         if args.command == "evaluate":
-            data, config, poses = _load_result(args.results)
+            config, poses = _load_result(args.results)
             if args.config:
                 config = parse_config(args.config)
             scene = build_scene(config)
@@ -380,11 +385,11 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "export":
-            data, config, poses = _load_result(args.results)
+            config, poses = _load_result(args.results)
             scene = build_scene(config)
             grid = voxelize(scene, config.optimizer_config.get("resolution"))
             rig = CameraRig(poses, _build_intrinsics(config, scene))
-            attrs = shape_analyze(rig, grid, config.K)
+            _, attrs = shape_analyze(rig, grid, config.K)
             export_colored_cloud(grid, attrs, args.channel, args.out)
             print(f"wrote {len(grid.centers)} voxels to {args.out}")
             return 0

@@ -19,7 +19,6 @@ it and it is dropped. This avoids materializing per-pair encoder activations
 through two linear layers and keeps the hot loop in one fused kernel.
 """
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,33 +64,21 @@ class FieldQueryBatch:
 class ObservationField:
     """Encoder + attention weights plus the attributed-voxel snapshot."""
 
-    def __init__(self, seed: int = 0, key_cap: int = KEY_BASIS_CAP,
-                 weights: Optional[dict] = None):
-        if weights is None:
-            # WQ/WK start small so initial attention is near-uniform: a large
-            # random init produces confidently wrong peaks that the budgeted
-            # training cannot unlearn at the fixed learning rate. Positive b1
-            # keeps most ReLU units live from step one.
-            rng = np.random.default_rng(seed)
-            weights = {
-                "W1": rng.normal(0.0, np.sqrt(2.0 / 6.0), size=(6, HIDDEN)),
-                "b1": np.full(HIDDEN, 0.5),
-                "W2": rng.normal(0.0, np.sqrt(2.0 / HIDDEN), size=(HIDDEN, HIDDEN)),
-                "b2": np.zeros(HIDDEN),
-                "WQ": rng.normal(0.0, 0.05, size=(HIDDEN, D_K)),
-                "WK": rng.normal(0.0, 0.05, size=(HIDDEN, D_K)),
-            }
-        self.W1 = ad.Tensor(weights["W1"], requires_grad=True)
-        self.b1 = ad.Tensor(weights["b1"], requires_grad=True)
-        self.W2 = ad.Tensor(weights["W2"], requires_grad=True)
-        self.b2 = ad.Tensor(weights["b2"], requires_grad=True)
-        self.WQ = ad.Tensor(weights["WQ"], requires_grad=True)
-        self.WK = ad.Tensor(weights["WK"], requires_grad=True)
-        for name in ("W1", "b1", "W2", "b2", "WQ", "WK"):
-            if not np.all(np.isfinite(getattr(self, name).data)):
-                raise ValueError(f"{name} contains non-finite values")
+    def __init__(self, seed: int = 0):
+        # WQ/WK start small so initial attention is near-uniform: a large
+        # random init produces confidently wrong peaks that the budgeted
+        # training cannot unlearn at the fixed learning rate. Positive b1
+        # keeps most ReLU units live from step one.
+        rng = np.random.default_rng(seed)
+        self.W1 = ad.Tensor(rng.normal(0.0, np.sqrt(2.0 / 6.0), size=(6, HIDDEN)),
+                            requires_grad=True)
+        self.b1 = ad.Tensor(np.full(HIDDEN, 0.5), requires_grad=True)
+        self.W2 = ad.Tensor(rng.normal(0.0, np.sqrt(2.0 / HIDDEN), size=(HIDDEN, HIDDEN)),
+                            requires_grad=True)
+        self.b2 = ad.Tensor(np.zeros(HIDDEN), requires_grad=True)
+        self.WQ = ad.Tensor(rng.normal(0.0, 0.05, size=(HIDDEN, D_K)), requires_grad=True)
+        self.WK = ad.Tensor(rng.normal(0.0, 0.05, size=(HIDDEN, D_K)), requires_grad=True)
         self.adam = ad.AdamState(self.params())
-        self.key_cap = key_cap
         self.centers = None
         self.normals = None
         self.values = None
@@ -119,7 +106,7 @@ class ObservationField:
         self.centers = np.asarray(grid.centers, dtype=np.float64).copy()
         self.normals = np.asarray(grid.normals, dtype=np.float64).copy()
         self.values = attrs.stack()
-        self.key_idx = _strided(len(self.centers), self.key_cap)
+        self.key_idx = _strided(len(self.centers), KEY_BASIS_CAP)
         self.K = attrs.K
         self.sup = sup_vector(attrs.K)
 
@@ -129,7 +116,7 @@ class ObservationField:
 
 
 def _attention(field: ObservationField, pos_t: ad.Tensor, normals: np.ndarray, params):
-    """Shared forward pass; returns (clamped outputs (q, 3), attention (q, mk))."""
+    """Shared forward pass; returns the clamped outputs (q, 3)."""
     W1, b1, W2, b2, WQ, WK = params
     kidx = field.key_idx
     basis_in = np.concatenate([field.centers[kidx], field.normals[kidx]], axis=1)
@@ -141,8 +128,7 @@ def _attention(field: ObservationField, pos_t: ad.Tensor, normals: np.ndarray, p
     folded = ad.mul(ad.matmul(W2, WK), ad.Tensor(1.0 / np.sqrt(D_K)))      # (32, dk)
     Z = ad.matmul(qrow, ad.transpose(folded))                              # (q, 32)
     att = ad.softmax(ad.pairwise_scores(A, B, Z))
-    out = ad.clamp(ad.matmul(att, ad.Tensor(field.values[kidx])), 0.0, field.sup)
-    return out, att
+    return ad.clamp(ad.matmul(att, ad.Tensor(field.values[kidx])), 0.0, field.sup)
 
 
 def query(field: ObservationField, batch: FieldQueryBatch) -> ad.Tensor:
@@ -150,14 +136,7 @@ def query(field: ObservationField, batch: FieldQueryBatch) -> ad.Tensor:
     field._require_snapshot()
     if not field.trained:
         raise ValueError("field must be trained (lean_neof) before querying")
-    out, _ = _attention(field, batch.positions, batch.normals, field.params())
-    return out
-
-
-def attention_weights(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
-    field._require_snapshot()
-    _, att = _attention(field, batch.positions, batch.normals, field.const_params())
-    return att.data
+    return _attention(field, batch.positions, batch.normals, field.params())
 
 
 def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttributes,
@@ -184,7 +163,7 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
         else:
             idx = pool
         pos = ad.Tensor(field.centers[idx])
-        out, _ = _attention(field, pos, field.normals[idx], field.params())
+        out = _attention(field, pos, field.normals[idx], field.params())
         diff = ad.sub(out, ad.Tensor(field.values[idx]))
         loss = ad.mean(ad.mul(diff, diff))
         loss.backward()
@@ -206,6 +185,25 @@ class CapturedCamera:
     empty: bool
 
 
+def _sample_visible(vis, query_cap: int):
+    """The voxel rows a non-empty visible set is queried at (a strided subset
+    of its sorted rows) and the factor |set| / |sample| that undoes the
+    sampling in a sum."""
+    rows = np.asarray(sorted(vis), dtype=np.intp)
+    take = rows[_strided(len(rows), query_cap)]
+    return take, len(rows) / len(take)
+
+
+def visible_attr_sum(field: ObservationField, vis, query_cap: int = LOSS_QUERY_CAP) -> np.ndarray:
+    """Componentwise sum of field attributes over one visible set (sampled and
+    rescaled), the additive per-camera share of the loss; zeros when empty."""
+    if not vis:
+        return np.zeros(3)
+    take, scale = _sample_visible(vis, query_cap)
+    out = query(field, FieldQueryBatch(field.centers[take], field.normals[take])).data
+    return out.sum(axis=0) * scale
+
+
 def capture_visible(field: ObservationField, rig: CameraRig, visible_sets,
                     query_cap: int = LOSS_QUERY_CAP):
     """Store each camera's visible voxel centers in its own frame so their
@@ -213,14 +211,13 @@ def capture_visible(field: ObservationField, rig: CameraRig, visible_sets,
     field._require_snapshot()
     caps = []
     for pose, vis in zip(rig.poses, visible_sets):
-        rows = np.asarray(sorted(vis), dtype=np.intp)
-        if len(rows) == 0:
+        if not vis:
             caps.append(CapturedCamera(np.zeros((0, 3)), np.zeros((0, 3)), 1.0, True))
             continue
-        take = rows[_strided(len(rows), query_cap)]
+        take, scale = _sample_visible(vis, query_cap)
         local = (field.centers[take] - pose.position) @ pose.rotation()
         caps.append(CapturedCamera(local=local, normals=field.normals[take].copy(),
-                                   scale=len(rows) / len(take), empty=False))
+                                   scale=scale, empty=False))
     return caps
 
 
@@ -272,7 +269,7 @@ def placement_loss_graph(field: ObservationField, position_ts, rot6_ts, captures
 
     pos_all = ad.concat(world_parts, axis=0)
     normals_all = np.concatenate(normal_parts, axis=0)
-    out, _ = _attention(field, pos_all, normals_all, params)
+    out = _attention(field, pos_all, normals_all, params)
 
     total = None
     for (lo, hi), scale in zip(spans, scales):
@@ -286,74 +283,17 @@ def placement_loss_graph(field: ObservationField, position_ts, rot6_ts, captures
 class PlacementLoss:
     total: float
     components: np.ndarray        # (3,) [L_vis, L_cc, L_co]
-    position_grads: np.ndarray    # (k, 3)
-    rot6_grads: np.ndarray        # (k, 6)
     empty: np.ndarray             # (k,) bool, cameras flagged for resampling
 
 
 def placement_loss(field: ObservationField, rig: CameraRig, visible_sets,
-                   weights=DEFAULT_WEIGHTS, query_cap: int = LOSS_QUERY_CAP,
-                   field_grads: bool = False) -> PlacementLoss:
-    """Loss of the rig at its current poses, with pose gradients.
-
-    With field_grads=True the field's own weight tensors accumulate gradients
-    as well (read them off field.params() afterwards).
-    """
+                   weights=DEFAULT_WEIGHTS, query_cap: int = LOSS_QUERY_CAP) -> PlacementLoss:
+    """Loss of the rig at its current poses under the frozen field, without
+    gradients (grad_phase differentiates placement_loss_graph itself)."""
     captures = capture_visible(field, rig, visible_sets, query_cap=query_cap)
-    position_ts = [ad.Tensor(p.position.copy(), requires_grad=True) for p in rig.poses]
-    rot6_ts = [ad.Tensor(p.rot6.copy(), requires_grad=True) for p in rig.poses]
-    params = field.params() if field_grads else field.const_params()
+    position_ts = [ad.Tensor(p.position.copy()) for p in rig.poses]
+    rot6_ts = [ad.Tensor(p.rot6.copy()) for p in rig.poses]
     loss_t, vec_t = placement_loss_graph(field, position_ts, rot6_ts, captures,
-                                         weights=weights, params=params)
-    if loss_t.needs_grad:
-        loss_t.backward()
-    zeros3, zeros6 = np.zeros(3), np.zeros(6)
-    return PlacementLoss(
-        total=float(loss_t.data),
-        components=vec_t.data.copy(),
-        position_grads=np.stack([zeros3 if t.grad is None else t.grad for t in position_ts]),
-        rot6_grads=np.stack([zeros6 if t.grad is None else t.grad for t in rot6_ts]),
-        empty=np.array([c.empty for c in captures]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# weight serialization
-# ---------------------------------------------------------------------------
-
-_SECTION_SHAPES = [("W1", (6, HIDDEN)), ("b1", (HIDDEN,)), ("W2", (HIDDEN, HIDDEN)),
-                   ("b2", (HIDDEN,)), ("WQ", (HIDDEN, D_K)), ("WK", (HIDDEN, D_K))]
-
-
-def field_to_bytes(field: ObservationField) -> bytes:
-    """Little-endian float64 sections, each prefixed with its element count."""
-    blob = bytearray()
-    for name, shape in _SECTION_SHAPES:
-        arr = getattr(field, name).data
-        assert arr.shape == shape
-        blob += struct.pack("<Q", arr.size)
-        blob += arr.astype("<f8").tobytes()
-    return bytes(blob)
-
-
-def field_from_bytes(blob: bytes, key_cap: int = KEY_BASIS_CAP) -> ObservationField:
-    """Rebuild a field from serialized weights; the snapshot is not included
-    and must be re-attached with lean_neof before querying."""
-    weights = {}
-    offset = 0
-    for name, shape in _SECTION_SHAPES:
-        if offset + 8 > len(blob):
-            raise ValueError("truncated field blob")
-        (count,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        expected = int(np.prod(shape))
-        if count != expected:
-            raise ValueError(f"section {name}: expected {expected} values, found {count}")
-        end = offset + 8 * count
-        if end > len(blob):
-            raise ValueError("truncated field blob")
-        weights[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset = end
-    if offset != len(blob):
-        raise ValueError("trailing bytes after field sections")
-    return ObservationField(weights=weights, key_cap=key_cap)
+                                         weights=weights)
+    return PlacementLoss(total=float(loss_t.data), components=vec_t.data.copy(),
+                         empty=np.array([c.empty for c in captures]))

@@ -4,24 +4,23 @@ over the regions the coverage analysis says need observation most.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 import numpy as np
 
 from camopt import autodiff as ad
-from camopt.attributes import attributes_from_coverage, sup_vector
+from camopt.attributes import attributes_from_coverage, shape_analyze, sup_vector
 from camopt.field import (
     FINETUNE_BUDGET,
     LOSS_QUERY_CAP,
-    FieldQueryBatch,
     ObservationField,
+    PlacementLoss,
     capture_visible,
     lean_neof,
+    placement_loss,
     placement_loss_graph,
-    query,
-    _strided,
+    visible_attr_sum,
 )
 from camopt.metrics import coverage_optimality_gap, observation_angle_quality
 from camopt.scene import PLANAR2D, TargetScene, voxelize
@@ -29,6 +28,7 @@ from camopt.visibility import (
     CameraIntrinsics,
     CameraPose,
     CameraRig,
+    coverage_from_sets,
     coverage_matrix,
     default_intrinsics,
     pose_from_forward,
@@ -53,7 +53,6 @@ class OptimizerConfig:
     inner_cap: int = INNER_STEP_CAP
     query_cap: int = LOSS_QUERY_CAP
     resolution: Optional[float] = None
-    threads: int = 1
     # pose steps are Adam-normalized, so the rate is roughly meters moved per
     # inner step. The rate decays across the whole run (the optimizer state
     # persists through every gradient phase): early phases travel toward what
@@ -216,9 +215,8 @@ class PoseOptimizer:
             self.pos_ts[i].data = pose.position.copy()
             self.rot_ts[i].data = pose.rot6.copy()
         for i in reset_moments:
-            for j in (2 * i, 2 * i + 1):
-                self.adam.m[j][:] = 0.0
-                self.adam.v[j][:] = 0.0
+            self.adam.reset_slot(2 * i)
+            self.adam.reset_slot(2 * i + 1)
 
 
 def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerConfig,
@@ -228,8 +226,8 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     below eps_L, a step fails to improve the loss (the step is reverted), or
     the inner cap is hit.
 
-    Returns (rig', last PlacementLoss-like summary dict, per-camera gradient
-    norms, inner steps taken, converged flag).
+    Returns (rig', PlacementLoss of the last accepted step, per-camera
+    gradient norms, inner steps taken, converged flag).
     """
     if visible_sets is None:
         E = coverage_matrix(rig, grid)
@@ -295,8 +293,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     final_poses = tuple(CameraPose(pt.data.copy(), rt.data.copy())
                         for pt, rt in zip(pos_ts, rot_ts))
     out_rig = CameraRig(final_poses, rig.intrinsics)
-    summary = {"loss": L_last, "components": vec_last, "empty": empty}
-    return out_rig, summary, grad_norms, steps, converged
+    return out_rig, PlacementLoss(L_last, vec_last, empty), grad_norms, steps, converged
 
 
 # ---------------------------------------------------------------------------
@@ -339,30 +336,6 @@ def _region_poses(regions, intrinsics):
             for centroid, normal in regions]
 
 
-def _camera_attr_sums(field, grid, visible_sets, query_cap):
-    """Per-camera componentwise sum of field attributes over the (sampled,
-    rescaled) visible voxels — the additive decomposition the loss uses."""
-    sums = np.zeros((len(visible_sets), 3))
-    for i, vis in enumerate(visible_sets):
-        rows = np.asarray(sorted(vis), dtype=np.intp)
-        if len(rows) == 0:
-            continue
-        take = rows[_strided(len(rows), query_cap)]
-        out = query(field, FieldQueryBatch(grid.centers[take], grid.normals[take])).data
-        sums[i] = out.sum(axis=0) * (len(rows) / len(take))
-    return sums
-
-
-def _entries_from_sets(visible_sets, m: int):
-    from camopt.visibility import CoverageMatrix
-
-    entries = np.zeros((len(visible_sets), m), dtype=np.int8)
-    for i, vis in enumerate(visible_sets):
-        if vis:
-            entries[i, sorted(vis)] = 1
-    return CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
-
-
 def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
                    config: OptimizerConfig, grad_norms=None, visible_sets=None,
                    phase_converged: bool = False):
@@ -395,12 +368,7 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
 
     def evaluate_pose(pose):
         vis = visible_set(pose, rig.intrinsics, grid)
-        if not vis:
-            return vis, np.zeros(3)
-        rows = np.asarray(sorted(vis), dtype=np.intp)
-        take = rows[_strided(len(rows), config.query_cap)]
-        out = query(field, FieldQueryBatch(grid.centers[take], grid.normals[take])).data
-        return vis, out.sum(axis=0) * (len(rows) / len(take))
+        return vis, visible_attr_sum(field, vis, config.query_cap)
 
     poses = list(rig.poses)
     committed = []
@@ -411,13 +379,9 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
         if not regions:
             break
         cand_poses = _region_poses(regions, rig.intrinsics)
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                cand_eval = list(pool.map(evaluate_pose, cand_poses))
-        else:
-            cand_eval = [evaluate_pose(p) for p in cand_poses]
+        cand_eval = [evaluate_pose(p) for p in cand_poses]
 
-        sums = _camera_attr_sums(field, grid, visible_sets, config.query_cap)
+        sums = np.array([visible_attr_sum(field, v, config.query_cap) for v in visible_sets])
         sizes = np.array([len(v) for v in visible_sets])
         L_cur = float(w @ (sup - sums.sum(axis=0) / (k * n)))
 
@@ -455,7 +419,7 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
         visible_sets[cam] = vis
         replaced.add(cam)
         # fold the accepted swap back into the need estimate
-        E = _entries_from_sets(visible_sets, n)
+        E = coverage_from_sets(visible_sets, n)
         positions = np.stack([p.position for p in poses])
         attrs_cur = attributes_from_coverage(E, positions, grid.centers,
                                              grid.normals, attrs.K)
@@ -482,23 +446,6 @@ def step_update(prev_poses, poses, diagonal: float) -> float:
     return worst
 
 
-def _analyze(rig, grid, K):
-    E = coverage_matrix(rig, grid)
-    positions = np.stack([p.position for p in rig.poses])
-    attrs = attributes_from_coverage(E, positions, grid.centers, grid.normals, K)
-    return E, attrs
-
-
-def _proxy_loss(field, rig, visible_sets, config):
-    """Current loss value under the frozen field, no gradients needed."""
-    caps = capture_visible(field, rig, visible_sets, query_cap=config.query_cap)
-    pos_ts = [ad.Tensor(p.position.copy()) for p in rig.poses]
-    rot_ts = [ad.Tensor(p.rot6.copy()) for p in rig.poses]
-    loss_t, vec_t = placement_loss_graph(field, pos_ts, rot_ts, caps,
-                                         weights=config.weights)
-    return float(loss_t.data), vec_t.data.copy()
-
-
 def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
              grad_enabled: bool = True, non_grad_enabled: bool = True,
              intrinsics: CameraIntrinsics | None = None):
@@ -515,20 +462,21 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
 
     t0 = time.perf_counter()
     rig = initialize(scene, k, config.seed, intrinsics)
-    E, attrs = _analyze(rig, grid, config.K)
+    E, attrs = shape_analyze(rig, grid, config.K)
     field = lean_neof(None, grid, attrs, seed=config.seed)
     sets = _visible_sets(E)
-    L0, vec0 = _proxy_loss(field, rig, sets, config)
+    init = placement_loss(field, rig, sets, weights=config.weights,
+                          query_cap=config.query_cap)
 
     trace = OptimizationTrace()
     trace.add(IterationRecord(
-        index=0, phase="init", loss=L0, components=vec0,
+        index=0, phase="init", loss=init.total, components=init.components,
         uc=coverage_optimality_gap(E, config.K),
         angle_quality=observation_angle_quality(rig, grid, E),
         poses=rig.poses, wall_ms=(time.perf_counter() - t0) * 1e3))
 
     opt = PoseOptimizer(rig, config) if grad_enabled else None
-    L_outer_prev = L0
+    L_outer_prev = init.total
     prev_poses = rig.poses
     for outer in range(1, config.max_outer + 1):
         t0 = time.perf_counter()
@@ -537,18 +485,16 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
                 rig, field, grid, config, planar=planar, visible_sets=sets, opt=opt)
         else:
             # ablation: skip descent, keep analysis/resampling cadence
-            caps = capture_visible(field, rig, sets, query_cap=config.query_cap)
-            L_here, vec_here = _proxy_loss(field, rig, sets, config)
-            summary = {"loss": L_here, "components": vec_here,
-                       "empty": np.array([c.empty for c in caps])}
+            summary = placement_loss(field, rig, sets, weights=config.weights,
+                                     query_cap=config.query_cap)
             grad_norms = np.zeros(len(rig))
             steps, converged = 0, True
-        E, attrs = _analyze(rig, grid, config.K)
+        E, attrs = shape_analyze(rig, grid, config.K)
         field = lean_neof(field, grid, attrs)
         sets = _visible_sets(E)
         trace.add(IterationRecord(
-            index=outer, phase="grad", loss=summary["loss"],
-            components=summary["components"],
+            index=outer, phase="grad", loss=summary.total,
+            components=summary.components,
             uc=coverage_optimality_gap(E, config.K),
             angle_quality=observation_angle_quality(rig, grid, E),
             poses=rig.poses, wall_ms=(time.perf_counter() - t0) * 1e3,
@@ -557,8 +503,8 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
         # a phase that stopped short of the step cap stalled on its loss
         # tolerance; a capped phase still counts once outer-level progress dies
         stalled = converged or \
-            abs(summary["loss"] - L_outer_prev) < config.eps_L
-        L_outer_prev = summary["loss"]
+            abs(summary.total - L_outer_prev) < config.eps_L
+        L_outer_prev = summary.total
 
         if non_grad_enabled and stalled:
             t1 = time.perf_counter()
@@ -567,15 +513,16 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
                                            phase_converged=converged or not grad_enabled)
             if commits:
                 rig = rig2
-                E, attrs = _analyze(rig, grid, config.K)
+                E, attrs = shape_analyze(rig, grid, config.K)
                 field = lean_neof(field, grid, attrs, budget=2 * FINETUNE_BUDGET)
                 sets = _visible_sets(E)
                 trace.swaps.extend({"iteration": outer, **c} for c in commits)
                 if opt is not None:
                     opt.sync_from(rig, reset_moments=[c["camera"] for c in commits])
-            L_ng, vec_ng = _proxy_loss(field, rig, sets, config)
+            after = placement_loss(field, rig, sets, weights=config.weights,
+                                   query_cap=config.query_cap)
             trace.add(IterationRecord(
-                index=outer, phase="non_grad", loss=L_ng, components=vec_ng,
+                index=outer, phase="non_grad", loss=after.total, components=after.components,
                 uc=coverage_optimality_gap(E, config.K),
                 angle_quality=observation_angle_quality(rig, grid, E),
                 poses=rig.poses, wall_ms=(time.perf_counter() - t1) * 1e3,

@@ -14,26 +14,18 @@ from camopt.visibility import CameraRig, CoverageMatrix, coverage_matrix
 ANGLE_BAND_DEG = (45.0, 145.0)
 
 
-def coverage_optimality_gap(E: CoverageMatrix, K, uc_mode: str = "per_voxel_sq") -> float:
-    """Normalized shortfall against the K-observations-per-voxel requirement.
-
-    per_voxel_sq (default): mean over voxels of (max(0, K - cov_j))^2 / K^2,
-    which is 0 exactly when every voxel meets the requirement and 1 when
-    nothing is covered. The "literal" mode keeps a historical formulation,
-    (K - total coverage)^2 / (K * n^2), for side-by-side comparison; it is not
-    bounded the same way and is not used by default.
+def coverage_optimality_gap(E: CoverageMatrix, K) -> float:
+    """Normalized shortfall against the K-observations-per-voxel requirement:
+    the mean over voxels of (max(0, K - cov_j))^2 / K^2, which is 0 exactly
+    when every voxel meets the requirement and 1 when nothing is covered.
     """
     k_req = float(_threshold(K))
     cov = E.per_voxel_count.astype(np.float64)
     n = len(cov)
     if n < 1:
         raise ValueError("need at least one voxel")
-    if uc_mode == "per_voxel_sq":
-        deficit = np.maximum(0.0, k_req - cov)
-        return float(np.sum(deficit ** 2) / (k_req ** 2 * n))
-    if uc_mode == "literal":
-        return float((k_req - cov.sum()) ** 2 / (k_req * n ** 2))
-    raise ValueError(f"unknown uc_mode: {uc_mode!r}")
+    deficit = np.maximum(0.0, k_req - cov)
+    return float(np.sum(deficit ** 2) / (k_req ** 2 * n))
 
 
 def observation_angle_quality(rig: CameraRig, grid, E: CoverageMatrix) -> float:
@@ -70,10 +62,10 @@ class EvaluationReport:
             raise ValueError("uc must be non-negative")
 
 
-def evaluate_rig(rig: CameraRig, grid, K, uc_mode: str = "per_voxel_sq") -> EvaluationReport:
+def evaluate_rig(rig: CameraRig, grid, K) -> EvaluationReport:
     E = coverage_matrix(rig, grid)
     return EvaluationReport(
-        uc=coverage_optimality_gap(E, K, uc_mode=uc_mode),
+        uc=coverage_optimality_gap(E, K),
         angle_quality=observation_angle_quality(rig, grid, E),
         per_voxel_coverage=E.per_voxel_count.copy(),
         camera_count=len(rig),

@@ -145,7 +145,7 @@ def _subspace_hull_visible(cloud: np.ndarray) -> set:
     return set(int(v) for v in hull.vertices) - {origin_row}
 
 
-def hidden_point_removal(viewpoint, points, gamma: float = DEFAULT_HPR_GAMMA) -> set:
+def hidden_point_removal(viewpoint, points) -> set:
     """Katz-style visibility: spherical flip about the viewpoint, then the
     convex hull of the flipped set plus the viewpoint; hull membership marks
     a point visible. Returns indices into points."""
@@ -158,7 +158,7 @@ def hidden_point_removal(viewpoint, points, gamma: float = DEFAULT_HPR_GAMMA) ->
         raise ValueError("all points coincide with the viewpoint")
     if np.any(dist < 1e-12):
         raise ValueError("a point coincides with the viewpoint")
-    radius = gamma * dist.max()
+    radius = DEFAULT_HPR_GAMMA * dist.max()
     flipped = centered * ((2.0 * radius - dist) / dist)[:, None]
     cloud = np.vstack([flipped, np.zeros((1, pts.shape[1]))])
     return _subspace_hull_visible(cloud)
@@ -236,8 +236,7 @@ def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
     return blocked
 
 
-def visible_set(pose: CameraPose, intrinsics: CameraIntrinsics, grid,
-                gamma: float = DEFAULT_HPR_GAMMA) -> set:
+def visible_set(pose: CameraPose, intrinsics: CameraIntrinsics, grid) -> set:
     """Voxels the camera actually observes: in-frustum, facing the camera,
     and unoccluded per hidden-point removal over every voxel center."""
     centers = grid.centers
@@ -248,7 +247,7 @@ def visible_set(pose: CameraPose, intrinsics: CameraIntrinsics, grid,
         return set()
     dist = np.linalg.norm(to_voxel, axis=1)
     hpr_input = np.nonzero(dist > 1e-12)[0]  # a coincident center is never visible
-    visible_rows = hidden_point_removal(pose.position, centers[hpr_input], gamma=gamma)
+    visible_rows = hidden_point_removal(pose.position, centers[hpr_input])
     hpr_ok = np.zeros(len(centers), dtype=bool)
     hpr_ok[hpr_input[sorted(visible_rows)]] = True
     candidates = np.nonzero(mask & hpr_ok)[0]
@@ -258,11 +257,16 @@ def visible_set(pose: CameraPose, intrinsics: CameraIntrinsics, grid,
     return set(int(j) for j in candidates)
 
 
-def coverage_matrix(rig: CameraRig, grid, gamma: float = DEFAULT_HPR_GAMMA) -> CoverageMatrix:
-    """Row-stack of visible_set over the rig's cameras."""
-    k, m = len(rig), len(grid.centers)
-    entries = np.zeros((k, m), dtype=np.int8)
-    for i, pose in enumerate(rig.poses):
-        for j in visible_set(pose, rig.intrinsics, grid, gamma=gamma):
-            entries[i, j] = 1
+def coverage_from_sets(visible_sets, m: int) -> CoverageMatrix:
+    """Coverage matrix over m voxels whose row i marks the voxels of
+    visible_sets[i]."""
+    entries = np.zeros((len(visible_sets), m), dtype=np.int8)
+    for i, vis in enumerate(visible_sets):
+        entries[i, list(vis)] = 1
     return CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
+
+
+def coverage_matrix(rig: CameraRig, grid) -> CoverageMatrix:
+    """Row-stack of visible_set over the rig's cameras."""
+    return coverage_from_sets([visible_set(pose, rig.intrinsics, grid) for pose in rig.poses],
+                              len(grid.centers))

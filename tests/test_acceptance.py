@@ -20,7 +20,6 @@ from camopt import (
     ShapeSpec,
     TargetScene,
     VOLUMETRIC3D,
-    coverage_matrix,
     coverage_optimality_gap,
     default_intrinsics,
     generate_planar_shape,
@@ -240,9 +239,8 @@ def test_criterion_01_gradients_match_finite_differences():
             look = -pos + rng.uniform(-0.1, 0.1, size=3) * np.array([1, 1, 0])
             poses.append(pose_from_forward(pos, look))
         rig = CameraRig(tuple(poses), intr)
-        attrs = shape_analyze(rig, grid, COVERAGE_K)
+        E, attrs = shape_analyze(rig, grid, COVERAGE_K)
         field = lean_neof(None, grid, attrs, seed=trial)
-        E = coverage_matrix(rig, grid)
         sets = [set(int(j) for j in np.nonzero(E.entries[i])[0])
                 for i in range(len(rig))]
         assert any(sets), "degenerate instance: nothing visible"

@@ -183,7 +183,7 @@ class TestShapeAnalyze:
         pose = pose_from_forward([50.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
         intr = CameraIntrinsics(np.pi / 3, np.pi / 3, 0.1, 2.0)
         rig = CameraRig(poses=(pose,), intrinsics=intr)
-        attrs = shape_analyze(rig, grid, 3)
+        _, attrs = shape_analyze(rig, grid, 3)
         assert np.all(attrs.c == 3.0)
         assert np.all(attrs.phi_cc == np.pi / 2)
         assert np.all(attrs.phi_co == 1.0)
@@ -197,7 +197,7 @@ class TestShapeAnalyze:
         pose = pose_from_forward([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], up_hint=(0, 1, 0))
         intr = CameraIntrinsics(np.pi / 2, np.pi / 2, 0.1, 5.0)
         rig = CameraRig(poses=(pose,), intrinsics=intr)
-        attrs = shape_analyze(rig, grid, 3)
+        _, attrs = shape_analyze(rig, grid, 3)
         assert attrs.c[0] == 2.0
         assert attrs.phi_cc[0] == np.pi / 2   # single observer: degenerate
         assert attrs.phi_co[0] == pytest.approx(0.0)
@@ -214,10 +214,7 @@ class TestShapeAnalyze:
             pos = np.array([2.5 * np.cos(ang), 2.5 * np.sin(ang), 0.0])
             poses.append(pose_from_forward(pos, -pos))
         rig = CameraRig(poses=tuple(poses), intrinsics=intr)
-        attrs = shape_analyze(rig, grid, 3)
-
-        from camopt.visibility import coverage_matrix
-        E = coverage_matrix(rig, grid)
+        E, attrs = shape_analyze(rig, grid, 3)
         positions = np.stack([p.position for p in poses])
         c, cc, co = brute_force_attributes(E.entries, positions, grid.centers,
                                            grid.normals, 3)

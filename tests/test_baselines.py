@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from camopt.baselines import (
     AnnealConfig,
@@ -11,13 +12,23 @@ from camopt.baselines import (
     rig_energy,
     simulated_annealing,
 )
+from camopt.cli import OPTIMIZERS, ExperimentConfig, run_cell
 from camopt.hybrid import initialize
 from camopt.metrics import evaluate_rig
-from camopt.scene import ShapeSpec, generate_planar_shape, voxelize
+from camopt.scene import ShapeSpec, TargetScene, generate_planar_shape, voxelize
+
+PLANE_TOLERANCE = 1e-9
 
 
 def circle_scene(samples=96, seed=0):
     return generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, samples, seed=seed))
+
+
+def lifted_circle(z, radius=3.0, samples=48):
+    """A planar circle moved onto the plane at height z."""
+    base = generate_planar_shape(ShapeSpec("circle", {"radius": radius}, samples, seed=0))
+    pts = base.points + np.array([0.0, 0.0, z])
+    return TargetScene(pts, base.normals, base.mode, np.stack([pts.min(axis=0), pts.max(axis=0)]))
 
 
 class TestRandomSearch:
@@ -145,6 +156,15 @@ class TestSimulatedAnnealing:
             assert pose.position[2] == 0.0
             assert abs(pose.rotation()[2, 2]) < 1e-9
 
+    def test_lifted_planar_scene_keeps_cameras_on_its_plane(self):
+        # large enough that a camera at z = 0 still sees part of the circle, so a
+        # camera pushed off the plane could improve the energy and be returned
+        scene = lifted_circle(1.0)
+        rig, trace = simulated_annealing(scene, 4, self.fast)
+        assert sum(t["accepted"] for t in trace) > 0
+        for pose in rig.poses:
+            assert pose.position[2] == 1.0
+
     def test_deterministic(self):
         scene = circle_scene(samples=48)
         a, ta = simulated_annealing(scene, 3, self.fast)
@@ -152,3 +172,27 @@ class TestSimulatedAnnealing:
         assert ta == tb
         for pa, pb in zip(a.poses, b.poses):
             np.testing.assert_array_equal(pa.position, pb.position)
+
+
+# tiny budgets: the property is about where cameras may go, not how well
+TINY_BUDGETS = {
+    "hybrid": {"max_outer": 1, "inner_cap": 3},
+    "grad_only": {"max_outer": 1, "inner_cap": 3},
+    "non_grad_only": {"max_outer": 1, "inner_cap": 3},
+    "sa": {"T0": 1.0, "cooling": 0.5, "steps_per_temp": 3, "termination": 0.1},
+    "random": {"trials": 3},
+}
+
+
+class TestPlaneProperty:
+    @settings(max_examples=5, deadline=None)
+    @given(z=st.floats(-3.0, 3.0, allow_nan=False))
+    def test_every_optimizer_keeps_planar_cameras_on_the_scene_plane(self, z):
+        scene = lifted_circle(z, samples=40)
+        plane = scene.points[0, 2]
+        for name in OPTIMIZERS:
+            config = ExperimentConfig(scene_source={"path": "unused"}, k_list=[3], seeds=[0],
+                                      optimizer=name, K=2, optimizer_config=TINY_BUDGETS[name])
+            payload = run_cell(scene, config, 3, 0)
+            for pose in payload["final"]["poses"]:
+                assert abs(pose["position"][2] - plane) <= PLANE_TOLERANCE, (name, pose)

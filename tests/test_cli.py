@@ -226,6 +226,23 @@ class TestExitCodes:
         assert main(["optimize", "--config", str(cfg)]) == 3
         assert "failed" in capsys.readouterr().err
 
+    @pytest.fixture(params=["invalid_json", "missing_config"])
+    def malformed_result(self, request, tmp_path):
+        path = tmp_path / "cell.json"
+        path.write_text("{not json" if request.param == "invalid_json"
+                        else json.dumps({"final": {"poses": []}}))
+        return path
+
+    def test_evaluate_malformed_result_is_usage_error(self, malformed_result, capsys):
+        assert main(["evaluate", str(malformed_result)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_export_malformed_result_is_usage_error(self, malformed_result, tmp_path, capsys):
+        out = tmp_path / "need.ply"
+        assert main(["export", str(malformed_result), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSubcommands:
     @pytest.fixture()

@@ -48,7 +48,7 @@ def two_lobe_scene(seed=0):
 
 
 def trained_field(rig, grid, K=3, seed=0):
-    attrs = shape_analyze(rig, grid, K)
+    _, attrs = shape_analyze(rig, grid, K)
     return lean_neof(None, grid, attrs, seed=seed), attrs
 
 
@@ -112,7 +112,7 @@ class TestGradPhase:
         rig2, summary, grad_norms, steps, converged = grad_phase(rig, field, grid, cfg)
         np.testing.assert_array_equal(rig2.poses[0].position, pose.position)
         np.testing.assert_array_equal(rig2.poses[0].rot6, pose.rot6)
-        assert converged and summary["empty"].all()
+        assert converged and summary.empty.all()
         assert np.all(grad_norms == 0.0)
 
     def test_single_voxel_off_axis_loss_never_rises(self):
@@ -126,11 +126,11 @@ class TestGradPhase:
         field, _ = trained_field(rig, grid)
         cfg = OptimizerConfig(weights=(0.0, 0.0, 1.0))
         _, summary, _, _, _ = grad_phase(rig, field, grid, cfg)
-        L0 = summary["loss"]
+        L0 = summary.total
         # re-running from the result cannot end higher: steps are only accepted
         # when they do not increase the loss
         _, summary2, _, _, _ = grad_phase(rig, field, grid, cfg)
-        assert summary2["loss"] <= L0 + 1e-12
+        assert summary2.total <= L0 + 1e-12
 
     def test_composite_ten_cameras_loss_drops_for_most_seeds(self):
         scene = two_lobe_scene()
@@ -144,7 +144,7 @@ class TestGradPhase:
             L_init = placement_loss(field, rig, sets, weights=(0.4, 0.3, 0.3)).total
             _, summary, _, _, _ = grad_phase(rig, field, grid, OptimizerConfig(),
                                              planar=True)
-            if summary["loss"] < L_init:
+            if summary.total < L_init:
                 wins += 1
         assert wins >= 9
 
@@ -241,7 +241,7 @@ class TestWorstRegions:
         rig = CameraRig(
             (pose_from_forward(np.array([3.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])),),
             default_intrinsics(scene.diagonal))
-        attrs = shape_analyze(rig, grid, 3)
+        _, attrs = shape_analyze(rig, grid, 3)
         regions = worst_regions(grid, attrs, 4)
         assert 1 <= len(regions) <= 4
         cents = np.array([r[0] for r in regions])
@@ -255,7 +255,7 @@ class TestWorstRegions:
         rig = CameraRig(
             (pose_from_forward(np.array([3.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])),),
             default_intrinsics(scene.diagonal))
-        attrs = shape_analyze(rig, grid, 3)
+        _, attrs = shape_analyze(rig, grid, 3)
         zeroed = type(attrs)(np.zeros_like(attrs.c), attrs.phi_cc, attrs.phi_co, attrs.K)
         assert worst_regions(grid, zeroed, 5) == []
 

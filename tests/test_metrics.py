@@ -61,15 +61,6 @@ class TestCoverageGap:
         E = cov(np.ones((5, 4), dtype=int))
         assert coverage_optimality_gap(E, 2) == 0.0
 
-    def test_literal_mode(self):
-        entries = np.array([[1, 0, 1], [0, 0, 1]])
-        E = cov(entries)
-        K, n, total = 3, 3, entries.sum()
-        assert coverage_optimality_gap(E, K, uc_mode="literal") == \
-            pytest.approx((K - total) ** 2 / (K * n ** 2))
-        with pytest.raises(ValueError):
-            coverage_optimality_gap(E, K, uc_mode="bogus")
-
     def test_zero_iff_requirement_met(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

@@ -9,6 +9,7 @@ from camopt.visibility import (
     CameraPose,
     CameraRig,
     CoverageMatrix,
+    coverage_from_sets,
     coverage_matrix,
     default_intrinsics,
     frustum_mask,
@@ -282,6 +283,24 @@ class TestCoverageMatrix:
             vs = visible_set(pose, intr, grid)
             assert set(np.nonzero(cov.entries[i])[0]) == vs
         assert np.array_equal(cov.per_voxel_count, cov.entries.sum(axis=0))
+
+    def test_from_sets_matches_coverage_matrix_on_a_real_rig(self):
+        from camopt.hybrid import initialize
+
+        scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 300, seed=2))
+        grid = voxelize(scene, None)
+        rig = initialize(scene, 8, seed=6)
+        sets = [visible_set(pose, rig.intrinsics, grid) for pose in rig.poses]
+        assert set() in sets and sum(map(bool, sets)) >= 3
+        want = np.zeros((len(rig), len(grid.centers)), dtype=np.int8)
+        for i, vis in enumerate(sets):
+            for j in vis:
+                want[i, j] = 1
+        got = coverage_from_sets(sets, len(grid.centers))
+        assert got.entries.dtype == np.int8
+        assert np.array_equal(got.entries, want)
+        assert np.array_equal(got.entries, coverage_matrix(rig, grid).entries)
+        assert np.array_equal(got.per_voxel_count, want.sum(axis=0))
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):
