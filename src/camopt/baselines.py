@@ -10,27 +10,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hybrid import initialize
-from .metrics import coverage_optimality_gap, observation_angle_quality
+from .metrics import evaluate_rig
 from .scene import PLANAR2D, TargetScene, voxelize
-from .visibility import CameraRig, coverage_matrix, pose_from_forward
+from .visibility import CameraRig, pose_from_forward
 
-DEFAULT_W_VIS = 0.4
+W_VIS = 0.4
 
 
-def rig_energy(rig: CameraRig, grid, K: int, w_vis: float = DEFAULT_W_VIS) -> float:
-    """Scalarized placement quality: w_vis * uc - (1 - w_vis) * angle quality.
+def rig_energy(rig: CameraRig, grid, K: int) -> float:
+    """Scalarized placement quality: W_VIS * uc - (1 - W_VIS) * angle quality.
 
     Lower is better; both terms come from the exact coverage matrix.
     """
-    E = coverage_matrix(rig, grid)
-    uc = coverage_optimality_gap(E, K)
-    quality = observation_angle_quality(rig, grid, E)
-    return w_vis * uc - (1.0 - w_vis) * quality
+    report = evaluate_rig(rig, grid, K)
+    return W_VIS * report.uc - (1.0 - W_VIS) * report.angle_quality
 
 
 def random_search(scene: TargetScene, k: int, trials: int, seed: int,
-                  K: int = 3, w_vis: float = DEFAULT_W_VIS, resolution=None,
-                  intrinsics=None):
+                  K: int = 3, resolution=None, intrinsics=None):
     """Best random rig over `trials` independent draws (trial t uses seed+t,
     so trials=1 reproduces initialize(scene, k, seed) exactly)."""
     if trials < 1:
@@ -40,7 +37,7 @@ def random_search(scene: TargetScene, k: int, trials: int, seed: int,
     best_e = math.inf
     for t in range(trials):
         rig = initialize(scene, k, seed + t, intrinsics)
-        e = rig_energy(rig, grid, K, w_vis)
+        e = rig_energy(rig, grid, K)
         if e < best_e:
             best_rig, best_e = rig, e
     return best_rig
@@ -89,8 +86,7 @@ def _perturb(rig: CameraRig, cam: int, sigma_pos: float, sigma_rot: float,
 
 
 def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
-                        K: int = 3, w_vis: float = DEFAULT_W_VIS, resolution=None,
-                        intrinsics=None):
+                        K: int = 3, resolution=None, intrinsics=None):
     """Anneal a random rig under the scalarized metric.
 
     One proposal perturbs a single uniformly chosen camera (Gaussian position
@@ -107,7 +103,7 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
     sigma_rot = config.perturb_scale
 
     rig = initialize(scene, k, config.seed, intrinsics)
-    energy = rig_energy(rig, grid, K, w_vis)
+    energy = rig_energy(rig, grid, K)
     best_rig, best_e = rig, energy
     trace = [{"temperature": config.T0, "energy": energy,
               "best_energy": best_e, "accepted": 0, "proposals": 0}]
@@ -118,7 +114,7 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
         for _ in range(config.steps_per_temp):
             cam = int(rng.integers(k))
             cand = _perturb(rig, cam, sigma_pos, sigma_rot, planar, rng)
-            cand_e = rig_energy(cand, grid, K, w_vis)
+            cand_e = rig_energy(cand, grid, K)
             if accept_proposal(cand_e - energy, T, rng):
                 rig, energy = cand, cand_e
                 accepted += 1

@@ -15,7 +15,7 @@ import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,15 @@ class ExperimentConfig:
         if not isinstance(self.scene_source, dict) or \
                 not ({"generator", "path"} & set(self.scene_source)):
             raise ConfigError("scene_source: need a 'generator' spec or a 'path'")
+        if not isinstance(self.optimizer_config, dict):
+            raise ConfigError("optimizer_config: need an object")
+        # keys the optimizer reads; all read resolution, and run_cell overrides K and seed
+        reads = {"trials"} if self.optimizer == "random" else {
+            f.name for f in fields(AnnealConfig if self.optimizer == "sa" else OptimizerConfig)}
+        unknown = set(self.optimizer_config) - reads - {"K", "seed", "resolution"}
+        if unknown:
+            raise ConfigError(
+                f"optimizer_config: {self.optimizer} takes no keys {sorted(unknown)}")
         if self.intrinsics is not None:
             wanted = {"hfov", "vfov", "near", "far"}
             if not isinstance(self.intrinsics, dict) or \
@@ -123,8 +132,7 @@ def build_scene(config: ExperimentConfig):
 
 def _build_intrinsics(config: ExperimentConfig, scene) -> CameraIntrinsics:
     if config.intrinsics is None:
-        diag = scene.diagonal
-        return default_intrinsics(diag if diag > 1e-9 else None)
+        return default_intrinsics(scene.diagonal)
     d = config.intrinsics
     return CameraIntrinsics(hfov=d["hfov"], vfov=d["vfov"],
                             near=d["near"], far=d["far"])
@@ -170,9 +178,7 @@ def run_cell(scene, config: ExperimentConfig, k: int, seed: int) -> dict:
                             intrinsics=intrinsics)
         per_iteration = []
     else:  # sa
-        anneal_kw = {key: opt_kw[key] for key in
-                     ("T0", "cooling", "steps_per_temp", "perturb_scale",
-                      "termination") if key in opt_kw}
+        anneal_kw = {key: value for key, value in opt_kw.items() if key != "resolution"}
         rig, sa_trace = simulated_annealing(
             scene, k, AnnealConfig(seed=seed, **anneal_kw), K=config.K,
             resolution=opt_kw.get("resolution"), intrinsics=intrinsics)

@@ -120,19 +120,21 @@ class OptimizationTrace:
 def _containment_test(scene: TargetScene):
     """Point-in-convex-hull predicate over the scene's points, or None when
     the cloud is too degenerate to enclose any volume."""
-    from scipy.spatial import Delaunay, QhullError
+    from scipy.spatial import ConvexHull, QhullError
 
     pts = scene.points[:, :2] if scene.mode == PLANAR2D else scene.points
     if len(pts) <= pts.shape[1]:
         return None
     try:
-        tri = Delaunay(pts)
+        facets = ConvexHull(pts).equations
     except QhullError:
         return None
+    # facet rows are outward unit normals and offsets: inside is <= 0 on every facet
+    normals, offsets = facets[:, :-1], facets[:, -1]
 
     def inside(p):
         q = p[:2] if scene.mode == PLANAR2D else p
-        return tri.find_simplex(q[None])[0] >= 0
+        return bool(np.all(normals @ q + offsets <= 0.0))
 
     return inside
 
@@ -144,8 +146,7 @@ def initialize(scene: TargetScene, k: int, seed: int, intrinsics=None) -> Camera
     if k < 1:
         raise ValueError("need at least one camera")
     if intrinsics is None:
-        diag = scene.diagonal
-        intrinsics = default_intrinsics(diag if diag > 1e-9 else None)
+        intrinsics = default_intrinsics(scene.diagonal)
     rng = np.random.default_rng(seed)
     bmin, bmax = scene.bounds[0], scene.bounds[1]
     center = (bmin + bmax) / 2.0
@@ -230,8 +231,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     gradient norms, inner steps taken, converged flag).
     """
     if visible_sets is None:
-        E = coverage_matrix(rig, grid)
-        visible_sets = _visible_sets(E)
+        visible_sets = _visible_sets(coverage_matrix(rig, grid))
     k = len(rig)
     if opt is None:
         opt = PoseOptimizer(rig, config)
@@ -354,7 +354,8 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     consumed need stops attracting further cameras, so successive relocations
     spread over distinct regions instead of piling onto the first one.
 
-    Returns (rig', committed) where committed records each accepted swap.
+    Returns (rig', committed, visible_sets, attrs): the accepted swaps, and
+    the visible sets and attributes of rig'.
     """
     k = len(rig)
     n = len(grid.centers)
@@ -425,8 +426,8 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
                                              grid.normals, attrs.K)
         lean_neof(field, grid, attrs_cur, budget=0)
     if not committed:
-        return rig, []
-    return CameraRig(tuple(poses), rig.intrinsics), committed
+        return rig, [], visible_sets, attrs
+    return CameraRig(tuple(poses), rig.intrinsics), committed, visible_sets, attrs_cur
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +458,7 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
     grid = voxelize(scene, config.resolution)
     diag = scene.diagonal
     if intrinsics is None:
-        intrinsics = default_intrinsics(diag if diag > 1e-9 else None)
+        intrinsics = default_intrinsics(diag)
     planar = scene.mode == PLANAR2D
 
     t0 = time.perf_counter()
@@ -508,14 +509,12 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
 
         if non_grad_enabled and stalled:
             t1 = time.perf_counter()
-            rig2, commits = non_grad_phase(rig, field, grid, attrs, config,
-                                           grad_norms=grad_norms, visible_sets=sets,
-                                           phase_converged=converged or not grad_enabled)
+            rig, commits, sets, attrs = non_grad_phase(
+                rig, field, grid, attrs, config, grad_norms=grad_norms, visible_sets=sets,
+                phase_converged=converged or not grad_enabled)
             if commits:
-                rig = rig2
-                E, attrs = shape_analyze(rig, grid, config.K)
+                E = coverage_from_sets(sets, len(grid.centers))
                 field = lean_neof(field, grid, attrs, budget=2 * FINETUNE_BUDGET)
-                sets = _visible_sets(E)
                 trace.swaps.extend({"iteration": outer, **c} for c in commits)
                 if opt is not None:
                     opt.sync_from(rig, reset_moments=[c["camera"] for c in commits])

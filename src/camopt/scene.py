@@ -73,14 +73,14 @@ class VoxelGrid:
     """Sparse voxelization of a scene, anchored at the bounds minimum.
 
     origin is the lattice anchor: floor((x - origin) / resolution) maps a
-    position to its integer cell key.
+    position to its integer cell key; keys[row] is the key of voxel row.
     """
 
     resolution: float
     centers: np.ndarray                 # (m, 3)
     normals: np.ndarray                 # (m, 3) unit vectors
     members: tuple                      # m tuples of point index arrays
-    index: dict                         # (ix, iy, iz) -> voxel row
+    keys: np.ndarray                    # (m, 3) int64 cell keys
     origin: np.ndarray                  # (3,)
 
     def __len__(self):
@@ -261,15 +261,15 @@ def estimate_normals(points: np.ndarray, mode: str = VOLUMETRIC3D) -> np.ndarray
     return normals / lens
 
 
-def load_scene(path, mode: str = VOLUMETRIC3D, mesh_samples: int = _MESH_SAMPLES) -> TargetScene:
+def load_scene(path, mode: str = VOLUMETRIC3D) -> TargetScene:
     """Load a PLY/OBJ point cloud or mesh as a TargetScene.
 
-    Meshes (files with faces) are surface-sampled to mesh_samples points.
+    Meshes (files with faces) are surface-sampled to _MESH_SAMPLES points.
     Missing or degenerate normals are estimated.
     """
     points, normals, faces = cloudio.read_point_file(path)
     if faces:
-        points, normals = cloudio.sample_faces(points, faces, mesh_samples)
+        points, normals = cloudio.sample_faces(points, faces, _MESH_SAMPLES)
     if len(points) == 0:
         raise ValueError("scene file has no points")
     if np.ptp(points, axis=0).max() < 1e-12:
@@ -323,13 +323,12 @@ def voxelize(scene: TargetScene, resolution: Optional[float] = None,
         else:
             member_lists[row].append(pi)
 
-    m = len(member_lists)
-    centers = np.empty((m, 3))
-    normals = np.empty((m, 3))
+    # rows are numbered in insertion order, so the keys come out in row order
+    keys = np.array(list(index), dtype=np.int64)
     # a zero-extent axis (planar scenes) keeps its coordinate on the plane
     half = np.where(extent > 1e-12, 0.5, 0.0)
-    for key, row in index.items():
-        centers[row] = bmin + (np.array(key) + half) * resolution
+    centers = bmin + (keys + half) * resolution
+    normals = np.empty((len(keys), 3))
     for row, mem in enumerate(member_lists):
         mean = scene.normals[mem].mean(axis=0)
         length = np.linalg.norm(mean)
@@ -340,5 +339,5 @@ def voxelize(scene: TargetScene, resolution: Optional[float] = None,
             normals[row] = mean / length
     members = tuple(np.asarray(m_, dtype=np.intp) for m_ in member_lists)
     return VoxelGrid(resolution=float(resolution), centers=centers,
-                     normals=normals, members=members, index=index,
+                     normals=normals, members=members, keys=keys,
                      origin=bmin.copy())

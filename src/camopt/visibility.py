@@ -26,8 +26,9 @@ class CameraIntrinsics:
 
 
 def default_intrinsics(scene_diagonal: Optional[float] = None) -> CameraIntrinsics:
-    """60 degree square FOV; range band scales with scene size when known."""
-    if scene_diagonal is None:
+    """60 degree square FOV; range band scales with scene size when known
+    (a diagonal of at most 1e-9 counts as unknown)."""
+    if scene_diagonal is None or scene_diagonal <= 1e-9:
         near, far = 0.2, 5.0
     else:
         near, far = 0.08 * scene_diagonal, 2.0 * scene_diagonal
@@ -189,13 +190,11 @@ def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
     result equals marching the whole segment.
     """
     res = grid.resolution
-    keys = np.array(list(grid.index.keys()), dtype=np.int64)
+    keys = grid.keys
     lo = keys.min(axis=0)
     shape = keys.max(axis=0) - lo + 1
     occupied = np.zeros(shape, dtype=bool)
     occupied[tuple((keys - lo).T)] = True
-    row_keys = np.empty((len(grid.centers), 3), dtype=np.int64)
-    row_keys[np.fromiter(grid.index.values(), dtype=np.intp, count=len(keys))] = keys
 
     targets = grid.centers[target_rows]
     rays = targets - eye
@@ -230,7 +229,7 @@ def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
     hit = np.zeros(len(rel), dtype=bool)
     ri = rel[inside]
     hit[inside] = occupied[ri[:, 0], ri[:, 1], ri[:, 2]]
-    hit &= np.any(rel != row_keys[target_rows][ray_of] - lo, axis=-1)
+    hit &= np.any(rel != keys[target_rows][ray_of] - lo, axis=-1)
     blocked = np.zeros(len(rays), dtype=bool)
     blocked[ray_of[hit]] = True
     return blocked

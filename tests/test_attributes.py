@@ -192,7 +192,7 @@ class TestShapeAnalyze:
         from camopt.scene import VoxelGrid
         grid = VoxelGrid(resolution=0.2, centers=np.array([[0.0, 0.0, 0.0]]),
                          normals=np.array([[0.0, 0.0, 1.0]]),
-                         members=(np.array([0]),), index={(0, 0, 0): 0},
+                         members=(np.array([0]),), keys=np.zeros((1, 3), dtype=np.int64),
                          origin=np.array([-0.1, -0.1, -0.1]))
         pose = pose_from_forward([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], up_hint=(0, 1, 0))
         intr = CameraIntrinsics(np.pi / 2, np.pi / 2, 0.1, 5.0)

@@ -226,6 +226,36 @@ class TestExitCodes:
         assert main(["optimize", "--config", str(cfg)]) == 3
         assert "failed" in capsys.readouterr().err
 
+    def assert_rejected_before_any_cell(self, tmp_path, capsys, optimizer, optimizer_config):
+        cfg = write_config(tmp_path / "c.json", optimizer=optimizer,
+                           optimizer_config=optimizer_config)
+        assert main(["optimize", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("optimizer", ["hybrid", "grad_only", "non_grad_only"])
+    @pytest.mark.parametrize("key", ["bogus", "threads", "trials", "T0"])
+    def test_unknown_gradient_optimizer_key_is_usage_error(self, tmp_path, capsys,
+                                                           optimizer, key):
+        self.assert_rejected_before_any_cell(tmp_path, capsys, optimizer,
+                                             {"max_outer": 1, key: 1})
+
+    @pytest.mark.parametrize("key", ["bogus", "trials", "max_outer"])
+    def test_unknown_sa_key_is_usage_error(self, tmp_path, capsys, key):
+        self.assert_rejected_before_any_cell(tmp_path, capsys, "sa", {"T0": 0.5, key: 1})
+
+    @pytest.mark.parametrize("key", ["bogus", "T0", "max_outer"])
+    def test_unknown_random_key_is_usage_error(self, tmp_path, capsys, key):
+        self.assert_rejected_before_any_cell(tmp_path, capsys, "random", {"trials": 2, key: 1})
+
+    @pytest.mark.parametrize("optimizer", ["hybrid", "grad_only", "non_grad_only",
+                                           "sa", "random"])
+    def test_shared_keys_accepted_by_every_optimizer(self, optimizer):
+        config = ExperimentConfig(scene_source={"path": "scene.ply"}, k_list=[1], seeds=[0],
+                                  optimizer=optimizer,
+                                  optimizer_config={"K": 5, "seed": 9, "resolution": 0.1})
+        assert config.optimizer_config["resolution"] == 0.1
+
     @pytest.fixture(params=["invalid_json", "missing_config"])
     def malformed_result(self, request, tmp_path):
         path = tmp_path / "cell.json"

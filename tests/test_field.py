@@ -27,13 +27,13 @@ def make_grid(centers, normals=None):
         normals = np.tile([0.0, 0.0, 1.0], (m, 1))
     normals = np.asarray(normals, dtype=np.float64)
     origin = centers.min(axis=0) - 0.5
-    keys = np.floor(centers - origin).astype(int)
+    keys = np.floor(centers - origin).astype(np.int64)
     return VoxelGrid(
         resolution=1.0,
         centers=centers,
         normals=normals,
         members=tuple(np.array([i]) for i in range(m)),
-        index={tuple(k): i for i, k in enumerate(keys)},
+        keys=keys,
         origin=origin,
     )
 

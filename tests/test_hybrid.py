@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 from camopt.attributes import shape_analyze
 from camopt.field import lean_neof, placement_loss
 from camopt.hybrid import (
+    BOUNDS_INFLATION,
     OptimizerConfig,
     OptimizationTrace,
     IterationRecord,
+    _containment_test,
+    _visible_sets,
     grad_phase,
     initialize,
     non_grad_phase,
@@ -18,6 +21,7 @@ from camopt.hybrid import (
 )
 from camopt.metrics import coverage_optimality_gap
 from camopt.scene import (
+    PLANAR2D,
     VOLUMETRIC3D,
     ShapeSpec,
     TargetScene,
@@ -100,6 +104,95 @@ class TestInitialize:
             assert abs(fwd[2]) < 1e-9
 
 
+def volumetric_scene(points, normals):
+    bounds = np.stack([points.min(axis=0), points.max(axis=0)])
+    return TargetScene(points=points, normals=normals, mode=VOLUMETRIC3D, bounds=bounds)
+
+
+def sphere_scene(count=1500, seed=0):
+    pts = np.random.default_rng(seed).normal(size=(count, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return volumetric_scene(pts, pts.copy())
+
+
+def torus_scene(count=1500, seed=0, major=1.0, minor=0.35):
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0.0, 2.0 * np.pi, (2, count))
+    normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
+    ring = np.stack([np.cos(u), np.sin(u), np.zeros(count)], axis=1)
+    return volumetric_scene(major * ring + minor * normals, normals)
+
+
+class TestContainment:
+    """The hull-halfspace predicate must make the same decisions as locating
+    the point in a Delaunay triangulation of the same points."""
+
+    @pytest.mark.parametrize("make_scene", [
+        lambda: circle_scene(samples=400, seed=3), sphere_scene, torus_scene],
+        ids=["circle", "sphere", "torus"])
+    def test_matches_delaunay_find_simplex(self, make_scene):
+        from scipy.spatial import Delaunay
+
+        scene = make_scene()
+        planar = scene.mode == PLANAR2D
+        dims = 2 if planar else 3
+        center = scene.bounds.mean(axis=0)
+        half = (scene.bounds[1] - scene.bounds[0]) / 2.0 * BOUNDS_INFLATION
+        samples = np.random.default_rng(5).uniform(center - half, center + half,
+                                                   size=(10_000, 3))
+        inside = _containment_test(scene)
+        got = np.array([inside(q) for q in samples])
+        want = Delaunay(scene.points[:, :dims]).find_simplex(samples[:, :dims]) >= 0
+        np.testing.assert_array_equal(got, want)
+        assert 0 < want.sum() < len(want)
+
+    def test_degenerate_clouds_have_no_predicate(self):
+        def planar(points):
+            pts = np.array(points, dtype=np.float64)
+            normals = np.tile([0.0, 1.0, 0.0], (len(pts), 1))
+            bounds = np.stack([pts.min(axis=0), pts.max(axis=0)])
+            return TargetScene(points=pts, normals=normals, mode=PLANAR2D, bounds=bounds)
+
+        up = np.tile([0.0, 0.0, 1.0], (3, 1))
+        too_few_volumetric = volumetric_scene(np.eye(3), up)
+        too_few_planar = planar([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        collinear_planar = planar([[x, 2.0 * x, 0.0] for x in range(6)])
+        grid = np.array([[x, y, 0.5] for x in range(3) for y in range(3)], dtype=np.float64)
+        coplanar_volumetric = volumetric_scene(grid, np.tile([0.0, 0.0, 1.0], (9, 1)))
+        for scene in (too_few_volumetric, too_few_planar, collinear_planar,
+                      coplanar_volumetric):
+            assert _containment_test(scene) is None
+        # without a predicate every sample is accepted
+        assert len(initialize(coplanar_volumetric, 3, seed=0)) == 3
+
+
+class TestDescentProperty:
+    """Over random small planar scenes: accepted descent steps never raise
+    the loss, and every committed swap strictly lowers it."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(kind=st.sampled_from(["circle", "square", "triangle"]),
+           samples=st.integers(24, 80), seed=st.integers(0, 10_000))
+    def test_steps_never_raise_and_swaps_lower_the_loss(self, kind, samples, seed):
+        size = {"radius": 1.0} if kind == "circle" else {"side": 2.0}
+        scene = generate_planar_shape(ShapeSpec(kind, size, samples, seed=seed))
+        config = OptimizerConfig(K=2, seed=seed, max_outer=2, inner_cap=15)
+        grid = voxelize(scene, None)
+        rig = initialize(scene, 4, seed)
+        E, attrs = shape_analyze(rig, grid, config.K)
+        field = lean_neof(None, grid, attrs, budget=20, seed=seed)
+        sets = _visible_sets(E)
+        start = placement_loss(field, rig, sets, weights=config.weights,
+                               query_cap=config.query_cap)
+        _, summary, _, _, _ = grad_phase(rig, field, grid, config, planar=True,
+                                         visible_sets=sets)
+        assert summary.total <= start.total
+
+        _, trace = optimize(scene, 4, config)
+        for swap in trace.swaps:
+            assert swap["loss_after"] < swap["loss_before"], swap
+
+
 class TestGradPhase:
     def test_blind_rig_is_left_untouched(self):
         # nothing visible -> zero gradients -> Adam cannot move anything
@@ -167,8 +260,8 @@ class TestNonGradPhase:
         base = pose_from_forward(np.array([3.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
         rig = CameraRig((base, base, base), default_intrinsics(scene.diagonal))
         field, attrs = trained_field(rig, grid)
-        rig2, commits = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
-                                       phase_converged=True)
+        rig2, commits, _, _ = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
+                                             phase_converged=True)
         assert commits == []
         assert rig2 is rig
 
@@ -180,7 +273,8 @@ class TestNonGradPhase:
         rig = CameraRig((away,), default_intrinsics(scene.diagonal))
         field, attrs = trained_field(rig, grid)
         cfg = OptimizerConfig(m=1)
-        rig2, commits = non_grad_phase(rig, field, grid, attrs, cfg, phase_converged=True)
+        rig2, commits, _, _ = non_grad_phase(rig, field, grid, attrs, cfg,
+                                             phase_converged=True)
         assert len(commits) == 1
         assert commits[0]["camera"] == 0
         assert commits[0]["loss_after"] < commits[0]["loss_before"]
@@ -204,8 +298,8 @@ class TestNonGradPhase:
         # residual need must sit on the right lobe for the premise to hold
         needy_x = grid.centers[attrs.c > 0, 0]
         assert needy_x.size and needy_x.mean() > 0.65
-        rig2, commits = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(K=1),
-                                       phase_converged=True)
+        rig2, commits, _, _ = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(K=1),
+                                             phase_converged=True)
         assert commits, "expected at least one relocation"
         right_centroid = np.array([1.7, 0.0, 0.0])
         left_centroid = np.array([-0.4, 0.0, 0.0])
@@ -218,8 +312,8 @@ class TestNonGradPhase:
         grid = voxelize(scene, None)
         rig = initialize(scene, 6, seed=11)
         field, attrs = trained_field(rig, grid, seed=11)
-        _, commits = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
-                                    phase_converged=True)
+        _, commits, _, _ = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
+                                          phase_converged=True)
         assert commits
         for c in commits:
             assert c["loss_after"] < c["loss_before"]
@@ -229,8 +323,8 @@ class TestNonGradPhase:
         grid = voxelize(scene, None)
         rig = initialize(scene, 7, seed=2)
         field, attrs = trained_field(rig, grid, seed=2)
-        rig2, _ = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
-                                 phase_converged=True)
+        rig2, _, _, _ = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
+                                       phase_converged=True)
         assert len(rig2.poses) == 7
 
 

@@ -25,8 +25,7 @@ def grid_at(centers):
     origin = centers.min(axis=0) - 0.5
     return VoxelGrid(resolution=1.0, centers=centers, normals=normals,
                      members=tuple(np.array([i]) for i in range(m)),
-                     index={tuple(k): i for i, k in
-                            enumerate(np.floor(centers - origin).astype(int))},
+                     keys=np.floor(centers - origin).astype(np.int64),
                      origin=origin)
 
 

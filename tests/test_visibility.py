@@ -107,6 +107,12 @@ class TestIntrinsics:
         assert intr.far == pytest.approx(5.0)
         assert intr.hfov == pytest.approx(np.pi / 3)
 
+    def test_degenerate_diagonal_falls_back_to_fixed_range(self):
+        # a single-point scene has diagonal 0: a range band scaled by it
+        # would be empty, so it counts as an unknown scene size
+        assert default_intrinsics(0.0) == default_intrinsics()
+        assert default_intrinsics(1e-10) == default_intrinsics(None)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(hfov=0.0, vfov=1.0, near=0.1, far=1.0)
@@ -191,10 +197,9 @@ class TestVisibleSet:
         members = tuple(np.array([i]) for i in range(len(centers)))
         origin = centers.min(axis=0) - resolution / 2.0
         keys = np.floor((centers - origin) / resolution).astype(np.int64)
-        index = {tuple(k): i for i, k in enumerate(keys)}
-        assert len(index) == len(centers)
+        assert len(np.unique(keys, axis=0)) == len(centers)
         return VoxelGrid(resolution=resolution, centers=centers, normals=normals,
-                         members=members, index=index, origin=origin)
+                         members=members, keys=keys, origin=origin)
 
     def wide_intrinsics(self):
         return CameraIntrinsics(hfov=np.pi / 2, vfov=np.pi / 2, near=0.1, far=10.0)
@@ -333,14 +338,11 @@ def full_segment_march(grid, eye, target_rows):
     """The cell march before slab clipping: every ray is sampled at
     quarter-voxel strides over the whole eye->center segment."""
     res = grid.resolution
-    keys = np.array(list(grid.index.keys()), dtype=np.int64)
+    keys = grid.keys
     lo = keys.min(axis=0)
     shape = keys.max(axis=0) - lo + 1
     occupied = np.zeros(shape, dtype=bool)
     occupied[tuple((keys - lo).T)] = True
-    row_keys = np.empty((len(grid.centers), 3), dtype=np.int64)
-    for key, row in grid.index.items():
-        row_keys[row] = key
     rays = grid.centers[target_rows] - eye
     longest = float(np.linalg.norm(rays, axis=1).max())
     n_steps = max(2, int(np.ceil(longest / (res / 4.0))))
@@ -351,7 +353,7 @@ def full_segment_march(grid, eye, target_rows):
     hit = np.zeros(rel.shape[:2], dtype=bool)
     ri = rel[inside]
     hit[inside] = occupied[ri[:, 0], ri[:, 1], ri[:, 2]]
-    hit &= ~np.all(rel == (row_keys[target_rows] - lo)[:, None, :], axis=-1)
+    hit &= ~np.all(rel == (keys[target_rows] - lo)[:, None, :], axis=-1)
     return hit.any(axis=1)
 
 
@@ -370,10 +372,10 @@ class TestCellMarch:
         normals = np.tile([0.0, 0.0, 1.0], (len(keys), 1))
         return VoxelGrid(resolution=1.0, centers=centers, normals=normals,
                          members=tuple(np.array([r]) for r in range(len(keys))),
-                         index={k: r for r, k in enumerate(keys)}, origin=np.zeros(3))
+                         keys=np.array(keys), origin=np.zeros(3))
 
     def box(self, grid):
-        keys = np.array(list(grid.index.keys()))
+        keys = grid.keys
         lo = grid.origin + keys.min(axis=0) * grid.resolution
         hi = grid.origin + (keys.max(axis=0) + 1) * grid.resolution
         return lo, hi
