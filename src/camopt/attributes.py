@@ -57,41 +57,29 @@ def remaining_coverage(E: CoverageMatrix, K) -> np.ndarray:
     return np.clip(float(k) - E.per_voxel_count.astype(np.float64), 0.0, float(k))
 
 
-def camera_to_camera_angle(A_j) -> float:
-    """Deviation of the mean pairwise observer-ray angle from 90 degrees."""
-    dirs = np.asarray(A_j, dtype=np.float64)
-    if dirs.ndim != 2 or len(dirs) < 2:
-        raise ValueError("need at least two observer directions")
-    dots = dirs @ dirs.T
-    iu = np.triu_indices(len(dirs), k=1)
-    angles = np.arccos(np.clip(dots[iu], -1.0, 1.0))
-    return float(np.abs(np.pi / 2.0 - angles.mean()))
+def observer_groups(positions: np.ndarray, E: CoverageMatrix, centers: np.ndarray) -> list:
+    """Voxels grouped by observer count n >= 1, as (rows, dirs) pairs: rows
+    holds the group's voxel indices and dirs[r, i] the unit vector from voxel
+    rows[r] to its i-th observing camera, cameras in rig order."""
+    counts = E.per_voxel_count
+    groups = []
+    for n in np.unique(counts[counts > 0]):
+        rows = np.nonzero(counts == n)[0]
+        cams = np.nonzero(E.entries[:, rows].T)[1].reshape(len(rows), n)
+        offsets = positions[cams] - centers[rows, None, :]
+        lengths = np.linalg.norm(offsets, axis=2)
+        if np.any(lengths < 1e-12):
+            raise ValueError("an observing camera coincides with the voxel center")
+        groups.append((rows, offsets / lengths[..., None]))
+    return groups
 
 
-def camera_to_object_angle(A_j, n_j) -> float:
-    """One minus the cosine between the normal and the summed observer rays."""
-    dirs = np.atleast_2d(np.asarray(A_j, dtype=np.float64))
-    if len(dirs) < 1:
-        raise ValueError("need at least one observer direction")
-    resultant = dirs.sum(axis=0)
-    length = np.linalg.norm(resultant)
-    if length < 1e-12:
-        raise ValueError("observer directions cancel out")
-    n = np.asarray(n_j, dtype=np.float64)
-    return float(1.0 - np.dot(n, resultant / length))
-
-
-def observer_directions(positions: np.ndarray, E: CoverageMatrix, center: np.ndarray,
-                        voxel: int) -> np.ndarray:
-    """Unit voxel->camera vectors for the cameras observing the voxel."""
-    rows = np.nonzero(E.entries[:, voxel])[0]
-    if len(rows) == 0:
-        return np.zeros((0, 3))
-    offsets = positions[rows] - center
-    lengths = np.linalg.norm(offsets, axis=1)
-    if np.any(lengths < 1e-12):
-        raise ValueError("an observing camera coincides with the voxel center")
-    return offsets / lengths[:, None]
+def pair_cosines(dirs: np.ndarray) -> np.ndarray:
+    """(v, n(n-1)/2) cosines of each voxel's observer pairs, upper-triangle
+    order. C-contiguous, so a row reduction sums in the same order as it
+    would over that voxel's pairs alone."""
+    iu = np.triu_indices(dirs.shape[1], k=1)
+    return np.ascontiguousarray((dirs @ dirs.transpose(0, 2, 1))[:, iu[0], iu[1]])
 
 
 def attributes_from_coverage(E: CoverageMatrix, positions, centers, normals, K) -> ObservationAttributes:
@@ -104,14 +92,14 @@ def attributes_from_coverage(E: CoverageMatrix, positions, centers, normals, K) 
     c = remaining_coverage(E, k)
     phi_cc = np.full(m, PHI_CC_DEGENERATE)
     phi_co = np.full(m, PHI_CO_DEGENERATE)
-    for j in range(m):
-        dirs = observer_directions(positions, E, centers[j], j)
-        if len(dirs) >= 2:
-            phi_cc[j] = camera_to_camera_angle(dirs)
-        if len(dirs) >= 1:
-            resultant = dirs.sum(axis=0)
-            if np.linalg.norm(resultant) >= 1e-12:
-                phi_co[j] = camera_to_object_angle(dirs, normals[j])
+    for rows, dirs in observer_groups(positions, E, centers):
+        if dirs.shape[1] >= 2:
+            angles = np.arccos(np.clip(pair_cosines(dirs), -1.0, 1.0))
+            phi_cc[rows] = np.abs(np.pi / 2.0 - angles.mean(axis=1))
+        resultant = dirs.sum(axis=1)
+        length = np.sqrt(np.vecdot(resultant, resultant))
+        ok = length >= 1e-12   # directions that cancel keep the degenerate value
+        phi_co[rows[ok]] = 1.0 - np.vecdot(normals[rows[ok]], resultant[ok] / length[ok, None])
     return ObservationAttributes(c=c, phi_cc=phi_cc, phi_co=phi_co, K=k)
 
 

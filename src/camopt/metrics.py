@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from camopt.attributes import _threshold
+from camopt.attributes import _threshold, observer_groups, pair_cosines
 from camopt.visibility import CameraRig, CoverageMatrix, coverage_matrix
 
 ANGLE_BAND_DEG = (45.0, 145.0)
@@ -31,19 +31,18 @@ def coverage_optimality_gap(E: CoverageMatrix, K) -> float:
 def observation_angle_quality(rig: CameraRig, grid, E: CoverageMatrix) -> float:
     """Pooled fraction of observer-ray pairs meeting at a well-conditioned
     angle (45..145 degrees), over every voxel with at least two observers.
-    Returns 0 when no voxel has two observers."""
+    Returns 0 when no voxel has two observers; raises ValueError when an
+    observing camera sits on a voxel center."""
     cos_hi = np.cos(np.deg2rad(ANGLE_BAND_DEG[0]))  # cos decreases: 45 deg bounds above
     cos_lo = np.cos(np.deg2rad(ANGLE_BAND_DEG[1]))
     positions = np.stack([pose.position for pose in rig.poses])
     good = 0
     total = 0
-    for j in np.nonzero(E.per_voxel_count >= 2)[0]:
-        cams = np.nonzero(E.entries[:, j])[0]
-        dirs = positions[cams] - grid.centers[j]
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        dots = (dirs @ dirs.T)[np.triu_indices(len(cams), k=1)]
-        good += int(np.sum((dots <= cos_hi + 1e-12) & (dots >= cos_lo - 1e-12)))
-        total += dots.size
+    for _, dirs in observer_groups(positions, E, grid.centers):
+        if dirs.shape[1] >= 2:
+            dots = pair_cosines(dirs)
+            good += int(np.sum((dots <= cos_hi + 1e-12) & (dots >= cos_lo - 1e-12)))
+            total += dots.size
     return good / total if total else 0.0
 
 

@@ -3,20 +3,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camopt.attributes import (
+    PHI_CC_DEGENERATE,
+    PHI_CO_DEGENERATE,
     CoverageThreshold,
     attributes_from_coverage,
-    camera_to_camera_angle,
-    camera_to_object_angle,
     remaining_coverage,
     shape_analyze,
     sup_vector,
 )
-from camopt.scene import ShapeSpec, generate_planar_shape, voxelize
+from camopt.hybrid import initialize
+from camopt.metrics import ANGLE_BAND_DEG, observation_angle_quality
+from camopt.scene import ShapeSpec, VoxelGrid, generate_planar_shape, voxelize
 from camopt.visibility import (
     CameraIntrinsics,
     CameraPose,
     CameraRig,
     CoverageMatrix,
+    coverage_matrix,
+    default_intrinsics,
     pose_from_forward,
 )
 
@@ -96,36 +100,45 @@ class TestRemainingCoverage:
             CoverageThreshold(2.5)
 
 
+def one_voxel_attributes(directions, normal=(0.0, 0.0, 1.0)):
+    """Attributes of one voxel at the origin, seen by one camera at the tip of
+    each given direction."""
+    positions = np.asarray(directions, dtype=np.float64)
+    entries = np.ones((len(positions), 1), dtype=np.int8)
+    E = CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
+    return attributes_from_coverage(E, positions, np.zeros((1, 3)),
+                                    np.array([normal], dtype=np.float64), 3)
+
+
 class TestPairAngles:
     def test_orthogonal_pair_is_ideal(self):
-        assert camera_to_camera_angle([[1, 0, 0], [0, 1, 0]]) == pytest.approx(0.0)
+        assert one_voxel_attributes([[1, 0, 0], [0, 1, 0]]).phi_cc[0] == pytest.approx(0.0)
 
     def test_parallel_pair_is_worst(self):
-        assert camera_to_camera_angle([[1, 0, 0], [1, 0, 0]]) == pytest.approx(np.pi / 2)
+        assert one_voxel_attributes([[1, 0, 0], [1, 0, 0]]).phi_cc[0] == pytest.approx(np.pi / 2)
 
     def test_three_mutually_orthogonal(self):
-        assert camera_to_camera_angle(np.eye(3)) == pytest.approx(0.0)
+        assert one_voxel_attributes(np.eye(3)).phi_cc[0] == pytest.approx(0.0)
 
     def test_requires_two_vectors(self):
-        with pytest.raises(ValueError):
-            camera_to_camera_angle([[1, 0, 0]])
+        assert one_voxel_attributes([[1, 0, 0]]).phi_cc[0] == PHI_CC_DEGENERATE
 
 
 class TestObjectAngle:
     def test_head_on_observer(self):
-        assert camera_to_object_angle([[0, 0, 1]], [0, 0, 1]) == pytest.approx(0.0)
+        assert one_voxel_attributes([[0, 0, 1]]).phi_co[0] == pytest.approx(0.0)
 
     def test_perpendicular_observer(self):
-        assert camera_to_object_angle([[1, 0, 0]], [0, 0, 1]) == pytest.approx(1.0)
+        assert one_voxel_attributes([[1, 0, 0]]).phi_co[0] == pytest.approx(1.0)
 
     def test_symmetric_pair_about_normal(self):
         s = np.sqrt(0.5)
         dirs = [[s, 0, s], [-s, 0, s]]
-        assert camera_to_object_angle(dirs, [0, 0, 1]) == pytest.approx(0.0)
+        assert one_voxel_attributes(dirs).phi_co[0] == pytest.approx(0.0)
 
     def test_cancelling_directions_rejected(self):
-        with pytest.raises(ValueError):
-            camera_to_object_angle([[1, 0, 0], [-1, 0, 0]], [0, 0, 1])
+        attrs = one_voxel_attributes([[1, 0, 0], [-1, 0, 0]])
+        assert attrs.phi_co[0] == PHI_CO_DEGENERATE
 
 
 class TestSup:
@@ -224,3 +237,81 @@ class TestShapeAnalyze:
         # with backface culling every observed voxel faces its observers
         observed = attrs.c < 3.0
         assert np.all(attrs.phi_co[observed] <= 1.0 + 1e-12)
+
+
+def loop_attributes(E, positions, centers, normals, K):
+    """The per-voxel loop the grouped pass replaced, kept as its bit-exact
+    reference."""
+    m = centers.shape[0]
+    phi_cc = np.full(m, PHI_CC_DEGENERATE)
+    phi_co = np.full(m, PHI_CO_DEGENERATE)
+    for j in range(m):
+        rows = np.nonzero(E.entries[:, j])[0]
+        if len(rows) == 0:
+            continue
+        offsets = positions[rows] - centers[j]
+        dirs = offsets / np.linalg.norm(offsets, axis=1)[:, None]
+        if len(dirs) >= 2:
+            dots = dirs @ dirs.T
+            angles = np.arccos(np.clip(dots[np.triu_indices(len(dirs), k=1)], -1.0, 1.0))
+            phi_cc[j] = float(np.abs(np.pi / 2.0 - angles.mean()))
+        resultant = dirs.sum(axis=0)
+        length = np.linalg.norm(resultant)
+        if length >= 1e-12:
+            phi_co[j] = float(1.0 - np.dot(normals[j], resultant / length))
+    return remaining_coverage(E, K), phi_cc, phi_co
+
+
+def loop_angle_quality(positions, centers, E):
+    """The per-voxel loop of observation_angle_quality, kept as its reference."""
+    cos_hi = np.cos(np.deg2rad(ANGLE_BAND_DEG[0]))
+    cos_lo = np.cos(np.deg2rad(ANGLE_BAND_DEG[1]))
+    good = 0
+    total = 0
+    for j in np.nonzero(E.per_voxel_count >= 2)[0]:
+        cams = np.nonzero(E.entries[:, j])[0]
+        dirs = positions[cams] - centers[j]
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dots = (dirs @ dirs.T)[np.triu_indices(len(cams), k=1)]
+        good += int(np.sum((dots <= cos_hi + 1e-12) & (dots >= cos_lo - 1e-12)))
+        total += dots.size
+    return good / total if total else 0.0
+
+
+class TestGroupedPassMatchesLoop:
+    """The grouped pass must reproduce the per-voxel loop bit for bit, since
+    seeded rigs depend on every attribute value."""
+
+    def assert_matches_loop(self, rig, grid, E, K=3):
+        positions = np.stack([p.position for p in rig.poses])
+        attrs = attributes_from_coverage(E, positions, grid.centers, grid.normals, K)
+        c, phi_cc, phi_co = loop_attributes(E, positions, grid.centers, grid.normals, K)
+        assert np.array_equal(attrs.c, c)
+        assert np.array_equal(attrs.phi_cc, phi_cc)
+        assert np.array_equal(attrs.phi_co, phi_co)
+        assert observation_angle_quality(rig, grid, E) == \
+            loop_angle_quality(positions, grid.centers, E)
+
+    def test_random_configs_with_many_pairs(self):
+        # 6-11 cameras give voxels with 10 or more observer pairs, where the
+        # summation order of a row mean depends on the memory layout
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            E, positions, centers, normals = random_coverage_config(
+                seed, k=int(rng.integers(6, 12)), m=60)
+            poses = tuple(pose_from_forward(p, -p) for p in positions)
+            grid = VoxelGrid(resolution=0.1, centers=centers, normals=normals,
+                             members=tuple(np.array([j]) for j in range(len(centers))),
+                             keys=np.zeros((len(centers), 3), dtype=np.int64),
+                             origin=centers.min(axis=0))
+            self.assert_matches_loop(CameraRig(poses, default_intrinsics()), grid, E)
+
+    def test_initialized_rig_on_circle(self):
+        scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 2000, seed=0))
+        grid = voxelize(scene, 0.0075)
+        # seed 6 is the first initialization seed whose rig sees voxels
+        # three times; coplanar cameras give near-parallel observer pairs
+        rig = initialize(scene, 10, seed=6)
+        E = coverage_matrix(rig, grid)
+        assert E.per_voxel_count.max() == 3
+        self.assert_matches_loop(rig, grid, E)

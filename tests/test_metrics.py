@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camopt.attributes import attributes_from_coverage
 from camopt.metrics import (
     EvaluationReport,
     coverage_optimality_gap,
@@ -112,6 +113,18 @@ class TestAngleQuality:
                       [12.0, 0.0, 0.0], [12.1, 0.05, 0.0], [12.0, -0.05, 0.0]])
         E = cov([[1, 0], [1, 0], [0, 1], [0, 1], [0, 1]])
         assert observation_angle_quality(rig, grid, E) == pytest.approx(0.25)
+
+    def test_camera_on_voxel_center_rejected(self):
+        # the pairs of the coincident camera have no direction; attributes
+        # reject the same coverage
+        grid = grid_at([[0.0, 0.0, 0.0]])
+        rig = rig_at([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        E = cov([[1], [1], [1]])
+        with pytest.raises(ValueError, match="coincides"):
+            observation_angle_quality(rig, grid, E)
+        positions = np.stack([pose.position for pose in rig.poses])
+        with pytest.raises(ValueError, match="coincides"):
+            attributes_from_coverage(E, positions, grid.centers, grid.normals, 3)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(3)
