@@ -10,11 +10,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hybrid import initialize
-from .metrics import evaluate_rig
+from .metrics import coverage_optimality_gap, observation_angle_quality
 from .scene import PLANAR2D, TargetScene, voxelize
-from .visibility import CameraRig, pose_from_forward
+from .visibility import (CameraRig, coverage_from_sets, coverage_matrix,
+                         pose_from_forward, visible_set)
 
 W_VIS = 0.4
+
+
+def _score(rig: CameraRig, grid, K: int, E) -> tuple:
+    """(rig_energy, uc, angle quality) of a rig whose coverage matrix is E."""
+    uc = coverage_optimality_gap(E, K)
+    angle_quality = observation_angle_quality(rig, grid, E)
+    return W_VIS * uc - (1.0 - W_VIS) * angle_quality, uc, angle_quality
 
 
 def rig_energy(rig: CameraRig, grid, K: int) -> float:
@@ -22,17 +30,16 @@ def rig_energy(rig: CameraRig, grid, K: int) -> float:
 
     Lower is better; both terms come from the exact coverage matrix.
     """
-    report = evaluate_rig(rig, grid, K)
-    return W_VIS * report.uc - (1.0 - W_VIS) * report.angle_quality
+    return _score(rig, grid, K, coverage_matrix(rig, grid))[0]
 
 
 def random_search(scene: TargetScene, k: int, trials: int, seed: int,
-                  K: int = 3, resolution=None, intrinsics=None):
+                  K: int = 3, grid=None, intrinsics=None):
     """Best random rig over `trials` independent draws (trial t uses seed+t,
     so trials=1 reproduces initialize(scene, k, seed) exactly)."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    grid = voxelize(scene, resolution)
+    grid = voxelize(scene) if grid is None else grid
     best_rig = None
     best_e = math.inf
     for t in range(trials):
@@ -86,27 +93,31 @@ def _perturb(rig: CameraRig, cam: int, sigma_pos: float, sigma_rot: float,
 
 
 def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
-                        K: int = 3, resolution=None, intrinsics=None):
+                        K: int = 3, grid=None, intrinsics=None):
     """Anneal a random rig under the scalarized metric.
 
     One proposal perturbs a single uniformly chosen camera (Gaussian position
-    noise scaled by the scene diagonal, Gaussian look-direction noise). The
-    temperature multiplies by the cooling factor after each batch of
-    steps_per_temp proposals and the chain stops below the termination
-    temperature. Returns (best rig seen, per-batch trace).
+    noise scaled by the scene diagonal, Gaussian look-direction noise), and
+    only that camera's visible set is recomputed. The temperature multiplies
+    by the cooling factor after each batch of steps_per_temp proposals and
+    the chain stops below the termination temperature. Returns (best rig
+    seen, per-batch trace); a trace entry holds the current rig's energy,
+    uc and angle_quality.
     """
-    grid = voxelize(scene, resolution)
+    grid = voxelize(scene) if grid is None else grid
     rng = np.random.default_rng(config.seed)
     planar = scene.mode == PLANAR2D
     diag = scene.diagonal
     sigma_pos = config.perturb_scale * (diag if diag > 1e-9 else 1.0)
     sigma_rot = config.perturb_scale
+    m = len(grid.centers)
 
     rig = initialize(scene, k, config.seed, intrinsics)
-    energy = rig_energy(rig, grid, K)
+    sets = [visible_set(pose, rig.intrinsics, grid) for pose in rig.poses]
+    energy, uc, angle_quality = _score(rig, grid, K, coverage_from_sets(sets, m))
     best_rig, best_e = rig, energy
-    trace = [{"temperature": config.T0, "energy": energy,
-              "best_energy": best_e, "accepted": 0, "proposals": 0}]
+    trace = [{"temperature": config.T0, "energy": energy, "best_energy": best_e,
+              "accepted": 0, "proposals": 0, "uc": uc, "angle_quality": angle_quality}]
 
     T = config.T0
     while T > config.termination:
@@ -114,14 +125,16 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
         for _ in range(config.steps_per_temp):
             cam = int(rng.integers(k))
             cand = _perturb(rig, cam, sigma_pos, sigma_rot, planar, rng)
-            cand_e = rig_energy(cand, grid, K)
-            if accept_proposal(cand_e - energy, T, rng):
-                rig, energy = cand, cand_e
+            cand_sets = list(sets)
+            cand_sets[cam] = visible_set(cand.poses[cam], cand.intrinsics, grid)
+            cand_score = _score(cand, grid, K, coverage_from_sets(cand_sets, m))
+            if accept_proposal(cand_score[0] - energy, T, rng):
+                rig, sets, (energy, uc, angle_quality) = cand, cand_sets, cand_score
                 accepted += 1
                 if energy < best_e:
                     best_rig, best_e = rig, energy
-        trace.append({"temperature": T, "energy": energy,
-                      "best_energy": best_e, "accepted": accepted,
-                      "proposals": config.steps_per_temp})
+        trace.append({"temperature": T, "energy": energy, "best_energy": best_e,
+                      "accepted": accepted, "proposals": config.steps_per_temp,
+                      "uc": uc, "angle_quality": angle_quality})
         T *= config.cooling
     return best_rig, trace

@@ -156,12 +156,13 @@ def _iteration_rows(trace) -> list:
     return rows
 
 
-def run_cell(scene, config: ExperimentConfig, k: int, seed: int) -> dict:
-    """One (k, seed) run of the configured optimizer, as a results payload."""
+def run_cell(scene, grid, config: ExperimentConfig, k: int, seed: int) -> dict:
+    """One (k, seed) run of the configured optimizer, as a results payload.
+    `grid` is the scene voxelized at the configured resolution; the cells of
+    a run share it read-only (hybrid optimizers voxelize again inside)."""
     opt_kw = dict(config.optimizer_config)
     opt_kw.pop("K", None)      # top-level K and the cell seed always win
     opt_kw.pop("seed", None)
-    grid = voxelize(scene, opt_kw.get("resolution"))
     intrinsics = _build_intrinsics(config, scene) if config.intrinsics else None
     if config.optimizer in ("hybrid", "grad_only", "non_grad_only"):
         cfg = OptimizerConfig(K=config.K, seed=seed, **opt_kw)
@@ -174,18 +175,17 @@ def run_cell(scene, config: ExperimentConfig, k: int, seed: int) -> dict:
     elif config.optimizer == "random":
         trials = int(opt_kw.pop("trials", 50))
         rig = random_search(scene, k, trials=trials, seed=seed, K=config.K,
-                            resolution=opt_kw.get("resolution"),
-                            intrinsics=intrinsics)
+                            grid=grid, intrinsics=intrinsics)
         per_iteration = []
     else:  # sa
         anneal_kw = {key: value for key, value in opt_kw.items() if key != "resolution"}
         rig, sa_trace = simulated_annealing(
             scene, k, AnnealConfig(seed=seed, **anneal_kw), K=config.K,
-            resolution=opt_kw.get("resolution"), intrinsics=intrinsics)
+            grid=grid, intrinsics=intrinsics)
         per_iteration = [{
             "iter": i, "phase": "anneal", "L": t["energy"],
             "L_vis": None, "L_cc": None, "L_co": None,
-            "uc": None, "angle_quality": None, "wall_ms": None,
+            "uc": t["uc"], "angle_quality": t["angle_quality"], "wall_ms": None,
         } for i, t in enumerate(sa_trace)]
     report = evaluate_rig(rig, grid, config.K)
     return {
@@ -235,11 +235,12 @@ def run(config_path, threads: int = 1, seed_override=None, out_override=None) ->
         config.output_dir = str(out_override)
     try:
         scene = build_scene(config)
+        grid = voxelize(scene, config.optimizer_config.get("resolution"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"scene load failure: {exc}", file=sys.stderr)
+        print(f"scene load or voxelization failure: {exc}", file=sys.stderr)
         return 3
 
     out_dir = Path(config.output_dir)
@@ -248,7 +249,7 @@ def run(config_path, threads: int = 1, seed_override=None, out_override=None) ->
 
     def one(cell):
         k, seed = cell
-        return run_cell(scene, config, k, seed)
+        return run_cell(scene, grid, config, k, seed)
 
     results, failures = [], []
     if threads > 1:

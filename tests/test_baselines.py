@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import camopt.baselines as baselines
+import camopt.visibility as visibility
 from camopt.baselines import (
+    W_VIS,
     AnnealConfig,
+    _perturb,
     accept_proposal,
     random_search,
     rig_energy,
@@ -15,7 +19,14 @@ from camopt.baselines import (
 from camopt.cli import OPTIMIZERS, ExperimentConfig, run_cell
 from camopt.hybrid import initialize
 from camopt.metrics import evaluate_rig
-from camopt.scene import ShapeSpec, TargetScene, generate_planar_shape, voxelize
+from camopt.scene import (
+    PLANAR2D,
+    VOLUMETRIC3D,
+    ShapeSpec,
+    TargetScene,
+    generate_planar_shape,
+    voxelize,
+)
 
 PLANE_TOLERANCE = 1e-9
 
@@ -29,6 +40,56 @@ def lifted_circle(z, radius=3.0, samples=48):
     base = generate_planar_shape(ShapeSpec("circle", {"radius": radius}, samples, seed=0))
     pts = base.points + np.array([0.0, 0.0, z])
     return TargetScene(pts, base.normals, base.mode, np.stack([pts.min(axis=0), pts.max(axis=0)]))
+
+
+def torus_scene(count=600, seed=0, major=1.0, minor=0.35):
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0.0, 2.0 * np.pi, (2, count))
+    normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
+    pts = major * np.stack([np.cos(u), np.sin(u), np.zeros(count)], axis=1) + minor * normals
+    return TargetScene(pts, normals, VOLUMETRIC3D, np.stack([pts.min(axis=0), pts.max(axis=0)]))
+
+
+def full_rescore_anneal(scene, k, config, K=3):
+    """Reference chain: the annealing loop that rescores every proposal from
+    all k visible sets (evaluate_rig on the whole candidate rig)."""
+    grid = voxelize(scene)
+    rng = np.random.default_rng(config.seed)
+    planar = scene.mode == PLANAR2D
+    diag = scene.diagonal
+    sigma_pos = config.perturb_scale * (diag if diag > 1e-9 else 1.0)
+
+    def score(rig):
+        report = evaluate_rig(rig, grid, K)
+        return (W_VIS * report.uc - (1.0 - W_VIS) * report.angle_quality,
+                report.uc, report.angle_quality)
+
+    rig = initialize(scene, k, config.seed)
+    energy, uc, aq = score(rig)
+    best_rig, best_e = rig, energy
+    trace = [{"temperature": config.T0, "energy": energy, "best_energy": best_e,
+              "accepted": 0, "proposals": 0, "uc": uc, "angle_quality": aq}]
+    T = config.T0
+    while T > config.termination:
+        accepted = 0
+        for _ in range(config.steps_per_temp):
+            cam = int(rng.integers(k))
+            cand = _perturb(rig, cam, sigma_pos, config.perturb_scale, planar, rng)
+            cand_score = score(cand)
+            if accept_proposal(cand_score[0] - energy, T, rng):
+                rig, (energy, uc, aq) = cand, cand_score
+                accepted += 1
+                if energy < best_e:
+                    best_rig, best_e = rig, energy
+        trace.append({"temperature": T, "energy": energy, "best_energy": best_e,
+                      "accepted": accepted, "proposals": config.steps_per_temp,
+                      "uc": uc, "angle_quality": aq})
+        T *= config.cooling
+    return best_rig, trace
+
+
+def pose_bytes(rig):
+    return b"".join(p.position.tobytes() + p.rot6.tobytes() for p in rig.poses)
 
 
 class TestRandomSearch:
@@ -174,6 +235,58 @@ class TestSimulatedAnnealing:
             np.testing.assert_array_equal(pa.position, pb.position)
 
 
+class TestDeltaScoring:
+    """The annealing loop rescores only the moved camera; the chain must be
+    the one a full rescoring of every proposal gives."""
+    cfg = dict(T0=0.5, cooling=0.6, steps_per_temp=4, termination=0.02)
+
+    @pytest.mark.parametrize("make_scene", [lambda: circle_scene(samples=400),
+                                            lambda: torus_scene()],
+                             ids=["circle", "torus"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chain_equals_full_rescoring(self, make_scene, seed):
+        scene = make_scene()
+        config = AnnealConfig(seed=seed, **self.cfg)
+        rig, trace = simulated_annealing(scene, 5, config)
+        ref_rig, ref_trace = full_rescore_anneal(scene, 5, config)
+        assert trace == ref_trace
+        assert pose_bytes(rig) == pose_bytes(ref_rig)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_visible_set_per_proposal(self, monkeypatch, seed):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        real = visibility.visible_set   # also reached through coverage_matrix
+        monkeypatch.setattr(baselines, "visible_set", counting)
+        monkeypatch.setattr(visibility, "visible_set", counting)
+        k = 6
+        _, trace = simulated_annealing(torus_scene(), k, AnnealConfig(seed=seed, **self.cfg))
+        assert len(calls) == k + sum(t["proposals"] for t in trace)
+
+    def test_trace_rows_hold_the_energy_terms(self):
+        scene = torus_scene()
+        k, config = 5, AnnealConfig(seed=1, **self.cfg)
+        _, trace = simulated_annealing(scene, k, config)
+        for t in trace:
+            assert t["energy"] == W_VIS * t["uc"] - (1.0 - W_VIS) * t["angle_quality"]
+        report = evaluate_rig(initialize(scene, k, config.seed), voxelize(scene), 3)
+        assert (trace[0]["uc"], trace[0]["angle_quality"]) == (report.uc, report.angle_quality)
+
+    def test_given_grid_is_used(self):
+        scene = circle_scene(samples=48)
+        grid = voxelize(scene, 0.2)
+        config = AnnealConfig(seed=0, **self.cfg)
+        rig, trace = simulated_annealing(scene, 3, config, grid=grid)
+        assert trace[-1]["best_energy"] == rig_energy(rig, grid, 3)
+        best = random_search(scene, 3, trials=4, seed=0, grid=grid)
+        assert rig_energy(best, grid, 3) == min(
+            rig_energy(initialize(scene, 3, t), grid, 3) for t in range(4))
+
+
 # tiny budgets: the property is about where cameras may go, not how well
 TINY_BUDGETS = {
     "hybrid": {"max_outer": 1, "inner_cap": 3},
@@ -193,6 +306,6 @@ class TestPlaneProperty:
         for name in OPTIMIZERS:
             config = ExperimentConfig(scene_source={"path": "unused"}, k_list=[3], seeds=[0],
                                       optimizer=name, K=2, optimizer_config=TINY_BUDGETS[name])
-            payload = run_cell(scene, config, 3, 0)
+            payload = run_cell(scene, voxelize(scene), config, 3, 0)
             for pose in payload["final"]["poses"]:
                 assert abs(pose["position"][2] - plane) <= PLANE_TOLERANCE, (name, pose)

@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import camopt.baselines as baselines
+import camopt.cli as cli
 from camopt.attributes import ObservationAttributes
+from camopt.baselines import W_VIS
 from camopt.cli import (
     ConfigError,
     ExperimentConfig,
@@ -16,6 +19,8 @@ from camopt.cli import (
     run,
     summarize,
 )
+from camopt.hybrid import initialize
+from camopt.metrics import evaluate_rig
 from camopt.scene import voxelize
 
 
@@ -145,6 +150,41 @@ class TestRun:
             ps["config"]["output_dir"] = pt["config"]["output_dir"] = ""
             assert strip_wall_ms(ps) == strip_wall_ms(pt)
 
+    @pytest.mark.parametrize("optimizer, extra", [
+        ("sa", {"T0": 0.5, "cooling": 0.6, "steps_per_temp": 4, "termination": 0.05}),
+        ("random", {"trials": 4}),
+    ])
+    def test_threads_match_serial_output_for_baselines(self, tmp_path, optimizer, extra):
+        # the cells of a run share one voxel grid, threaded or not
+        cfg_s = write_config(tmp_path / "s.json", seeds=[0, 1, 2], optimizer=optimizer,
+                             optimizer_config=extra, output_dir=str(tmp_path / "serial"))
+        cfg_t = write_config(tmp_path / "t.json", seeds=[0, 1, 2], optimizer=optimizer,
+                             optimizer_config=extra, output_dir=str(tmp_path / "threaded"))
+        assert run(cfg_s, threads=1) == 0
+        assert run(cfg_t, threads=2) == 0
+        for seed in (0, 1, 2):
+            name = f"{optimizer}_k3_seed{seed}.json"
+            ps = json.loads((tmp_path / "serial" / name).read_text())
+            pt = json.loads((tmp_path / "threaded" / name).read_text())
+            ps["config"]["output_dir"] = pt["config"]["output_dir"] = ""
+            assert strip_wall_ms(ps) == strip_wall_ms(pt)
+
+    def test_sa_run_voxelizes_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return voxelize(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "voxelize", counting)
+        monkeypatch.setattr(baselines, "voxelize", counting)
+        cfg = write_config(tmp_path / "c.json", seeds=[0, 1, 2], optimizer="sa",
+                           optimizer_config={"T0": 0.5, "cooling": 0.5,
+                                             "steps_per_temp": 2, "termination": 0.1})
+        assert run(cfg) == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "out").glob("sa_k3_seed*.json"))) == 3
+
     def test_summary_recomputable_from_cell_files(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", seeds=[0, 1, 2],
                            optimizer="random",
@@ -200,6 +240,20 @@ class TestRun:
         energies = [r["L"] for r in rows]
         assert all(math.isfinite(e) for e in energies)
 
+    def test_sa_rows_hold_exact_uc_and_angle_quality(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", optimizer="sa",
+                           optimizer_config={"T0": 0.5, "cooling": 0.6,
+                                             "steps_per_temp": 4,
+                                             "termination": 0.05})
+        assert run(cfg) == 0
+        rows = json.loads((tmp_path / "out" / "sa_k3_seed0.json").read_text())["per_iteration"]
+        for r in rows:
+            assert r["L"] == W_VIS * r["uc"] - (1.0 - W_VIS) * r["angle_quality"]
+            assert (r["L_vis"], r["L_cc"], r["L_co"], r["wall_ms"]) == (None,) * 4
+        scene = build_scene(ExperimentConfig.from_dict(json.loads(cfg.read_text())))
+        report = evaluate_rig(initialize(scene, 3, 0), voxelize(scene), 2)
+        assert (rows[0]["uc"], rows[0]["angle_quality"]) == (report.uc, report.angle_quality)
+
 
 class TestExitCodes:
     def test_missing_config_is_usage_error(self, capsys):
@@ -219,6 +273,13 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.json",
                            scene_source={"path": str(tmp_path / "missing.ply")})
         assert main(["optimize", "--config", str(cfg)]) == 3
+
+    def test_unvoxelizable_scene_exits_3_before_any_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", optimizer="sa",
+                           optimizer_config={"resolution": 0.0})
+        assert main(["optimize", "--config", str(cfg)]) == 3
+        assert "resolution must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_failing_cell_reports_and_exits_3(self, tmp_path, capsys):
         # a zero-camera cell fails at rig construction inside the worker
