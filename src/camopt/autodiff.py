@@ -13,6 +13,11 @@ the implementation favors clarity and exact, finite-difference-checkable
 gradients over throughput tricks.  The one exception is
 ``pairwise_scores``, a fused kernel for the attention logits that avoids
 materializing the (query, key, channel) intermediates on the tape.
+
+The tape now serves the camera-pose gradients of the placement loss and the
+tests.  The field's weight fit takes its gradients from a fused numpy step
+in ``camopt.field`` that reuses ``score_blocks`` and ``adam_step`` from here
+and matches what this tape computes for the same loss bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "clamp",
     "cross3",
     "pairwise_scores",
+    "score_blocks",
 ]
 
 
@@ -432,31 +438,34 @@ def getitem(a: Tensor, idx) -> Tensor:
 SCORE_BLOCK = 8
 
 
+def score_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (query slice, slab) pairs, the slab holding the pre-activation
+    a[None] + b[rows, None] of SCORE_BLOCK queries at a time.  Every block
+    reuses one buffer, so a consumer must finish with a slab before asking
+    for the next."""
+    q = len(b)
+    slab = np.empty((min(q, SCORE_BLOCK),) + a.shape)
+    for lo in range(0, q, SCORE_BLOCK):
+        rows = slice(lo, min(lo + SCORE_BLOCK, q))
+        pre = slab[:rows.stop - lo]
+        np.add(a, b[rows, None, :], out=pre)
+        yield rows, pre
+
+
 def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
     """Fused scores[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h].
 
     Equivalent to broadcasting a (queries, keys, channels) pre-activation,
     applying relu, and contracting with a per-query vector, but never stores
-    that intermediate: the pre-activation is built SCORE_BLOCK queries at a
-    time in one reused slab, and the backward pass rebuilds it the same way
-    (bit for bit) to get the relu mask.  Only the inputs that need a gradient
-    get one.  This is the hot kernel of the attention forward/backward.
+    that intermediate: the pre-activation is built block by block by
+    score_blocks, and the backward pass rebuilds it the same way (bit for
+    bit) to get the relu mask.  Only the inputs that need a gradient get one.
+    The field's weight fit runs its own fused pass over the same blocks; this
+    op serves the pose descent and the gradient checks.
     """
     a, b, z = _lift(a), _lift(b), _lift(z)
-    keys, width = a.data.shape
-    q = len(b.data)
-    slab = np.empty((min(q, SCORE_BLOCK), keys, width))
-
-    def blocks():
-        """(query slice, slab view holding a + b for those queries)."""
-        for lo in range(0, q, SCORE_BLOCK):
-            rows = slice(lo, min(lo + SCORE_BLOCK, q))
-            pre = slab[:rows.stop - lo]
-            np.add(a.data, b.data[rows, None, :], out=pre)
-            yield rows, pre
-
-    out = np.empty((q, keys))
-    for rows, pre in blocks():
+    out = np.empty((len(b.data), len(a.data)))
+    for rows, pre in score_blocks(a.data, b.data):
         np.maximum(pre, 0.0, out=pre)
         np.matmul(pre, z.data[rows, :, None], out=out[rows, :, None])
 
@@ -464,8 +473,8 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
         ga = np.zeros_like(a.data) if a.needs_grad else None
         gb = np.empty_like(b.data) if b.needs_grad else None
         gz = np.empty_like(z.data) if z.needs_grad else None
-        mask = np.empty_like(slab)
-        for rows, pre in blocks():
+        mask = np.empty((min(len(b.data), SCORE_BLOCK),) + a.data.shape)
+        for rows, pre in score_blocks(a.data, b.data):
             g_rows = g[rows, None, :]                               # (block, 1, m)
             on = mask[:len(pre)]
             np.greater(pre, 0.0, out=on)

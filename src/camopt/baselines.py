@@ -12,7 +12,7 @@ import numpy as np
 from .hybrid import initialize
 from .metrics import coverage_optimality_gap, observation_angle_quality
 from .scene import PLANAR2D, TargetScene, voxelize
-from .visibility import (CameraRig, coverage_from_sets, coverage_matrix,
+from .visibility import (CameraRig, CoverageMatrix, coverage_from_sets, coverage_matrix,
                          pose_from_forward, visible_set)
 
 W_VIS = 0.4
@@ -92,17 +92,25 @@ def _perturb(rig: CameraRig, cam: int, sigma_pos: float, sigma_rot: float,
     return CameraRig(tuple(poses), rig.intrinsics)
 
 
+def _with_row(E: CoverageMatrix, i: int, vis) -> CoverageMatrix:
+    """E with camera i's row replaced by the voxels of vis."""
+    entries = E.entries.copy()
+    entries[i] = 0
+    entries[i, list(vis)] = 1
+    return CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
+
+
 def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
                         K: int = 3, grid=None, intrinsics=None):
     """Anneal a random rig under the scalarized metric.
 
     One proposal perturbs a single uniformly chosen camera (Gaussian position
     noise scaled by the scene diagonal, Gaussian look-direction noise), and
-    only that camera's visible set is recomputed. The temperature multiplies
-    by the cooling factor after each batch of steps_per_temp proposals and
-    the chain stops below the termination temperature. Returns (best rig
-    seen, per-batch trace); a trace entry holds the current rig's energy,
-    uc and angle_quality.
+    only that camera's visible set and coverage row are recomputed. The
+    temperature multiplies by the cooling factor after each batch of
+    steps_per_temp proposals and the chain stops below the termination
+    temperature. Returns (best rig seen, per-batch trace); a trace entry
+    holds the current rig's energy, uc and angle_quality.
     """
     grid = voxelize(scene) if grid is None else grid
     rng = np.random.default_rng(config.seed)
@@ -110,11 +118,11 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
     diag = scene.diagonal
     sigma_pos = config.perturb_scale * (diag if diag > 1e-9 else 1.0)
     sigma_rot = config.perturb_scale
-    m = len(grid.centers)
 
     rig = initialize(scene, k, config.seed, intrinsics)
-    sets = [visible_set(pose, rig.intrinsics, grid) for pose in rig.poses]
-    energy, uc, angle_quality = _score(rig, grid, K, coverage_from_sets(sets, m))
+    E = coverage_from_sets([visible_set(pose, rig.intrinsics, grid) for pose in rig.poses],
+                           len(grid.centers))
+    energy, uc, angle_quality = _score(rig, grid, K, E)
     best_rig, best_e = rig, energy
     trace = [{"temperature": config.T0, "energy": energy, "best_energy": best_e,
               "accepted": 0, "proposals": 0, "uc": uc, "angle_quality": angle_quality}]
@@ -125,11 +133,10 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
         for _ in range(config.steps_per_temp):
             cam = int(rng.integers(k))
             cand = _perturb(rig, cam, sigma_pos, sigma_rot, planar, rng)
-            cand_sets = list(sets)
-            cand_sets[cam] = visible_set(cand.poses[cam], cand.intrinsics, grid)
-            cand_score = _score(cand, grid, K, coverage_from_sets(cand_sets, m))
+            cand_E = _with_row(E, cam, visible_set(cand.poses[cam], cand.intrinsics, grid))
+            cand_score = _score(cand, grid, K, cand_E)
             if accept_proposal(cand_score[0] - energy, T, rng):
-                rig, sets, (energy, uc, angle_quality) = cand, cand_sets, cand_score
+                rig, E, (energy, uc, angle_quality) = cand, cand_E, cand_score
                 accepted += 1
                 if energy < best_e:
                     best_rig, best_e = rig, energy

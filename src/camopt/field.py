@@ -17,10 +17,23 @@ only on the query position, and Z_q = (W2 @ WK) @ Qrow_q / sqrt(dk). The
 per-query constant shifts every logit of a row equally, so softmax discards
 it and it is dropped. This avoids materializing per-pair encoder activations
 through two linear layers and keeps the hot loop in one fused kernel.
+
+A and Z depend only on the weights and the query normals, so one numpy
+encode (_encode) serves all three callers, none of which differentiates
+through the weights: `query` runs the forward without a tape; the placement
+loss keeps only B on the tape, since only the query positions move with the
+poses (a gradient phase encodes its frozen captures once, encode_captures);
+and the weight fit (`lean_neof`) takes its gradients from a fused numpy step,
+_fit_gradients. That step walks the training queries in blocks of
+autodiff.SCORE_BLOCK, builds each block's (block, keys, 32) relu slab once,
+and while the slab is in cache runs the forward, the squared-error gradient
+back to the logits and the slab contractions; the six weight gradients then
+close in numpy. It keeps the tape's float expressions and summation orders,
+so its gradients equal the tape's bit for bit.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +50,7 @@ TRAIN_QUERY_POOL = 512
 TRAIN_BATCH = 128
 KEY_BASIS_CAP = 256
 LOSS_QUERY_CAP = 16
+_INV_SQRT_DK = 1.0 / np.sqrt(D_K)
 
 
 def _strided(total: int, want: int) -> np.ndarray:
@@ -47,15 +61,14 @@ def _strided(total: int, want: int) -> np.ndarray:
 
 
 class FieldQueryBatch:
-    """Query positions (differentiable) with their unit normals."""
+    """Query positions with their unit normals."""
 
     def __init__(self, positions, normals):
-        self.positions = positions if isinstance(positions, ad.Tensor) else \
-            ad.Tensor(np.asarray(positions, dtype=np.float64))
+        self.positions = np.asarray(positions, dtype=np.float64)
         self.normals = np.asarray(normals, dtype=np.float64)
-        if self.positions.data.ndim != 2 or self.positions.data.shape[1] != 3:
+        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must be (q, 3)")
-        if self.normals.shape != self.positions.data.shape:
+        if self.normals.shape != self.positions.shape:
             raise ValueError("normals must match positions in shape")
         if len(self.normals) == 0:
             raise ValueError("empty query batch")
@@ -90,10 +103,6 @@ class ObservationField:
     def params(self):
         return [self.W1, self.b1, self.W2, self.b2, self.WQ, self.WK]
 
-    def const_params(self):
-        """Same weight values detached from the tape, for pose-only passes."""
-        return [ad.Tensor(p.data) for p in self.params()]
-
     @property
     def voxel_count(self) -> int:
         return 0 if self.centers is None else len(self.centers)
@@ -115,28 +124,123 @@ class ObservationField:
             raise ValueError("field has no attributed voxel snapshot yet")
 
 
-def _attention(field: ObservationField, pos_t: ad.Tensor, normals: np.ndarray, params):
-    """Shared forward pass; returns the clamped outputs (q, 3)."""
-    W1, b1, W2, b2, WQ, WK = params
+class _Encoding(NamedTuple):
+    """The weight-only parts of the folded logits for one batch of query
+    normals: the key basis A and the query vectors Z, plus the intermediates
+    the fit step's backward reads."""
+    basis: np.ndarray    # (keys, 6) key centers and normals
+    A: np.ndarray        # (keys, 32) basis @ W1 + b1
+    q_in: np.ndarray     # (q, 6) zero offset and query normal
+    live: np.ndarray     # (q, 32) bool, relu mask of the query encoder
+    h: np.ndarray        # (q, 32) relu(q_in @ W1 + b1)
+    enc: np.ndarray      # (q, 32) h @ W2 + b2
+    qrow: np.ndarray     # (q, dk) enc @ WQ
+    folded: np.ndarray   # (32, dk) (W2 @ WK) / sqrt(dk)
+    Z: np.ndarray        # (q, 32) qrow @ folded.T
+
+
+def _encode(field: ObservationField, normals: np.ndarray) -> _Encoding:
+    """Encode the key basis and the query normals with the current weights,
+    in numpy: the weights are constants to every caller."""
+    W1, b1, W2, b2, WQ, WK = (p.data for p in field.params())
     kidx = field.key_idx
-    basis_in = np.concatenate([field.centers[kidx], field.normals[kidx]], axis=1)
-    A = ad.add(ad.matmul(ad.Tensor(basis_in), W1), b1)                     # (mk, 32)
-    B = ad.mul(ad.matmul(pos_t, W1[0:3]), ad.Tensor(-1.0))                 # (q, 32)
+    basis = np.concatenate([field.centers[kidx], field.normals[kidx]], axis=1)
     q_in = np.concatenate([np.zeros_like(normals), normals], axis=1)
-    enc_q = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(ad.Tensor(q_in), W1), b1)), W2), b2)
-    qrow = ad.matmul(enc_q, WQ)                                            # (q, dk)
-    folded = ad.mul(ad.matmul(W2, WK), ad.Tensor(1.0 / np.sqrt(D_K)))      # (32, dk)
-    Z = ad.matmul(qrow, ad.transpose(folded))                              # (q, 32)
-    att = ad.softmax(ad.pairwise_scores(A, B, Z))
-    return ad.clamp(ad.matmul(att, ad.Tensor(field.values[kidx])), 0.0, field.sup)
+    pre = q_in @ W1 + b1
+    live = pre > 0
+    h = np.where(live, pre, 0.0)
+    enc = h @ W2 + b2
+    qrow = enc @ WQ
+    folded = (W2 @ WK) * _INV_SQRT_DK
+    return _Encoding(basis, basis @ W1 + b1, q_in, live, h, enc, qrow, folded,
+                     qrow @ folded.T)
 
 
-def query(field: ObservationField, batch: FieldQueryBatch) -> ad.Tensor:
-    """Attributes at the query points; differentiable in positions/weights."""
+def _offsets(field: ObservationField, positions: ad.Tensor) -> ad.Tensor:
+    """B = -X @ W1[:3], the query-position half of the logits' pre-activation;
+    on the tape only when the positions are."""
+    return ad.mul(ad.matmul(positions, ad.Tensor(field.W1.data[0:3])), ad.Tensor(-1.0))
+
+
+def _attend(field: ObservationField, A, B, Z) -> ad.Tensor:
+    """Attention forward from the logits' parts; returns the clamped outputs
+    (q, 3), on the tape only where B is."""
+    att = ad.softmax(ad.pairwise_scores(ad.Tensor(A), B, ad.Tensor(Z)))
+    return ad.clamp(ad.matmul(att, ad.Tensor(field.values[field.key_idx])), 0.0, field.sup)
+
+
+def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
+    """Attributes (q, 3) at the query points under the current weights."""
     field._require_snapshot()
     if not field.trained:
         raise ValueError("field must be trained (lean_neof) before querying")
-    return _attention(field, batch.positions, batch.normals, field.params())
+    enc = _encode(field, batch.normals)
+    return _attend(field, enc.A, _offsets(field, ad.Tensor(batch.positions)), enc.Z).data
+
+
+def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
+    """Set every weight's .grad to the gradient of the mean squared error of
+    the field's outputs at the snapshot voxels idx against their attributes.
+
+    One fused pass per block of SCORE_BLOCK queries builds the relu slab
+    once and, while it is in cache, runs the forward to the clamped outputs,
+    the error gradient back through clamp and softmax to the logits, and the
+    slab contractions for A, B and Z (softmax, clamp and the error are per
+    query row, so a block needs no other rows). The six weight gradients then
+    close in numpy. Every expression and summation order is the one the tape
+    of the same loss would run, so the gradients equal it bit for bit.
+    """
+    W1, b1, W2, b2, WQ, WK = field.params()
+    enc = _encode(field, field.normals[idx])
+    pos = field.centers[idx]
+    A, Z = enc.A, enc.Z
+    B = _offsets(field, ad.Tensor(pos)).data
+    V = field.values[field.key_idx]
+    target = field.values[idx]
+    scale = 1.0 / target.size       # d mean / d squared error
+    gA = np.zeros_like(A)
+    gB = np.empty_like(B)
+    gZ = np.empty_like(Z)
+    block = (min(len(idx), ad.SCORE_BLOCK), len(A), HIDDEN)
+    scores = np.empty(block[:2])
+    mask = np.empty(block)
+    for rows, slab in ad.score_blocks(A, B):
+        n = len(slab)
+        np.maximum(slab, 0.0, out=slab)
+        s = scores[:n]
+        np.matmul(slab, Z[rows, :, None], out=s[:, :, None])
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        raw = att @ V
+        diff = np.clip(raw, 0.0, field.sup) - target[rows]
+        g_sq = scale * diff
+        g_att = ((g_sq + g_sq) * ((raw >= 0.0) & (raw <= field.sup))) @ V.T
+        g = att * (g_att - np.sum(g_att * att, axis=-1, keepdims=True))
+        on = mask[:n]
+        np.greater(slab, 0.0, out=on)
+        np.matmul(g[:, None, :], slab, out=gZ[rows, None, :])
+        np.matmul(g[:, None, :], on, out=gB[rows, None, :])
+        gB[rows] *= Z[rows]
+        on *= Z[rows, None, :]
+        gA += np.einsum("qm,qmh->mh", g, on)
+
+    # Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,
+    # enc = relu(q_in @ W1 + b1) @ W2 + b2
+    g_qrow = gZ @ enc.folded
+    # C order as on the tape: BLAS rounds the products below differently for
+    # a transposed operand
+    g_fold = np.ascontiguousarray((enc.qrow.T @ gZ).T) * _INV_SQRT_DK
+    g_enc = g_qrow @ WQ.data.T
+    g_pre = (g_enc @ W2.data.T) * enc.live
+    # B = -pos @ W1[:3] touches only the position rows of W1
+    gW1_B = np.zeros_like(W1.data)
+    gW1_B[0:3] += pos.T @ (gB * -1.0)
+    W1.grad = enc.basis.T @ gA + gW1_B + enc.q_in.T @ g_pre
+    b1.grad = gA.sum(axis=0) + g_pre.sum(axis=0)
+    W2.grad = enc.h.T @ g_enc + g_fold @ WK.data.T
+    b2.grad = g_enc.sum(axis=0)
+    WQ.grad = enc.enc.T @ g_qrow
+    WK.grad = W2.data.T @ g_fold
 
 
 def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttributes,
@@ -162,11 +266,7 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
             idx = pool[(start + np.arange(TRAIN_BATCH)) % len(pool)]
         else:
             idx = pool
-        pos = ad.Tensor(field.centers[idx])
-        out = _attention(field, pos, field.normals[idx], field.params())
-        diff = ad.sub(out, ad.Tensor(field.values[idx]))
-        loss = ad.mean(ad.mul(diff, diff))
-        loss.backward()
+        _fit_gradients(field, idx)
         ad.adam_step(field.params(), field.adam)
     field.trained = True
     return field
@@ -200,7 +300,7 @@ def visible_attr_sum(field: ObservationField, vis, query_cap: int = LOSS_QUERY_C
     if not vis:
         return np.zeros(3)
     take, scale = _sample_visible(vis, query_cap)
-    out = query(field, FieldQueryBatch(field.centers[take], field.normals[take])).data
+    out = query(field, FieldQueryBatch(field.centers[take], field.normals[take]))
     return out.sum(axis=0) * scale
 
 
@@ -234,22 +334,31 @@ def _rotation_rows(rot6_t: ad.Tensor) -> ad.Tensor:
                       ad.reshape(c3, (1, 3))], axis=0)
 
 
+def encode_captures(field: ObservationField, captures):
+    """The weight-only logit parts (_encode) of the captured normals of the
+    non-empty cameras, in camera order: fixed while the field and the
+    captures are, so a gradient phase computes them once. None when every
+    camera is empty."""
+    normals = [cap.normals for cap in captures if not cap.empty]
+    return _encode(field, np.concatenate(normals, axis=0)) if normals else None
+
+
 def placement_loss_graph(field: ObservationField, position_ts, rot6_ts, captures,
-                         weights=DEFAULT_WEIGHTS, params=None):
-    """Differentiable loss over pose parameter tensors.
+                         weights=DEFAULT_WEIGHTS, encoding=None):
+    """Differentiable loss over pose parameter tensors; the field's weights
+    are constants.
 
     Empty-visibility cameras contribute nothing to the attribute sum (their
     share of the loss stays at the componentwise maximum) and receive no
-    gradient. Returns (scalar loss, component vector) tensors.
+    gradient. `encoding` is encode_captures(field, captures), computed here
+    when not given. Returns (scalar loss, component vector) tensors.
     """
     field._require_snapshot()
-    if params is None:
-        params = field.const_params()
     k = len(captures)
     n = field.voxel_count
     sup = field.sup
 
-    world_parts, normal_parts, spans, scales = [], [], [], []
+    world_parts, spans, scales = [], [], []
     q0 = 0
     for pos_t, rot_t, cap in zip(position_ts, rot6_ts, captures):
         if cap.empty:
@@ -257,7 +366,6 @@ def placement_loss_graph(field: ObservationField, position_ts, rot6_ts, captures
         rows = _rotation_rows(rot_t)
         world = ad.add(ad.matmul(ad.Tensor(cap.local), rows), ad.reshape(pos_t, (1, 3)))
         world_parts.append(world)
-        normal_parts.append(cap.normals)
         spans.append((q0, q0 + len(cap.local)))
         scales.append(cap.scale)
         q0 += len(cap.local)
@@ -267,9 +375,10 @@ def placement_loss_graph(field: ObservationField, position_ts, rot6_ts, captures
         L_vec = ad.Tensor(sup.copy())
         return ad.sum_(ad.mul(L_vec, w_t)), L_vec
 
-    pos_all = ad.concat(world_parts, axis=0)
-    normals_all = np.concatenate(normal_parts, axis=0)
-    out = _attention(field, pos_all, normals_all, params)
+    if encoding is None:
+        encoding = encode_captures(field, captures)
+    B = _offsets(field, ad.concat(world_parts, axis=0))
+    out = _attend(field, encoding.A, B, encoding.Z)
 
     total = None
     for (lo, hi), scale in zip(spans, scales):

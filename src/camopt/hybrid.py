@@ -17,6 +17,7 @@ from camopt.field import (
     ObservationField,
     PlacementLoss,
     capture_visible,
+    encode_captures,
     lean_neof,
     placement_loss,
     placement_loss_graph,
@@ -238,7 +239,6 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     else:
         opt.sync_from(rig)
     pos_ts, rot_ts, params, adam = opt.pos_ts, opt.rot_ts, opt.params, opt.adam
-    const_weights = field.const_params()
 
     # the local-frame capture stays frozen for the whole phase: the visible
     # bundle rides along with the pose, so pose motion registers as moving
@@ -246,6 +246,9 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     # queries back onto the voxel centers and freeze the loss value)
     caps = capture_visible(field, rig, visible_sets, query_cap=config.query_cap)
     empty = np.array([c.empty for c in caps])
+    # the field and the captures are frozen too, so only B = -X @ W1[:3] of
+    # the logits moves with the poses; the rest is encoded once
+    encoding = encode_captures(field, caps)
 
     grad_norms = np.zeros(k)
     L_prev = None
@@ -256,7 +259,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     converged = False
     for _ in range(config.inner_cap):
         loss_t, vec_t = placement_loss_graph(field, pos_ts, rot_ts, caps,
-                                             weights=config.weights, params=const_weights)
+                                             weights=config.weights, encoding=encoding)
         L_here = float(loss_t.data)
         if not np.isfinite(L_here):
             raise RuntimeError(f"non-finite placement loss {L_here!r} during gradient phase")
@@ -336,9 +339,20 @@ def _region_poses(regions, intrinsics):
             for centroid, normal in regions]
 
 
+def _candidate_visible(pose: CameraPose, intrinsics, grid, cache: dict) -> frozenset:
+    """Visible set of a candidate pose, read from cache when the same pose
+    (bit for bit) was evaluated before in the run. The sets are frozen, so
+    no holder can change a cached one."""
+    key = pose.position.tobytes() + pose.rot6.tobytes()
+    vis = cache.get(key)
+    if vis is None:
+        vis = cache[key] = frozenset(visible_set(pose, intrinsics, grid))
+    return vis
+
+
 def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
                    config: OptimizerConfig, grad_norms=None, visible_sets=None,
-                   phase_converged: bool = False):
+                   phase_converged: bool = False, candidate_cache=None):
     """Relocate cameras that converged to a poor share of the loss (or see
     nothing) onto poses staring at the worst-covered regions, committing a
     replacement only when the proxy loss strictly decreases.
@@ -354,6 +368,11 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     consumed need stops attracting further cameras, so successive relocations
     spread over distinct regions instead of piling onto the first one.
 
+    Candidate poses recur between passes and phases, so their exact visible
+    sets come from candidate_cache (pose bytes -> frozenset; a dict owned by
+    the caller, one per run and grid), filled on a miss. Their field sums are
+    recomputed, because the field changes after every commit.
+
     Returns (rig', committed, visible_sets, attrs): the accepted swaps, and
     the visible sets and attributes of rig'.
     """
@@ -363,12 +382,14 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     sup = sup_vector(attrs.K)
     if visible_sets is None:
         visible_sets = _visible_sets(coverage_matrix(rig, grid))
-    visible_sets = [set(v) for v in visible_sets]
+    visible_sets = list(visible_sets)
     if grad_norms is None:
         grad_norms = np.zeros(k)
+    if candidate_cache is None:
+        candidate_cache = {}
 
     def evaluate_pose(pose):
-        vis = visible_set(pose, rig.intrinsics, grid)
+        vis = _candidate_visible(pose, rig.intrinsics, grid, candidate_cache)
         return vis, visible_attr_sum(field, vis, config.query_cap)
 
     poses = list(rig.poses)
@@ -477,6 +498,7 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
         poses=rig.poses, wall_ms=(time.perf_counter() - t0) * 1e3))
 
     opt = PoseOptimizer(rig, config) if grad_enabled else None
+    candidate_cache = {}
     L_outer_prev = init.total
     prev_poses = rig.poses
     for outer in range(1, config.max_outer + 1):
@@ -511,7 +533,8 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
             t1 = time.perf_counter()
             rig, commits, sets, attrs = non_grad_phase(
                 rig, field, grid, attrs, config, grad_norms=grad_norms, visible_sets=sets,
-                phase_converged=converged or not grad_enabled)
+                phase_converged=converged or not grad_enabled,
+                candidate_cache=candidate_cache)
             if commits:
                 E = coverage_from_sets(sets, len(grid.centers))
                 field = lean_neof(field, grid, attrs, budget=2 * FINETUNE_BUDGET)

@@ -1,6 +1,6 @@
 """Per-camera voxel visibility: frustum, range, backface, and occlusion."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -62,6 +62,7 @@ class CameraPose:
 
     position: np.ndarray   # (3,)
     rot6: np.ndarray       # (6,)
+    _rotation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64).reshape(3))
@@ -69,9 +70,12 @@ class CameraPose:
         rot = rotation_from_six(self.rot6)
         if abs(np.linalg.det(rot) - 1.0) > 1e-6:
             raise ValueError("orientation does not orthonormalize to a proper rotation")
+        rot.flags.writeable = False
+        object.__setattr__(self, "_rotation", rot)
 
     def rotation(self) -> np.ndarray:
-        return rotation_from_six(self.rot6)
+        """The (3, 3) rotation derived once from rot6, read-only."""
+        return self._rotation
 
     @property
     def forward(self) -> np.ndarray:
@@ -119,7 +123,7 @@ class CoverageMatrix:
 
     def __post_init__(self):
         entries = np.asarray(self.entries)
-        if entries.ndim != 2 or not np.isin(entries, (0, 1)).all():
+        if entries.ndim != 2 or not ((entries == 0) | (entries == 1)).all():
             raise ValueError("entries must be a binary matrix")
         counts = entries.sum(axis=0)
         if not np.array_equal(counts, np.asarray(self.per_voxel_count)):

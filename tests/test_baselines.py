@@ -267,6 +267,30 @@ class TestDeltaScoring:
         _, trace = simulated_annealing(torus_scene(), k, AnnealConfig(seed=seed, **self.cfg))
         assert len(calls) == k + sum(t["proposals"] for t in trace)
 
+    @pytest.mark.parametrize("make_scene", [lambda: circle_scene(samples=400),
+                                            lambda: torus_scene()],
+                             ids=["circle", "torus"])
+    def test_every_proposal_matrix_equals_coverage_from_sets(self, monkeypatch, make_scene):
+        # the chain rewrites only the moved camera's row of the current
+        # matrix; each scored matrix must be the one its rig's sets give
+        scored = []
+        real = baselines._score
+
+        def recording(rig, grid, K, E):
+            scored.append((rig, grid, E))
+            return real(rig, grid, K, E)
+
+        monkeypatch.setattr(baselines, "_score", recording)
+        _, trace = simulated_annealing(make_scene(), 5, AnnealConfig(seed=2, **self.cfg))
+        assert len(scored) == 1 + sum(t["proposals"] for t in trace)
+        for rig, grid, E in scored:
+            want = visibility.coverage_from_sets(
+                [visibility.visible_set(p, rig.intrinsics, grid) for p in rig.poses],
+                len(grid.centers))
+            assert E.entries.dtype == want.entries.dtype
+            assert np.array_equal(E.entries, want.entries)
+            assert np.array_equal(E.per_voxel_count, want.per_voxel_count)
+
     def test_trace_rows_hold_the_energy_terms(self):
         scene = torus_scene()
         k, config = 5, AnnealConfig(seed=1, **self.cfg)

@@ -3,20 +3,34 @@ training behaviour, pose gradients of the placement loss."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from camopt import autodiff as ad
-from camopt.attributes import ObservationAttributes, sup_vector
+from camopt.attributes import ObservationAttributes, shape_analyze, sup_vector
 from camopt.field import (
+    D_K,
+    TRAIN_BATCH,
+    TRAIN_QUERY_POOL,
     FieldQueryBatch,
     ObservationField,
     PlacementLoss,
+    _fit_gradients,
+    _strided,
     capture_visible,
     lean_neof,
     placement_loss,
     placement_loss_graph,
     query,
 )
-from camopt.scene import VoxelGrid
+from camopt.hybrid import initialize
+from camopt.scene import (
+    VOLUMETRIC3D,
+    ShapeSpec,
+    TargetScene,
+    VoxelGrid,
+    generate_planar_shape,
+    voxelize,
+)
 from camopt.visibility import CameraRig, default_intrinsics, pose_from_forward
 
 
@@ -90,7 +104,7 @@ class TestQueryForward:
         q_pos = rng.uniform(-2, 2, size=(7, 3))
         q_norm = rng.normal(size=(7, 3))
         q_norm /= np.linalg.norm(q_norm, axis=1, keepdims=True)
-        got = query(field, FieldQueryBatch(q_pos, q_norm)).data
+        got = query(field, FieldQueryBatch(q_pos, q_norm))
         want = np.stack([naive_query(field, p, n) for p, n in zip(q_pos, q_norm)])
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -98,14 +112,14 @@ class TestQueryForward:
         grid = make_grid([[0.3, -0.2, 1.0]])
         attrs = constant_attrs(1, 4, [2.5, 0.7, 0.4])
         field = lean_neof(None, grid, attrs, budget=0)
-        out = query(field, FieldQueryBatch([[5.0, 5.0, 5.0]], [[0.0, 0.0, 1.0]])).data
+        out = query(field, FieldQueryBatch([[5.0, 5.0, 5.0]], [[0.0, 0.0, 1.0]]))
         assert np.allclose(out[0], [2.5, 0.7, 0.4], atol=1e-12)
 
     def test_identical_voxels_collapse_to_shared_value(self):
         centers = np.tile([1.0, 2.0, 3.0], (4, 1))
         attrs = constant_attrs(4, 2, [1.0, 0.3, 0.8])
         field = lean_neof(None, make_grid(centers), attrs, budget=0)
-        out = query(field, FieldQueryBatch([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])).data
+        out = query(field, FieldQueryBatch([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]))
         assert np.allclose(out[0], [1.0, 0.3, 0.8], atol=1e-12)
 
     def test_values_clipped_to_attribute_range(self):
@@ -115,7 +129,7 @@ class TestQueryForward:
         attrs = ObservationAttributes(c=np.array([1.0]), phi_cc=np.array([0.2]),
                                       phi_co=np.array([1.8]), K=2)
         field = lean_neof(None, grid, attrs, budget=0)
-        out = query(field, FieldQueryBatch([[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])).data
+        out = query(field, FieldQueryBatch([[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]))
         assert out[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_query_requires_training_and_snapshot(self):
@@ -145,9 +159,9 @@ class TestTraining:
         attrs = random_attrs(30, 3, rng)
         batch = FieldQueryBatch(grid.centers, grid.normals)
         raw = lean_neof(None, grid, attrs, budget=0, seed=7)
-        mse0 = np.mean((query(raw, batch).data - attrs.stack()) ** 2)
+        mse0 = np.mean((query(raw, batch) - attrs.stack()) ** 2)
         trained = lean_neof(None, grid, attrs, seed=7)  # default initial budget
-        mse1 = np.mean((query(trained, batch).data - attrs.stack()) ** 2)
+        mse1 = np.mean((query(trained, batch) - attrs.stack()) ** 2)
         assert mse1 < 0.25 * mse0
 
     def test_trained_field_reproduces_voxel_attributes_at_centers(self):
@@ -155,7 +169,7 @@ class TestTraining:
         grid = scattered_grid(30, rng)
         attrs = random_attrs(30, 3, rng)
         field = lean_neof(None, grid, attrs, seed=3)
-        out = query(field, FieldQueryBatch(grid.centers, grid.normals)).data
+        out = query(field, FieldQueryBatch(grid.centers, grid.normals))
         err = np.abs(out - attrs.stack()) / field.sup
         assert np.max(err) <= 0.1
 
@@ -164,7 +178,7 @@ class TestTraining:
         grid = scattered_grid(50, rng)
         attrs = constant_attrs(50, 3, [1.5, 0.4, 0.6])
         field = lean_neof(None, grid, attrs, budget=1)
-        out = query(field, FieldQueryBatch(grid.centers, grid.normals)).data
+        out = query(field, FieldQueryBatch(grid.centers, grid.normals))
         assert np.max(np.abs(out - attrs.stack())) < 1e-9
 
     def test_finetune_keeps_adam_state_and_updates_weights(self):
@@ -196,6 +210,114 @@ class TestTraining:
         f2 = lean_neof(None, make_grid(centers), random_attrs(18, 3, np.random.default_rng(1)),
                        budget=25, seed=4)
         assert all(np.array_equal(a.data, b.data) for a, b in zip(f1.params(), f2.params()))
+
+
+# ---------------------------------------------------------------------------
+# fused fit step against the tape
+# ---------------------------------------------------------------------------
+
+def tape_fit_grads(field, idx):
+    """The six weight gradients of one training step, taken on the tape:
+    the attention forward with every weight on it, mean(diff * diff), then
+    backward(). This is the fit loop lean_neof ran before the fused step."""
+    W1, b1, W2, b2, WQ, WK = params = field.params()
+    kidx = field.key_idx
+    basis_in = np.concatenate([field.centers[kidx], field.normals[kidx]], axis=1)
+    A = ad.add(ad.matmul(ad.Tensor(basis_in), W1), b1)
+    B = ad.mul(ad.matmul(ad.Tensor(field.centers[idx]), W1[0:3]), ad.Tensor(-1.0))
+    normals = field.normals[idx]
+    q_in = np.concatenate([np.zeros_like(normals), normals], axis=1)
+    enc_q = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(ad.Tensor(q_in), W1), b1)), W2), b2)
+    qrow = ad.matmul(enc_q, WQ)
+    folded = ad.mul(ad.matmul(W2, WK), ad.Tensor(1.0 / np.sqrt(D_K)))
+    Z = ad.matmul(qrow, ad.transpose(folded))
+    att = ad.softmax(ad.pairwise_scores(A, B, Z))
+    out = ad.clamp(ad.matmul(att, ad.Tensor(field.values[kidx])), 0.0, field.sup)
+    diff = ad.sub(out, ad.Tensor(field.values[idx]))
+    ad.mean(ad.mul(diff, diff)).backward()
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return grads
+
+
+def fused_fit_grads(field, idx):
+    _fit_gradients(field, idx)
+    grads = [p.grad for p in field.params()]
+    for p in field.params():
+        p.grad = None
+    return grads
+
+
+def train_batches(field, budget):
+    """The query rows lean_neof trains on at each step."""
+    pool = _strided(field.voxel_count, TRAIN_QUERY_POOL)
+    for step in range(budget):
+        if len(pool) > TRAIN_BATCH:
+            start = (step * TRAIN_BATCH) % len(pool)
+            yield pool[(start + np.arange(TRAIN_BATCH)) % len(pool)]
+        else:
+            yield pool
+
+
+def real_snapshot(kind):
+    """Field snapshot of a 10-camera rig on the benchmark shapes: the
+    2000-point circle at resolution 0.0075 and the 3000-point unit sphere."""
+    if kind == "circle":
+        scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 2000, seed=0))
+        grid = voxelize(scene, 0.0075)
+    else:
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(3000, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        scene = TargetScene(pts, pts.copy(), VOLUMETRIC3D,
+                            np.stack([pts.min(axis=0), pts.max(axis=0)]))
+        grid = voxelize(scene)
+    _, attrs = shape_analyze(initialize(scene, 10, 1), grid, 3)
+    return grid, attrs
+
+
+def rel_diff(got, want):
+    """Largest |got - want| relative to the largest |want|."""
+    scale = np.max(np.abs(want))
+    return float(np.max(np.abs(got - want)) / scale) if scale > 0 else float(np.max(np.abs(got)))
+
+
+class TestFusedFitStep:
+    @pytest.mark.parametrize("kind", ["circle", "sphere"])
+    def test_equals_tape_bit_for_bit_over_25_steps(self, kind):
+        grid, attrs = real_snapshot(kind)
+        tape = lean_neof(None, grid, attrs, budget=0, seed=0)
+        assert len(tape.key_idx) == 256 and tape.voxel_count > TRAIN_QUERY_POOL
+        first = next(train_batches(tape, 1))
+        fresh = lean_neof(None, grid, attrs, budget=0, seed=0)
+        pairs = [(fused_fit_grads(fresh, first), tape_fit_grads(tape, first))]
+        for idx in train_batches(tape, 25):
+            for p, g in zip(tape.params(), tape_fit_grads(tape, idx)):
+                p.grad = g
+            ad.adam_step(tape.params(), tape.adam)
+        fused = lean_neof(None, grid, attrs, budget=25, seed=0)
+        pairs.append((fused_fit_grads(fused, first), tape_fit_grads(tape, first)))
+        for got, want in pairs:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert fused.adam.step_count == tape.adam.step_count == 25
+        for a, b in zip(fused.params(), tape.params()):
+            assert np.array_equal(a.data, b.data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
+           seed=st.integers(0, 10_000), margin=st.sampled_from([-0.3, 0.05]))
+    def test_matches_tape_over_batch_and_key_counts(self, keys, queries, seed, margin):
+        # a negative margin puts attributes outside their range, so the
+        # output clamp is active on some rows
+        rng = np.random.default_rng(seed)
+        grid = scattered_grid(keys, rng)
+        field = lean_neof(None, grid, random_attrs(keys, 3, rng, margin=margin),
+                          budget=0, seed=seed)
+        assert len(field.key_idx) == keys
+        idx = rng.integers(keys, size=queries)
+        for got, want in zip(fused_fit_grads(field, idx), tape_fit_grads(field, idx)):
+            assert rel_diff(got, want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

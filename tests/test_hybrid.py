@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from camopt import hybrid, visibility
 from camopt.attributes import shape_analyze
 from camopt.field import lean_neof, placement_loss
 from camopt.hybrid import (
@@ -431,6 +432,86 @@ class TestOptimize:
         rig, trace = optimize(scene, k, cfg)
         assert len(rig.poses) == k
         assert len(trace.records) <= 1 + 2 * cfg.max_outer
+
+
+class TestCandidateCache:
+    """optimize keeps one run-scoped map from candidate pose to visible set."""
+
+    CONFIG = OptimizerConfig(K=3, seed=0, resolution=0.0075, max_outer=3)
+
+    @staticmethod
+    def bench_circle():
+        return circle_scene(samples=2000, seed=0)
+
+    @pytest.fixture(scope="class")
+    def counted_run(self):
+        calls = {"hybrid": 0, "visibility": 0, "analyze": 0}
+        candidates = set()
+        orig_visible, orig_analyze, orig_regions = (
+            hybrid.visible_set, hybrid.shape_analyze, hybrid._region_poses)
+
+        def through(binding, fn):
+            def counted(*args, **kwargs):
+                calls[binding] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        def regions(*args, **kwargs):
+            poses = orig_regions(*args, **kwargs)
+            candidates.update(p.position.tobytes() + p.rot6.tobytes() for p in poses)
+            return poses
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hybrid, "visible_set", through("hybrid", orig_visible))
+            mp.setattr(visibility, "visible_set", through("visibility", orig_visible))
+            mp.setattr(hybrid, "shape_analyze", through("analyze", orig_analyze))
+            mp.setattr(hybrid, "_region_poses", regions)
+            rig, trace = optimize(self.bench_circle(), 10, self.CONFIG)
+        return rig, trace, calls, len(candidates)
+
+    def test_each_distinct_candidate_is_computed_once(self, counted_run):
+        _, trace, calls, distinct = counted_run
+        assert trace.swaps, "the run must reach the resampler to test its cache"
+        assert calls["hybrid"] == distinct
+        assert calls["hybrid"] + calls["visibility"] == 10 * calls["analyze"] + distinct
+
+    def test_same_rig_and_trace_without_the_cache(self, counted_run, monkeypatch):
+        rig, trace, _, _ = counted_run
+        monkeypatch.setattr(
+            hybrid, "_candidate_visible",
+            lambda pose, intrinsics, grid, cache: frozenset(
+                visibility.visible_set(pose, intrinsics, grid)))
+        rig_b, trace_b = optimize(self.bench_circle(), 10, self.CONFIG)
+        for pa, pb in zip(rig.poses, rig_b.poses):
+            assert pa.position.tobytes() == pb.position.tobytes()
+            assert pa.rot6.tobytes() == pb.rot6.tobytes()
+        assert len(trace.records) == len(trace_b.records)
+        for ra, rb in zip(trace.records, trace_b.records):
+            assert (ra.index, ra.phase, ra.loss, ra.uc, ra.angle_quality,
+                    ra.inner_steps, ra.commits) == \
+                (rb.index, rb.phase, rb.loss, rb.uc, rb.angle_quality,
+                 rb.inner_steps, rb.commits)
+            assert np.array_equal(ra.components, rb.components)
+            for pa, pb in zip(ra.poses, rb.poses):
+                assert pa.position.tobytes() == pb.position.tobytes()
+                assert pa.rot6.tobytes() == pb.rot6.tobytes()
+        assert len(trace.swaps) == len(trace_b.swaps)
+        for sa, sb in zip(trace.swaps, trace_b.swaps):
+            assert sa.keys() == sb.keys()
+            assert all(np.array_equal(sa[key], sb[key]) for key in sa)
+
+    def test_cached_sets_are_frozen(self):
+        scene = circle_scene()
+        grid = voxelize(scene, None)
+        pose = pose_from_forward([2.5, 0.0, 0.0], [-1.0, 0.0, 0.0])
+        cache = {}
+        first = hybrid._candidate_visible(pose, default_intrinsics(scene.diagonal), grid, cache)
+        again = hybrid._candidate_visible(
+            pose_from_forward([2.5, 0.0, 0.0], [-1.0, 0.0, 0.0]),
+            default_intrinsics(scene.diagonal), grid, cache)
+        assert again is first and len(cache) == 1
+        assert isinstance(first, frozenset)
+        assert first == visible_set(pose, default_intrinsics(scene.diagonal), grid)
 
 
 class TestStepUpdate:

@@ -91,6 +91,33 @@ class TestRotation:
         assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-9)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
+    def test_pose_derives_its_rotation_once(self, monkeypatch):
+        import camopt.baselines as baselines
+        import camopt.visibility as visibility
+        calls = []
+        real = visibility.rotation_from_six
+
+        def counting(params):
+            calls.append(1)
+            return real(params)
+
+        monkeypatch.setattr(visibility, "rotation_from_six", counting)
+        scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 96, seed=0))
+        grid = voxelize(scene)
+        rig = CameraRig((pose_from_forward([2.5, 0.0, 0.0], [-1.0, 0.0, 0.0]),),
+                        default_intrinsics(scene.diagonal))
+        calls.clear()
+        cand = baselines._perturb(rig, 0, 0.05, 0.05, True, np.random.default_rng(0))
+        visible_set(cand.poses[0], cand.intrinsics, grid)
+        assert len(calls) == 1      # the new pose's own __post_init__
+        rot = cand.poses[0].rotation()
+        assert rot is cand.poses[0].rotation()
+        np.testing.assert_array_equal(rot, real(cand.poses[0].rot6))
+        with pytest.raises(ValueError):
+            rot[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            cand.poses[0].forward[0] = 2.0
+
     def test_pose_from_forward(self):
         pose = pose_from_forward([1.0, 2.0, 0.0], [0.0, -1.0, 0.0])
         assert np.allclose(pose.forward, [0.0, -1.0, 0.0])
