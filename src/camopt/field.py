@@ -221,8 +221,9 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
         np.matmul(g[:, None, :], slab, out=gZ[rows, None, :])
         np.matmul(g[:, None, :], on, out=gB[rows, None, :])
         gB[rows] *= Z[rows]
-        on *= Z[rows, None, :]
-        gA += np.einsum("qm,qmh->mh", g, on)
+        # the tape contracts g with on * Z; a mask entry is 0 or 1, so the
+        # products and their order over the block's queries are the same
+        gA += np.einsum("qm,qmh,qh->mh", g, on, Z[rows])
 
     # Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,
     # enc = relu(q_in @ W1 + b1) @ W2 + b2
