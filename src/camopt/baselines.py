@@ -2,7 +2,9 @@
 
 Both score camera rigs with the exact-visibility evaluation metrics (never the
 learned field), so comparisons against the hybrid optimizer are not skewed by
-how well the field happens to fit a particular scene.
+how well the field happens to fit a particular scene. The annealing chain
+keeps the exact scores of the best rig it has seen, so its final scores need
+no second evaluation.
 """
 import math
 from dataclasses import dataclass
@@ -110,7 +112,9 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
     temperature multiplies by the cooling factor after each batch of
     steps_per_temp proposals and the chain stops below the termination
     temperature. Returns (best rig seen, per-batch trace); a trace entry
-    holds the current rig's energy, uc and angle_quality.
+    holds the current rig's energy, uc and angle_quality, and the best rig's
+    best_energy, best_uc and best_angle_quality, which equal evaluate_rig of
+    that rig.
     """
     grid = voxelize(scene) if grid is None else grid
     rng = np.random.default_rng(config.seed)
@@ -123,9 +127,15 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
     E = coverage_from_sets([visible_set(pose, rig.intrinsics, grid) for pose in rig.poses],
                            len(grid.centers))
     energy, uc, angle_quality = _score(rig, grid, K, E)
-    best_rig, best_e = rig, energy
-    trace = [{"temperature": config.T0, "energy": energy, "best_energy": best_e,
-              "accepted": 0, "proposals": 0, "uc": uc, "angle_quality": angle_quality}]
+    best_rig, best = rig, (energy, uc, angle_quality)
+
+    def entry(temperature, accepted, proposals):
+        return {"temperature": temperature, "energy": energy, "best_energy": best[0],
+                "accepted": accepted, "proposals": proposals, "uc": uc,
+                "angle_quality": angle_quality, "best_uc": best[1],
+                "best_angle_quality": best[2]}
+
+    trace = [entry(config.T0, 0, 0)]
 
     T = config.T0
     while T > config.termination:
@@ -138,10 +148,8 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
             if accept_proposal(cand_score[0] - energy, T, rng):
                 rig, E, (energy, uc, angle_quality) = cand, cand_E, cand_score
                 accepted += 1
-                if energy < best_e:
-                    best_rig, best_e = rig, energy
-        trace.append({"temperature": T, "energy": energy, "best_energy": best_e,
-                      "accepted": accepted, "proposals": config.steps_per_temp,
-                      "uc": uc, "angle_quality": angle_quality})
+                if energy < best[0]:
+                    best_rig, best = rig, cand_score
+        trace.append(entry(T, accepted, config.steps_per_temp))
         T *= config.cooling
     return best_rig, trace

@@ -120,15 +120,10 @@ class OptimizationTrace:
 
 def _containment_test(scene: TargetScene):
     """Point-in-convex-hull predicate over the scene's points, or None when
-    the cloud is too degenerate to enclose any volume."""
-    from scipy.spatial import ConvexHull, QhullError
-
-    pts = scene.points[:, :2] if scene.mode == PLANAR2D else scene.points
-    if len(pts) <= pts.shape[1]:
-        return None
-    try:
-        facets = ConvexHull(pts).equations
-    except QhullError:
+    the cloud is too degenerate to enclose any volume. Reads the scene's
+    hull facets, which are built once per scene."""
+    facets = scene.hull_facets
+    if facets is None:
         return None
     # facet rows are outward unit normals and offsets: inside is <= 0 on every facet
     normals, offsets = facets[:, :-1], facets[:, -1]

@@ -1,10 +1,16 @@
-"""Target scenes: ingestion, procedural planar shapes, voxelization, normals."""
+"""Target scenes: ingestion, procedural planar shapes, voxelization, normals.
+
+Geometry fixed by a scene or a grid is derived once, on first use, and cached
+on the instance: a scene's convex-hull facets (the camera containment test)
+and a grid's occupied-cell box (the cell march).
+"""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from camopt import cloudio
 
@@ -62,6 +68,19 @@ class TargetScene:
             return 1.0
         return diag / DEFAULT_RESOLUTION_DIVISOR
 
+    @cached_property
+    def hull_facets(self) -> Optional[np.ndarray]:
+        """Outward facet equations (unit normal, offset) of the points' convex
+        hull, in-plane for planar scenes; None when the cloud is too
+        degenerate to enclose any volume. Built once per scene."""
+        pts = self.points[:, :2] if self.mode == PLANAR2D else self.points
+        if len(pts) <= pts.shape[1]:
+            return None
+        try:
+            return ConvexHull(pts).equations
+        except QhullError:
+            return None
+
 
 def _scene_from_arrays(points, normals, mode) -> TargetScene:
     bounds = np.stack([points.min(axis=0), points.max(axis=0)])
@@ -85,6 +104,19 @@ class VoxelGrid:
 
     def __len__(self):
         return len(self.centers)
+
+    @cached_property
+    def occupancy(self) -> tuple:
+        """(lo, shape, occupied): the keys' bounding box, its lower corner and
+        extent in cells, and a read-only boolean array over it marking the
+        occupied cells. Built once per grid."""
+        lo = self.keys.min(axis=0)
+        shape = self.keys.max(axis=0) - lo + 1
+        occupied = np.zeros(shape, dtype=bool)
+        occupied[tuple((self.keys - lo).T)] = True
+        for array in (lo, shape, occupied):
+            array.flags.writeable = False
+        return lo, shape, occupied
 
 
 @dataclass(frozen=True)

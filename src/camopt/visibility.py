@@ -1,4 +1,9 @@
-"""Per-camera voxel visibility: frustum, range, backface, and occlusion."""
+"""Per-camera voxel visibility: frustum, range, backface, and occlusion.
+
+Hidden-point removal returns a boolean row mask over its points (one convex
+hull, its vertices marked straight from the hull's simplices), and the
+occupied-cell march reads the occupancy box its grid derives once.
+"""
 
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,6 +40,14 @@ def default_intrinsics(scene_diagonal: Optional[float] = None) -> CameraIntrinsi
     return CameraIntrinsics(hfov=np.pi / 3.0, vfov=np.pi / 3.0, near=near, far=far)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vectors with np.cross's products and subtraction order
+    (a1*b2 - a2*b1, ...), so bit for bit the same, without its broadcasting."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def rotation_from_six(params) -> np.ndarray:
     """Orthonormalize a 6-number orientation into a rotation matrix.
 
@@ -52,7 +65,7 @@ def rotation_from_six(params) -> np.ndarray:
     if nb < 1e-12:
         raise ValueError("orientation vectors are parallel")
     c2 = b_perp / nb
-    c3 = np.cross(c1, c2)
+    c3 = _cross(c1, c2)
     return np.stack([c1, c2, c3], axis=1)
 
 
@@ -90,12 +103,12 @@ def pose_from_forward(position, forward, up_hint=(0.0, 0.0, 1.0)) -> CameraPose:
         raise ValueError("forward direction is zero")
     f = f / nf
     up = np.asarray(up_hint, dtype=np.float64)
-    right = np.cross(up, f)
+    right = _cross(up, f)
     if np.linalg.norm(right) < 1e-9:  # forward parallel to the hint
         alt = np.array([1.0, 0.0, 0.0]) if abs(f[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        right = np.cross(alt, f)
+        right = _cross(alt, f)
     right = right / np.linalg.norm(right)
-    true_up = np.cross(f, right)
+    true_up = _cross(f, right)
     return CameraPose(position=np.asarray(position, dtype=np.float64),
                       rot6=np.concatenate([right, true_up]))
 
@@ -132,28 +145,29 @@ class CoverageMatrix:
         object.__setattr__(self, "per_voxel_count", counts.astype(np.int64))
 
 
-def _subspace_hull_visible(cloud: np.ndarray) -> set:
-    """Hull-vertex indices of cloud (last row is the viewpoint's origin),
-    dropping to the principal subspace when the set is rank-deficient."""
+def _subspace_hull_visible(cloud: np.ndarray) -> np.ndarray:
+    """Mask over the rows of cloud but its last (the viewpoint's origin) that
+    marks the hull vertices, dropping to the principal subspace when the set
+    is rank-deficient."""
     centered = cloud - cloud.mean(axis=0)
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(svals > max(svals[0], 1.0) * 1e-9)) if svals.size else 0
-    origin_row = len(cloud) - 1
+    on_hull = np.zeros(len(cloud), dtype=bool)
     if rank <= 1:
         # a line: hull is the pair of extreme coordinates
         axis = vt[0] if svals.size else np.array([1.0, 0.0, 0.0])
         t = centered @ axis
-        verts = {int(np.argmin(t)), int(np.argmax(t))}
-        return verts - {origin_row}
-    proj = centered @ vt[:rank].T
-    hull = ConvexHull(proj)
-    return set(int(v) for v in hull.vertices) - {origin_row}
+        on_hull[[np.argmin(t), np.argmax(t)]] = True
+    else:
+        # every hull vertex is a corner of some facet simplex
+        on_hull[ConvexHull(centered @ vt[:rank].T).simplices] = True
+    return on_hull[:-1]
 
 
-def hidden_point_removal(viewpoint, points) -> set:
+def hidden_point_removal(viewpoint, points) -> np.ndarray:
     """Katz-style visibility: spherical flip about the viewpoint, then the
     convex hull of the flipped set plus the viewpoint; hull membership marks
-    a point visible. Returns indices into points."""
+    a point visible. Returns a boolean mask over the rows of points."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a non-empty (n, d) array")
@@ -195,10 +209,7 @@ def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
     """
     res = grid.resolution
     keys = grid.keys
-    lo = keys.min(axis=0)
-    shape = keys.max(axis=0) - lo + 1
-    occupied = np.zeros(shape, dtype=bool)
-    occupied[tuple((keys - lo).T)] = True
+    lo, shape, occupied = grid.occupancy
 
     targets = grid.centers[target_rows]
     rays = targets - eye
@@ -250,14 +261,13 @@ def visible_set(pose: CameraPose, intrinsics: CameraIntrinsics, grid) -> set:
         return set()
     dist = np.linalg.norm(to_voxel, axis=1)
     hpr_input = np.nonzero(dist > 1e-12)[0]  # a coincident center is never visible
-    visible_rows = hidden_point_removal(pose.position, centers[hpr_input])
     hpr_ok = np.zeros(len(centers), dtype=bool)
-    hpr_ok[hpr_input[sorted(visible_rows)]] = True
+    hpr_ok[hpr_input] = hidden_point_removal(pose.position, centers[hpr_input])
     candidates = np.nonzero(mask & hpr_ok)[0]
     if len(candidates) == 0:
         return set()
     candidates = candidates[~_cell_blocked(grid, pose.position, candidates)]
-    return set(int(j) for j in candidates)
+    return set(candidates.tolist())
 
 
 def coverage_from_sets(visible_sets, m: int) -> CoverageMatrix:

@@ -27,6 +27,7 @@ from camopt.scene import (
     generate_planar_shape,
     voxelize,
 )
+from camopt.visibility import CameraPose, CameraRig, default_intrinsics
 
 PLANE_TOLERANCE = 1e-9
 
@@ -66,9 +67,14 @@ def full_rescore_anneal(scene, k, config, K=3):
 
     rig = initialize(scene, k, config.seed)
     energy, uc, aq = score(rig)
-    best_rig, best_e = rig, energy
-    trace = [{"temperature": config.T0, "energy": energy, "best_energy": best_e,
-              "accepted": 0, "proposals": 0, "uc": uc, "angle_quality": aq}]
+    best_rig, best = rig, (energy, uc, aq)
+
+    def entry(temperature, accepted, proposals):
+        return {"temperature": temperature, "energy": energy, "best_energy": best[0],
+                "accepted": accepted, "proposals": proposals, "uc": uc, "angle_quality": aq,
+                "best_uc": best[1], "best_angle_quality": best[2]}
+
+    trace = [entry(config.T0, 0, 0)]
     T = config.T0
     while T > config.termination:
         accepted = 0
@@ -79,11 +85,9 @@ def full_rescore_anneal(scene, k, config, K=3):
             if accept_proposal(cand_score[0] - energy, T, rng):
                 rig, (energy, uc, aq) = cand, cand_score
                 accepted += 1
-                if energy < best_e:
-                    best_rig, best_e = rig, energy
-        trace.append({"temperature": T, "energy": energy, "best_energy": best_e,
-                      "accepted": accepted, "proposals": config.steps_per_temp,
-                      "uc": uc, "angle_quality": aq})
+                if energy < best[0]:
+                    best_rig, best = rig, cand_score
+        trace.append(entry(T, accepted, config.steps_per_temp))
         T *= config.cooling
     return best_rig, trace
 
@@ -300,6 +304,20 @@ class TestDeltaScoring:
         report = evaluate_rig(initialize(scene, k, config.seed), voxelize(scene), 3)
         assert (trace[0]["uc"], trace[0]["angle_quality"]) == (report.uc, report.angle_quality)
 
+    @pytest.mark.parametrize("make_scene", [lambda: circle_scene(samples=400),
+                                            lambda: torus_scene()],
+                             ids=["circle", "torus"])
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_best_scores_equal_evaluate_rig_of_the_returned_rig(self, make_scene, seed):
+        scene = make_scene()
+        grid = voxelize(scene)
+        rig, trace = simulated_annealing(scene, 5, AnnealConfig(seed=seed, **self.cfg),
+                                         grid=grid)
+        report = evaluate_rig(rig, grid, 3)
+        assert (trace[-1]["best_uc"], trace[-1]["best_angle_quality"]) == (
+            report.uc, report.angle_quality)
+        assert trace[-1]["best_energy"] == W_VIS * report.uc - (1.0 - W_VIS) * report.angle_quality
+
     def test_given_grid_is_used(self):
         scene = circle_scene(samples=48)
         grid = voxelize(scene, 0.2)
@@ -333,3 +351,73 @@ class TestPlaneProperty:
             payload = run_cell(scene, voxelize(scene), config, 3, 0)
             for pose in payload["final"]["poses"]:
                 assert abs(pose["position"][2] - plane) <= PLANE_TOLERANCE, (name, pose)
+
+
+class TestWorkDoneOnce:
+    """An sa cell takes its final scores from the chain, and a scene builds
+    its containment hull once however many cells or trials use it."""
+
+    def test_no_visibility_after_the_sa_chain(self, monkeypatch):
+        import camopt.cli as cli
+        import camopt.hybrid as hybrid
+        import camopt.metrics as metrics
+
+        events = []
+        real_sa = baselines.simulated_annealing
+
+        def chain(*args, **kwargs):
+            out = real_sa(*args, **kwargs)
+            events.append("chain end")
+            return out
+
+        monkeypatch.setattr(cli, "simulated_annealing", chain)
+        for name in ("visible_set", "coverage_matrix"):
+            real = getattr(visibility, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                events.append(_name)
+                return _real(*args, **kwargs)
+
+            for module in (visibility, baselines, hybrid, metrics, cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        scene = torus_scene()
+        config = ExperimentConfig(scene_source={"path": "unused"}, k_list=[4], seeds=[0],
+                                  optimizer="sa", K=3, optimizer_config=TINY_BUDGETS["sa"])
+        payload = run_cell(scene, voxelize(scene), config, 4, 0)
+        assert events[-1] == "chain end" and "visible_set" in events
+        assert "coverage_matrix" not in events
+        report = evaluate_rig(CameraRig(
+            [CameraPose(p["position"], p["rot6"]) for p in payload["final"]["poses"]],
+            default_intrinsics(scene.diagonal)), voxelize(scene), 3)
+        assert (payload["final"]["uc"], payload["final"]["angle_quality"]) == (
+            report.uc, report.angle_quality)
+
+    def count_hulls(self, monkeypatch):
+        import camopt.scene as scene_module
+
+        calls = []
+        real = scene_module.ConvexHull
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scene_module, "ConvexHull", counting)
+        return calls
+
+    def test_one_scene_hull_across_sa_cells(self, monkeypatch):
+        calls = self.count_hulls(monkeypatch)
+        scene = torus_scene()
+        grid = voxelize(scene)
+        config = ExperimentConfig(scene_source={"path": "unused"}, k_list=[3], seeds=[0, 1, 2],
+                                  optimizer="sa", K=3, optimizer_config=TINY_BUDGETS["sa"])
+        for seed in (0, 1, 2):
+            run_cell(scene, grid, config, 3, seed)
+        assert len(calls) == 1
+
+    def test_one_scene_hull_across_random_trials(self, monkeypatch):
+        calls = self.count_hulls(monkeypatch)
+        scene = torus_scene()
+        random_search(scene, 3, trials=4, seed=0, grid=voxelize(scene))
+        assert len(calls) == 1

@@ -265,6 +265,16 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["optimize", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path / "c.json", optimizer="sa",
+                           optimizer_config={"steps_per_temp": 1, "termination": 0.5})
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--threads", threads,
+                     "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_optimizer_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", optimizer="banana")
         assert main(["optimize", "--config", str(cfg)]) == 2

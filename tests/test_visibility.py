@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from camopt.scene import (ShapeSpec, TargetScene, VOLUMETRIC3D, VoxelGrid, generate_planar_shape,
                           voxelize)
 from camopt.visibility import (
+    DEFAULT_HPR_GAMMA,
     CameraIntrinsics,
     CameraPose,
     CameraRig,
@@ -68,6 +70,29 @@ def sphere_grid(n=400, seed=0, resolution=0.25):
     return voxelize(scene, resolution=resolution)
 
 
+def np_cross_rotation_from_six(params):
+    """rotation_from_six with np.cross for the forward axis."""
+    params = np.asarray(params, dtype=np.float64)
+    a, b = params[:3], params[3:]
+    c1 = a / np.linalg.norm(a)
+    b_perp = b - np.dot(c1, b) * c1
+    c2 = b_perp / np.linalg.norm(b_perp)
+    return np.stack([c1, c2, np.cross(c1, c2)], axis=1)
+
+
+def np_cross_rot6_from_forward(forward, up_hint=(0.0, 0.0, 1.0)):
+    """The rot6 pose_from_forward builds, with np.cross for every product."""
+    f = np.asarray(forward, dtype=np.float64)
+    f = f / np.linalg.norm(f)
+    up = np.asarray(up_hint, dtype=np.float64)
+    right = np.cross(up, f)
+    if np.linalg.norm(right) < 1e-9:
+        alt = np.array([1.0, 0.0, 0.0]) if abs(f[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        right = np.cross(alt, f)
+    right = right / np.linalg.norm(right)
+    return np.concatenate([right, np.cross(f, right)])
+
+
 class TestRotation:
     def test_axes_recovered_from_seed_vectors(self):
         rot = rotation_from_six([1, 0, 0, 0, 1, 0])
@@ -118,6 +143,30 @@ class TestRotation:
         with pytest.raises(ValueError):
             cand.poses[0].forward[0] = 2.0
 
+    def test_rotations_equal_np_cross_references(self):
+        rng = np.random.default_rng(11)
+        six = list(rng.normal(size=(300, 6))) + [
+            np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+            np.array([-0.0, 1.0, 0.0, 0.0, 0.0, -1.0]),
+            np.array([1e-150, 1.0, 2.0, 1e150, -1.0, 0.5]),
+        ]
+        for params in six:
+            np.testing.assert_array_equal(rotation_from_six(params),
+                                          np_cross_rotation_from_six(params))
+        hints = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -0.2, 0.9)]
+        forwards = list(rng.normal(size=(300, 3))) + [
+            # parallel to a hint: both fallback axes are taken
+            np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -3.0]),
+            np.array([1e-12, 0.0, 1.0]), np.array([2.0, 0.0, 0.0]),
+            np.array([-1.0, 1e-13, 0.0]), np.array([0.3, -0.2, 0.9]),
+            np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])]
+        for fwd in forwards:
+            for hint in hints:
+                pose = pose_from_forward(rng.normal(size=3), fwd, hint)
+                np.testing.assert_array_equal(pose.rot6, np_cross_rot6_from_forward(fwd, hint))
+                np.testing.assert_array_equal(pose.rotation(),
+                                              np_cross_rotation_from_six(pose.rot6))
+
     def test_pose_from_forward(self):
         pose = pose_from_forward([1.0, 2.0, 0.0], [0.0, -1.0, 0.0])
         assert np.allclose(pose.forward, [0.0, -1.0, 0.0])
@@ -149,17 +198,17 @@ class TestIntrinsics:
 
 class TestHiddenPointRemoval:
     def test_single_point(self):
-        assert hidden_point_removal([0, 0, 0], [[0, 0, 1]]) == {0}
+        assert set(np.flatnonzero(hidden_point_removal([0, 0, 0], [[0, 0, 1]]))) == {0}
 
     def test_two_points_on_a_ray(self):
-        vis = hidden_point_removal([0, 0, 0], [[0, 0, 1], [0, 0, 2]])
+        vis = set(np.flatnonzero(hidden_point_removal([0, 0, 0], [[0, 0, 1], [0, 0, 2]])))
         assert vis == {0}
 
     def test_hemisphere(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(1500, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        vis = hidden_point_removal([0.0, 0.0, 100.0], pts)
+        vis = set(np.flatnonzero(hidden_point_removal([0.0, 0.0, 100.0], pts)))
         facing = pts[:, 2] > 0.0
         got = np.zeros(len(pts), dtype=bool)
         got[list(vis)] = True
@@ -193,7 +242,7 @@ class TestHiddenPointRemoval:
                 nrm.append(n)
         pts = np.vstack(pts)
         nrm = np.vstack(nrm)
-        vis = hidden_point_removal(viewpoint, pts)
+        vis = set(np.flatnonzero(hidden_point_removal(viewpoint, pts)))
         to_view = viewpoint - pts
         front_mask = np.sum(nrm * to_view, axis=1) > 0.0
         assert not any(~front_mask[i] for i in vis)
@@ -208,12 +257,86 @@ class TestHiddenPointRemoval:
     def test_planar_input_uses_lower_dimension(self):
         ang = np.linspace(0, 2 * np.pi, 60, endpoint=False)
         pts = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
-        vis = hidden_point_removal([3.0, 0.0, 0.0], pts)
+        vis = set(np.flatnonzero(hidden_point_removal([3.0, 0.0, 0.0], pts)))
         # near side of the circle faces the viewpoint
         got = np.zeros(len(pts), dtype=bool)
         got[list(vis)] = True
         assert got[0]
         assert not got[len(pts) // 2]
+
+
+def reference_hpr_rows(viewpoint, points):
+    """Hidden-point removal as the set of hull-vertex rows, taken from
+    set(ConvexHull(proj).vertices) with the viewpoint's row dropped."""
+    pts = np.asarray(points, dtype=np.float64)
+    centered = pts - np.asarray(viewpoint, dtype=np.float64)
+    dist = np.linalg.norm(centered, axis=1)
+    radius = DEFAULT_HPR_GAMMA * dist.max()
+    flipped = centered * ((2.0 * radius - dist) / dist)[:, None]
+    cloud = np.vstack([flipped, np.zeros((1, pts.shape[1]))])
+    centered = cloud - cloud.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(svals > max(svals[0], 1.0) * 1e-9))
+    if rank <= 1:
+        t = centered @ vt[0]
+        verts = {int(np.argmin(t)), int(np.argmax(t))}
+    else:
+        verts = set(int(v) for v in ConvexHull(centered @ vt[:rank].T).vertices)
+    return verts - {len(cloud) - 1}
+
+
+class TestHiddenPointRemovalMask:
+    """The row mask must mark exactly the reference's hull-vertex rows."""
+
+    def assert_matches(self, viewpoint, points):
+        mask = hidden_point_removal(viewpoint, points)
+        assert mask.dtype == bool and mask.shape == (len(points),)
+        assert set(np.flatnonzero(mask).tolist()) == reference_hpr_rows(viewpoint, points)
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3, 4, 5, 8, 30, 400):
+            for _ in range(5):
+                self.assert_matches(rng.normal(size=3) * 3.0, rng.normal(size=(n, 3)))
+
+    def test_planar_clouds(self):
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
+            pts = rng.normal(size=(60, 2)) @ basis.T + rng.normal(size=3)
+            self.assert_matches(pts.mean(axis=0) + basis @ rng.normal(size=2) * 4.0, pts)
+        ang = np.linspace(0, 2 * np.pi, 200, endpoint=False)
+        circle = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
+        for x in (1.5, 3.0, 10.0):
+            self.assert_matches([x, 0.3, 0.0], circle)
+
+    def test_collinear_clouds(self):
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            direction = rng.normal(size=3)
+            pts = np.outer(rng.normal(size=12), direction) + rng.normal(size=3)
+            self.assert_matches(pts[0] + direction * 50.0, pts)   # on the line
+            self.assert_matches(rng.normal(size=3) * 5.0, pts)    # off the line
+
+    @pytest.mark.parametrize("make_grid", [
+        lambda: sphere_grid(n=2000, seed=4, resolution=0.1),
+        lambda: voxelize(torus_target(), resolution=0.08)], ids=["sphere", "torus"])
+    def test_voxel_centers_from_many_viewpoints(self, make_grid):
+        centers = make_grid().centers
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            self.assert_matches(direction * rng.uniform(1.3, 4.0), centers)
+
+
+def torus_target(count=3000, seed=0, major=1.0, minor=0.35):
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0.0, 2.0 * np.pi, (2, count))
+    normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
+    ring = np.stack([np.cos(u), np.sin(u), np.zeros(count)], axis=1)
+    pts = major * ring + minor * normals
+    return TargetScene(pts, normals, VOLUMETRIC3D, np.stack([pts.min(0), pts.max(0)]))
 
 
 class TestVisibleSet:
@@ -382,6 +505,30 @@ def full_segment_march(grid, eye, target_rows):
     hit[inside] = occupied[ri[:, 0], ri[:, 1], ri[:, 2]]
     hit &= ~np.all(rel == (keys[target_rows] - lo)[:, None, :], axis=-1)
     return hit.any(axis=1)
+
+
+class TestOccupancy:
+    """The cell march reads the occupied-cell box its grid derives once."""
+
+    @pytest.mark.parametrize("make_grid", [
+        lambda: sphere_grid(n=400, seed=3, resolution=0.2),
+        lambda: voxelize(generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 400,
+                                                         seed=2)), resolution=0.08)],
+        ids=["sphere", "circle"])
+    def test_box_equals_a_rebuild_from_keys(self, make_grid):
+        grid = make_grid()
+        keys = grid.keys
+        lo = keys.min(axis=0)
+        shape = keys.max(axis=0) - lo + 1
+        occupied = np.zeros(shape, dtype=bool)
+        occupied[tuple((keys - lo).T)] = True
+        got_lo, got_shape, got_occupied = grid.occupancy
+        np.testing.assert_array_equal(got_lo, lo)
+        np.testing.assert_array_equal(got_shape, shape)
+        np.testing.assert_array_equal(got_occupied, occupied)
+        assert grid.occupancy is grid.occupancy     # derived once per grid
+        with pytest.raises(ValueError):
+            got_occupied[0, 0, 0] = True
 
 
 class TestCellMarch:
