@@ -285,6 +285,15 @@ def reference_hpr_rows(viewpoint, points):
     return verts - {len(cloud) - 1}
 
 
+def torus_target(count=3000, seed=0, major=1.0, minor=0.35):
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0.0, 2.0 * np.pi, (2, count))
+    normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
+    ring = np.stack([np.cos(u), np.sin(u), np.zeros(count)], axis=1)
+    pts = major * ring + minor * normals
+    return TargetScene(pts, normals, VOLUMETRIC3D, np.stack([pts.min(0), pts.max(0)]))
+
+
 class TestHiddenPointRemovalMask:
     """The row mask must mark exactly the reference's hull-vertex rows."""
 
@@ -328,15 +337,6 @@ class TestHiddenPointRemovalMask:
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             self.assert_matches(direction * rng.uniform(1.3, 4.0), centers)
-
-
-def torus_target(count=3000, seed=0, major=1.0, minor=0.35):
-    rng = np.random.default_rng(seed)
-    u, v = rng.uniform(0.0, 2.0 * np.pi, (2, count))
-    normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
-    ring = np.stack([np.cos(u), np.sin(u), np.zeros(count)], axis=1)
-    pts = major * ring + minor * normals
-    return TargetScene(pts, normals, VOLUMETRIC3D, np.stack([pts.min(0), pts.max(0)]))
 
 
 class TestVisibleSet:
