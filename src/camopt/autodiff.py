@@ -16,8 +16,9 @@ materializing the (query, key, channel) intermediates on the tape.
 
 The tape now serves the camera-pose gradients of the placement loss and the
 tests.  The field's weight fit takes its gradients from a fused numpy step
-in ``camopt.field`` that reuses ``score_blocks`` and ``adam_step`` from here
-and matches what this tape computes for the same loss bit for bit.
+in ``camopt.field`` that reuses ``score_blocks`` (on float32 slabs) and
+``adam_step`` from here; it matches what this tape computes for the same
+loss to about 1e-7 relative, not bit for bit.
 """
 
 from __future__ import annotations
@@ -433,20 +434,20 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 
 # queries per block of the attention kernel: one block's (block, keys,
-# channels) slab is 512 KB at 256 keys and 32 channels, small enough to stay
-# in cache between the passes over it
+# channels) float64 slab is 512 KB at 256 keys and 32 channels, small enough
+# to stay in cache between the passes over it
 SCORE_BLOCK = 8
 
 
-def score_blocks(a: np.ndarray, b: np.ndarray):
+def score_blocks(a: np.ndarray, b: np.ndarray, block: int):
     """Yield (query slice, slab) pairs, the slab holding the pre-activation
-    a[None] + b[rows, None] of SCORE_BLOCK queries at a time.  Every block
-    reuses one buffer, so a consumer must finish with a slab before asking
-    for the next."""
+    a[None] + b[rows, None] of `block` queries at a time, in the inputs'
+    dtype.  Every block reuses one buffer, so a consumer must finish with a
+    slab before asking for the next."""
     q = len(b)
-    slab = np.empty((min(q, SCORE_BLOCK),) + a.shape)
-    for lo in range(0, q, SCORE_BLOCK):
-        rows = slice(lo, min(lo + SCORE_BLOCK, q))
+    slab = np.empty((min(q, block),) + a.shape, dtype=np.result_type(a, b))
+    for lo in range(0, q, block):
+        rows = slice(lo, min(lo + block, q))
         pre = slab[:rows.stop - lo]
         np.add(a, b[rows, None, :], out=pre)
         yield rows, pre
@@ -465,7 +466,7 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
     """
     a, b, z = _lift(a), _lift(b), _lift(z)
     out = np.empty((len(b.data), len(a.data)))
-    for rows, pre in score_blocks(a.data, b.data):
+    for rows, pre in score_blocks(a.data, b.data, SCORE_BLOCK):
         np.maximum(pre, 0.0, out=pre)
         np.matmul(pre, z.data[rows, :, None], out=out[rows, :, None])
 
@@ -474,7 +475,7 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
         gb = np.empty_like(b.data) if b.needs_grad else None
         gz = np.empty_like(z.data) if z.needs_grad else None
         mask = np.empty((min(len(b.data), SCORE_BLOCK),) + a.data.shape)
-        for rows, pre in score_blocks(a.data, b.data):
+        for rows, pre in score_blocks(a.data, b.data, SCORE_BLOCK):
             g_rows = g[rows, None, :]                               # (block, 1, m)
             on = mask[:len(pre)]
             np.greater(pre, 0.0, out=on)

@@ -159,7 +159,8 @@ def _iteration_rows(trace) -> list:
 def run_cell(scene, grid, config: ExperimentConfig, k: int, seed: int) -> dict:
     """One (k, seed) run of the configured optimizer, as a results payload.
     `grid` is the scene voxelized at the configured resolution; the cells of
-    a run share it read-only (hybrid optimizers voxelize again inside)."""
+    a run share it read-only. The final scores come from the optimizer's own
+    exact evaluation of its returned rig where it has one."""
     opt_kw = dict(config.optimizer_config)
     opt_kw.pop("K", None)      # top-level K and the cell seed always win
     opt_kw.pop("seed", None)
@@ -170,13 +171,17 @@ def run_cell(scene, grid, config: ExperimentConfig, k: int, seed: int) -> dict:
             scene, k, cfg,
             grad_enabled=config.optimizer != "non_grad_only",
             non_grad_enabled=config.optimizer != "grad_only",
-            intrinsics=intrinsics)
+            intrinsics=intrinsics, grid=grid)
         per_iteration = _iteration_rows(trace)
+        last = trace.records[-1]        # scores the returned rig exactly
+        final = {"uc": last.uc, "angle_quality": last.angle_quality}
     elif config.optimizer == "random":
         trials = int(opt_kw.pop("trials", 50))
         rig = random_search(scene, k, trials=trials, seed=seed, K=config.K,
                             grid=grid, intrinsics=intrinsics)
         per_iteration = []
+        report = evaluate_rig(rig, grid, config.K)
+        final = {"uc": report.uc, "angle_quality": report.angle_quality}
     else:  # sa
         anneal_kw = {key: value for key, value in opt_kw.items() if key != "resolution"}
         rig, sa_trace = simulated_annealing(
@@ -190,9 +195,6 @@ def run_cell(scene, grid, config: ExperimentConfig, k: int, seed: int) -> dict:
         # the chain already holds its best rig's exact scores
         final = {"uc": sa_trace[-1]["best_uc"],
                  "angle_quality": sa_trace[-1]["best_angle_quality"]}
-    if config.optimizer != "sa":
-        report = evaluate_rig(rig, grid, config.K)
-        final = {"uc": report.uc, "angle_quality": report.angle_quality}
     return {
         "config": {**config.to_dict(), "k": k, "seed": seed},
         "per_iteration": per_iteration,

@@ -24,12 +24,15 @@ through the weights: `query` runs the forward without a tape; the placement
 loss keeps only B on the tape, since only the query positions move with the
 poses (a gradient phase encodes its frozen captures once, encode_captures);
 and the weight fit (`lean_neof`) takes its gradients from a fused numpy step,
-_fit_gradients. That step walks the training queries in blocks of
-autodiff.SCORE_BLOCK, builds each block's (block, keys, 32) relu slab once,
-and while the slab is in cache runs the forward, the squared-error gradient
-back to the logits and the slab contractions; the six weight gradients then
-close in numpy. It keeps the tape's float expressions and summation orders,
-so its gradients equal the tape's bit for bit.
+_fit_gradients. That step walks the training queries in blocks of FIT_BLOCK,
+builds each block's (block, keys, 32) relu slab once, and while the slab is
+in cache runs the forward, the squared-error gradient back to the logits and
+the slab contractions; the six weight gradients then close in numpy. The
+slab passes run in float32, which halves the step's time; everything else
+here (the per-row softmax and error chain, weights, Adam state, `query`, the
+placement loss) stays float64. The gradients match the float64 tape of the
+same loss to about 1e-7 relative, not bit for bit, so this change of
+arithmetic moved every rig in its last bits once.
 """
 
 from dataclasses import dataclass
@@ -50,7 +53,11 @@ TRAIN_QUERY_POOL = 512
 TRAIN_BATCH = 128
 KEY_BASIS_CAP = 256
 LOSS_QUERY_CAP = 16
+# training queries per block of the fit step's float32 relu slab (512 KB at
+# 256 keys and 32 channels)
+FIT_BLOCK = 16
 _INV_SQRT_DK = 1.0 / np.sqrt(D_K)
+_FLUSH = 1e-30       # fit-step logit gradients below this are dropped
 
 
 def _strided(total: int, want: int) -> np.ndarray:
@@ -182,61 +189,72 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
     """Set every weight's .grad to the gradient of the mean squared error of
     the field's outputs at the snapshot voxels idx against their attributes.
 
-    One fused pass per block of SCORE_BLOCK queries builds the relu slab
-    once and, while it is in cache, runs the forward to the clamped outputs,
-    the error gradient back through clamp and softmax to the logits, and the
-    slab contractions for A, B and Z (softmax, clamp and the error are per
-    query row, so a block needs no other rows). The six weight gradients then
-    close in numpy. Every expression and summation order is the one the tape
-    of the same loss would run, so the gradients equal it bit for bit.
+    One fused pass per block of FIT_BLOCK queries builds the relu slab once
+    and, while it is in cache, runs the forward to the clamped outputs, the
+    error gradient back through clamp and softmax to the logits, and the slab
+    contractions for A, B and Z (softmax, clamp and the error are per query
+    row, so a block needs no other rows). The slab and its contractions are
+    float32: A, B and Z are cast once per step and their gradients cast
+    back, so the six weight gradients close in float64. The scores, softmax
+    and error chain of a block, (block, keys) arrays, run in float64. The
+    gradients match the float64 tape of the same loss to about 1e-7
+    relative; a rare relu or clamp decision at a float32 rounding boundary
+    moves one by up to about 1e-3.
     """
     W1, b1, W2, b2, WQ, WK = field.params()
     enc = _encode(field, field.normals[idx])
     pos = field.centers[idx]
-    A, Z = enc.A, enc.Z
-    B = _offsets(field, ad.Tensor(pos)).data
+    f32 = np.float32
+    A, Z = enc.A.astype(f32), enc.Z.astype(f32)
+    B = _offsets(field, ad.Tensor(pos)).data.astype(f32)
     V = field.values[field.key_idx]
     target = field.values[idx]
-    scale = 1.0 / target.size       # d mean / d squared error
+    dV = V.T * (2.0 / target.size)      # d mean(err ** 2) / d err = 2 err / size
     gA = np.zeros_like(A)
     gB = np.empty_like(B)
     gZ = np.empty_like(Z)
-    block = (min(len(idx), ad.SCORE_BLOCK), len(A), HIDDEN)
-    scores = np.empty(block[:2])
-    mask = np.empty(block)
-    for rows, slab in ad.score_blocks(A, B):
-        n = len(slab)
+    scores = np.empty((min(len(idx), FIT_BLOCK), len(A)), dtype=f32)
+    for rows, slab in ad.score_blocks(A, B, FIT_BLOCK):
         np.maximum(slab, 0.0, out=slab)
-        s = scores[:n]
+        s = scores[:len(slab)]
         np.matmul(slab, Z[rows, :, None], out=s[:, :, None])
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        att = e / e.sum(axis=-1, keepdims=True)
+        # the row-wise chain is small next to the slab and cancels in the
+        # softmax backward, so it runs in float64
+        s = s.astype(np.float64)
+        s -= s.max(axis=-1, keepdims=True)
+        att = np.exp(s, out=s)
+        att /= att.sum(axis=-1, keepdims=True)
         raw = att @ V
-        diff = np.clip(raw, 0.0, field.sup) - target[rows]
-        g_sq = scale * diff
-        g_att = ((g_sq + g_sq) * ((raw >= 0.0) & (raw <= field.sup))) @ V.T
-        g = att * (g_att - np.sum(g_att * att, axis=-1, keepdims=True))
-        on = mask[:n]
-        np.greater(slab, 0.0, out=on)
+        out = np.clip(raw, 0.0, field.sup)
+        # the error, where the clamp passes its gradient
+        err = (out - target[rows]) * (out == raw)
+        # softmax backward: att * (g_att - sum(g_att * att))
+        g = err @ dV
+        g -= np.sum(g * att, axis=-1, keepdims=True)
+        g *= att
+        # a key the row barely attends to leaves a g far below float32
+        # resolution; as a float32 denormal it would slow every product it
+        # enters many times over, so it is dropped
+        g[np.abs(g) < _FLUSH] = 0.0
+        g = g.astype(f32)
         np.matmul(g[:, None, :], slab, out=gZ[rows, None, :])
-        np.matmul(g[:, None, :], on, out=gB[rows, None, :])
-        gB[rows] *= Z[rows]
-        # the tape contracts g with on * Z; a mask entry is 0 or 1, so the
-        # products and their order over the block's queries are the same
-        gA += np.einsum("qm,qmh,qh->mh", g, on, Z[rows])
+        # last use of the slab: overwrite it with the relu mask times Z;
+        # gB[q] = g[q] @ that, gA[m] = g[:, m] @ that[:, m], one product per key
+        on_z = np.greater(slab, 0.0, out=slab)
+        on_z *= Z[rows, None, :]
+        np.matmul(g[:, None, :], on_z, out=gB[rows, None, :])
+        gA += (g.T[:, None, :] @ on_z.transpose(1, 0, 2))[:, 0, :]
+    gA, gB, gZ = (x.astype(np.float64) for x in (gA, gB, gZ))
 
     # Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,
     # enc = relu(q_in @ W1 + b1) @ W2 + b2
     g_qrow = gZ @ enc.folded
-    # C order as on the tape: BLAS rounds the products below differently for
-    # a transposed operand
-    g_fold = np.ascontiguousarray((enc.qrow.T @ gZ).T) * _INV_SQRT_DK
+    g_fold = (gZ.T @ enc.qrow) * _INV_SQRT_DK
     g_enc = g_qrow @ WQ.data.T
     g_pre = (g_enc @ W2.data.T) * enc.live
+    W1.grad = enc.basis.T @ gA + enc.q_in.T @ g_pre
     # B = -pos @ W1[:3] touches only the position rows of W1
-    gW1_B = np.zeros_like(W1.data)
-    gW1_B[0:3] += pos.T @ (gB * -1.0)
-    W1.grad = enc.basis.T @ gA + gW1_B + enc.q_in.T @ g_pre
+    W1.grad[0:3] -= pos.T @ gB
     b1.grad = gA.sum(axis=0) + g_pre.sum(axis=0)
     W2.grad = enc.h.T @ g_enc + g_fold @ WK.data.T
     b2.grad = g_enc.sum(axis=0)

@@ -465,13 +465,15 @@ def step_update(prev_poses, poses, diagonal: float) -> float:
 
 def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
              grad_enabled: bool = True, non_grad_enabled: bool = True,
-             intrinsics: CameraIntrinsics | None = None):
+             intrinsics: CameraIntrinsics | None = None, grid=None):
     """Full placement run. The two enable switches exist for ablation studies
-    (gradient-only and resampling-only variants); both default on.
+    (gradient-only and resampling-only variants); both default on. `grid` is
+    the scene voxelized at config.resolution, built here when not given.
 
-    Returns (final rig, OptimizationTrace).
+    Returns (final rig, OptimizationTrace); the last trace record holds the
+    final rig's exact uc and angle quality.
     """
-    grid = voxelize(scene, config.resolution)
+    grid = voxelize(scene, config.resolution) if grid is None else grid
     diag = scene.diagonal
     if intrinsics is None:
         intrinsics = default_intrinsics(diag)

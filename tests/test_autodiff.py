@@ -114,6 +114,31 @@ def test_pairwise_scores_b_only_backward_matches_all_inputs():
     assert max_rel_err(np.einsum("qm,qmh->qh", g, np.maximum(pre, 0.0)), full[2].grad) < 1e-12
 
 
+def test_pairwise_scores_stays_float64():
+    # the pose descent differentiates pairwise_scores in float64; only the
+    # field's weight fit runs its slab in float32
+    rng = np.random.default_rng(5)
+    leaves = [ad.Tensor(rng.normal(size=s), requires_grad=True)
+              for s in ((30, 32), (2 * ad.SCORE_BLOCK + 3, 32), (2 * ad.SCORE_BLOCK + 3, 32))]
+    scores = ad.pairwise_scores(*leaves)
+    ad.sum_(ad.softmax(scores)).backward()
+    assert scores.data.dtype == np.float64
+    assert all(t.grad.dtype == np.float64 for t in leaves)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_score_blocks_take_the_block_length_and_the_inputs_dtype(dtype):
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(9, 4)).astype(dtype)
+    b = rng.normal(size=(37, 4)).astype(dtype)
+    seen = []
+    for rows, slab in ad.score_blocks(a, b, 16):
+        assert slab.dtype == dtype
+        assert np.array_equal(slab, a[None] + b[rows, None])
+        seen.append(rows.stop - rows.start)
+    assert seen == [16, 16, 5]
+
+
 def test_matmul_rejects_bad_shapes():
     a = ad.Tensor(np.ones((2, 3)))
     with pytest.raises(ValueError):

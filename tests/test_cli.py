@@ -383,6 +383,74 @@ class TestSubcommands:
         assert merged["hybrid"]["cells"] == 2
 
 
+class TestHybridCellsShareWork:
+    """Hybrid-family cells reuse the run's grid and take their final scores
+    from the optimizer's last trace record."""
+
+    @pytest.mark.parametrize("optimizer", ["hybrid", "grad_only", "non_grad_only"])
+    def test_cells_voxelize_nothing_inside_optimize(self, tmp_path, monkeypatch, optimizer):
+        import camopt.hybrid as hybrid
+
+        calls = []
+        real = hybrid.voxelize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, "voxelize", counting)
+        cfg = write_config(tmp_path / "c.json", optimizer=optimizer, seeds=[0, 1])
+        assert run(cfg) == 0
+        assert len(list((tmp_path / "out").glob(f"{optimizer}_k3_seed*.json"))) == 2
+        assert calls == []
+
+    def test_final_scores_come_from_the_last_record(self, tmp_path, monkeypatch, capsys):
+        import camopt.attributes as attributes
+        import camopt.hybrid as hybrid
+        import camopt.metrics as metrics
+        import camopt.visibility as visibility
+
+        events = []
+        for name in ("optimize", "run_cell"):
+            def marking(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                out = _real(*args, **kwargs)
+                events.append(f"{_name} end")
+                return out
+
+            monkeypatch.setattr(cli, name, marking)
+        for module, name in ((cli, "evaluate_rig"), (metrics, "evaluate_rig"),
+                             (visibility, "coverage_matrix"), (attributes, "coverage_matrix"),
+                             (metrics, "coverage_matrix"), (baselines, "coverage_matrix"),
+                             (hybrid, "coverage_matrix")):
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                events.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        cfg = write_config(tmp_path / "c.json", seeds=[0, 1])
+        assert run(cfg) == 0
+        # the optimizers score coverage inside; the cell adds nothing after
+        assert "coverage_matrix" in events
+        ends = [i for i, e in enumerate(events) if e == "optimize end"]
+        assert len(ends) == 2
+        assert all(events[i + 1] == "run_cell end" for i in ends)
+        monkeypatch.undo()
+        for seed in (0, 1):
+            cell = tmp_path / "out" / f"hybrid_k3_seed{seed}.json"
+            stored = json.loads(cell.read_text())
+            assert main(["evaluate", str(cell)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (report["uc"], report["angle_quality"]) == (
+                stored["final"]["uc"], stored["final"]["angle_quality"])
+            last = stored["per_iteration"][-1]
+            assert (last["uc"], last["angle_quality"]) == (
+                stored["final"]["uc"], stored["final"]["angle_quality"])
+
+
 class TestColoredExport:
     @pytest.fixture()
     def grid(self, tmp_path):
