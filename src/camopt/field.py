@@ -225,17 +225,17 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
         att = np.exp(s, out=s)
         att /= att.sum(axis=-1, keepdims=True)
         raw = att @ V
-        out = np.clip(raw, 0.0, field.sup)
+        out = np.minimum(np.maximum(raw, 0.0), field.sup)
         # the error, where the clamp passes its gradient
         err = (out - target[rows]) * (out == raw)
         # softmax backward: att * (g_att - sum(g_att * att))
         g = err @ dV
-        g -= np.sum(g * att, axis=-1, keepdims=True)
+        g -= (g * att).sum(axis=-1, keepdims=True)
         g *= att
         # a key the row barely attends to leaves a g far below float32
         # resolution; as a float32 denormal it would slow every product it
         # enters many times over, so it is dropped
-        g[np.abs(g) < _FLUSH] = 0.0
+        np.putmask(g, np.abs(g) < _FLUSH, 0.0)
         g = g.astype(f32)
         np.matmul(g[:, None, :], slab, out=gZ[rows, None, :])
         # last use of the slab: overwrite it with the relu mask times Z;
