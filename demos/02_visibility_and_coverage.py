@@ -1,8 +1,8 @@
 """What a single camera sees, and how a rig's coverage matrix reads.
 
 Visibility = inside the frustum (FOV wedge + near/far band), facing the
-surface, and surviving hidden-point removal, so a camera outside a circle
-sees roughly the near half of the arc it points at.
+surface, and with no other occupied voxel cell on the line of sight, so a
+camera outside a circle sees roughly the near half of the arc it points at.
 """
 import numpy as np
 

@@ -27,7 +27,6 @@ from camopt.visibility import (
     CoverageMatrix,
     coverage_matrix,
     default_intrinsics,
-    hidden_point_removal,
     pose_from_forward,
     rotation_from_six,
     visible_set,
@@ -96,7 +95,6 @@ __all__ = [
     "default_intrinsics",
     "evaluate_rig",
     "generate_planar_shape",
-    "hidden_point_removal",
     "initialize",
     "lean_neof",
     "load_scene",

@@ -2,7 +2,7 @@
 
 Geometry fixed by a scene or a grid is derived once, on first use, and cached
 on the instance: a scene's convex-hull facets (the camera containment test)
-and a grid's occupied-cell box (the cell march).
+and a grid's occupied-cell box (the occlusion traversal).
 """
 
 from dataclasses import dataclass, field

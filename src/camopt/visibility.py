@@ -1,19 +1,14 @@
 """Per-camera voxel visibility: frustum, range, backface, and occlusion.
 
-Hidden-point removal returns a boolean row mask over its points (one convex
-hull, its vertices marked straight from the hull's simplices), and the
-occupied-cell march reads the occupancy box its grid derives once.
+Occlusion is one exact test: a voxel is hidden when the segment from the
+camera to its center passes through another occupied cell, found by
+traversing the cells of the occupancy box its grid derives once.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull
-
-DEFAULT_HPR_GAMMA = 100.0
-_SLAB_EPS = 1e-6   # cells of slack on the bounding box in the cell march
-_SLAB_PAD = 2      # samples of slack on each end of a ray's slab interval
 
 
 @dataclass(frozen=True)
@@ -145,44 +140,6 @@ class CoverageMatrix:
         object.__setattr__(self, "per_voxel_count", counts.astype(np.int64))
 
 
-def _subspace_hull_visible(cloud: np.ndarray) -> np.ndarray:
-    """Mask over the rows of cloud but its last (the viewpoint's origin) that
-    marks the hull vertices, dropping to the principal subspace when the set
-    is rank-deficient."""
-    centered = cloud - cloud.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(svals > max(svals[0], 1.0) * 1e-9)) if svals.size else 0
-    on_hull = np.zeros(len(cloud), dtype=bool)
-    if rank <= 1:
-        # a line: hull is the pair of extreme coordinates
-        axis = vt[0] if svals.size else np.array([1.0, 0.0, 0.0])
-        t = centered @ axis
-        on_hull[[np.argmin(t), np.argmax(t)]] = True
-    else:
-        # every hull vertex is a corner of some facet simplex
-        on_hull[ConvexHull(centered @ vt[:rank].T).simplices] = True
-    return on_hull[:-1]
-
-
-def hidden_point_removal(viewpoint, points) -> np.ndarray:
-    """Katz-style visibility: spherical flip about the viewpoint, then the
-    convex hull of the flipped set plus the viewpoint; hull membership marks
-    a point visible. Returns a boolean mask over the rows of points."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("points must be a non-empty (n, d) array")
-    centered = pts - np.asarray(viewpoint, dtype=np.float64)
-    dist = np.linalg.norm(centered, axis=1)
-    if np.all(dist < 1e-12):
-        raise ValueError("all points coincide with the viewpoint")
-    if np.any(dist < 1e-12):
-        raise ValueError("a point coincides with the viewpoint")
-    radius = DEFAULT_HPR_GAMMA * dist.max()
-    flipped = centered * ((2.0 * radius - dist) / dist)[:, None]
-    cloud = np.vstack([flipped, np.zeros((1, pts.shape[1]))])
-    return _subspace_hull_visible(cloud)
-
-
 def frustum_mask(pose: CameraPose, intrinsics: CameraIntrinsics, centers: np.ndarray) -> np.ndarray:
     """Inside-frustum test: depth within [near, far] and within both FOV cones."""
     rot = pose.rotation()
@@ -195,75 +152,88 @@ def frustum_mask(pose: CameraPose, intrinsics: CameraIntrinsics, centers: np.nda
 
 
 def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
-    """Occupied-cell ray march: True where the segment eye->center crosses
-    another voxel's cell. Catches solid-voxel occlusion that point-based HPR
-    leaks on sparse center sets; sampling at quarter-resolution strides only
-    ever skips corner clips, so it never over-blocks relative to exact
-    traversal.
+    """Exact occupied-cell traversal: True where the segment eye->center
+    passes through another voxel's cell (Amanatides & Woo, 1987, vectorized
+    over rays).
 
-    Every ray shares one sample grid t = (s + 0.5) / n over the segment, but
-    only the samples inside the ray's slab interval through the occupied
-    cells' bounding box are evaluated: no other sample can land in a cell.
-    The interval is padded by _SLAB_EPS cells and _SLAB_PAD samples, so the
-    result equals marching the whole segment.
+    In cell units each ray is clipped to the occupied box [lo, lo + shape).
+    Every cell plane the clipped segment crosses enters exactly one cell;
+    those cells plus the entry cell are the cells it passes through, and any
+    occupied one but the target's own blocks the ray. A point's cell is its
+    floor, as for the keys, with the crossing axis set to the entered cell
+    and every axis clipped into the box. A crossing that also lies on a
+    plane of another axis (the ray meets a cell edge) adds the cell on the
+    lower side of that plane too, so a cell the segment touches along an
+    edge blocks as well. Along a zero direction component the ray keeps the
+    eye's coordinate, so it spans that slab iff floor(start) lies in the box.
     """
     res = grid.resolution
-    keys = grid.keys
     lo, shape, occupied = grid.occupancy
+    top = shape - 1
+    strides = np.array([shape[1] * shape[2], shape[2], 1])   # of occupied, C order
+    start = (eye - grid.origin) / res - lo    # cell units, box corner at 0
+    rays = (grid.centers[target_rows] - eye) / res
+    moving = rays != 0.0
 
-    targets = grid.centers[target_rows]
-    rays = targets - eye
-    longest = float(np.linalg.norm(rays, axis=1).max())
-    n_steps = max(2, int(np.ceil(longest / (res / 4.0))))
-    t = (np.arange(n_steps) + 0.5) / n_steps
+    # slab test against the box; a static axis's quotients (x/0, or 0/0 for
+    # an eye on a face) are never read
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_lo = -start / rays
+        t_hi = (shape - start) / rays
+    t_in = np.maximum(np.where(moving, np.minimum(t_lo, t_hi), -np.inf).max(axis=1), 0.0)
+    t_out = np.minimum(np.where(moving, np.maximum(t_lo, t_hi), np.inf).min(axis=1), 1.0)
+    eye_cell = np.floor(start)
+    spans = (eye_cell >= 0) & (eye_cell < shape)
+    entry_rays = np.nonzero((t_in < t_out) & np.all(moving | spans, axis=1))[0]
+    rays, moving = rays[entry_rays], moving[entry_rays]
+    step = np.sign(rays)
+    first = np.clip(np.floor(start + t_in[entry_rays, None] * rays), 0, top)
+    last = np.clip(np.floor(start + t_out[entry_rays, None] * rays), 0, top)
 
-    # slab test in cell units against the box [lo, lo + shape). Along a zero
-    # direction component every sample keeps the eye's coordinate; there the
-    # division gives +-inf (nan for an eye exactly on a padded face), which
-    # fmin/fmax turn into "spans the slab" or "misses it", as it should
-    start = (eye - grid.origin) / res
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t_lo = (lo - _SLAB_EPS - start) / (rays / res)
-        t_hi = (lo + shape + _SLAB_EPS - start) / (rays / res)
-    enter = np.fmin(t_lo, t_hi).max(axis=1)
-    leave = np.fmax(t_lo, t_hi).min(axis=1)
-    # sample s lies in [enter, leave] when s + 0.5 lies in n * [enter, leave];
-    # the clip keeps infinite bounds finite
-    enter = np.clip(enter, -1.0, 2.0) * n_steps - 0.5
-    leave = np.clip(leave, -1.0, 2.0) * n_steps - 0.5
-    first = np.maximum(np.ceil(enter).astype(np.int64) - _SLAB_PAD, 0)
-    stop = np.minimum(np.floor(leave).astype(np.int64) + 1 + _SLAB_PAD, n_steps)
-    counts = np.maximum(stop - first, 0)
+    # cells as flat offsets into occupied: the entry cells, then per axis
+    # one row per plane crossing; crossing m = 1..n enters cell
+    # first + m * step through the plane on its near side, at the time t
+    # where the other axes are read
+    ray_of = [np.arange(len(rays))]
+    cells = [first @ strides]
+    for axis in range(3):
+        n = np.maximum((last[:, axis] - first[:, axis]) * step[:, axis], 0).astype(np.int64)
+        rows = np.repeat(ray_of[0], n)
+        along = step[rows, axis]
+        entered = first[rows, axis] + (np.arange(rows.size) - np.repeat(np.cumsum(n) - n - 1, n)) * along
+        t = (entered + (along < 0) - start[axis]) / rays[rows, axis]
+        upper = lower = entered * strides[axis]
+        for other in (axis + 1) % 3, (axis + 2) % 3:
+            p = start[other] + t * rays[rows, other]
+            below = np.floor(p)
+            on_plane = (p == below) & moving[rows, other]
+            upper = upper + np.clip(below, 0, top[other]) * strides[other]
+            lower = lower + np.clip(below - on_plane, 0, top[other]) * strides[other]
+        edge = lower != upper
+        ray_of += [rows, rows[edge]]
+        cells += [upper, lower[edge]]
 
-    # the evaluated samples, ray by ray: s runs over [first, stop) of its ray
-    ray_of = np.repeat(np.arange(len(rays)), counts)
-    s = np.arange(ray_of.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
-    samples = eye + rays[ray_of] * t[s][:, None]                         # (samples, 3)
-    rel = np.floor((samples - grid.origin) / res).astype(np.int64) - lo
-    inside = np.all((rel >= 0) & (rel < shape), axis=-1)
-    hit = np.zeros(len(rel), dtype=bool)
-    ri = rel[inside]
-    hit[inside] = occupied[ri[:, 0], ri[:, 1], ri[:, 2]]
-    hit &= np.any(rel != keys[target_rows][ray_of] - lo, axis=-1)
-    blocked = np.zeros(len(rays), dtype=bool)
-    blocked[ray_of[hit]] = True
+    ray_of = np.concatenate(ray_of)
+    cells = np.concatenate(cells).astype(np.int64)
+    hit = np.nonzero(occupied.ravel()[cells])[0]
+    ray_of, cells = ray_of[hit], cells[hit]
+    own = (grid.keys[target_rows[entry_rays]] - lo) @ strides
+    blocked = np.zeros(len(target_rows), dtype=bool)
+    blocked[entry_rays[ray_of[cells != own[ray_of]]]] = True
     return blocked
 
 
 def visible_set(pose: CameraPose, intrinsics: CameraIntrinsics, grid) -> set:
     """Voxels the camera actually observes: in-frustum, facing the camera,
-    and unoccluded per hidden-point removal over every voxel center."""
+    not on the camera's own position, and with no other occupied cell on the
+    segment from the camera to the voxel center."""
     centers = grid.centers
     mask = frustum_mask(pose, intrinsics, centers)
     to_voxel = centers - pose.position
     mask &= np.sum(to_voxel * grid.normals, axis=1) < 0.0
-    if not mask.any():
-        return set()
-    dist = np.linalg.norm(to_voxel, axis=1)
-    hpr_input = np.nonzero(dist > 1e-12)[0]  # a coincident center is never visible
-    hpr_ok = np.zeros(len(centers), dtype=bool)
-    hpr_ok[hpr_input] = hidden_point_removal(pose.position, centers[hpr_input])
-    candidates = np.nonzero(mask & hpr_ok)[0]
+    candidates = np.nonzero(mask)[0]
+    # a coincident center is never visible
+    candidates = candidates[np.linalg.norm(to_voxel[candidates], axis=1) > 1e-12]
     if len(candidates) == 0:
         return set()
     candidates = candidates[~_cell_blocked(grid, pose.position, candidates)]

@@ -423,6 +423,18 @@ class TestOptimize:
         _, t_grad = optimize(scene, 8, cfg, non_grad_enabled=False)
         assert t_hybrid.records[-1].uc < t_grad.records[-1].uc
 
+    def test_dense_circle_rig_does_not_collapse_into_one_sector(self):
+        # with hidden-point removal in visibility, this run ended with all ten
+        # cameras in one sector: uc 0.805 and a 350.6 degree bearing gap
+        scene = circle_scene(samples=2000, seed=0)
+        cfg = OptimizerConfig(K=3, seed=0, resolution=0.0075, max_outer=3)
+        rig, trace = optimize(scene, 10, cfg)
+        assert trace.records[-1].uc < 0.7
+        xy = np.array([p.position[:2] for p in rig.poses]) - scene.points[:, :2].mean(axis=0)
+        bearings = np.sort(np.degrees(np.arctan2(xy[:, 1], xy[:, 0])))
+        gaps = np.diff(np.append(bearings, bearings[0] + 360.0))
+        assert gaps.max() < 180.0
+
     @settings(max_examples=8, deadline=None)
     @given(k=st.integers(1, 4), seed=st.integers(0, 50))
     def test_terminates_and_conserves_k(self, k, seed):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import ConvexHull
 
 from camopt.scene import (ShapeSpec, TargetScene, VOLUMETRIC3D, VoxelGrid, generate_planar_shape,
                           voxelize)
 from camopt.visibility import (
-    DEFAULT_HPR_GAMMA,
     CameraIntrinsics,
     CameraPose,
     CameraRig,
@@ -15,7 +13,6 @@ from camopt.visibility import (
     coverage_matrix,
     default_intrinsics,
     frustum_mask,
-    hidden_point_removal,
     pose_from_forward,
     rotation_from_six,
     visible_set,
@@ -196,149 +193,6 @@ class TestIntrinsics:
             CameraIntrinsics(hfov=1.0, vfov=1.0, near=1.0, far=0.5)
 
 
-class TestHiddenPointRemoval:
-    def test_single_point(self):
-        assert set(np.flatnonzero(hidden_point_removal([0, 0, 0], [[0, 0, 1]]))) == {0}
-
-    def test_two_points_on_a_ray(self):
-        vis = set(np.flatnonzero(hidden_point_removal([0, 0, 0], [[0, 0, 1], [0, 0, 2]])))
-        assert vis == {0}
-
-    def test_hemisphere(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(1500, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        vis = set(np.flatnonzero(hidden_point_removal([0.0, 0.0, 100.0], pts)))
-        facing = pts[:, 2] > 0.0
-        got = np.zeros(len(pts), dtype=bool)
-        got[list(vis)] = True
-        agreement = np.mean(got == facing)
-        assert agreement >= 0.95
-
-    def test_cube_corner_faces(self):
-        # front faces carry full-extent samples; back faces are inset past the
-        # one-sample-spacing shadow band where point-based occlusion is
-        # genuinely ambiguous
-        def face_samples(axis, side, ticks):
-            uu, vv = np.meshgrid(ticks, ticks)
-            uv = np.stack([uu.ravel(), vv.ravel()], axis=1)
-            face = np.zeros((len(uv), 3))
-            face[:, axis] = side
-            face[:, (axis + 1) % 3] = uv[:, 0]
-            face[:, (axis + 2) % 3] = uv[:, 1]
-            normal = np.zeros(3)
-            normal[axis] = 1.0 if side == 1.0 else -1.0
-            return face, np.tile(normal, (len(uv), 1))
-
-        viewpoint = np.array([10.0, 10.0, 10.0])
-        pts, nrm = [], []
-        for axis in range(3):
-            for side in (0.0, 1.0):
-                toward = 1.0 if side == 1.0 else -1.0
-                front = toward * viewpoint[axis] > 0
-                ticks = np.linspace(0.025, 0.975, 13) if front else np.linspace(0.2, 0.8, 9)
-                f, n = face_samples(axis, side, ticks)
-                pts.append(f)
-                nrm.append(n)
-        pts = np.vstack(pts)
-        nrm = np.vstack(nrm)
-        vis = set(np.flatnonzero(hidden_point_removal(viewpoint, pts)))
-        to_view = viewpoint - pts
-        front_mask = np.sum(nrm * to_view, axis=1) > 0.0
-        assert not any(~front_mask[i] for i in vis)
-        got = np.zeros(len(pts), dtype=bool)
-        got[list(vis)] = True
-        assert got[front_mask].mean() >= 0.99  # the three facing faces are seen
-
-    def test_coincident_viewpoint_rejected(self):
-        with pytest.raises(ValueError):
-            hidden_point_removal([0, 0, 1], [[0, 0, 1], [1, 1, 1]])
-
-    def test_planar_input_uses_lower_dimension(self):
-        ang = np.linspace(0, 2 * np.pi, 60, endpoint=False)
-        pts = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
-        vis = set(np.flatnonzero(hidden_point_removal([3.0, 0.0, 0.0], pts)))
-        # near side of the circle faces the viewpoint
-        got = np.zeros(len(pts), dtype=bool)
-        got[list(vis)] = True
-        assert got[0]
-        assert not got[len(pts) // 2]
-
-
-def reference_hpr_rows(viewpoint, points):
-    """Hidden-point removal as the set of hull-vertex rows, taken from
-    set(ConvexHull(proj).vertices) with the viewpoint's row dropped."""
-    pts = np.asarray(points, dtype=np.float64)
-    centered = pts - np.asarray(viewpoint, dtype=np.float64)
-    dist = np.linalg.norm(centered, axis=1)
-    radius = DEFAULT_HPR_GAMMA * dist.max()
-    flipped = centered * ((2.0 * radius - dist) / dist)[:, None]
-    cloud = np.vstack([flipped, np.zeros((1, pts.shape[1]))])
-    centered = cloud - cloud.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(svals > max(svals[0], 1.0) * 1e-9))
-    if rank <= 1:
-        t = centered @ vt[0]
-        verts = {int(np.argmin(t)), int(np.argmax(t))}
-    else:
-        verts = set(int(v) for v in ConvexHull(centered @ vt[:rank].T).vertices)
-    return verts - {len(cloud) - 1}
-
-
-def torus_target(count=3000, seed=0, major=1.0, minor=0.35):
-    rng = np.random.default_rng(seed)
-    u, v = rng.uniform(0.0, 2.0 * np.pi, (2, count))
-    normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
-    ring = np.stack([np.cos(u), np.sin(u), np.zeros(count)], axis=1)
-    pts = major * ring + minor * normals
-    return TargetScene(pts, normals, VOLUMETRIC3D, np.stack([pts.min(0), pts.max(0)]))
-
-
-class TestHiddenPointRemovalMask:
-    """The row mask must mark exactly the reference's hull-vertex rows."""
-
-    def assert_matches(self, viewpoint, points):
-        mask = hidden_point_removal(viewpoint, points)
-        assert mask.dtype == bool and mask.shape == (len(points),)
-        assert set(np.flatnonzero(mask).tolist()) == reference_hpr_rows(viewpoint, points)
-
-    def test_random_clouds(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 3, 4, 5, 8, 30, 400):
-            for _ in range(5):
-                self.assert_matches(rng.normal(size=3) * 3.0, rng.normal(size=(n, 3)))
-
-    def test_planar_clouds(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
-            pts = rng.normal(size=(60, 2)) @ basis.T + rng.normal(size=3)
-            self.assert_matches(pts.mean(axis=0) + basis @ rng.normal(size=2) * 4.0, pts)
-        ang = np.linspace(0, 2 * np.pi, 200, endpoint=False)
-        circle = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
-        for x in (1.5, 3.0, 10.0):
-            self.assert_matches([x, 0.3, 0.0], circle)
-
-    def test_collinear_clouds(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            direction = rng.normal(size=3)
-            pts = np.outer(rng.normal(size=12), direction) + rng.normal(size=3)
-            self.assert_matches(pts[0] + direction * 50.0, pts)   # on the line
-            self.assert_matches(rng.normal(size=3) * 5.0, pts)    # off the line
-
-    @pytest.mark.parametrize("make_grid", [
-        lambda: sphere_grid(n=2000, seed=4, resolution=0.1),
-        lambda: voxelize(torus_target(), resolution=0.08)], ids=["sphere", "torus"])
-    def test_voxel_centers_from_many_viewpoints(self, make_grid):
-        centers = make_grid().centers
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            self.assert_matches(direction * rng.uniform(1.3, 4.0), centers)
-
-
 class TestVisibleSet:
     def on_axis_grid(self, centers, normals, resolution=0.1):
         from camopt.scene import VoxelGrid
@@ -485,8 +339,9 @@ class TestFrustum:
 
 
 def full_segment_march(grid, eye, target_rows):
-    """The cell march before slab clipping: every ray is sampled at
-    quarter-voxel strides over the whole eye->center segment."""
+    """The quarter-step cell march occlusion once used, kept as a reference:
+    every ray is sampled at quarter-voxel strides over the whole eye->center
+    segment, so it can skip a cell the segment only clips at a corner."""
     res = grid.resolution
     keys = grid.keys
     lo = keys.min(axis=0)
@@ -508,7 +363,7 @@ def full_segment_march(grid, eye, target_rows):
 
 
 class TestOccupancy:
-    """The cell march reads the occupied-cell box its grid derives once."""
+    """The cell traversal reads the occupied-cell box its grid derives once."""
 
     @pytest.mark.parametrize("make_grid", [
         lambda: sphere_grid(n=400, seed=3, resolution=0.2),
@@ -531,8 +386,35 @@ class TestOccupancy:
             got_occupied[0, 0, 0] = True
 
 
+def slab_oracle(grid, eye, target_rows):
+    """Brute-force occlusion: the segment eye->center is blocked when it
+    overlaps some occupied cell other than the target's by a positive
+    length. Each cell [k, k + 1) is slab-tested in cell units; along a zero
+    direction component the segment stays in floor(start)."""
+    start = (eye - grid.origin) / grid.resolution
+    blocked = np.zeros(len(target_rows), dtype=bool)
+    for i, row in enumerate(target_rows):
+        ray = (grid.centers[row] - eye) / grid.resolution
+        cells = np.delete(grid.keys, row, axis=0).astype(np.float64)
+        t_in = np.zeros(len(cells))
+        t_out = np.ones(len(cells))
+        inside = np.ones(len(cells), dtype=bool)
+        for axis in range(3):
+            if ray[axis] == 0.0:
+                inside &= cells[:, axis] == np.floor(start[axis])
+                continue
+            with np.errstate(over="ignore"):   # a denormal component
+                t0 = (cells[:, axis] - start[axis]) / ray[axis]
+                t1 = (cells[:, axis] + 1.0 - start[axis]) / ray[axis]
+            t_in = np.maximum(t_in, np.minimum(t0, t1))
+            t_out = np.minimum(t_out, np.maximum(t0, t1))
+        blocked[i] = np.any(inside & (t_in < t_out))
+    return blocked
+
+
 class TestCellMarch:
-    """The slab-clipped march must equal the full-segment march exactly."""
+    """Exact traversal must equal the brute-force slab oracle, and block a
+    superset of what the quarter-step full-segment march blocks."""
 
     def planar_grid(self):
         scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 400, seed=2))
@@ -554,16 +436,21 @@ class TestCellMarch:
         hi = grid.origin + (keys.max(axis=0) + 1) * grid.resolution
         return lo, hi
 
-    def assert_same(self, grid, eyes):
+    def assert_exact(self, grid, eyes, oracle=True):
+        """Traversal blocks a superset of the march on every eye, and equals
+        the oracle where asked."""
         blocked = clear = 0
         for eye in eyes:
             eye = np.asarray(eye, dtype=np.float64)
             rows = np.nonzero(np.linalg.norm(grid.centers - eye, axis=1) > 1e-12)[0]
             got = _cell_blocked(grid, eye, rows)
-            want = full_segment_march(grid, eye, rows)
-            assert np.array_equal(got, want), f"eye {eye.tolist()}"
-            blocked += int(want.sum())
-            clear += int((~want).sum())
+            march = full_segment_march(grid, eye, rows)
+            assert not np.any(march & ~got), f"eye {eye.tolist()}"
+            if oracle:
+                np.testing.assert_array_equal(got, slab_oracle(grid, eye, rows),
+                                              err_msg=f"eye {eye.tolist()}")
+            blocked += int(got.sum())
+            clear += int((~got).sum())
         assert blocked and clear   # both outcomes were exercised
 
     def eyes_around(self, grid, rng, count, planar):
@@ -578,11 +465,11 @@ class TestCellMarch:
 
     def test_planar_grid(self):
         grid = self.planar_grid()
-        self.assert_same(grid, self.eyes_around(grid, np.random.default_rng(0), 8, True))
+        self.assert_exact(grid, self.eyes_around(grid, np.random.default_rng(0), 8, True))
 
     def test_volumetric_grid(self):
         grid = sphere_grid(n=400, seed=3, resolution=0.2)
-        self.assert_same(grid, self.eyes_around(grid, np.random.default_rng(1), 8, False))
+        self.assert_exact(grid, self.eyes_around(grid, np.random.default_rng(1), 8, False))
 
     def test_axis_parallel_rays(self):
         grid = sphere_grid(n=400, seed=4, resolution=0.2)
@@ -594,15 +481,25 @@ class TestCellMarch:
                     eye = grid.centers[row].copy()
                     eye[axis] += side   # the ray back to this center runs along one axis
                     eyes.append(eye)
-        self.assert_same(grid, eyes)
+        # half-cell offsets put rays exactly through cell edges, where the
+        # oracle's own rounding decides; only the superset is asserted
+        self.assert_exact(grid, eyes, oracle=False)
 
     def test_rays_grazing_box_faces(self):
         grid = self.block_grid()
         eyes = [(-3.0, 2.5, 0.0), (9.0, -1.0, 0.0), (-1.0, -1.0, 0.0),
                 (2.5, 7.0, 0.0), (0.0, -4.0, 0.0), (6.0, 8.0, 0.0),
-                (-2.0, 2.5, 1.0), (3.0, 3.0, np.nextafter(0.0, -1.0)),
-                (-2.0, 0.0, 0.0), (8.0, 5.0, 0.0)]
-        self.assert_same(grid, eyes)
+                (-2.0, 2.5, 1.0), (-2.0, 0.0, 0.0), (8.0, 5.0, 0.0)]
+        self.assert_exact(grid, eyes, oracle=False)
+        # one denormal below the face, every ray meets the box only at its
+        # target center; the march's samples round z up onto the face and
+        # block, so this eye is held to the oracle alone
+        eye = np.array([3.0, 3.0, np.nextafter(0.0, -1.0)])
+        rows = np.arange(len(grid.centers))
+        np.testing.assert_array_equal(_cell_blocked(grid, eye, rows),
+                                      np.zeros(len(rows), dtype=bool))
+        np.testing.assert_array_equal(slab_oracle(grid, eye, rows),
+                                      np.zeros(len(rows), dtype=bool))
         # eyes on the sphere grid's box faces, and a hair either side of them
         grid = sphere_grid(n=400, seed=5, resolution=0.2)
         lo, hi = self.box(grid)
@@ -614,4 +511,38 @@ class TestCellMarch:
                     eye = lo + rng.random(3) * (hi - lo)
                     eye[axis] = value
                     eyes.append(eye)
-        self.assert_same(grid, eyes)
+        self.assert_exact(grid, eyes, oracle=False)
+
+    def test_corner_clip_blocks(self):
+        # the ray to the far cell clips the upper right corner of the middle
+        # cell for about 0.03 cells of its length, between two of the
+        # march's quarter-cell samples
+        keys = np.array([(0, 0, 0), (4, 1, 0), (8, 0, 0)])
+        grid = VoxelGrid(resolution=1.0, centers=keys + 0.5, normals=np.tile([0.0, 0.0, -1.0], (3, 1)),
+                         members=tuple(np.array([r]) for r in range(3)), keys=keys,
+                         origin=np.zeros(3))
+        eye = np.array([0.5, 3.9, 0.5])
+        rows = np.array([2])
+        assert not full_segment_march(grid, eye, rows)[0]
+        assert slab_oracle(grid, eye, rows)[0]
+        assert _cell_blocked(grid, eye, rows)[0]
+
+    def test_planar_eye_on_box_face(self):
+        # the planar scene's cells span z in [0, 1) from the plane z = 0, so
+        # an eye on that plane sits exactly on the box's lower z face: along
+        # z each ray has a zero component and a 0/0 slab quotient
+        grid = voxelize(generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 2000, seed=0)),
+                        resolution=0.0075)
+        lo, _, _ = grid.occupancy
+        assert grid.origin[2] == 0.0 and lo[2] == 0
+        assert np.all(grid.centers[:, 2] == 0.0)
+        rng = np.random.default_rng(4)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 4)
+        eyes = np.stack([1.6 * np.cos(angles), 1.6 * np.sin(angles), np.zeros(4)], axis=1)
+        rows = rng.choice(len(grid.centers), 150, replace=False)
+        blocked = 0
+        for eye in eyes:
+            got = _cell_blocked(grid, eye, rows)
+            np.testing.assert_array_equal(got, slab_oracle(grid, eye, rows))
+            blocked += int(got.sum())
+        assert blocked > 0
