@@ -339,7 +339,7 @@ class TestFrustum:
 
 
 def full_segment_march(grid, eye, target_rows):
-    """The quarter-step cell march occlusion once used, kept as a reference:
+    """Quarter-step cell march, the reference exact traversal must contain:
     every ray is sampled at quarter-voxel strides over the whole eye->center
     segment, so it can skip a cell the segment only clips at a corner."""
     res = grid.resolution
