@@ -193,6 +193,47 @@ class TestIntrinsics:
             CameraIntrinsics(hfov=1.0, vfov=1.0, near=1.0, far=0.5)
 
 
+def visible_points(viewpoint, points, resolution=0.1):
+    """Per-point visibility from a viewpoint: a point is visible when the
+    voxel that holds it is in visible_set. Every normal faces the viewpoint
+    and the frustum holds the whole cloud, so occlusion alone decides."""
+    viewpoint = np.asarray(viewpoint, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
+    rays = pts - viewpoint
+    dist = np.linalg.norm(rays, axis=1)
+    scene = TargetScene(pts, -rays / dist[:, None], VOLUMETRIC3D,
+                        np.stack([pts.min(axis=0), pts.max(axis=0)]))
+    grid = voxelize(scene, resolution=resolution)
+    forward = pts.mean(axis=0) - viewpoint
+    forward /= np.linalg.norm(forward)
+    half = np.arccos(np.clip((rays @ forward / dist).min(), -1.0, 1.0)) + 0.05
+    intr = CameraIntrinsics(2.0 * half, 2.0 * half, 0.5 * dist.min(), 2.0 * dist.max())
+    got = np.zeros(len(pts), dtype=bool)
+    for row in visible_set(pose_from_forward(viewpoint, forward), intr, grid):
+        got[grid.members[row]] = True
+    return got
+
+
+class TestHiddenPointRemoval:
+    """Which points of a cloud are hidden from a viewpoint, read off
+    visible_set through the voxels that hold them."""
+
+    def test_single_point(self):
+        assert set(np.flatnonzero(visible_points([0, 0, 0], [[0, 0, 1]]))) == {0}
+
+    def test_two_points_on_a_ray(self):
+        vis = set(np.flatnonzero(visible_points([0, 0, 0], [[0, 0, 1], [0, 0, 2]])))
+        assert vis == {0}
+
+    def test_planar_input_uses_lower_dimension(self):
+        ang = np.linspace(0, 2 * np.pi, 60, endpoint=False)
+        pts = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
+        got = visible_points([3.0, 0.0, 0.0], pts)
+        # near side of the circle faces the viewpoint
+        assert got[0]
+        assert not got[len(pts) // 2]
+
+
 class TestVisibleSet:
     def on_axis_grid(self, centers, normals, resolution=0.1):
         from camopt.scene import VoxelGrid
