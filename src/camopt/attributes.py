@@ -17,18 +17,11 @@ PHI_CC_DEGENERATE = np.pi / 2.0   # fewer than two observers
 PHI_CO_DEGENERATE = 1.0           # no observers, or observer directions cancel
 
 
-@dataclass(frozen=True)
-class CoverageThreshold:
-    K: int
-
-    def __post_init__(self):
-        if int(self.K) != self.K or self.K < 1:
-            raise ValueError("coverage threshold must be a positive integer")
-        object.__setattr__(self, "K", int(self.K))
-
-
 def _threshold(K) -> int:
-    return K.K if isinstance(K, CoverageThreshold) else CoverageThreshold(K).K
+    """The coverage threshold K as an int; it must be a positive integer."""
+    if int(K) != K or K < 1:
+        raise ValueError("coverage threshold must be a positive integer")
+    return int(K)
 
 
 def sup_vector(K) -> np.ndarray:

@@ -14,8 +14,7 @@ import numpy as np
 from .hybrid import initialize
 from .metrics import coverage_optimality_gap, observation_angle_quality
 from .scene import PLANAR2D, TargetScene, voxelize
-from .visibility import (CameraRig, CoverageMatrix, coverage_from_sets, coverage_matrix,
-                         pose_from_forward, visible_set)
+from .visibility import CameraRig, coverage_matrix, pose_from_forward, replace_row, visible_set
 
 W_VIS = 0.4
 
@@ -94,14 +93,6 @@ def _perturb(rig: CameraRig, cam: int, sigma_pos: float, sigma_rot: float,
     return CameraRig(tuple(poses), rig.intrinsics)
 
 
-def _with_row(E: CoverageMatrix, i: int, vis) -> CoverageMatrix:
-    """E with camera i's row replaced by the voxels of vis."""
-    entries = E.entries.copy()
-    entries[i] = 0
-    entries[i, list(vis)] = 1
-    return CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
-
-
 def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
                         K: int = 3, grid=None, intrinsics=None):
     """Anneal a random rig under the scalarized metric.
@@ -124,8 +115,7 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
     sigma_rot = config.perturb_scale
 
     rig = initialize(scene, k, config.seed, intrinsics)
-    E = coverage_from_sets([visible_set(pose, rig.intrinsics, grid) for pose in rig.poses],
-                           len(grid.centers))
+    E = coverage_matrix(rig, grid)
     energy, uc, angle_quality = _score(rig, grid, K, E)
     best_rig, best = rig, (energy, uc, angle_quality)
 
@@ -143,7 +133,7 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
         for _ in range(config.steps_per_temp):
             cam = int(rng.integers(k))
             cand = _perturb(rig, cam, sigma_pos, sigma_rot, planar, rng)
-            cand_E = _with_row(E, cam, visible_set(cand.poses[cam], cand.intrinsics, grid))
+            cand_E = replace_row(E, cam, visible_set(cand.poses[cam], cand.intrinsics, grid))
             cand_score = _score(cand, grid, K, cand_E)
             if accept_proposal(cand_score[0] - energy, T, rng):
                 rig, E, (energy, uc, angle_quality) = cand, cand_E, cand_score

@@ -42,7 +42,7 @@ import numpy as np
 
 from camopt import autodiff as ad
 from camopt.attributes import ObservationAttributes, sup_vector
-from camopt.visibility import CameraRig
+from camopt.visibility import CameraRig, CoverageMatrix
 
 HIDDEN = 32
 D_K = 32
@@ -300,40 +300,43 @@ class CapturedCamera:
     """A camera's visible voxels frozen in its local frame at capture time."""
     local: np.ndarray     # (s, 3) sampled voxel centers in camera coordinates
     normals: np.ndarray   # (s, 3) voxel normals, world frame at capture
-    scale: float          # |visible set| / s, undoes the sampling in the sum
+    scale: float          # visible voxel count / s, undoes the sampling in the sum
     empty: bool
 
 
-def _sample_visible(vis, query_cap: int):
-    """The voxel rows a non-empty visible set is queried at (a strided subset
-    of its sorted rows) and the factor |set| / |sample| that undoes the
+def _sample_visible(rows: np.ndarray, query_cap: int):
+    """The voxel rows a camera is queried at, a strided subset of its sorted
+    non-empty visible rows, and the factor |rows| / |sample| that undoes the
     sampling in a sum."""
-    rows = np.asarray(sorted(vis), dtype=np.intp)
     take = rows[_strided(len(rows), query_cap)]
     return take, len(rows) / len(take)
 
 
-def visible_attr_sum(field: ObservationField, vis, query_cap: int = LOSS_QUERY_CAP) -> np.ndarray:
-    """Componentwise sum of field attributes over one visible set (sampled and
-    rescaled), the additive per-camera share of the loss; zeros when empty."""
-    if not vis:
+def visible_attr_sum(field: ObservationField, rows: np.ndarray,
+                     query_cap: int = LOSS_QUERY_CAP) -> np.ndarray:
+    """Componentwise sum of field attributes over one camera's sorted visible
+    voxel rows (sampled and rescaled), the additive per-camera share of the
+    loss; zeros when there are none."""
+    if len(rows) == 0:
         return np.zeros(3)
-    take, scale = _sample_visible(vis, query_cap)
+    take, scale = _sample_visible(rows, query_cap)
     out = query(field, FieldQueryBatch(field.centers[take], field.normals[take]))
     return out.sum(axis=0) * scale
 
 
-def capture_visible(field: ObservationField, rig: CameraRig, visible_sets,
+def capture_visible(field: ObservationField, rig: CameraRig, E: CoverageMatrix,
                     query_cap: int = LOSS_QUERY_CAP):
-    """Store each camera's visible voxel centers in its own frame so their
-    world positions become a differentiable function of the pose."""
+    """Store each camera's visible voxel centers (its row of the coverage
+    matrix E) in its own frame so their world positions become a
+    differentiable function of the pose."""
     field._require_snapshot()
     caps = []
-    for pose, vis in zip(rig.poses, visible_sets):
-        if not vis:
+    for pose, row in zip(rig.poses, E.entries):
+        rows = np.flatnonzero(row)
+        if len(rows) == 0:
             caps.append(CapturedCamera(np.zeros((0, 3)), np.zeros((0, 3)), 1.0, True))
             continue
-        take, scale = _sample_visible(vis, query_cap)
+        take, scale = _sample_visible(rows, query_cap)
         local = (field.centers[take] - pose.position) @ pose.rotation()
         caps.append(CapturedCamera(local=local, normals=field.normals[take].copy(),
                                    scale=scale, empty=False))
@@ -411,17 +414,16 @@ def placement_loss_graph(field: ObservationField, position_ts, rot6_ts, captures
 class PlacementLoss:
     total: float
     components: np.ndarray        # (3,) [L_vis, L_cc, L_co]
-    empty: np.ndarray             # (k,) bool, cameras flagged for resampling
 
 
-def placement_loss(field: ObservationField, rig: CameraRig, visible_sets,
+def placement_loss(field: ObservationField, rig: CameraRig, E: CoverageMatrix,
                    weights=DEFAULT_WEIGHTS, query_cap: int = LOSS_QUERY_CAP) -> PlacementLoss:
-    """Loss of the rig at its current poses under the frozen field, without
-    gradients (grad_phase differentiates placement_loss_graph itself)."""
-    captures = capture_visible(field, rig, visible_sets, query_cap=query_cap)
+    """Loss of the rig at its current poses, seeing the voxels of its
+    coverage matrix E, under the frozen field and without gradients
+    (grad_phase differentiates placement_loss_graph itself)."""
+    captures = capture_visible(field, rig, E, query_cap=query_cap)
     position_ts = [ad.Tensor(p.position.copy()) for p in rig.poses]
     rot6_ts = [ad.Tensor(p.rot6.copy()) for p in rig.poses]
     loss_t, vec_t = placement_loss_graph(field, position_ts, rot6_ts, captures,
                                          weights=weights)
-    return PlacementLoss(total=float(loss_t.data), components=vec_t.data.copy(),
-                         empty=np.array([c.empty for c in captures]))
+    return PlacementLoss(total=float(loss_t.data), components=vec_t.data.copy())

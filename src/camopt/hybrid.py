@@ -29,10 +29,11 @@ from camopt.visibility import (
     CameraIntrinsics,
     CameraPose,
     CameraRig,
-    coverage_from_sets,
+    CoverageMatrix,
     coverage_matrix,
     default_intrinsics,
     pose_from_forward,
+    replace_row,
     visible_set,
 )
 
@@ -183,10 +184,6 @@ def initialize(scene: TargetScene, k: int, seed: int, intrinsics=None) -> Camera
 # gradient phase
 # ---------------------------------------------------------------------------
 
-def _visible_sets(E) -> list:
-    return [set(int(j) for j in np.nonzero(E.entries[i])[0]) for i in range(len(E.entries))]
-
-
 class PoseOptimizer:
     """Pose tensors plus one Adam state shared across every gradient phase of
     a run, so the scheduled learning-rate decay actually accumulates. A fresh
@@ -217,17 +214,18 @@ class PoseOptimizer:
 
 
 def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerConfig,
-               planar: bool = False, visible_sets=None, opt: PoseOptimizer | None = None):
-    """Adam descent on all pose parameters against the frozen field, visible
-    sets held fixed for the phase. Stops when the per-step loss change drops
-    below eps_L, a step fails to improve the loss (the step is reverted), or
-    the inner cap is hit.
+               planar: bool = False, E: CoverageMatrix | None = None,
+               opt: PoseOptimizer | None = None):
+    """Adam descent on all pose parameters against the frozen field, the
+    rig's coverage matrix E (computed when not given) held fixed for the
+    phase. Stops when the per-step loss change drops below eps_L, a step
+    fails to improve the loss (the step is reverted), or the inner cap is hit.
 
     Returns (rig', PlacementLoss of the last accepted step, per-camera
     gradient norms, inner steps taken, converged flag).
     """
-    if visible_sets is None:
-        visible_sets = _visible_sets(coverage_matrix(rig, grid))
+    if E is None:
+        E = coverage_matrix(rig, grid)
     k = len(rig)
     if opt is None:
         opt = PoseOptimizer(rig, config)
@@ -239,8 +237,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     # bundle rides along with the pose, so pose motion registers as moving
     # query points in the field (re-capturing every step would pin the
     # queries back onto the voxel centers and freeze the loss value)
-    caps = capture_visible(field, rig, visible_sets, query_cap=config.query_cap)
-    empty = np.array([c.empty for c in caps])
+    caps = capture_visible(field, rig, E, query_cap=config.query_cap)
     # the field and the captures are frozen too, so only B = -X @ W1[:3] of
     # the logits moves with the poses; the rest is encoded once
     encoding = encode_captures(field, caps)
@@ -291,7 +288,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     final_poses = tuple(CameraPose(pt.data.copy(), rt.data.copy())
                         for pt, rt in zip(pos_ts, rot_ts))
     out_rig = CameraRig(final_poses, rig.intrinsics)
-    return out_rig, PlacementLoss(L_last, vec_last, empty), grad_norms, steps, converged
+    return out_rig, PlacementLoss(L_last, vec_last), grad_norms, steps, converged
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +331,20 @@ def _region_poses(regions, intrinsics):
             for centroid, normal in regions]
 
 
-def _candidate_visible(pose: CameraPose, intrinsics, grid, cache: dict) -> frozenset:
-    """Visible set of a candidate pose, read from cache when the same pose
-    (bit for bit) was evaluated before in the run. The sets are frozen, so
-    no holder can change a cached one."""
+def _candidate_visible(pose: CameraPose, intrinsics, grid, cache: dict) -> np.ndarray:
+    """Sorted visible voxel rows of a candidate pose, read from cache when
+    the same pose (bit for bit) was evaluated before in the run. The arrays
+    are read-only, so no holder can change a cached one."""
     key = pose.position.tobytes() + pose.rot6.tobytes()
-    vis = cache.get(key)
-    if vis is None:
-        vis = cache[key] = frozenset(visible_set(pose, intrinsics, grid))
-    return vis
+    rows = cache.get(key)
+    if rows is None:
+        rows = cache[key] = np.array(sorted(visible_set(pose, intrinsics, grid)), dtype=np.intp)
+        rows.flags.writeable = False
+    return rows
 
 
 def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
-                   config: OptimizerConfig, grad_norms=None, visible_sets=None,
+                   config: OptimizerConfig, grad_norms=None, E: CoverageMatrix | None = None,
                    phase_converged: bool = False, candidate_cache=None):
     """Relocate cameras that converged to a poor share of the loss (or see
     nothing) onto poses staring at the worst-covered regions, committing a
@@ -358,26 +356,27 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     above eps_g; without this the resampler would only ever rescue blind
     cameras).
 
-    After every committed swap the attributes are re-derived from the updated
-    visible sets and the field's value snapshot refreshed (no retraining):
-    consumed need stops attracting further cameras, so successive relocations
-    spread over distinct regions instead of piling onto the first one.
+    A committed swap replaces the camera's row of the coverage matrix E (the
+    rig's, computed when not given); the attributes are then re-derived from
+    it and the field's value snapshot refreshed (no retraining): consumed
+    need stops attracting further cameras, so successive relocations spread
+    over distinct regions instead of piling onto the first one.
 
     Candidate poses recur between passes and phases, so their exact visible
-    sets come from candidate_cache (pose bytes -> frozenset; a dict owned by
-    the caller, one per run and grid), filled on a miss. Their field sums are
-    recomputed, because the field changes after every commit.
+    rows come from candidate_cache (pose bytes -> sorted read-only row array;
+    a dict owned by the caller, one per run and grid), filled on a miss.
+    Their field sums are recomputed, because the field changes after every
+    commit.
 
-    Returns (rig', committed, visible_sets, attrs): the accepted swaps, and
-    the visible sets and attributes of rig'.
+    Returns (rig', committed, E', attrs'): the accepted swaps, and the
+    coverage matrix and attributes of rig'.
     """
     k = len(rig)
     n = len(grid.centers)
     w = np.asarray(config.weights, dtype=np.float64)
     sup = sup_vector(attrs.K)
-    if visible_sets is None:
-        visible_sets = _visible_sets(coverage_matrix(rig, grid))
-    visible_sets = list(visible_sets)
+    if E is None:
+        E = coverage_matrix(rig, grid)
     if grad_norms is None:
         grad_norms = np.zeros(k)
     if candidate_cache is None:
@@ -398,8 +397,9 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
         cand_poses = _region_poses(regions, rig.intrinsics)
         cand_eval = [evaluate_pose(p) for p in cand_poses]
 
-        sums = np.array([visible_attr_sum(field, v, config.query_cap) for v in visible_sets])
-        sizes = np.array([len(v) for v in visible_sets])
+        rows = [np.flatnonzero(row) for row in E.entries]
+        sums = np.array([visible_attr_sum(field, r, config.query_cap) for r in rows])
+        sizes = np.array([len(r) for r in rows])
         L_cur = float(w @ (sup - sums.sum(axis=0) / (k * n)))
 
         contrib = np.empty(k)
@@ -433,17 +433,16 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
             "position": cand_poses[ci].position.copy(),
         })
         poses[cam] = cand_poses[ci]
-        visible_sets[cam] = vis
         replaced.add(cam)
         # fold the accepted swap back into the need estimate
-        E = coverage_from_sets(visible_sets, n)
+        E = replace_row(E, cam, vis)
         positions = np.stack([p.position for p in poses])
         attrs_cur = attributes_from_coverage(E, positions, grid.centers,
                                              grid.normals, attrs.K)
         lean_neof(field, grid, attrs_cur, budget=0)
     if not committed:
-        return rig, [], visible_sets, attrs
-    return CameraRig(tuple(poses), rig.intrinsics), committed, visible_sets, attrs_cur
+        return rig, [], E, attrs
+    return CameraRig(tuple(poses), rig.intrinsics), committed, E, attrs_cur
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +478,22 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
         intrinsics = default_intrinsics(diag)
     planar = scene.mode == PLANAR2D
 
+    def record(index, phase, loss, rig, E, t0, **counts):
+        """Trace record of a rig with coverage matrix E: its proxy loss and
+        exact scores, timed from t0."""
+        return IterationRecord(
+            index=index, phase=phase, loss=loss.total, components=loss.components,
+            uc=coverage_optimality_gap(E, config.K),
+            angle_quality=observation_angle_quality(rig, grid, E),
+            poses=rig.poses, wall_ms=(time.perf_counter() - t0) * 1e3, **counts)
+
     t0 = time.perf_counter()
     rig = initialize(scene, k, config.seed, intrinsics)
     E, attrs = shape_analyze(rig, grid, config.K)
     field = lean_neof(None, grid, attrs, seed=config.seed)
-    sets = _visible_sets(E)
-    init = placement_loss(field, rig, sets, weights=config.weights,
-                          query_cap=config.query_cap)
-
+    init = placement_loss(field, rig, E, weights=config.weights, query_cap=config.query_cap)
     trace = OptimizationTrace()
-    trace.add(IterationRecord(
-        index=0, phase="init", loss=init.total, components=init.components,
-        uc=coverage_optimality_gap(E, config.K),
-        angle_quality=observation_angle_quality(rig, grid, E),
-        poses=rig.poses, wall_ms=(time.perf_counter() - t0) * 1e3))
+    trace.add(record(0, "init", init, rig, E, t0))
 
     opt = PoseOptimizer(rig, config) if grad_enabled else None
     candidate_cache = {}
@@ -502,23 +503,16 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
         t0 = time.perf_counter()
         if grad_enabled:
             rig, summary, grad_norms, steps, converged = grad_phase(
-                rig, field, grid, config, planar=planar, visible_sets=sets, opt=opt)
+                rig, field, grid, config, planar=planar, E=E, opt=opt)
         else:
             # ablation: skip descent, keep analysis/resampling cadence
-            summary = placement_loss(field, rig, sets, weights=config.weights,
+            summary = placement_loss(field, rig, E, weights=config.weights,
                                      query_cap=config.query_cap)
             grad_norms = np.zeros(len(rig))
             steps, converged = 0, True
         E, attrs = shape_analyze(rig, grid, config.K)
         field = lean_neof(field, grid, attrs)
-        sets = _visible_sets(E)
-        trace.add(IterationRecord(
-            index=outer, phase="grad", loss=summary.total,
-            components=summary.components,
-            uc=coverage_optimality_gap(E, config.K),
-            angle_quality=observation_angle_quality(rig, grid, E),
-            poses=rig.poses, wall_ms=(time.perf_counter() - t0) * 1e3,
-            inner_steps=steps))
+        trace.add(record(outer, "grad", summary, rig, E, t0, inner_steps=steps))
 
         # a phase that stopped short of the step cap stalled on its loss
         # tolerance; a capped phase still counts once outer-level progress dies
@@ -528,24 +522,18 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
 
         if non_grad_enabled and stalled:
             t1 = time.perf_counter()
-            rig, commits, sets, attrs = non_grad_phase(
-                rig, field, grid, attrs, config, grad_norms=grad_norms, visible_sets=sets,
+            rig, commits, E, attrs = non_grad_phase(
+                rig, field, grid, attrs, config, grad_norms=grad_norms, E=E,
                 phase_converged=converged or not grad_enabled,
                 candidate_cache=candidate_cache)
             if commits:
-                E = coverage_from_sets(sets, len(grid.centers))
                 field = lean_neof(field, grid, attrs, budget=2 * FINETUNE_BUDGET)
                 trace.swaps.extend({"iteration": outer, **c} for c in commits)
                 if opt is not None:
                     opt.sync_from(rig, reset_moments=[c["camera"] for c in commits])
-            after = placement_loss(field, rig, sets, weights=config.weights,
+            after = placement_loss(field, rig, E, weights=config.weights,
                                    query_cap=config.query_cap)
-            trace.add(IterationRecord(
-                index=outer, phase="non_grad", loss=after.total, components=after.components,
-                uc=coverage_optimality_gap(E, config.K),
-                angle_quality=observation_angle_quality(rig, grid, E),
-                poses=rig.poses, wall_ms=(time.perf_counter() - t1) * 1e3,
-                commits=len(commits)))
+            trace.add(record(outer, "non_grad", after, rig, E, t1, commits=len(commits)))
 
         if step_update(prev_poses, rig.poses, diag) < config.eps_P:
             break

@@ -130,7 +130,7 @@ class ShapeSpec:
     components: tuple = field(default_factory=tuple)  # for kind == "composite"
 
     def __post_init__(self):
-        kinds = ("circle", "triangle", "square", "composite", "external")
+        kinds = ("circle", "triangle", "square", "composite")
         if self.kind not in kinds:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         if self.sample_count < 3:
@@ -236,8 +236,6 @@ def generate_planar_shape(spec: ShapeSpec) -> TargetScene:
     component, leaving the outline of the union; the returned point count can
     therefore be below sample_count.
     """
-    if spec.kind == "external":
-        raise ValueError("external shapes come from load_scene, not generation")
     rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "composite":

@@ -124,20 +124,18 @@ class CameraRig:
 
 @dataclass(frozen=True)
 class CoverageMatrix:
-    """Binary camera-by-voxel visibility with cached per-voxel counts."""
+    """Binary camera-by-voxel visibility; row i marks the voxels camera i
+    sees, and per_voxel_count caches the column sums."""
 
     entries: np.ndarray          # (k, m) of {0, 1}
-    per_voxel_count: np.ndarray  # (m,)
+    per_voxel_count: np.ndarray = field(init=False)   # (m,)
 
     def __post_init__(self):
         entries = np.asarray(self.entries)
         if entries.ndim != 2 or not ((entries == 0) | (entries == 1)).all():
             raise ValueError("entries must be a binary matrix")
-        counts = entries.sum(axis=0)
-        if not np.array_equal(counts, np.asarray(self.per_voxel_count)):
-            raise ValueError("per_voxel_count disagrees with entry column sums")
         object.__setattr__(self, "entries", entries.astype(np.int8))
-        object.__setattr__(self, "per_voxel_count", counts.astype(np.int64))
+        object.__setattr__(self, "per_voxel_count", entries.sum(axis=0).astype(np.int64))
 
 
 def frustum_mask(pose: CameraPose, intrinsics: CameraIntrinsics, centers: np.ndarray) -> np.ndarray:
@@ -240,16 +238,18 @@ def visible_set(pose: CameraPose, intrinsics: CameraIntrinsics, grid) -> set:
     return set(candidates.tolist())
 
 
-def coverage_from_sets(visible_sets, m: int) -> CoverageMatrix:
-    """Coverage matrix over m voxels whose row i marks the voxels of
-    visible_sets[i]."""
-    entries = np.zeros((len(visible_sets), m), dtype=np.int8)
-    for i, vis in enumerate(visible_sets):
-        entries[i, list(vis)] = 1
-    return CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
-
-
 def coverage_matrix(rig: CameraRig, grid) -> CoverageMatrix:
     """Row-stack of visible_set over the rig's cameras."""
-    return coverage_from_sets([visible_set(pose, rig.intrinsics, grid) for pose in rig.poses],
-                              len(grid.centers))
+    entries = np.zeros((len(rig), len(grid.centers)), dtype=np.int8)
+    for i, pose in enumerate(rig.poses):
+        entries[i, list(visible_set(pose, rig.intrinsics, grid))] = 1
+    return CoverageMatrix(entries)
+
+
+def replace_row(E: CoverageMatrix, i: int, vis) -> CoverageMatrix:
+    """E with camera i's row replaced by the voxels of vis (a visible set or
+    an array of voxel rows)."""
+    entries = E.entries.copy()
+    entries[i] = 0
+    entries[i, list(vis)] = 1
+    return CoverageMatrix(entries)

@@ -241,10 +241,8 @@ def test_criterion_01_gradients_match_finite_differences():
         rig = CameraRig(tuple(poses), intr)
         E, attrs = shape_analyze(rig, grid, COVERAGE_K)
         field = lean_neof(None, grid, attrs, seed=trial)
-        sets = [set(int(j) for j in np.nonzero(E.entries[i])[0])
-                for i in range(len(rig))]
-        assert any(sets), "degenerate instance: nothing visible"
-        caps = capture_visible(field, rig, sets, query_cap=16)
+        assert E.entries.any(), "degenerate instance: nothing visible"
+        caps = capture_visible(field, rig, E, query_cap=16)
 
         pos_arrays = [p.position.copy() for p in rig.poses]
         rot_arrays = [p.rot6.copy() for p in rig.poses]
@@ -317,8 +315,7 @@ def test_criterion_02_attribute_formulas_match_brute_force():
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         positions = rng.normal(size=(n_cams, 3)) * 4.0 + 6.0
         entries = (rng.random((n_cams, m)) < rng.uniform(0.1, 0.9)).astype(int)
-        E = CoverageMatrix(entries=entries,
-                           per_voxel_count=entries.sum(axis=0))
+        E = CoverageMatrix(entries)
         K = int(rng.integers(1, 5))
 
         attrs = attributes_from_coverage(E, positions, centers, normals, K)
@@ -490,11 +487,11 @@ def test_criterion_08_outer_iteration_under_one_second():
 
 def test_criterion_09_metric_identities():
     full = np.ones((COVERAGE_K, 7), dtype=int)
-    E_full = CoverageMatrix(entries=full, per_voxel_count=full.sum(axis=0))
+    E_full = CoverageMatrix(full)
     assert coverage_optimality_gap(E_full, COVERAGE_K) == 0.0
 
     empty = np.zeros((COVERAGE_K, 7), dtype=int)
-    E_empty = CoverageMatrix(entries=empty, per_voxel_count=empty.sum(axis=0))
+    E_empty = CoverageMatrix(empty)
     assert coverage_optimality_gap(E_empty, COVERAGE_K) == 1.0
 
     pts = np.array([[0.0, 0.0, 0.0]])
@@ -505,7 +502,7 @@ def test_criterion_09_metric_identities():
                      pose_from_forward((0.0, 1.0, 0.0), (0.0, -1.0, 0.0))),
                     default_intrinsics())
     pair = np.ones((2, 1), dtype=int)
-    E_pair = CoverageMatrix(entries=pair, per_voxel_count=pair.sum(axis=0))
+    E_pair = CoverageMatrix(pair)
     assert observation_angle_quality(rig, grid, E_pair) == 1.0
 
 

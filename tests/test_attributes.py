@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from camopt.attributes import (
     PHI_CC_DEGENERATE,
     PHI_CO_DEGENERATE,
-    CoverageThreshold,
     attributes_from_coverage,
     remaining_coverage,
     shape_analyze,
@@ -72,7 +71,7 @@ def random_coverage_config(seed, k=3, m=40):
         for j in range(m):
             if np.linalg.norm(positions[i] - centers[j]) < 1e-6:
                 entries[i, j] = 0
-    E = CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
+    E = CoverageMatrix(entries)
     return E, positions, centers, normals
 
 
@@ -82,7 +81,7 @@ class TestRemainingCoverage:
         entries = np.zeros((k, len(counts)), dtype=np.int8)
         for j, n in enumerate(counts):
             entries[:n, j] = 1
-        return CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
+        return CoverageMatrix(entries)
 
     def test_partially_seen(self):
         assert remaining_coverage(self.make_E([2]), 3)[0] == 1.0
@@ -95,9 +94,9 @@ class TestRemainingCoverage:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            CoverageThreshold(0)
+            sup_vector(0)
         with pytest.raises(ValueError):
-            CoverageThreshold(2.5)
+            sup_vector(2.5)
 
 
 def one_voxel_attributes(directions, normal=(0.0, 0.0, 1.0)):
@@ -105,7 +104,7 @@ def one_voxel_attributes(directions, normal=(0.0, 0.0, 1.0)):
     each given direction."""
     positions = np.asarray(directions, dtype=np.float64)
     entries = np.ones((len(positions), 1), dtype=np.int8)
-    E = CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
+    E = CoverageMatrix(entries)
     return attributes_from_coverage(E, positions, np.zeros((1, 3)),
                                     np.array([normal], dtype=np.float64), 3)
 
@@ -171,8 +170,7 @@ class TestAttributesFromCoverage:
         E, positions, centers, normals = random_coverage_config(7)
         base = attributes_from_coverage(E, positions, centers, normals, 3)
         perm = np.array([2, 0, 1])
-        E2 = CoverageMatrix(entries=E.entries[perm],
-                            per_voxel_count=E.entries[perm].sum(axis=0))
+        E2 = CoverageMatrix(E.entries[perm])
         shuffled = attributes_from_coverage(E2, positions[perm], centers, normals, 3)
         assert np.array_equal(base.c, shuffled.c)
         assert np.max(np.abs(base.phi_cc - shuffled.phi_cc)) < 1e-12

@@ -274,9 +274,9 @@ class TestDeltaScoring:
     @pytest.mark.parametrize("make_scene", [lambda: circle_scene(samples=400),
                                             lambda: torus_scene()],
                              ids=["circle", "torus"])
-    def test_every_proposal_matrix_equals_coverage_from_sets(self, monkeypatch, make_scene):
+    def test_every_proposal_matrix_equals_coverage_matrix(self, monkeypatch, make_scene):
         # the chain rewrites only the moved camera's row of the current
-        # matrix; each scored matrix must be the one its rig's sets give
+        # matrix; each scored matrix must be the full matrix of its rig
         scored = []
         real = baselines._score
 
@@ -288,9 +288,7 @@ class TestDeltaScoring:
         _, trace = simulated_annealing(make_scene(), 5, AnnealConfig(seed=2, **self.cfg))
         assert len(scored) == 1 + sum(t["proposals"] for t in trace)
         for rig, grid, E in scored:
-            want = visibility.coverage_from_sets(
-                [visibility.visible_set(p, rig.intrinsics, grid) for p in rig.poses],
-                len(grid.centers))
+            want = visibility.coverage_matrix(rig, grid)
             assert E.entries.dtype == want.entries.dtype
             assert np.array_equal(E.entries, want.entries)
             assert np.array_equal(E.per_voxel_count, want.per_voxel_count)
@@ -386,7 +384,8 @@ class TestWorkDoneOnce:
                                   optimizer="sa", K=3, optimizer_config=TINY_BUDGETS["sa"])
         payload = run_cell(scene, voxelize(scene), config, 4, 0)
         assert events[-1] == "chain end" and "visible_set" in events
-        assert "coverage_matrix" not in events
+        # one full matrix starts the chain; proposals rewrite single rows
+        assert events[0] == "coverage_matrix" and events.count("coverage_matrix") == 1
         report = evaluate_rig(CameraRig(
             [CameraPose(p["position"], p["rot6"]) for p in payload["final"]["poses"]],
             default_intrinsics(scene.diagonal)), voxelize(scene), 3)

@@ -284,6 +284,13 @@ class TestExitCodes:
                            scene_source={"path": str(tmp_path / "missing.ply")})
         assert main(["optimize", "--config", str(cfg)]) == 3
 
+    def test_external_generator_kind_is_runtime_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", scene_source={"generator": {
+            "kind": "external", "parameters": {}, "sample_count": 48}})
+        assert main(["optimize", "--config", str(cfg)]) == 3
+        assert "unknown shape kind 'external'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unvoxelizable_scene_exits_3_before_any_cell(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", optimizer="sa",
                            optimizer_config={"resolution": 0.0})

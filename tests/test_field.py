@@ -37,7 +37,8 @@ from camopt.scene import (
     generate_planar_shape,
     voxelize,
 )
-from camopt.visibility import CameraRig, default_intrinsics, pose_from_forward
+from camopt.visibility import (CameraRig, CoverageMatrix, default_intrinsics, pose_from_forward,
+                               replace_row)
 
 
 def make_grid(centers, normals=None):
@@ -425,14 +426,21 @@ def two_camera_setup(seed=0, m=20, K=3):
         pose_from_forward(np.array([3.5, 0.5, 0.3]), np.array([-1.0, -0.1, 0.02])),
     ]
     rig = CameraRig(tuple(poses), default_intrinsics())
-    sets = [set(range(0, m, 2)), set(range(1, m, 2))]
-    return field, rig, sets
+    return field, rig, coverage_of(field, range(0, m, 2), range(1, m, 2))
 
 
-def pose_grads(field, rig, sets):
+def coverage_of(field, *rows):
+    """Coverage matrix over the field's voxels whose row i marks rows[i]."""
+    entries = np.zeros((len(rows), field.voxel_count), dtype=np.int8)
+    for i, vis in enumerate(rows):
+        entries[i, list(vis)] = 1
+    return CoverageMatrix(entries)
+
+
+def pose_grads(field, rig, E):
     """(k, 3) position and (k, 6) rot6 gradients of the placement loss, taken
     as grad_phase takes them: placement_loss_graph, then backward."""
-    caps = capture_visible(field, rig, sets)
+    caps = capture_visible(field, rig, E)
     pos_ts = [ad.Tensor(p.position.copy(), requires_grad=True) for p in rig.poses]
     rot_ts = [ad.Tensor(p.rot6.copy(), requires_grad=True) for p in rig.poses]
     loss_t, _ = placement_loss_graph(field, pos_ts, rot_ts, caps)
@@ -444,9 +452,9 @@ def pose_grads(field, rig, sets):
 
 class TestPlacementLoss:
     def test_pose_gradients_match_finite_differences(self):
-        field, rig, sets = two_camera_setup(seed=12)
-        position_grads, rot6_grads = pose_grads(field, rig, sets)
-        caps = capture_visible(field, rig, sets)
+        field, rig, E = two_camera_setup(seed=12)
+        position_grads, rot6_grads = pose_grads(field, rig, E)
+        caps = capture_visible(field, rig, E)
 
         def eval_at(flat):
             pos_ts, rot_ts = [], []
@@ -477,39 +485,41 @@ class TestPlacementLoss:
         field = lean_neof(None, grid, attrs, budget=0)
         poses = [pose_from_forward(np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, -1.0])),
                  pose_from_forward(np.array([3.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))]
-        res = placement_loss(field, CameraRig(tuple(poses), default_intrinsics()), [set(range(20)), set(range(20))])
+        res = placement_loss(field, CameraRig(tuple(poses), default_intrinsics()),
+                             coverage_of(field, range(20), range(20)))
         assert abs(res.total) < 1e-12
         assert np.max(np.abs(res.components)) < 1e-12
 
     def test_empty_rig_sits_at_componentwise_maximum(self):
         field, rig, _ = two_camera_setup(seed=3)
-        res = placement_loss(field, rig, [set(), set()])
+        blind = coverage_of(field, [], [])
+        res = placement_loss(field, rig, blind)
         assert np.allclose(res.components, field.sup)
         assert res.total == pytest.approx(float(np.dot(DEFAULT := (0.4, 0.3, 0.3), field.sup)))
-        assert res.empty.tolist() == [True, True]
-        position_grads, rot6_grads = pose_grads(field, rig, [set(), set()])
+        assert [cap.empty for cap in capture_visible(field, rig, blind)] == [True, True]
+        position_grads, rot6_grads = pose_grads(field, rig, blind)
         assert np.all(position_grads == 0) and np.all(rot6_grads == 0)
 
     def test_empty_camera_flagged_and_gradient_free(self):
-        field, rig, sets = two_camera_setup(seed=6)
-        res = placement_loss(field, rig, [sets[0], set()])
-        assert res.empty.tolist() == [False, True]
-        position_grads, rot6_grads = pose_grads(field, rig, [sets[0], set()])
+        field, rig, E = two_camera_setup(seed=6)
+        one = replace_row(E, 1, [])
+        assert [cap.empty for cap in capture_visible(field, rig, one)] == [False, True]
+        position_grads, rot6_grads = pose_grads(field, rig, one)
         assert np.any(position_grads[0] != 0)
         assert np.all(position_grads[1] == 0)
         assert np.all(rot6_grads[1] == 0)
 
     def test_losing_a_camera_never_reduces_the_loss(self):
-        field, rig, sets = two_camera_setup(seed=8)
-        both = placement_loss(field, rig, sets).total
-        one = placement_loss(field, rig, [sets[0], set()]).total
+        field, rig, E = two_camera_setup(seed=8)
+        both = placement_loss(field, rig, E).total
+        one = placement_loss(field, rig, replace_row(E, 1, [])).total
         assert one >= both - 1e-12
 
     def test_component_weights_select_components(self):
-        field, rig, sets = two_camera_setup(seed=4)
-        res = placement_loss(field, rig, sets, weights=(1.0, 0.0, 0.0))
+        field, rig, E = two_camera_setup(seed=4)
+        res = placement_loss(field, rig, E, weights=(1.0, 0.0, 0.0))
         assert res.total == pytest.approx(res.components[0], rel=1e-12)
-        full = placement_loss(field, rig, sets)
+        full = placement_loss(field, rig, E)
         assert full.total == pytest.approx(float(np.dot((0.4, 0.3, 0.3), full.components)))
 
     def test_sampling_cap_scales_to_full_set_on_constant_attributes(self):
@@ -521,6 +531,6 @@ class TestPlacementLoss:
         field = lean_neof(None, grid, attrs, budget=0)
         pose = pose_from_forward(np.array([0.0, 0.0, 4.0]), np.array([0.0, 0.0, -1.0]))
         rig = CameraRig((pose,), default_intrinsics())
-        capped = placement_loss(field, rig, [set(range(60))], query_cap=16)
-        uncapped = placement_loss(field, rig, [set(range(60))], query_cap=60)
+        capped = placement_loss(field, rig, coverage_of(field, range(60)), query_cap=16)
+        uncapped = placement_loss(field, rig, coverage_of(field, range(60)), query_cap=60)
         assert capped.total == pytest.approx(uncapped.total, abs=1e-12)

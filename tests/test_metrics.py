@@ -16,7 +16,7 @@ from camopt.visibility import CameraRig, CoverageMatrix, default_intrinsics, pos
 
 def cov(entries):
     entries = np.asarray(entries)
-    return CoverageMatrix(entries=entries, per_voxel_count=entries.sum(axis=0))
+    return CoverageMatrix(entries)
 
 
 def grid_at(centers):

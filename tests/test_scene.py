@@ -109,6 +109,11 @@ class TestShapeGeneration:
         with pytest.raises(ValueError):
             ShapeSpec("blob", {"radius": 1.0}, sample_count=10)
 
+    def test_external_kind_rejected_at_construction(self):
+        # point clouds come from load_scene; no generator kind stands for them
+        with pytest.raises(ValueError, match="unknown shape kind"):
+            ShapeSpec("external", {}, 10)
+
 
 class TestSceneInvariants:
     def test_bounds_must_contain_points(self):

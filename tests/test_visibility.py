@@ -9,11 +9,11 @@ from camopt.visibility import (
     CameraPose,
     CameraRig,
     CoverageMatrix,
-    coverage_from_sets,
     coverage_matrix,
     default_intrinsics,
     frustum_mask,
     pose_from_forward,
+    replace_row,
     rotation_from_six,
     visible_set,
 )
@@ -346,19 +346,42 @@ class TestCoverageMatrix:
         for i, vis in enumerate(sets):
             for j in vis:
                 want[i, j] = 1
-        got = coverage_from_sets(sets, len(grid.centers))
+        got = coverage_matrix(rig, grid)
         assert got.entries.dtype == np.int8
         assert np.array_equal(got.entries, want)
-        assert np.array_equal(got.entries, coverage_matrix(rig, grid).entries)
         assert np.array_equal(got.per_voxel_count, want.sum(axis=0))
-
-    def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            CoverageMatrix(entries=np.array([[1, 0]]), per_voxel_count=np.array([0, 0]))
 
     def test_binary_validation(self):
         with pytest.raises(ValueError):
-            CoverageMatrix(entries=np.array([[2, 0]]), per_voxel_count=np.array([2, 0]))
+            CoverageMatrix(np.array([[2, 0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_replace_row_equals_a_matrix_rebuilt_from_rows(self, data):
+        k = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 12))
+        voxel_sets = st.sets(st.integers(0, m - 1), max_size=m)
+        rows = data.draw(st.lists(voxel_sets, min_size=k, max_size=k))
+        i = data.draw(st.integers(0, k - 1))
+        new = data.draw(voxel_sets)
+
+        def built(sets):
+            entries = np.zeros((k, m), dtype=np.int8)
+            for r, vis in enumerate(sets):
+                entries[r, sorted(vis)] = 1
+            return entries
+
+        E = CoverageMatrix(built(rows))
+        # the new row as a visible set and as the sorted row array of the
+        # candidate cache; either way an empty row stays empty
+        as_array = np.array(sorted(new), dtype=np.intp)
+        for vis in (new, as_array):
+            got = replace_row(E, i, vis)
+            want = built(rows[:i] + [new] + rows[i + 1:])
+            assert got.entries.dtype == np.int8
+            assert np.array_equal(got.entries, want)
+            assert np.array_equal(got.per_voxel_count, want.sum(axis=0))
+        assert np.array_equal(E.entries, built(rows))   # E itself is unchanged
 
     def test_rig_needs_a_camera(self):
         with pytest.raises(ValueError):
