@@ -29,7 +29,7 @@ def sup_vector(K) -> np.ndarray:
     return np.array([float(_threshold(K)), np.pi / 2.0, 1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationAttributes:
     c: np.ndarray        # (m,) in [0, K]
     phi_cc: np.ndarray   # (m,) radians in [0, pi/2]

@@ -295,7 +295,7 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
 # pose-differentiable placement loss
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CapturedCamera:
     """A camera's visible voxels frozen in its local frame at capture time."""
     local: np.ndarray     # (s, 3) sampled voxel centers in camera coordinates
@@ -410,7 +410,7 @@ def placement_loss_graph(field: ObservationField, position_ts, rot6_ts, captures
     return ad.sum_(ad.mul(L_vec, w_t)), L_vec
 
 
-@dataclass
+@dataclass(eq=False)
 class PlacementLoss:
     total: float
     components: np.ndarray        # (3,) [L_vis, L_cc, L_co]

@@ -46,7 +46,7 @@ def observation_angle_quality(rig: CameraRig, grid, E: CoverageMatrix) -> float:
     return good / total if total else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
     uc: float
     angle_quality: float

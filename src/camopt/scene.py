@@ -1,8 +1,7 @@
 """Target scenes: ingestion, procedural planar shapes, voxelization, normals.
 
-Geometry fixed by a scene or a grid is derived once, on first use, and cached
-on the instance: a scene's convex-hull facets (the camera containment test)
-and a grid's occupied-cell box (the occlusion traversal).
+Geometry fixed by a grid is derived once, on first use, and cached on the
+instance: its occupied-cell box (the occlusion traversal).
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +9,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from camopt import cloudio
 
@@ -22,7 +20,7 @@ DEFAULT_RESOLUTION_DIVISOR = 32.0
 _MESH_SAMPLES = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetScene:
     """A point-sampled target surface with unit normals and an AABB."""
 
@@ -68,26 +66,13 @@ class TargetScene:
             return 1.0
         return diag / DEFAULT_RESOLUTION_DIVISOR
 
-    @cached_property
-    def hull_facets(self) -> Optional[np.ndarray]:
-        """Outward facet equations (unit normal, offset) of the points' convex
-        hull, in-plane for planar scenes; None when the cloud is too
-        degenerate to enclose any volume. Built once per scene."""
-        pts = self.points[:, :2] if self.mode == PLANAR2D else self.points
-        if len(pts) <= pts.shape[1]:
-            return None
-        try:
-            return ConvexHull(pts).equations
-        except QhullError:
-            return None
-
 
 def _scene_from_arrays(points, normals, mode) -> TargetScene:
     bounds = np.stack([points.min(axis=0), points.max(axis=0)])
     return TargetScene(points=points, normals=normals, mode=mode, bounds=bounds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoxelGrid:
     """Sparse voxelization of a scene, anchored at the bounds minimum.
 
@@ -265,6 +250,9 @@ def generate_planar_shape(spec: ShapeSpec) -> TargetScene:
 def estimate_normals(points: np.ndarray, mode: str = VOLUMETRIC3D) -> np.ndarray:
     """Plane-fit normals over the 16 nearest neighbors, oriented away from
     the centroid. Planar scenes use the in-plane 2D analogue."""
+    # the one scipy user on the run path, and only for files without normals
+    from scipy.spatial import cKDTree
+
     n = len(points)
     dims = 2 if mode == PLANAR2D else 3
     coords = points[:, :dims]

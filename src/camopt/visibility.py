@@ -64,13 +64,13 @@ def rotation_from_six(params) -> np.ndarray:
     return np.stack([c1, c2, c3], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraPose:
     """Position plus a continuous 6-number orientation (right/up seeds)."""
 
     position: np.ndarray   # (3,)
     rot6: np.ndarray       # (6,)
-    _rotation: np.ndarray = field(init=False, repr=False, compare=False)
+    _rotation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64).reshape(3))
@@ -108,7 +108,7 @@ def pose_from_forward(position, forward, up_hint=(0.0, 0.0, 1.0)) -> CameraPose:
                       rot6=np.concatenate([right, true_up]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraRig:
     poses: tuple            # of CameraPose
     intrinsics: CameraIntrinsics
@@ -122,7 +122,7 @@ class CameraRig:
         return len(self.poses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageMatrix:
     """Binary camera-by-voxel visibility; row i marks the voxels camera i
     sees, and per_voxel_count caches the column sums."""

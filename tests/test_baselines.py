@@ -352,8 +352,7 @@ class TestPlaneProperty:
 
 
 class TestWorkDoneOnce:
-    """An sa cell takes its final scores from the chain, and a scene builds
-    its containment hull once however many cells or trials use it."""
+    """An sa cell takes its final scores from the chain."""
 
     def test_no_visibility_after_the_sa_chain(self, monkeypatch):
         import camopt.cli as cli
@@ -391,32 +390,3 @@ class TestWorkDoneOnce:
             default_intrinsics(scene.diagonal)), voxelize(scene), 3)
         assert (payload["final"]["uc"], payload["final"]["angle_quality"]) == (
             report.uc, report.angle_quality)
-
-    def count_hulls(self, monkeypatch):
-        import camopt.scene as scene_module
-
-        calls = []
-        real = scene_module.ConvexHull
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scene_module, "ConvexHull", counting)
-        return calls
-
-    def test_one_scene_hull_across_sa_cells(self, monkeypatch):
-        calls = self.count_hulls(monkeypatch)
-        scene = torus_scene()
-        grid = voxelize(scene)
-        config = ExperimentConfig(scene_source={"path": "unused"}, k_list=[3], seeds=[0, 1, 2],
-                                  optimizer="sa", K=3, optimizer_config=TINY_BUDGETS["sa"])
-        for seed in (0, 1, 2):
-            run_cell(scene, grid, config, 3, seed)
-        assert len(calls) == 1
-
-    def test_one_scene_hull_across_random_trials(self, monkeypatch):
-        calls = self.count_hulls(monkeypatch)
-        scene = torus_scene()
-        random_search(scene, 3, trials=4, seed=0, grid=voxelize(scene))
-        assert len(calls) == 1

@@ -1,6 +1,9 @@
 """Batch driver: config handling, cell outputs, reproducibility, exports."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -519,3 +522,54 @@ class TestColoredExport:
                                       phi_co=np.zeros(3), K=2)
         with pytest.raises(ValueError):
             export_colored_cloud(grid, short, "c", "x.ply")
+
+
+_RUN_PATH_SCRIPT = """
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import camopt
+from camopt import cli, cloudio
+from camopt.scene import VOLUMETRIC3D, estimate_normals
+
+work = Path(sys.argv[1])
+points = np.random.default_rng(0).normal(size=(300, 3))
+points /= np.linalg.norm(points, axis=1, keepdims=True)
+cloudio.write_ply_rgb(work / "sphere.ply", points, np.full(points.shape, 128.0),
+                      normals=points)
+config = {
+    "scene_source": {"path": str(work / "sphere.ply")},
+    "mode": VOLUMETRIC3D,
+    "k_list": [3],
+    "seeds": [0],
+    "optimizer": "sa",
+    "K": 2,
+    "optimizer_config": {"T0": 0.5, "cooling": 0.6, "steps_per_temp": 4,
+                         "termination": 0.05},
+}
+(work / "c.json").write_text(json.dumps(config))
+assert cli.main(["optimize", "--config", str(work / "c.json"),
+                 "--out", str(work / "out")]) == 0
+assert cli.main(["evaluate", str(work / "out" / "sa_k3_seed0.json"),
+                 "--out", str(work / "ev.json")]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.spatial"))
+assert not loaded, loaded
+
+estimated = estimate_normals(points, VOLUMETRIC3D)
+assert "scipy.spatial" in sys.modules
+assert np.sum(estimated * points, axis=1).min() > 0.9
+"""
+
+
+class TestRunPathImports:
+    def test_optimize_and_evaluate_load_no_scipy_spatial(self, tmp_path):
+        """A run on a file with normals never loads scipy.spatial; only
+        normal estimation for files without normals does."""
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", _RUN_PATH_SCRIPT, str(tmp_path)],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr

@@ -124,7 +124,7 @@ def torus_scene(count=1500, seed=0, major=1.0, minor=0.35):
 
 
 class TestContainment:
-    """The hull-halfspace predicate must make the same decisions as locating
+    """The containment predicate must make the same decisions as locating
     the point in a Delaunay triangulation of the same points."""
 
     @pytest.mark.parametrize("make_scene", [
@@ -145,6 +145,38 @@ class TestContainment:
         want = Delaunay(scene.points[:, :dims]).find_simplex(samples[:, :dims]) >= 0
         np.testing.assert_array_equal(got, want)
         assert 0 < want.sum() < len(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([2, 3]), count=st.integers(4, 60),
+           slab=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_random_clouds_match_delaunay_find_simplex(self, dims, count, slab, seed):
+        from scipy.spatial import Delaunay
+
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(count, dims))
+        if slab:
+            pts[:, -1] *= 0.02      # thin, but still of full rank
+        normals = np.zeros((count, 3))
+        normals[:, 0] = 1.0
+        points = np.zeros((count, 3))
+        points[:, :dims] = pts
+        bounds = np.stack([points.min(axis=0), points.max(axis=0)])
+        scene = TargetScene(points=points, normals=normals,
+                            mode=PLANAR2D if dims == 2 else VOLUMETRIC3D, bounds=bounds)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        queries = np.concatenate([
+            rng.uniform(center - BOUNDS_INFLATION * half, center + BOUNDS_INFLATION * half,
+                        size=(100, dims)),
+            rng.uniform(lo, hi, size=(100, dims)),
+            rng.dirichlet(np.ones(count), size=20) @ pts,
+        ])
+        inside = _containment_test(scene)
+        padded = np.zeros((len(queries), 3))
+        padded[:, :dims] = queries
+        got = np.array([inside(q) for q in padded])
+        want = Delaunay(pts).find_simplex(queries) >= 0
+        np.testing.assert_array_equal(got, want)
 
     def test_degenerate_clouds_have_no_predicate(self):
         def planar(points):

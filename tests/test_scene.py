@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camopt import cloudio
+from camopt.attributes import ObservationAttributes
+from camopt.field import CapturedCamera, PlacementLoss
+from camopt.hybrid import IterationRecord
+from camopt.metrics import EvaluationReport
 from camopt.scene import (
     PLANAR2D,
     VOLUMETRIC3D,
@@ -15,6 +19,7 @@ from camopt.scene import (
     load_scene,
     voxelize,
 )
+from camopt.visibility import CameraPose, CameraRig, CoverageMatrix, default_intrinsics
 
 
 def unit_sphere_cloud(n, radius=1.0, seed=0):
@@ -206,6 +211,32 @@ class TestVoxelize:
         seen = np.concatenate([np.asarray(m) for m in grid.members])
         assert len(np.unique(seen)) == n
         assert np.allclose(np.linalg.norm(grid.normals, axis=1), 1.0, atol=1e-6)
+
+
+class TestIdentityEquality:
+    """Dataclasses that hold arrays compare and hash by identity: the
+    generated field-wise __eq__ would raise on the arrays."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: TargetScene(points=np.zeros((2, 3)), normals=np.tile([0.0, 0.0, 1.0], (2, 1)),
+                            mode=VOLUMETRIC3D, bounds=np.zeros((2, 3))),
+        lambda: voxelize(generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 16))),
+        lambda: CameraPose(np.zeros(3), [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+        lambda: CameraRig((CameraPose(np.zeros(3), [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]),),
+                          default_intrinsics(1.0)),
+        lambda: CoverageMatrix(np.ones((2, 3))),
+        lambda: ObservationAttributes(np.zeros(2), np.zeros(2), np.zeros(2), K=2),
+        lambda: PlacementLoss(1.0, np.zeros(3)),
+        lambda: IterationRecord(0, "init", 1.0, np.zeros(3), 0.5, 0.5, (), 1.0),
+        lambda: CapturedCamera(np.zeros((2, 3)), np.zeros((2, 3)), 1.0, False),
+        lambda: EvaluationReport(0.5, 0.5, np.zeros(2), 1, 2),
+    ], ids=["TargetScene", "VoxelGrid", "CameraPose", "CameraRig", "CoverageMatrix",
+            "ObservationAttributes", "PlacementLoss", "IterationRecord", "CapturedCamera",
+            "EvaluationReport"])
+    def test_equal_contents_compare_by_identity(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestNormalEstimation:
