@@ -50,14 +50,19 @@ def remaining_coverage(E: CoverageMatrix, K) -> np.ndarray:
     return np.clip(float(k) - E.per_voxel_count.astype(np.float64), 0.0, float(k))
 
 
-def observer_groups(positions: np.ndarray, E: CoverageMatrix, centers: np.ndarray) -> list:
+def observer_groups(positions: np.ndarray, E: CoverageMatrix, centers: np.ndarray,
+                    voxels=None) -> list:
     """Voxels grouped by observer count n >= 1, as (rows, dirs) pairs: rows
     holds the group's voxel indices and dirs[r, i] the unit vector from voxel
-    rows[r] to its i-th observing camera, cameras in rig order."""
-    counts = E.per_voxel_count
+    rows[r] to its i-th observing camera, cameras in rig order. voxels, an
+    ascending array of voxel indices, limits the groups to those voxels; a
+    voxel's dirs are the same either way."""
+    counts = E.per_voxel_count if voxels is None else E.per_voxel_count[voxels]
     groups = []
     for n in np.unique(counts[counts > 0]):
-        rows = np.nonzero(counts == n)[0]
+        rows = np.flatnonzero(counts == n)
+        if voxels is not None:
+            rows = voxels[rows]
         cams = np.nonzero(E.entries[:, rows].T)[1].reshape(len(rows), n)
         offsets = positions[cams] - centers[rows, None, :]
         lengths = np.linalg.norm(offsets, axis=2)

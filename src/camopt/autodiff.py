@@ -504,6 +504,8 @@ class AdamState:
     """Adam moments plus a stepped learning-rate decay schedule.
 
     The state is positionally tied to the parameter list it was built from.
+    The moments of all parameters live in two flat buffers, so one step
+    updates them all at once; m[i] and v[i] are views of parameter i's part.
     Learning rate at step t (1-based) is lr0 * decay ** ((t - 1) // decay_every).
     """
 
@@ -524,8 +526,12 @@ class AdamState:
         self.decay = decay
         self.decay_every = decay_every
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        ends = np.cumsum([p.data.size for p in params]).tolist()
+        self.slots = list(zip([0] + ends[:-1], ends))
+        self.flat_m = np.zeros(ends[-1] if ends else 0)
+        self.flat_v = np.zeros_like(self.flat_m)
+        self.m = [self.flat_m[a:b].reshape(p.data.shape) for p, (a, b) in zip(params, self.slots)]
+        self.v = [self.flat_v[a:b].reshape(p.data.shape) for p, (a, b) in zip(params, self.slots)]
 
     def current_lr(self) -> float:
         return self.lr0 * self.decay ** (self.step_count // self.decay_every)
@@ -537,7 +543,9 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
-    """One in-place Adam update; clears gradients afterwards."""
+    """One in-place Adam update of every parameter at once, over the flat
+    moment buffers; each element follows the same expressions as a
+    per-parameter update. Clears gradients afterwards."""
     for i, p in enumerate(params):
         if p.grad is None:
             raise ValueError(f"parameter {i} has no gradient")
@@ -545,11 +553,15 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for i, p in enumerate(params):
-        g = p.grad
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    g = np.concatenate([p.grad.ravel() for p in params])
+    m, v = state.flat_m, state.flat_v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    update = lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    for p, (a, b) in zip(params, state.slots):
+        p.data -= update[a:b].reshape(p.data.shape)
         p.grad = None

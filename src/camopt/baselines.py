@@ -3,8 +3,10 @@
 Both score camera rigs with the exact-visibility evaluation metrics (never the
 learned field), so comparisons against the hybrid optimizer are not skewed by
 how well the field happens to fit a particular scene. The annealing chain
-keeps the exact scores of the best rig it has seen, so its final scores need
-no second evaluation.
+keeps the exact integer terms of the current rig's scores (`ScoreTerms`), so a
+proposal counts again only the voxels its moved camera saw or now sees, and
+it keeps the scores of the best rig it has seen, so its final scores need no
+second evaluation.
 """
 import math
 from dataclasses import dataclass
@@ -12,18 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hybrid import initialize
-from .metrics import coverage_optimality_gap, observation_angle_quality
+from .metrics import rescore, score_terms
 from .scene import PLANAR2D, TargetScene, voxelize
 from .visibility import CameraRig, coverage_matrix, pose_from_forward, replace_row, visible_set
 
 W_VIS = 0.4
 
 
-def _score(rig: CameraRig, grid, K: int, E) -> tuple:
-    """(rig_energy, uc, angle quality) of a rig whose coverage matrix is E."""
-    uc = coverage_optimality_gap(E, K)
-    angle_quality = observation_angle_quality(rig, grid, E)
-    return W_VIS * uc - (1.0 - W_VIS) * angle_quality, uc, angle_quality
+def _score(rig: CameraRig, grid, K: int, E, base=None) -> tuple:
+    """((rig_energy, uc, angle quality), ScoreTerms) of a rig whose coverage
+    matrix is E. base = (terms, voxels) holds the terms of a rig that differs
+    from this one only in the observer rays of voxels; then only those voxels
+    are counted again."""
+    positions = np.array([pose.position for pose in rig.poses])
+    if base is None:
+        terms = score_terms(positions, E, grid.centers, K)
+    else:
+        terms = rescore(base[0], positions, E, grid.centers, base[1])
+    uc, angle_quality = terms.uc, terms.angle_quality
+    return (W_VIS * uc - (1.0 - W_VIS) * angle_quality, uc, angle_quality), terms
 
 
 def rig_energy(rig: CameraRig, grid, K: int) -> float:
@@ -31,7 +40,7 @@ def rig_energy(rig: CameraRig, grid, K: int) -> float:
 
     Lower is better; both terms come from the exact coverage matrix.
     """
-    return _score(rig, grid, K, coverage_matrix(rig, grid))[0]
+    return _score(rig, grid, K, coverage_matrix(rig, grid))[0][0]
 
 
 def random_search(scene: TargetScene, k: int, trials: int, seed: int,
@@ -86,11 +95,10 @@ def _perturb(rig: CameraRig, cam: int, sigma_pos: float, sigma_rot: float,
     if planar:
         pos[2] = pose.position[2]
         fwd[2] = 0.0
-    if np.linalg.norm(fwd) < 1e-9:
+    if math.sqrt(fwd.dot(fwd)) < 1e-9:    # np.linalg.norm's own expression
         fwd = pose.rotation()[:, 2]
-    poses = list(rig.poses)
-    poses[cam] = pose_from_forward(pos, fwd)
-    return CameraRig(tuple(poses), rig.intrinsics)
+    return CameraRig(rig.poses[:cam] + (pose_from_forward(pos, fwd),) + rig.poses[cam + 1:],
+                     rig.intrinsics)
 
 
 def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
@@ -98,8 +106,11 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
     """Anneal a random rig under the scalarized metric.
 
     One proposal perturbs a single uniformly chosen camera (Gaussian position
-    noise scaled by the scene diagonal, Gaussian look-direction noise), and
-    only that camera's visible set and coverage row are recomputed. The
+    noise scaled by the scene diagonal, Gaussian look-direction noise). Only
+    that camera's visible set and coverage row are recomputed, and only the
+    voxels in its old row or its new row are scored again: their observer
+    counts and well-conditioned pairs go into the chain's exact integer
+    sums, so every score equals evaluate_rig of the proposed rig. The
     temperature multiplies by the cooling factor after each batch of
     steps_per_temp proposals and the chain stops below the termination
     temperature. Returns (best rig seen, per-batch trace); a trace entry
@@ -116,7 +127,7 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
 
     rig = initialize(scene, k, config.seed, intrinsics)
     E = coverage_matrix(rig, grid)
-    energy, uc, angle_quality = _score(rig, grid, K, E)
+    (energy, uc, angle_quality), terms = _score(rig, grid, K, E)
     best_rig, best = rig, (energy, uc, angle_quality)
 
     def entry(temperature, accepted, proposals):
@@ -134,9 +145,10 @@ def simulated_annealing(scene: TargetScene, k: int, config: AnnealConfig,
             cam = int(rng.integers(k))
             cand = _perturb(rig, cam, sigma_pos, sigma_rot, planar, rng)
             cand_E = replace_row(E, cam, visible_set(cand.poses[cam], cand.intrinsics, grid))
-            cand_score = _score(cand, grid, K, cand_E)
+            moved = np.flatnonzero(E.entries[cam] | cand_E.entries[cam])
+            cand_score, cand_terms = _score(cand, grid, K, cand_E, (terms, moved))
             if accept_proposal(cand_score[0] - energy, T, rng):
-                rig, E, (energy, uc, angle_quality) = cand, cand_E, cand_score
+                rig, E, terms, (energy, uc, angle_quality) = cand, cand_E, cand_terms, cand_score
                 accepted += 1
                 if energy < best[0]:
                     best_rig, best = rig, cand_score

@@ -90,6 +90,15 @@ def _read_ply_binary(fh, elements):
     return data
 
 
+def _face_index_property(props) -> str:
+    """The face property holding vertex indices: the list property named
+    vertex_indices or vertex_index, else the first list property."""
+    lists = [prop[0] for prop in props if prop[1] == "list"]
+    if not lists:
+        raise ValueError("PLY face element has no list property")
+    return next((name for name in ("vertex_indices", "vertex_index") if name in lists), lists[0])
+
+
 def read_ply(path):
     """Read a PLY file; returns (points, normals or None, faces or None)."""
     with open(path, "rb") as fh:
@@ -105,9 +114,10 @@ def read_ply(path):
     faces = None
     face_rows = data.get("face")
     if face_rows:
+        key = _face_index_property(next(props for name, _, props in elements if name == "face"))
         faces = []
         for row in face_rows:
-            idx = [int(i) for i in next(iter(row.values()))]
+            idx = [int(i) for i in row[key]]
             for a in range(1, len(idx) - 1):  # fan-triangulate polygons
                 faces.append((idx[0], idx[a], idx[a + 1]))
     return points, normals, faces

@@ -3,7 +3,6 @@ with non-gradient elite resampling that relocates stuck or useless cameras
 over the regions the coverage analysis says need observation most.
 """
 
-import itertools
 import time
 from dataclasses import dataclass, field as dfield
 from typing import Optional
@@ -120,110 +119,10 @@ class OptimizationTrace:
 # initialization
 # ---------------------------------------------------------------------------
 
-def _containment_test(scene: TargetScene):
-    """Point-in-convex-hull predicate over the scene's points (in-plane for
-    planar scenes), or None when the cloud is too degenerate to enclose any
-    volume: at most dims points, or affine rank below dims. A query outside
-    the scene's bounds is outside; any other is decided by `_hull_contains`,
-    so no hull is ever built."""
-    dims = 2 if scene.mode == PLANAR2D else 3
-    pts = np.ascontiguousarray(scene.points[:, :dims])
-    if len(pts) <= dims or np.linalg.matrix_rank(pts[1:] - pts[0]) < dims:
-        return None
-    lo, hi = scene.bounds[:, :dims]
-    centroid = pts.mean(axis=0)
-
-    def inside(p):
-        q = p[:dims]
-        if np.any(q < lo) or np.any(q > hi):
-            return False
-        return _hull_contains(pts, centroid, q)
-
-    return inside
-
-
-_GJK_STEP_CAP = 64
-
-
-def _hull_contains(pts: np.ndarray, start: np.ndarray, q: np.ndarray) -> bool:
-    """Whether q lies in the convex hull of the rows of pts, by the
-    nearest-point iteration of Gilbert, Johnson & Keerthi (1988, "GJK").
-
-    Coordinates are taken relative to q. The iteration keeps a simplex of at
-    most dims + 1 points of the hull, starting from `start` (any point of the
-    hull), and v, the simplex's point nearest the origin. The support point
-    w = argmin(pts @ v) either proves q outside (w . v > 0: every point lies
-    beyond the plane through q normal to v) or joins the simplex, which then
-    shrinks to its face nearest the origin. A full simplex around the origin,
-    or v = 0, proves q inside. Each step brings v nearer the origin, so a
-    query still open after _GJK_STEP_CAP steps lies all but on the hull's
-    boundary, which counts as inside.
-    """
-    v = start - q
-    simplex = v[None]
-    for _ in range(_GJK_STEP_CAP):
-        w = pts[np.argmin(pts @ v)] - q
-        if w @ v > 0.0:
-            return False
-        simplex, v = _nearest_face(np.concatenate((simplex, w[None])))
-        if v is None or not v @ v > 0.0:
-            return True
-    return True
-
-
-def _nearest_face(simplex: np.ndarray):
-    """GJK's simplex step: (face, nearest point) for the face of `simplex`
-    (rows, newest last) nearest the origin among those holding the newest
-    point, or (simplex, None) when the simplex is full and holds the origin.
-
-    A face's nearest point is new + sum(mu_a (p_a - new)) with mu solving the
-    normal equations of its edges from new; it counts only when every
-    barycentric weight (each mu_a and 1 - sum(mu)) is positive.
-    """
-    new = simplex[-1]
-    edges = simplex[:-1] - new
-    k, dims = edges.shape
-    if k == dims:
-        try:
-            mu = np.linalg.solve(edges.T, -new)
-        except np.linalg.LinAlgError:       # a flat simplex: try its faces
-            pass
-        else:
-            if mu.min() > 0.0 and mu.sum() < 1.0:
-                return simplex, None
-    g = (edges @ edges.T).tolist()
-    r = (-(edges @ new)).tolist()
-    nn = float(new @ new)
-    best, best_mu, best_d2 = (), (), nn
-    for size in range(1, dims):
-        for face in itertools.combinations(range(k), size):
-            if size == 1:
-                (a,) = face
-                if not g[a][a] > 0.0:
-                    continue
-                mu = (r[a] / g[a][a],)
-            else:
-                a, b = face
-                det = g[a][a] * g[b][b] - g[a][b] * g[a][b]
-                if not det > 0.0:
-                    continue
-                mu = ((r[a] * g[b][b] - r[b] * g[a][b]) / det,
-                      (r[b] * g[a][a] - r[a] * g[a][b]) / det)
-            if min(mu) > 0.0 and sum(mu) < 1.0:
-                # at the solution |nearest|^2 = |new|^2 - mu . r
-                d2 = nn - sum(m * r[i] for m, i in zip(mu, face))
-                if d2 < best_d2:
-                    best, best_mu, best_d2 = face, mu, d2
-    if not best:
-        return new[None], new
-    rows = list(best)
-    return np.concatenate((simplex[rows], new[None])), new + np.asarray(best_mu) @ edges[rows]
-
-
 def initialize(scene: TargetScene, k: int, seed: int, intrinsics=None) -> CameraRig:
     """Random rig: positions uniform in the scene bounds inflated about their
     center, rejecting samples inside the convex hull of the object's points
-    (`_containment_test`); orientations uniform (in-plane for planar
+    (`TargetScene.containment`); orientations uniform (in-plane for planar
     scenes)."""
     if k < 1:
         raise ValueError("need at least one camera")
@@ -241,7 +140,7 @@ def initialize(scene: TargetScene, k: int, seed: int, intrinsics=None) -> Camera
         if half[axis] < 1e-9 and not (planar and axis == 2):
             half[axis] = fallback
     lo, hi = center - half, center + half
-    inside = _containment_test(scene)
+    inside = scene.containment
 
     poses = []
     tries = 0

@@ -5,6 +5,7 @@ camera to its center passes through another occupied cell, found by
 traversing the cells of the occupancy box its grid derives once.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,6 +36,12 @@ def default_intrinsics(scene_diagonal: Optional[float] = None) -> CameraIntrinsi
     return CameraIntrinsics(hfov=np.pi / 3.0, vfov=np.pi / 3.0, near=near, far=far)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean length of a 1-D float64 array: np.linalg.norm's own
+    sqrt(v . v), so bit for bit the same, without its argument handling."""
+    return math.sqrt(v.dot(v))
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b of two 3-vectors with np.cross's products and subtraction order
     (a1*b2 - a2*b1, ...), so bit for bit the same, without its broadcasting."""
@@ -51,17 +58,18 @@ def rotation_from_six(params) -> np.ndarray:
     """
     params = np.asarray(params, dtype=np.float64)
     a, b = params[:3], params[3:]
-    na = np.linalg.norm(a)
+    na = _norm(a)
     if na < 1e-12:
         raise ValueError("orientation first vector is numerically zero")
     c1 = a / na
     b_perp = b - np.dot(c1, b) * c1
-    nb = np.linalg.norm(b_perp)
+    nb = _norm(b_perp)
     if nb < 1e-12:
         raise ValueError("orientation vectors are parallel")
     c2 = b_perp / nb
-    c3 = _cross(c1, c2)
-    return np.stack([c1, c2, c3], axis=1)
+    rot = np.empty((3, 3))
+    rot[:, 0], rot[:, 1], rot[:, 2] = c1, c2, _cross(c1, c2)
+    return rot
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +101,18 @@ class CameraPose:
 def pose_from_forward(position, forward, up_hint=(0.0, 0.0, 1.0)) -> CameraPose:
     """Build a pose at position looking along forward, roll fixed by up_hint."""
     f = np.asarray(forward, dtype=np.float64)
-    nf = np.linalg.norm(f)
+    nf = _norm(f)
     if nf < 1e-12:
         raise ValueError("forward direction is zero")
     f = f / nf
     up = np.asarray(up_hint, dtype=np.float64)
     right = _cross(up, f)
-    if np.linalg.norm(right) < 1e-9:  # forward parallel to the hint
+    nr = _norm(right)
+    if nr < 1e-9:  # forward parallel to the hint
         alt = np.array([1.0, 0.0, 0.0]) if abs(f[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
         right = _cross(alt, f)
-    right = right / np.linalg.norm(right)
+        nr = _norm(right)
+    right = right / nr
     true_up = _cross(f, right)
     return CameraPose(position=np.asarray(position, dtype=np.float64),
                       rot6=np.concatenate([right, true_up]))
@@ -125,7 +135,10 @@ class CameraRig:
 @dataclass(frozen=True, eq=False)
 class CoverageMatrix:
     """Binary camera-by-voxel visibility; row i marks the voxels camera i
-    sees, and per_voxel_count caches the column sums."""
+    sees, and per_voxel_count caches the column sums. A matrix given to the
+    constructor is checked whole; one that replace_row derives from a
+    checked matrix has only its new row checked, and its column sums are
+    the old ones moved by the row difference."""
 
     entries: np.ndarray          # (k, m) of {0, 1}
     per_voxel_count: np.ndarray = field(init=False)   # (m,)
@@ -137,6 +150,15 @@ class CoverageMatrix:
         object.__setattr__(self, "entries", entries.astype(np.int8))
         object.__setattr__(self, "per_voxel_count", entries.sum(axis=0).astype(np.int64))
 
+    @classmethod
+    def _derived(cls, entries: np.ndarray, per_voxel_count: np.ndarray) -> "CoverageMatrix":
+        """A matrix built from a checked one: int8 entries and their int64
+        column sums, taken as they are."""
+        E = object.__new__(cls)
+        object.__setattr__(E, "entries", entries)
+        object.__setattr__(E, "per_voxel_count", per_voxel_count)
+        return E
+
 
 def frustum_mask(pose: CameraPose, intrinsics: CameraIntrinsics, centers: np.ndarray) -> np.ndarray:
     """Inside-frustum test: depth within [near, far] and within both FOV cones."""
@@ -147,6 +169,9 @@ def frustum_mask(pose: CameraPose, intrinsics: CameraIntrinsics, centers: np.nda
     ok &= np.abs(cam[:, 0]) <= np.tan(intrinsics.hfov / 2.0) * z
     ok &= np.abs(cam[:, 1]) <= np.tan(intrinsics.vfov / 2.0) * z
     return ok
+
+
+_OTHER_AXES = np.array([[1, 2, 0], [2, 0, 1]])   # column a: the two axes beside axis a
 
 
 def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
@@ -164,57 +189,90 @@ def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
     lower side of that plane too, so a cell the segment touches along an
     edge blocks as well. Along a zero direction component the ray keeps the
     eye's coordinate, so it spans that slab iff floor(start) lies in the box.
+
+    Per-ray values are held axis-major, as (3, rays) arrays, and the plane
+    crossings of all three axes are handled in one pass, in that order.
+    Cell coordinates, box extents and strides are exact integers held as
+    floats.
     """
     res = grid.resolution
     lo, shape, occupied = grid.occupancy
-    top = shape - 1
-    strides = np.array([shape[1] * shape[2], shape[2], 1])   # of occupied, C order
+    top = shape - 1.0
+    strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=np.float64)  # of occupied, C order
     start = (eye - grid.origin) / res - lo    # cell units, box corner at 0
-    rays = (grid.centers[target_rows] - eye) / res
+    col = start[:, None]
+    rays = np.ascontiguousarray(((grid.centers[target_rows] - eye) / res).T)
     moving = rays != 0.0
 
     # slab test against the box; a static axis's quotients (x/0, or 0/0 for
     # an eye on a face) are never read
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_lo = -start / rays
-        t_hi = (shape - start) / rays
-    t_in = np.maximum(np.where(moving, np.minimum(t_lo, t_hi), -np.inf).max(axis=1), 0.0)
-    t_out = np.minimum(np.where(moving, np.maximum(t_lo, t_hi), np.inf).min(axis=1), 1.0)
+        t_lo = -col / rays
+        t_hi = (shape[:, None] - col) / rays
+    t_in = np.maximum(np.where(moving, np.minimum(t_lo, t_hi), -np.inf).max(axis=0), 0.0)
+    t_out = np.minimum(np.where(moving, np.maximum(t_lo, t_hi), np.inf).min(axis=0), 1.0)
     eye_cell = np.floor(start)
-    spans = (eye_cell >= 0) & (eye_cell < shape)
-    entry_rays = np.nonzero((t_in < t_out) & np.all(moving | spans, axis=1))[0]
-    rays, moving = rays[entry_rays], moving[entry_rays]
+    static_ok = ((eye_cell >= 0) & (eye_cell < shape))[:, None]
+    entry_rays = np.flatnonzero((t_in < t_out) & (moving | static_ok).all(axis=0))
+    rays = rays.take(entry_rays, axis=1)
+    count = len(entry_rays)
     step = np.sign(rays)
-    first = np.clip(np.floor(start + t_in[entry_rays, None] * rays), 0, top)
-    last = np.clip(np.floor(start + t_out[entry_rays, None] * rays), 0, top)
+    first = np.minimum(np.maximum(np.floor(col + t_in[entry_rays] * rays), 0), top[:, None])
+    last = np.minimum(np.maximum(np.floor(col + t_out[entry_rays] * rays), 0), top[:, None])
 
-    # cells as flat offsets into occupied: the entry cells, then per axis
-    # one row per plane crossing; crossing m = 1..n enters cell
-    # first + m * step through the plane on its near side, at the time t
-    # where the other axes are read
-    ray_of = [np.arange(len(rays))]
-    cells = [first @ strides]
-    for axis in range(3):
-        n = np.maximum((last[:, axis] - first[:, axis]) * step[:, axis], 0).astype(np.int64)
-        rows = np.repeat(ray_of[0], n)
-        along = step[rows, axis]
-        entered = first[rows, axis] + (np.arange(rows.size) - np.repeat(np.cumsum(n) - n - 1, n)) * along
-        t = (entered + (along < 0) - start[axis]) / rays[rows, axis]
-        upper = lower = entered * strides[axis]
-        for other in (axis + 1) % 3, (axis + 2) % 3:
-            p = start[other] + t * rays[rows, other]
-            below = np.floor(p)
-            on_plane = (p == below) & moving[rows, other]
-            upper = upper + np.clip(below, 0, top[other]) * strides[other]
-            lower = lower + np.clip(below - on_plane, 0, top[other]) * strides[other]
-        edge = lower != upper
-        ray_of += [rows, rows[edge]]
-        cells += [upper, lower[edge]]
+    # plane crossings, axis-major: c = axis * count + ray indexes the
+    # (3, rays) arrays, and per_axis counts each axis's crossings. Crossing
+    # m = 1..n of a ray along an axis enters cell first + m * step through
+    # the plane on its near side (entered + 1 when stepping down), at the
+    # time t where the other two axes (rows of `beside`, indexed by c as
+    # well) are read. With j the crossing's index among all crossings and
+    # j0 that of the ray's first one, m = j - j0 + 1, so
+    # first + m * step = (first - (j0 - 1) * step) + j * step, exactly.
+    # Per-crossing arrays are gathered with take() and updated in place: a
+    # fancy column index, a fresh large array per operation, and numpy's
+    # check of a large temporary operand for reuse each cost more than the
+    # arithmetic
+    n = np.maximum((last - first) * step, 0).astype(np.int64).ravel()
+    c = np.repeat(np.arange(n.size), n)
+    per_axis = n.reshape(3, count).sum(axis=1)
+    step, first = step.ravel(), first.ravel()
+    zeroth = first - (np.cumsum(n) - n - 1) * step
+    moved = np.arange(c.size, dtype=np.float64)
+    moved *= step.take(c)
+    base = np.repeat(zeroth, n)
+    base += moved                                   # the entered cell
+    t = np.repeat(zeroth + (step < 0), n)
+    t += moved                                      # the plane crossed
+    t -= np.repeat(start, per_axis)
+    t /= rays.ravel().take(c)
+    beside = rays[_OTHER_AXES].reshape(2, -1).take(c, axis=1)
+    p = t * beside
+    p += np.repeat(start[_OTHER_AXES], per_axis, axis=1)
+    below = np.floor(p)
+    cap = np.repeat(top[_OTHER_AXES], per_axis, axis=1)
+    scale = np.repeat(strides[_OTHER_AXES], per_axis, axis=1)
+    base *= np.repeat(strides, per_axis)
+    upper = np.maximum(below, 0)
+    np.minimum(upper, cap, out=upper)
+    upper *= scale
+    upper = upper.sum(axis=0)
+    upper += base
+    # a crossing that also lies on a plane of a moving other axis (it meets
+    # a cell edge) enters the cell below that plane as well
+    on_plane = (p == below) & (beside != 0.0)
+    edge = np.flatnonzero(on_plane.any(axis=0))
+    lower = base[edge] + (np.minimum(np.maximum(below[:, edge] - on_plane[:, edge], 0), cap[:, edge])
+                          * scale[:, edge]).sum(axis=0)
+    keep = lower != upper[edge]
+    edge, lower = edge[keep], lower[keep]
 
-    ray_of = np.concatenate(ray_of)
-    cells = np.concatenate(cells).astype(np.int64)
-    hit = np.nonzero(occupied.ravel()[cells])[0]
-    ray_of, cells = ray_of[hit], cells[hit]
+    # cells as flat offsets into occupied: the entry cells, then one per
+    # plane crossing, then the lower cell of each edge crossing; the ray of
+    # a flat (axis, ray) index is its remainder by count
+    cells = np.concatenate((strides @ first.reshape(3, count), upper, lower)).astype(np.int64)
+    hit = np.flatnonzero(occupied.ravel()[cells])
+    ray_of = np.concatenate((np.arange(count), c, c[edge]))[hit] % count
+    cells = cells[hit]
     own = (grid.keys[target_rows[entry_rays]] - lo) @ strides
     blocked = np.zeros(len(target_rows), dtype=bool)
     blocked[entry_rays[ray_of[cells != own[ray_of]]]] = True
@@ -224,18 +282,18 @@ def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
 def visible_set(pose: CameraPose, intrinsics: CameraIntrinsics, grid) -> set:
     """Voxels the camera actually observes: in-frustum, facing the camera,
     not on the camera's own position, and with no other occupied cell on the
-    segment from the camera to the voxel center."""
-    centers = grid.centers
-    mask = frustum_mask(pose, intrinsics, centers)
-    to_voxel = centers - pose.position
-    mask &= np.sum(to_voxel * grid.normals, axis=1) < 0.0
-    candidates = np.nonzero(mask)[0]
-    # a coincident center is never visible
-    candidates = candidates[np.linalg.norm(to_voxel[candidates], axis=1) > 1e-12]
-    if len(candidates) == 0:
+    segment from the camera to the voxel center. Each test after the frustum
+    reads only the voxels still in."""
+    rows = np.flatnonzero(frustum_mask(pose, intrinsics, grid.centers))
+    if len(rows) == 0:
         return set()
-    candidates = candidates[~_cell_blocked(grid, pose.position, candidates)]
-    return set(candidates.tolist())
+    to_voxel = grid.centers[rows] - pose.position
+    # a coincident center is never visible
+    rows = rows[(np.sum(to_voxel * grid.normals[rows], axis=1) < 0.0)
+                & (np.linalg.norm(to_voxel, axis=1) > 1e-12)]
+    if len(rows) == 0:
+        return set()
+    return set(rows[~_cell_blocked(grid, pose.position, rows)].tolist())
 
 
 def coverage_matrix(rig: CameraRig, grid) -> CoverageMatrix:
@@ -248,8 +306,17 @@ def coverage_matrix(rig: CameraRig, grid) -> CoverageMatrix:
 
 def replace_row(E: CoverageMatrix, i: int, vis) -> CoverageMatrix:
     """E with camera i's row replaced by the voxels of vis (a visible set or
-    an array of voxel rows)."""
+    an array of voxel rows). Only the new row is checked, and the column
+    sums move by the difference between the two rows."""
+    rows = list(vis)
+    m = E.entries.shape[1]
+    if rows and not 0 <= min(rows) <= max(rows) < m:
+        raise ValueError("visible voxel rows must lie in [0, voxel count)")
+    if not rows and not E.entries[i].any():
+        return E    # an empty row stays empty
+    row = np.zeros(m, dtype=np.int8)
+    row[rows] = 1
     entries = E.entries.copy()
-    entries[i] = 0
-    entries[i, list(vis)] = 1
-    return CoverageMatrix(entries)
+    counts = E.per_voxel_count + (row - entries[i])
+    entries[i] = row
+    return CoverageMatrix._derived(entries, counts)

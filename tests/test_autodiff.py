@@ -192,6 +192,36 @@ class TestAdam:
         ad.adam_step([p], state)
         assert p.grad is None
 
+    def test_fused_step_equals_the_per_parameter_loop(self):
+        # the per-parameter update, element for element, across two
+        # learning-rate decays and a moment reset
+        rng = np.random.default_rng(4)
+        shapes = [(6, 32), (32,), (3,), (2, 2, 2)]
+        params = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        state = ad.AdamState(params, lr=1e-2, decay=0.5, decay_every=3)
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for step in range(8):
+            grads = [rng.normal(size=s) for s in shapes]
+            if step == 4:
+                state.reset_slot(1)
+                m[1], v[1] = np.zeros(shapes[1]), np.zeros(shapes[1])
+            lr, t = 1e-2 * 0.5 ** (step // 3), step + 1
+            for i, g in enumerate(grads):
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g * g)
+                m_hat = m[i] / (1.0 - 0.9**t)
+                v_hat = v[i] / (1.0 - 0.999**t)
+                ref[i] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for p, g in zip(params, grads):
+                p.grad = g
+            ad.adam_step(params, state)
+            for i, p in enumerate(params):
+                assert np.array_equal(p.data, ref[i]) and p.grad is None
+                assert np.array_equal(state.m[i], m[i]) and np.array_equal(state.v[i], v[i])
+        assert state.current_lr() == 1e-2 * 0.5 ** 2
+
     def test_learning_rate_schedule(self):
         p = ad.Tensor(np.ones(1), requires_grad=True)
         state = ad.AdamState([p], lr=1e-3, decay=0.95, decay_every=50)

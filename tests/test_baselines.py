@@ -18,7 +18,7 @@ from camopt.baselines import (
 )
 from camopt.cli import OPTIMIZERS, ExperimentConfig, run_cell
 from camopt.hybrid import initialize
-from camopt.metrics import evaluate_rig
+from camopt.metrics import coverage_optimality_gap, evaluate_rig, observation_angle_quality
 from camopt.scene import (
     PLANAR2D,
     VOLUMETRIC3D,
@@ -280,9 +280,9 @@ class TestDeltaScoring:
         scored = []
         real = baselines._score
 
-        def recording(rig, grid, K, E):
+        def recording(rig, grid, K, E, *base):
             scored.append((rig, grid, E))
-            return real(rig, grid, K, E)
+            return real(rig, grid, K, E, *base)
 
         monkeypatch.setattr(baselines, "_score", recording)
         _, trace = simulated_annealing(make_scene(), 5, AnnealConfig(seed=2, **self.cfg))
@@ -292,6 +292,33 @@ class TestDeltaScoring:
             assert E.entries.dtype == want.entries.dtype
             assert np.array_equal(E.entries, want.entries)
             assert np.array_equal(E.per_voxel_count, want.per_voxel_count)
+
+    @pytest.mark.parametrize("make_scene,k,seed", [
+        (lambda: circle_scene(samples=400), 5, 5), (lambda: torus_scene(), 8, 6)],
+        ids=["circle", "torus"])
+    def test_every_proposal_score_equals_the_full_metrics(self, monkeypatch, make_scene, k, seed):
+        # each proposal counts again only the voxels of the moved camera's
+        # old and new rows; its scores must be those of the whole rig
+        # (chains picked so that some proposals have observer pairs)
+        scored = []
+        real = baselines._score
+
+        def recording(rig, grid, K, E, *base):
+            out = real(rig, grid, K, E, *base)
+            scored.append((rig, grid, E, out[0], bool(base)))
+            return out
+
+        monkeypatch.setattr(baselines, "_score", recording)
+        _, trace = simulated_annealing(make_scene(), k, AnnealConfig(seed=seed, **self.cfg))
+        assert [incremental for *_, incremental in scored] == [False] + [True] * (
+            len(scored) - 1)
+        assert len(scored) == 1 + sum(t["proposals"] for t in trace)
+        for rig, grid, E, (energy, uc, angle_quality), _ in scored:
+            want_uc = coverage_optimality_gap(E, 3)
+            want_aq = observation_angle_quality(rig, grid, E)
+            assert (uc, angle_quality) == (want_uc, want_aq)
+            assert energy == W_VIS * want_uc - (1.0 - W_VIS) * want_aq
+        assert sum(E.per_voxel_count.max() >= 2 for _, _, E, *_ in scored) >= 20
 
     def test_trace_rows_hold_the_energy_terms(self):
         scene = torus_scene()

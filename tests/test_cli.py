@@ -461,6 +461,46 @@ class TestHybridCellsShareWork:
                 stored["final"]["uc"], stored["final"]["angle_quality"])
 
 
+class TestContainmentBuiltOnce:
+    def test_sa_run_builds_the_scene_predicate_once(self, tmp_path, monkeypatch):
+        # every cell's initialize rejects camera samples inside the scene's
+        # hull; the predicate is derived once per scene, not once per cell
+        import camopt.scene as scene_mod
+        from camopt import cloudio
+        from camopt.baselines import AnnealConfig, simulated_annealing
+
+        rng = np.random.default_rng(0)
+        u, v = rng.uniform(0.0, 2.0 * np.pi, (2, 600))
+        normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
+        points = np.stack([np.cos(u), np.sin(u), np.zeros(600)], axis=1) + 0.35 * normals
+        ply = tmp_path / "torus.ply"
+        cloudio.write_ply_rgb(ply, points, np.full(points.shape, 128.0), normals=normals)
+        anneal = {"T0": 0.05, "cooling": 0.5, "steps_per_temp": 3, "termination": 0.01}
+        cfg = write_config(tmp_path / "c.json", scene_source={"path": str(ply)},
+                           mode="volumetric3d", optimizer="sa", k_list=[4],
+                           seeds=list(range(8)), K=3, optimizer_config=anneal)
+        built = []
+        real = scene_mod._containment_test
+
+        def counting(scene):
+            built.append(scene)
+            return real(scene)
+
+        monkeypatch.setattr(scene_mod, "_containment_test", counting)
+        assert run(cfg) == 0
+        assert len(built) == 1
+        monkeypatch.undo()
+        # each cell's rig is the one a scene with a predicate of its own gives
+        config = ExperimentConfig.from_dict(json.loads(cfg.read_text()))
+        for seed in range(8):
+            fresh = build_scene(config)
+            rig, _ = simulated_annealing(fresh, 4, AnnealConfig(seed=seed, **anneal), K=3,
+                                         grid=voxelize(fresh))
+            stored = json.loads((tmp_path / "out" / f"sa_k4_seed{seed}.json").read_text())
+            assert stored["final"]["poses"] == [
+                {"position": p.position.tolist(), "rot6": p.rot6.tolist()} for p in rig.poses]
+
+
 class TestColoredExport:
     @pytest.fixture()
     def grid(self, tmp_path):

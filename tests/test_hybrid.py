@@ -11,7 +11,6 @@ from camopt.hybrid import (
     OptimizerConfig,
     OptimizationTrace,
     IterationRecord,
-    _containment_test,
     grad_phase,
     initialize,
     non_grad_phase,
@@ -25,6 +24,7 @@ from camopt.scene import (
     VOLUMETRIC3D,
     ShapeSpec,
     TargetScene,
+    _containment_test,
     generate_planar_shape,
     voxelize,
 )

@@ -9,9 +9,12 @@ from camopt.metrics import (
     coverage_optimality_gap,
     evaluate_rig,
     observation_angle_quality,
+    rescore,
+    score_terms,
 )
 from camopt.scene import VoxelGrid
-from camopt.visibility import CameraRig, CoverageMatrix, default_intrinsics, pose_from_forward
+from camopt.visibility import (CameraRig, CoverageMatrix, default_intrinsics, pose_from_forward,
+                               replace_row)
 
 
 def cov(entries):
@@ -140,6 +143,38 @@ class TestAngleQuality:
         q2 = observation_angle_quality(rig_at(cams @ R.T + t),
                                        grid_at(centers @ R.T + t), E)
         assert q2 == pytest.approx(q, abs=1e-12)
+
+
+class TestScoreTerms:
+    """Counting again only the voxels whose observer rays changed gives the
+    terms, and so the scores, of counting every voxel."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rescore_after_moving_one_camera_equals_a_full_count(self, data):
+        k = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, 30))
+        K = data.draw(st.integers(1, 4))
+        density = data.draw(st.floats(0.1, 0.9))
+        cam = data.draw(st.integers(0, k - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        centers = rng.uniform(-1.0, 1.0, (m, 3))
+        positions = rng.uniform(-4.0, 4.0, (k, 3))
+        E = cov(rng.random((k, m)) < density)
+        terms = score_terms(positions, E, centers, K)
+        moved = positions.copy()
+        moved[cam] = rng.uniform(-4.0, 4.0, 3)
+        E_moved = replace_row(E, cam, np.flatnonzero(rng.random(m) < density))
+        voxels = np.flatnonzero(E.entries[cam] | E_moved.entries[cam])
+        got = rescore(terms, moved, E_moved, centers, voxels)
+        want = score_terms(moved, E_moved, centers, K)
+        assert (got.K, got.deficit_squares, got.good_pairs, got.pairs) == (
+            want.K, want.deficit_squares, want.good_pairs, want.pairs)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        np.testing.assert_array_equal(got.good, want.good)
+        assert (got.uc, got.angle_quality) == (
+            coverage_optimality_gap(E_moved, K),
+            observation_angle_quality(rig_at(moved), grid_at(centers), E_moved))
 
 
 class TestEvaluateRig:

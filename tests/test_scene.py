@@ -278,6 +278,46 @@ class TestCloudIO:
         assert rnrm is None
         assert np.allclose(rpts, pts, atol=1e-6)
 
+    SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_ascii_ply_faces_after_a_scalar_property(self, tmp_path):
+        # the index list is not the face element's first property
+        path = tmp_path / "mesh.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 4\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "element face 2\nproperty uchar flags\n"
+            "property list uchar int vertex_indices\nend_header\n"
+            + "".join(f"{x} {y} {z}\n" for x, y, z in self.SQUARE)
+            + "7 3 0 1 2\n9 4 0 1 2 3\n")
+        pts, _, faces = cloudio.read_ply(path)
+        assert np.array_equal(pts, self.SQUARE)
+        assert faces == [(0, 1, 2), (0, 1, 2), (0, 2, 3)]
+
+    def test_binary_ply_faces_pick_vertex_indices_by_name(self, tmp_path):
+        # a scalar and another list come first; a face element with one
+        # list property under another name reads that list
+        def write(path, face_props, face_rows):
+            header = ("ply\nformat binary_little_endian 1.0\nelement vertex 4\n"
+                      "property float x\nproperty float y\nproperty float z\n"
+                      f"element face {len(face_rows)}\n{face_props}end_header\n")
+            with open(path, "wb") as fh:
+                fh.write(header.encode("ascii"))
+                for point in self.SQUARE:
+                    fh.write(struct.pack("<fff", *point))
+                for row in face_rows:
+                    fh.write(row)
+
+        named = tmp_path / "named.ply"
+        write(named, "property uchar flags\nproperty list uchar float texcoord\n"
+                     "property list uchar int vertex_index\n",
+              [struct.pack("<BB2fB4i", 1, 2, 0.5, 0.5, 4, 3, 2, 1, 0)])
+        assert cloudio.read_ply(named)[2] == [(3, 2, 1), (3, 1, 0)]
+        other = tmp_path / "other.ply"
+        write(other, "property int material\nproperty list uchar uint corners\n",
+              [struct.pack("<iB3I", 5, 3, 2, 3, 0)])
+        assert cloudio.read_ply(other)[2] == [(2, 3, 0)]
+
     def test_obj_read_and_face_sampling(self, tmp_path):
         path = tmp_path / "tri.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")

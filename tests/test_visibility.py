@@ -383,6 +383,16 @@ class TestCoverageMatrix:
             assert np.array_equal(got.per_voxel_count, want.sum(axis=0))
         assert np.array_equal(E.entries, built(rows))   # E itself is unchanged
 
+    def test_replace_row_checks_the_new_row(self):
+        E = CoverageMatrix(np.array([[1, 0, 1], [0, 0, 0]]))
+        for bad in ({3}, {-1}, np.array([0, 5])):
+            with pytest.raises(ValueError):
+                replace_row(E, 0, bad)
+        assert replace_row(E, 1, set()) is E   # an empty row stays empty
+        got = replace_row(E, 0, set())
+        assert got.entries.tolist() == [[0, 0, 0], [0, 0, 0]]
+        assert got.per_voxel_count.tolist() == [0, 0, 0]
+
     def test_rig_needs_a_camera(self):
         with pytest.raises(ValueError):
             CameraRig(poses=(), intrinsics=default_intrinsics())
