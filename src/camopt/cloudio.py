@@ -1,125 +1,137 @@
 """Point cloud file IO: PLY and OBJ reading, colored PLY writing.
 
-Only the pieces the toolkit needs: vertex positions, optional per-vertex
-normals, and (for meshes) triangle faces so surfaces can be sampled into
-point sets. Anything else in a file is skipped.
+Only vertex positions, optional per-vertex normals and (for meshes)
+triangle faces are kept; anything else in a file is skipped. A PLY element
+of scalar properties (the vertices) is read into named columns in one call:
+an ASCII block through `np.loadtxt`, a binary little-endian one through
+`np.frombuffer` with a record dtype built from the header. Only an element
+with list properties (the faces) is read row by row. Malformed data raises
+a ValueError that names the element or property.
 """
-
-import struct
 
 import numpy as np
 
-_PLY_SCALARS = {
-    "char": ("b", 1), "int8": ("b", 1),
-    "uchar": ("B", 1), "uint8": ("B", 1),
-    "short": ("h", 2), "int16": ("h", 2),
-    "ushort": ("H", 2), "uint16": ("H", 2),
-    "int": ("i", 4), "int32": ("i", 4),
-    "uint": ("I", 4), "uint32": ("I", 4),
-    "float": ("f", 4), "float32": ("f", 4),
-    "double": ("d", 8), "float64": ("d", 8),
+_PLY_TYPES = {  # PLY scalar types and their numpy codes, read little-endian
+    "char": "i1", "uchar": "u1", "short": "i2", "ushort": "u2",
+    "int": "i4", "uint": "u4", "float": "f4", "double": "f8",
+    "int8": "i1", "uint8": "u1", "int16": "i2", "uint16": "u2",
+    "int32": "i4", "uint32": "u4", "float32": "f4", "float64": "f8",
 }
 
 
 def _parse_ply_header(fh):
     if fh.readline().strip() != b"ply":
         raise ValueError("not a PLY file")
-    fmt = None
-    elements = []  # (name, count, [(prop_name, scalar) or (prop_name, "list", count_t, item_t)])
-    while True:
-        line = fh.readline()
-        if not line:
-            raise ValueError("unterminated PLY header")
-        tokens = line.decode("ascii", "replace").split()
-        if not tokens or tokens[0] == "comment":
-            continue
+    # elements: (name, count, [(prop, type) or (prop, "list", count type, item type)])
+    fmt, elements = None, []
+    for line in iter(fh.readline, b""):
+        tokens = line.decode("ascii", "replace").split() or [""]
         if tokens[0] == "format":
             fmt = tokens[1]
         elif tokens[0] == "element":
             elements.append((tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
-            if tokens[1] == "list":
-                elements[-1][2].append((tokens[4], "list", tokens[2], tokens[3]))
-            else:
-                elements[-1][2].append((tokens[2], tokens[1]))
+            prop = (tokens[4], *tokens[1:4]) if tokens[1] == "list" else (tokens[2], tokens[1])
+            elements[-1][2].append(prop)
         elif tokens[0] == "end_header":
-            break
-    if fmt not in ("ascii", "binary_little_endian"):
-        raise ValueError(f"unsupported PLY format {fmt!r}")
-    return fmt, elements
+            if fmt not in ("ascii", "binary_little_endian"):
+                raise ValueError(f"unsupported PLY format {fmt!r}")
+            return fmt, elements
+    raise ValueError("unterminated PLY header")
 
 
-def _read_ply_ascii(fh, elements):
-    data = {}
-    for name, count, props in elements:
-        rows = []
-        for _ in range(count):
-            tokens = fh.readline().split()
-            row = {}
-            pos = 0
-            for prop in props:
-                if prop[1] == "list":
-                    n = int(tokens[pos]); pos += 1
-                    row[prop[0]] = [float(t) for t in tokens[pos:pos + n]]
-                    pos += n
-                else:
-                    row[prop[0]] = float(tokens[pos]); pos += 1
-            rows.append(row)
-        data[name] = rows
-    return data
+def _dtype(type_name):
+    if type_name not in _PLY_TYPES:
+        raise ValueError(f"unknown PLY type {type_name!r}")
+    return np.dtype("<" + _PLY_TYPES[type_name])
 
 
-def _read_ply_binary(fh, elements):
-    data = {}
-    for name, count, props in elements:
-        rows = []
-        for _ in range(count):
-            row = {}
-            for prop in props:
-                if prop[1] == "list":
-                    cfmt, csize = _PLY_SCALARS[prop[2]]
-                    ifmt, isize = _PLY_SCALARS[prop[3]]
-                    (n,) = struct.unpack("<" + cfmt, fh.read(csize))
-                    vals = struct.unpack("<" + ifmt * n, fh.read(isize * n))
-                    row[prop[0]] = list(vals)
-                else:
-                    sfmt, ssize = _PLY_SCALARS[prop[1]]
-                    (row[prop[0]],) = struct.unpack("<" + sfmt, fh.read(ssize))
-            rows.append(row)
-        data[name] = rows
-    return data
+def _read_table(body, pos, fmt, count, props):
+    """An element of scalar properties, read whole into one record array:
+    ({property: column}, the position after it). `body` holds the lines
+    (ASCII) or bytes (binary) after the header; `pos` indexes it."""
+    if fmt == "ascii":
+        table = np.loadtxt(body[pos:pos + count], [(prop[0], "f8") for prop in props],
+                           comments=None, ndmin=1)
+        end = pos + count
+    else:
+        dtype = np.dtype([(prop[0], _dtype(prop[1])) for prop in props])
+        end = pos + count * dtype.itemsize
+        if end > len(body):
+            raise ValueError(f"truncated: {len(body) - pos} of {end - pos} bytes")
+        table = np.frombuffer(body, dtype, count, pos)
+    if len(table) != count:
+        raise ValueError(f"truncated: {len(table)} of {count} rows")
+    return {prop[0]: table[prop[0]] for prop in props}, end
 
 
-def _face_index_property(props) -> str:
-    """The face property holding vertex indices: the list property named
-    vertex_indices or vertex_index, else the first list property."""
-    lists = [prop[0] for prop in props if prop[1] == "list"]
-    if not lists:
-        raise ValueError("PLY face element has no list property")
-    return next((name for name in ("vertex_indices", "vertex_index") if name in lists), lists[0])
+def _read_rows(body, pos, fmt, count, props):
+    """An element with list properties, read row by row: ({property: list
+    over the rows}, the position after it); a list property's entries are
+    lists of its items."""
+    columns = {prop[0]: [] for prop in props}
+    # per property the types of its list length (None for a scalar) and items
+    types = [prop[2:] if prop[1] == "list" else (None, prop[1]) for prop in props]
+    if fmt != "ascii":  # binary types as dtypes, built once per element
+        types = [(n and _dtype(n), _dtype(item)) for n, item in types]
+    for row in range(count):
+        chunk, at = (body[pos].split(), 0) if fmt == "ascii" else (body, pos)
+        for prop, (n_type, item_type) in zip(props, types):
+            n = 1
+            if n_type is not None:
+                (n,), at = _take(chunk, at, fmt, n_type, 1)
+            value, at = _take(chunk, at, fmt, item_type, int(n))
+            columns[prop[0]].append(value if n_type is not None else value[0])
+        if fmt == "ascii" and at != len(chunk):
+            raise ValueError(f"row {row} holds {len(chunk)} values, not {at}")
+        pos = pos + 1 if fmt == "ascii" else at
+    return columns, pos
+
+
+def _take(chunk, at, fmt, dtype, n):
+    """n values of a dtype from position `at` of a row's tokens (ASCII) or
+    of the body's bytes (binary), and the position after them."""
+    end = at + n * (1 if fmt == "ascii" else dtype.itemsize)
+    if n < 0 or end > len(chunk):
+        raise ValueError(f"truncated, or a negative list length, at {at}")
+    if fmt == "ascii":
+        return [float(token) for token in chunk[at:end]], end
+    return np.frombuffer(chunk, dtype, n, at).tolist(), end
 
 
 def read_ply(path):
     """Read a PLY file; returns (points, normals or None, faces or None)."""
     with open(path, "rb") as fh:
         fmt, elements = _parse_ply_header(fh)
-        data = _read_ply_ascii(fh, elements) if fmt == "ascii" else _read_ply_binary(fh, elements)
-    verts = data.get("vertex", [])
+        body = fh.read().split(b"\n") if fmt == "ascii" else fh.read()
+    data, pos = {}, 0
+    for name, count, props in elements:
+        read = _read_rows if any(prop[1] == "list" for prop in props) else _read_table
+        try:
+            data[name], pos = read(body, pos, fmt, count, props) if count else ({}, pos)
+        except (IndexError, ValueError, OverflowError) as exc:
+            raise ValueError(f"PLY element {name!r}: {exc}") from None
+    verts = data.get("vertex")
     if not verts:
         raise ValueError("PLY file has no vertices")
-    points = np.array([[v["x"], v["y"], v["z"]] for v in verts], dtype=np.float64)
+    missing = [axis for axis in ("x", "y", "z") if axis not in verts]
+    if missing:
+        raise ValueError(f"PLY element 'vertex' has no property {missing[0]!r}")
+    points = np.stack([verts[axis] for axis in ("x", "y", "z")], axis=1).astype(np.float64)
     normals = None
-    if all(k in verts[0] for k in ("nx", "ny", "nz")):
-        normals = np.array([[v["nx"], v["ny"], v["nz"]] for v in verts], dtype=np.float64)
+    if all(axis in verts for axis in ("nx", "ny", "nz")):
+        normals = np.stack([verts[axis] for axis in ("nx", "ny", "nz")], axis=1).astype(np.float64)
     faces = None
-    face_rows = data.get("face")
-    if face_rows:
-        key = _face_index_property(next(props for name, _, props in elements if name == "face"))
-        faces = []
-        for row in face_rows:
-            idx = [int(i) for i in row[key]]
-            for a in range(1, len(idx) - 1):  # fan-triangulate polygons
-                faces.append((idx[0], idx[a], idx[a + 1]))
+    if data.get("face"):
+        # the vertex indices: the list named vertex_indices or vertex_index, else the first list
+        lists = [prop[0] for prop in next(p for name, _, p in elements if name == "face")
+                 if prop[1] == "list"]
+        if not lists:
+            raise ValueError("PLY face element has no list property")
+        key = next((name for name in ("vertex_indices", "vertex_index") if name in lists), lists[0])
+        rows = ([int(i) for i in row] for row in data["face"][key])
+        faces = [(idx[0], idx[a], idx[a + 1])  # fan-triangulate polygons
+                 for idx in rows for a in range(1, len(idx) - 1)]
     return points, normals, faces
 
 
@@ -181,24 +193,18 @@ def read_point_file(path):
 
 
 def write_ply_rgb(path, points, colors, normals=None):
-    """Write an ASCII PLY with per-vertex uchar RGB (and normals if given)."""
+    """Write an ASCII PLY with per-vertex uchar RGB (and normals if given),
+    each row formatted by one `%` format string."""
     points = np.asarray(points, dtype=np.float64)
     colors = np.asarray(colors)
     if colors.shape != points.shape:
         raise ValueError("colors must be (n, 3) matching points")
     colors = np.clip(np.rint(colors), 0, 255).astype(np.uint8)
+    names = ["x", "y", "z"] + (["nx", "ny", "nz"] if normals is not None else [])
+    table = np.column_stack([points] + ([normals] if normals is not None else []) + [colors])
+    row = "%.9g " * len(names) + "%d %d %d\n"
     with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(points)}\n")
-        fh.write("property double x\nproperty double y\nproperty double z\n")
-        if normals is not None:
-            fh.write("property double nx\nproperty double ny\nproperty double nz\n")
-        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        fh.write("end_header\n")
-        for i, p in enumerate(points):
-            row = f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}"
-            if normals is not None:
-                q = normals[i]
-                row += f" {q[0]:.9g} {q[1]:.9g} {q[2]:.9g}"
-            c = colors[i]
-            fh.write(row + f" {c[0]} {c[1]} {c[2]}\n")
+        fh.write(f"ply\nformat ascii 1.0\nelement vertex {len(points)}\n")
+        fh.write("".join(f"property double {name}\n" for name in names))
+        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())

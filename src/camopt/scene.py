@@ -6,6 +6,7 @@ grid's occupied-cell box (the occlusion traversal).
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -357,7 +358,9 @@ def generate_planar_shape(spec: ShapeSpec) -> TargetScene:
 
 def estimate_normals(points: np.ndarray, mode: str = VOLUMETRIC3D) -> np.ndarray:
     """Plane-fit normals over the 16 nearest neighbors, oriented away from
-    the centroid. Planar scenes use the in-plane 2D analogue."""
+    the centroid. Planar scenes use the in-plane 2D analogue. One stacked
+    product gives every patch covariance (laid out as `np.cov` lays out one)
+    and one batched `eigh` every smallest-variance direction."""
     # the one scipy user on the run path, and only for files without normals
     from scipy.spatial import cKDTree
 
@@ -365,21 +368,13 @@ def estimate_normals(points: np.ndarray, mode: str = VOLUMETRIC3D) -> np.ndarray
     dims = 2 if mode == PLANAR2D else 3
     coords = points[:, :dims]
     k = min(16, n)
-    tree = cKDTree(coords)
-    _, nbr = tree.query(coords, k=k)
-    if k == 1:
-        nbr = nbr[:, None]
-    centroid = coords.mean(axis=0)
-    normals = np.zeros((n, dims))
-    for i in range(n):
-        patch = coords[nbr[i]]
-        cov = np.cov(patch.T) if len(patch) > 1 else np.eye(dims)
-        _, vecs = np.linalg.eigh(np.atleast_2d(cov))
-        normal = vecs[:, 0]  # smallest-variance direction
-        off = coords[i] - centroid
-        if np.dot(normal, off) < 0.0:
-            normal = -normal
-        normals[i] = normal
+    patches = coords[cKDTree(coords).query(coords, k=k)[1].reshape(n, k)]
+    dev = patches - patches.mean(axis=1, keepdims=True)
+    cov = np.matmul(dev.transpose(0, 2, 1), dev) * (1.0 / max(k - 1, 1))
+    normals = np.linalg.eigh(cov)[1][:, :, 0]  # smallest-variance direction
+    off = coords - coords.mean(axis=0)
+    facing = np.matmul(normals[:, None, :], off[:, :, None])[:, 0, 0]
+    normals = np.where((facing < 0.0)[:, None], -normals, normals)
     if dims == 2:
         normals = np.concatenate([normals, np.zeros((n, 1))], axis=1)
     lens = np.linalg.norm(normals, axis=1, keepdims=True)
@@ -421,49 +416,46 @@ def load_scene(path, mode: str = VOLUMETRIC3D) -> TargetScene:
 
 def voxelize(scene: TargetScene, resolution: Optional[float] = None,
              cell_cap: int = DEFAULT_VOXEL_CAP) -> VoxelGrid:
-    """Bin scene points into a grid anchored at the bounds minimum.
+    """Bin scene points into a grid anchored at the bounds minimum, counting
+    the cells against cell_cap in exact integers.
 
-    Voxel normal is the normalized mean of member normals; if members cancel,
-    the normal of the member nearest the voxel center is used instead.
-    """
+    Points are grouped by one flat cell key (`np.unique`): voxel rows follow
+    each cell's first point, members are in point order. Voxel normal is the
+    normalized mean of member normals (summed in point order); if members
+    cancel, the normal of the member nearest the voxel center is used."""
     if resolution is None:
         resolution = scene.default_resolution()
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
     bmin = scene.bounds[0]
     extent = scene.bounds[1] - bmin
-    cells = np.maximum(1, np.ceil(extent / resolution - 1e-12).astype(np.int64))
-    if int(np.prod(cells)) > cell_cap:
-        raise ValueError(
-            f"resolution {resolution} implies {int(np.prod(cells))} cells, over the cap {cell_cap}")
+    # Python ints never wrap; an axis over the cap counts as cap + 1 (no ceil of inf)
+    cells = [max(1, math.ceil(min(e / resolution - 1e-12, cell_cap + 1))) for e in extent.tolist()]
+    if math.prod(cells) > cell_cap:
+        raise ValueError(f"resolution {resolution} implies more than {cell_cap} cells, the cap")
     coord = np.floor((scene.points - bmin) / resolution).astype(np.int64)
-    coord = np.minimum(coord, cells - 1)  # points on the max face stay in range
-
-    index: dict = {}
-    member_lists = []
-    for pi, key in enumerate(map(tuple, coord)):
-        row = index.get(key)
-        if row is None:
-            index[key] = len(member_lists)
-            member_lists.append([pi])
-        else:
-            member_lists[row].append(pi)
-
-    # rows are numbered in insertion order, so the keys come out in row order
-    keys = np.array(list(index), dtype=np.int64)
+    coord = np.minimum(coord, np.array(cells) - 1)  # points on the max face stay in range
+    lo = coord.min(axis=0)  # -1 for a point within the bounds' tolerance below the minimum
+    _, first, cell = np.unique(np.ravel_multi_index(tuple((coord - lo).T), coord.max(0) - lo + 1),
+                               return_index=True, return_inverse=True)
+    order = np.argsort(first)  # cells in the order of their first point
+    row = np.argsort(order)[cell]
+    keys = coord[first[order]]
+    counts = np.bincount(row)
+    members = tuple(np.split(np.argsort(row, kind="stable"), np.cumsum(counts)[:-1]))
     # a zero-extent axis (planar scenes) keeps its coordinate on the plane
     half = np.where(extent > 1e-12, 0.5, 0.0)
     centers = bmin + (keys + half) * resolution
-    normals = np.empty((len(keys), 3))
-    for row, mem in enumerate(member_lists):
-        mean = scene.normals[mem].mean(axis=0)
-        length = np.linalg.norm(mean)
-        if length < 1e-9:
-            d = np.linalg.norm(scene.points[mem] - centers[row], axis=1)
-            normals[row] = scene.normals[mem[int(np.argmin(d))]]
-        else:
-            normals[row] = mean / length
-    members = tuple(np.asarray(m_, dtype=np.intp) for m_ in member_lists)
+    mean = np.stack([np.bincount(row, weights=w, minlength=len(keys))
+                     for w in scene.normals.T], axis=1) / counts[:, None]
+    # a batched dot, as np.linalg.norm of one vector is sqrt(x @ x) to the bit
+    length = np.sqrt(np.matmul(mean[:, None, :], mean[:, :, None])[:, 0, 0])
+    cancel = length < 1e-9
+    normals = mean / np.where(cancel, 1.0, length)[:, None]
+    for r in np.flatnonzero(cancel):
+        mem = members[r]
+        d = np.linalg.norm(scene.points[mem] - centers[r], axis=1)
+        normals[r] = scene.normals[mem[np.argmin(d)]]
     return VoxelGrid(resolution=float(resolution), centers=centers,
                      normals=normals, members=members, keys=keys,
                      origin=bmin.copy())

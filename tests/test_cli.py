@@ -25,6 +25,7 @@ from camopt.cli import (
 from camopt.hybrid import initialize
 from camopt.metrics import evaluate_rig
 from camopt.scene import voxelize
+from test_scene import MALFORMED_PLY_CASES, write_malformed_ply
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -286,6 +287,14 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.json",
                            scene_source={"path": str(tmp_path / "missing.ply")})
         assert main(["optimize", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("fmt, case", MALFORMED_PLY_CASES)
+    def test_malformed_ply_is_runtime_error(self, tmp_path, capsys, fmt, case):
+        ply = write_malformed_ply(tmp_path / "bad.ply", fmt, case)
+        cfg = write_config(tmp_path / "c.json", mode="volumetric3d",
+                           scene_source={"path": str(ply)})
+        assert main(["optimize", "--config", str(cfg)]) == 3
+        assert "PLY element 'vertex'" in capsys.readouterr().err
 
     def test_external_generator_kind_is_runtime_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", scene_source={"generator": {

@@ -186,6 +186,23 @@ class TestVoxelize:
         with pytest.raises(ValueError):
             voxelize(scene, resolution=1e-3, cell_cap=1000)
 
+    @pytest.mark.parametrize("resolution", [2.0 ** -21, 1e-30, 5e-324])
+    def test_cell_cap_counts_in_exact_integers(self, resolution):
+        # on a unit cube 2**-21 implies 2**63 cells and 1e-30 implies 1e90, and
+        # 5e-324 overflows the per-axis ratio: no count may wrap around in a
+        # fixed-width integer and pass the cap
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        scene = TargetScene(pts, np.tile([0.0, 0.0, 1.0], (2, 1)), VOLUMETRIC3D, pts)
+        with pytest.raises(ValueError, match="cap"):
+            voxelize(scene, resolution=resolution)
+
+    def test_cell_cap_is_inclusive(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        scene = TargetScene(pts, np.tile([0.0, 0.0, 1.0], (2, 1)), VOLUMETRIC3D, pts)
+        assert len(voxelize(scene, resolution=0.1, cell_cap=1000)) == 2
+        with pytest.raises(ValueError, match="cap"):
+            voxelize(scene, resolution=0.1, cell_cap=999)
+
     def test_planar_voxel_centers_stay_on_plane(self):
         scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 200, seed=0))
         grid = voxelize(scene, resolution=0.1)
@@ -335,6 +352,63 @@ class TestCloudIO:
         path.write_text("0 0 0\n")
         with pytest.raises(ValueError):
             cloudio.read_point_file(path)
+
+
+def write_malformed_ply(path, fmt, case):
+    """A three-vertex PLY (float x y z) broken as `case` says: "truncated"
+    (four vertices declared), "short row" and "long row" (the second row one
+    value short or over), "no z" (only x and y declared)."""
+    names = ["x", "y"] if case == "no z" else ["x", "y", "z"]
+    rows = [[0.0, 0.5, 1.0], [1.0, 2.0, 3.0], [2.0, 0.0, 1.0]]
+    rows = [row[:len(names)] for row in rows]
+    if case == "short row":
+        rows[1] = rows[1][:-1]
+    if case == "long row":
+        rows[1] = rows[1] + [4.0]
+    count = 4 if case == "truncated" else 3
+    header = (f"ply\nformat {fmt} 1.0\nelement vertex {count}\n"
+              + "".join(f"property float {name}\n" for name in names) + "end_header\n")
+    if fmt == "ascii":
+        body = "".join(" ".join(map(str, row)) + "\n" for row in rows).encode("ascii")
+    else:
+        body = b"".join(struct.pack(f"<{len(row)}f", *row) for row in rows)
+    path.write_bytes(header.encode("ascii") + body)
+    return path
+
+
+MALFORMED_PLY_CASES = [("ascii", "truncated"), ("ascii", "short row"), ("ascii", "long row"),
+                       ("ascii", "no z"), ("binary_little_endian", "truncated"),
+                       ("binary_little_endian", "short row"), ("binary_little_endian", "no z")]
+
+
+class TestMalformedPly:
+    @pytest.mark.parametrize("fmt, case", MALFORMED_PLY_CASES)
+    def test_raises_value_error_naming_the_element(self, tmp_path, fmt, case):
+        path = write_malformed_ply(tmp_path / "bad.ply", fmt, case)
+        match = "'vertex' has no property 'z'" if case == "no z" else "PLY element 'vertex'"
+        with pytest.raises(ValueError, match=match):
+            cloudio.read_ply(path)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_truncated_face_list_names_the_face_element(self, tmp_path, fmt):
+        header = (f"ply\nformat {fmt} 1.0\nelement vertex 3\nproperty float x\n"
+                  "property float y\nproperty float z\nelement face 1\n"
+                  "property list uchar int vertex_indices\nend_header\n").encode("ascii")
+        if fmt == "ascii":
+            body = b"0 0 0\n1 0 0\n0 1 0\n3 0 1\n"
+        else:
+            body = struct.pack("<9fB2i", 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 0, 1)
+        path = tmp_path / "faces.ply"
+        path.write_bytes(header + body)
+        with pytest.raises(ValueError, match="PLY element 'face'"):
+            cloudio.read_ply(path)
+
+    def test_unknown_binary_type_is_named(self, tmp_path):
+        path = tmp_path / "half.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                         b"property half x\nend_header\n\x00\x00")
+        with pytest.raises(ValueError, match="PLY element 'vertex': unknown PLY type 'half'"):
+            cloudio.read_ply(path)
 
 
 class TestLoadScene:
