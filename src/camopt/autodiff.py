@@ -15,10 +15,11 @@ gradients over throughput tricks.  The one exception is
 materializing the (query, key, channel) intermediates on the tape.
 
 The tape now serves the camera-pose gradients of the placement loss and the
-tests.  The field's weight fit takes its gradients from a fused numpy step
-in ``camopt.field`` that reuses ``score_blocks`` (on float32 slabs) and
-``adam_step`` from here; it matches what this tape computes for the same
-loss to about 1e-7 relative, not bit for bit.
+tests.  The field's weight fit takes its gradients from a fused float32
+step in ``camopt.field`` (a compiled C kernel, or where none can be built a
+numpy step that reuses ``score_blocks``) and ``adam_step`` from here; it
+matches what this tape computes for the same loss to about 1e-6 relative,
+not bit for bit.
 """
 
 from __future__ import annotations

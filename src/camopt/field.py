@@ -23,18 +23,24 @@ encode (_encode) serves all three callers, none of which differentiates
 through the weights: `query` runs the forward without a tape; the placement
 loss keeps only B on the tape, since only the query positions move with the
 poses (a gradient phase encodes its frozen captures once, encode_captures);
-and the weight fit (`lean_neof`) takes its gradients from a fused numpy step,
-_fit_gradients. That step walks the training queries in blocks of FIT_BLOCK,
-builds each block's (block, keys, 32) relu slab once, and while the slab is
-in cache runs the forward, the squared-error gradient back to the logits and
-the slab contractions; the six weight gradients then close in numpy. The
-slab passes run in float32, which halves the step's time; everything else
-here (the per-row softmax and error chain, weights, Adam state, `query`, the
-placement loss) stays float64. The gradients match the float64 tape of the
-same loss to about 1e-7 relative, not bit for bit, so this change of
-arithmetic moved every rig in its last bits once.
+and the weight fit (`lean_neof`) takes its gradients from a fused step,
+_fit_gradients. Its slab passes, the relu(A + B) scores and the slab
+contractions for the gradients of A, B and Z, run in float32; everything
+else here (the per-row softmax and error chain, weights, Adam state,
+`query`, the placement loss) stays float64. The slab passes run in a small C
+kernel that the first fit of a process compiles with the system compiler
+and loads through ctypes (_fit_kernel); where that fails, in numpy blocks of
+FIT_BLOCK queries. The two sum in different orders, so the rigs of the two
+paths differ in their last bits; both match the float64 tape of the same
+loss to about 1e-6 relative.
 """
 
+import ctypes
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -185,19 +191,202 @@ def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
     return _attend(field, enc.A, _offsets(field, ad.Tensor(batch.positions)), enc.Z).data
 
 
+# The fit step's two slab passes in C, float32 throughout. The sums run in
+# one fixed sequential order (the scores over channels; gZ and gB over keys,
+# gA over queries) and FP contraction is off, so the results do not depend on
+# the optimization flags: a full-tensor numpy evaluation in the same order
+# reproduces them bit for bit.
+_KERNEL_SOURCE = r"""
+/* s[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h]; at is a transposed,
+   (H, nm), so the inner loop runs over contiguous keys. The relu is a
+   product with the 0/1 mask, which keeps the loops free of branches so the
+   compiler vectorizes them; it differs from max(pre, 0) only in the sign of
+   a zero, which no sum here can carry. */
+void fit_scores(const float *restrict at, const float *restrict b,
+                const float *restrict z, float *restrict s, long nq, long nm)
+{
+    for (long q = 0; q < nq; q++) {
+        float *restrict row = s + q * nm;
+        for (long m = 0; m < nm; m++)
+            row[m] = 0.0f;
+        for (long h = 0; h < H; h++) {
+            const float bh = b[q * H + h], zh = z[q * H + h];
+            const float *restrict col = at + h * nm;
+            for (long m = 0; m < nm; m++) {
+                const float pre = col[m] + bh, on = pre > 0.0f;
+                row[m] += pre * on * zh;
+            }
+        }
+    }
+}
+
+/* With t[q, m, h] = g[q, m] * (z[q, h] * on[q, m, h]), on the relu mask of
+   a[m, h] + b[q, h]: gz[q] = sum_m g[q, m] * relu(a[m] + b[q]),
+   gb[q] = sum_m t[q, m] and ga[m] = sum_q t[q, m]. */
+void fit_grads(const float *restrict a, const float *restrict b,
+               const float *restrict z, const float *restrict g,
+               float *restrict ga, float *restrict gb, float *restrict gz,
+               long nq, long nm)
+{
+    for (long i = 0; i < nm * H; i++)
+        ga[i] = 0.0f;
+    for (long q = 0; q < nq; q++) {
+        const float *restrict bq = b + q * H, *restrict zq = z + q * H;
+        float sb[H] = {0.0f}, sz[H] = {0.0f};
+        for (long m = 0; m < nm; m++) {
+            const float w = g[q * nm + m];
+            const float *restrict am = a + m * H;
+            float *restrict gam = ga + m * H;
+            for (long h = 0; h < H; h++) {
+                const float pre = am[h] + bq[h], on = pre > 0.0f;
+                const float t = w * (zq[h] * on);
+                sz[h] += w * (pre * on);
+                sb[h] += t;
+                gam[h] += t;
+            }
+        }
+        for (long h = 0; h < H; h++) {
+            gb[q * H + h] = sb[h];
+            gz[q * H + h] = sz[h];
+        }
+    }
+}
+"""
+# -march=native is safe: the library is built on the host that runs it and
+# kept nowhere, and its results do not depend on the flags. Without it gcc
+# 12 leaves the gradient loop scalar, slower than the numpy step.
+_KERNEL_OPT = ("-O3", "-march=native")
+_KERNEL_FLAGS = ("-ffp-contract=off", f"-DH={HIDDEN}", "-shared", "-fPIC")
+
+
+class _FitKernel:
+    """ctypes binding of the compiled slab kernel. Its functions keep no
+    state and ctypes releases the GIL around them, so threads fit in
+    parallel."""
+
+    def __init__(self, lib):
+        f32 = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
+        n = ctypes.c_long
+        self.lib = lib
+        lib.fit_scores.argtypes = [f32] * 4 + [n, n]
+        lib.fit_scores.restype = None
+        lib.fit_grads.argtypes = [f32] * 7 + [n, n]
+        lib.fit_grads.restype = None
+
+    @staticmethod
+    def _check(A, B, Z, g=None):
+        q, m = len(B), len(A)
+        if A.shape != (m, HIDDEN) or B.shape != (q, HIDDEN) or Z.shape != (q, HIDDEN) \
+                or (g is not None and g.shape != (q, m)):
+            raise ValueError("slab kernel operands do not match in shape")
+        return q, m
+
+    def scores(self, A, B, Z) -> np.ndarray:
+        """(q, keys) float32 scores sum_h relu(A[m] + B[q])_h Z[q, h]."""
+        q, m = self._check(A, B, Z)
+        s = np.empty((q, m), dtype=np.float32)
+        self.lib.fit_scores(np.ascontiguousarray(A.T), B, Z, s, q, m)
+        return s
+
+    def grads(self, A, B, Z, g):
+        """(gA, gB, gZ) in float32 for the logit gradients g (q, keys)."""
+        q, m = self._check(A, B, Z, g)
+        gA, gB, gZ = np.empty_like(A), np.empty_like(B), np.empty_like(Z)
+        self.lib.fit_grads(A, B, Z, g, gA, gB, gZ, q, m)
+        return gA, gB, gZ
+
+
+def _build_kernel(opt=_KERNEL_OPT) -> Optional[_FitKernel]:
+    """Compile the slab kernel with the system C compiler into a temporary
+    directory, load it and delete the directory; None when there is no
+    compiler or the build or the load fails."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        with tempfile.TemporaryDirectory(prefix="camopt-fit-") as tmp:
+            src, lib = os.path.join(tmp, "fit.c"), os.path.join(tmp, "fit.so")
+            with open(src, "w") as fh:
+                fh.write(_KERNEL_SOURCE)
+            subprocess.run([cc, *opt, *_KERNEL_FLAGS, "-o", lib, src], check=True,
+                           stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
+            return _FitKernel(ctypes.CDLL(lib))
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+_kernel_lock = threading.Lock()
+_kernel = None
+_kernel_tried = False
+
+
+def _fit_kernel() -> Optional[_FitKernel]:
+    """The slab kernel, built by the first fit of the process (one build even
+    when threads fit at once); None where it cannot be built."""
+    global _kernel, _kernel_tried
+    with _kernel_lock:
+        if not _kernel_tried:
+            _kernel = _build_kernel()
+            _kernel_tried = True
+    return _kernel
+
+
+def _logit_grads(s, V, target, dV, sup) -> np.ndarray:
+    """From float64 scores s (rows, keys): the softmax, the clamped outputs,
+    the squared-error gradient where the clamp passes it, and the softmax
+    backward to the logits, cast to float32. Every step is per row."""
+    s -= s.max(axis=-1, keepdims=True)
+    att = np.exp(s, out=s)
+    att /= att.sum(axis=-1, keepdims=True)
+    raw = att @ V
+    out = np.minimum(np.maximum(raw, 0.0), sup)
+    err = (out - target) * (out == raw)
+    # softmax backward: att * (g_att - sum(g_att * att))
+    g = err @ dV
+    g -= (g * att).sum(axis=-1, keepdims=True)
+    g *= att
+    # a key the row barely attends to leaves a g far below float32
+    # resolution; as a float32 denormal it would slow every product it
+    # enters many times over, so it is dropped
+    np.putmask(g, np.abs(g) < _FLUSH, 0.0)
+    return g.astype(np.float32)
+
+
+def _numpy_slab_grads(A, B, Z, V, target, dV, sup):
+    """gA, gB, gZ (float32) in numpy, FIT_BLOCK queries at a time: each
+    block's relu slab is built once and, while it is in cache, runs the
+    scores, the row chain (_logit_grads) and the slab contractions. The step
+    where no kernel loads."""
+    gA = np.zeros_like(A)
+    gB = np.empty_like(B)
+    gZ = np.empty_like(Z)
+    scores = np.empty((min(len(B), FIT_BLOCK), len(A)), dtype=np.float32)
+    for rows, slab in ad.score_blocks(A, B, FIT_BLOCK):
+        np.maximum(slab, 0.0, out=slab)
+        s = scores[:len(slab)]
+        np.matmul(slab, Z[rows, :, None], out=s[:, :, None])
+        g = _logit_grads(s.astype(np.float64), V, target[rows], dV, sup)
+        np.matmul(g[:, None, :], slab, out=gZ[rows, None, :])
+        # last use of the slab: overwrite it with the relu mask times Z;
+        # gB[q] = g[q] @ that, gA[m] = g[:, m] @ that[:, m], one product per key
+        on_z = np.greater(slab, 0.0, out=slab)
+        on_z *= Z[rows, None, :]
+        np.matmul(g[:, None, :], on_z, out=gB[rows, None, :])
+        gA += (g.T[:, None, :] @ on_z.transpose(1, 0, 2))[:, 0, :]
+    return gA, gB, gZ
+
+
 def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
     """Set every weight's .grad to the gradient of the mean squared error of
     the field's outputs at the snapshot voxels idx against their attributes.
 
-    One fused pass per block of FIT_BLOCK queries builds the relu slab once
-    and, while it is in cache, runs the forward to the clamped outputs, the
-    error gradient back through clamp and softmax to the logits, and the slab
-    contractions for A, B and Z (softmax, clamp and the error are per query
-    row, so a block needs no other rows). The slab and its contractions are
-    float32: A, B and Z are cast once per step and their gradients cast
-    back, so the six weight gradients close in float64. The scores, softmax
-    and error chain of a block, (block, keys) arrays, run in float64. The
-    gradients match the float64 tape of the same loss to about 1e-7
+    The slab passes, the relu(A + B) scores and the contractions for A, B
+    and Z, run in float32: A, B and Z are cast once per step and their
+    gradients cast back, so the six weight gradients close in float64. With
+    the compiled kernel they are two calls over all rows, and the float64
+    row chain between them (softmax, clamp, error, softmax backward) runs
+    once over all rows; without it, in numpy blocks of FIT_BLOCK queries.
+    The gradients match the float64 tape of the same loss to about 1e-6
     relative; a rare relu or clamp decision at a float32 rounding boundary
     moves one by up to about 1e-3.
     """
@@ -210,40 +399,12 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
     V = field.values[field.key_idx]
     target = field.values[idx]
     dV = V.T * (2.0 / target.size)      # d mean(err ** 2) / d err = 2 err / size
-    gA = np.zeros_like(A)
-    gB = np.empty_like(B)
-    gZ = np.empty_like(Z)
-    scores = np.empty((min(len(idx), FIT_BLOCK), len(A)), dtype=f32)
-    for rows, slab in ad.score_blocks(A, B, FIT_BLOCK):
-        np.maximum(slab, 0.0, out=slab)
-        s = scores[:len(slab)]
-        np.matmul(slab, Z[rows, :, None], out=s[:, :, None])
-        # the row-wise chain is small next to the slab and cancels in the
-        # softmax backward, so it runs in float64
-        s = s.astype(np.float64)
-        s -= s.max(axis=-1, keepdims=True)
-        att = np.exp(s, out=s)
-        att /= att.sum(axis=-1, keepdims=True)
-        raw = att @ V
-        out = np.minimum(np.maximum(raw, 0.0), field.sup)
-        # the error, where the clamp passes its gradient
-        err = (out - target[rows]) * (out == raw)
-        # softmax backward: att * (g_att - sum(g_att * att))
-        g = err @ dV
-        g -= (g * att).sum(axis=-1, keepdims=True)
-        g *= att
-        # a key the row barely attends to leaves a g far below float32
-        # resolution; as a float32 denormal it would slow every product it
-        # enters many times over, so it is dropped
-        np.putmask(g, np.abs(g) < _FLUSH, 0.0)
-        g = g.astype(f32)
-        np.matmul(g[:, None, :], slab, out=gZ[rows, None, :])
-        # last use of the slab: overwrite it with the relu mask times Z;
-        # gB[q] = g[q] @ that, gA[m] = g[:, m] @ that[:, m], one product per key
-        on_z = np.greater(slab, 0.0, out=slab)
-        on_z *= Z[rows, None, :]
-        np.matmul(g[:, None, :], on_z, out=gB[rows, None, :])
-        gA += (g.T[:, None, :] @ on_z.transpose(1, 0, 2))[:, 0, :]
+    kernel = _fit_kernel()
+    if kernel is None:
+        gA, gB, gZ = _numpy_slab_grads(A, B, Z, V, target, dV, field.sup)
+    else:
+        g = _logit_grads(kernel.scores(A, B, Z).astype(np.float64), V, target, dV, field.sup)
+        gA, gB, gZ = kernel.grads(A, B, Z, g)
     gA, gB, gZ = (x.astype(np.float64) for x in (gA, gB, gZ))
 
     # Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,

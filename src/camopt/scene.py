@@ -356,23 +356,29 @@ def generate_planar_shape(spec: ShapeSpec) -> TargetScene:
     return _scene_from_arrays(points, normals, PLANAR2D)
 
 
-def estimate_normals(points: np.ndarray, mode: str = VOLUMETRIC3D) -> np.ndarray:
+def estimate_normals(points: np.ndarray, mode: str = VOLUMETRIC3D,
+                     rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Plane-fit normals over the 16 nearest neighbors, oriented away from
     the centroid. Planar scenes use the in-plane 2D analogue. One stacked
     product gives every patch covariance (laid out as `np.cov` lays out one)
-    and one batched `eigh` every smallest-variance direction."""
+    and one batched `eigh` every smallest-variance direction.
+
+    `rows` selects the points to estimate (all by default); neighbors and
+    centroid still come from the whole cloud, so the result equals the
+    selected rows of the full estimate."""
     # the one scipy user on the run path, and only for files without normals
     from scipy.spatial import cKDTree
 
-    n = len(points)
     dims = 2 if mode == PLANAR2D else 3
     coords = points[:, :dims]
-    k = min(16, n)
-    patches = coords[cKDTree(coords).query(coords, k=k)[1].reshape(n, k)]
+    at = coords if rows is None else coords[rows]
+    n = len(at)
+    k = min(16, len(coords))
+    patches = coords[cKDTree(coords).query(at, k=k)[1].reshape(n, k)]
     dev = patches - patches.mean(axis=1, keepdims=True)
     cov = np.matmul(dev.transpose(0, 2, 1), dev) * (1.0 / max(k - 1, 1))
     normals = np.linalg.eigh(cov)[1][:, :, 0]  # smallest-variance direction
-    off = coords - coords.mean(axis=0)
+    off = at - coords.mean(axis=0)
     facing = np.matmul(normals[:, None, :], off[:, :, None])[:, 0, 0]
     normals = np.where((facing < 0.0)[:, None], -normals, normals)
     if dims == 2:
@@ -402,7 +408,7 @@ def load_scene(path, mode: str = VOLUMETRIC3D) -> TargetScene:
         lens = np.linalg.norm(normals, axis=1)
         bad = lens < 1e-9
         if np.any(bad):
-            normals[bad] = estimate_normals(points, mode)[bad]
+            normals[bad] = estimate_normals(points, mode, rows=np.flatnonzero(bad))
             lens = np.linalg.norm(normals, axis=1)
         normals = normals / lens[:, None]
         if mode == PLANAR2D:

@@ -83,6 +83,9 @@ class CameraPose:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64).reshape(3))
         object.__setattr__(self, "rot6", np.asarray(self.rot6, dtype=np.float64).reshape(6))
+        # NaN passes the determinant check below, so test finiteness first
+        if not (np.isfinite(self.position).all() and np.isfinite(self.rot6).all()):
+            raise ValueError("pose position and orientation must be finite")
         rot = rotation_from_six(self.rot6)
         if abs(np.linalg.det(rot) - 1.0) > 1e-6:
             raise ValueError("orientation does not orthonormalize to a proper rotation")

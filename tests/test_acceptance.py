@@ -466,19 +466,24 @@ def test_criterion_08_outer_iteration_under_one_second():
     optimize(scene, CAMERA_COUNT,
              OptimizerConfig(K=COVERAGE_K, seed=0, resolution=0.0075,
                              max_outer=1))     # warmup
-    best_worst_ms, best_grads = math.inf, []
+    # an outer iteration is its grad record plus the non_grad record of the
+    # same index, when resampling ran
+    best_worst_ms, best_outers = math.inf, []
     for _ in range(2):
         _, trace = optimize(scene, CAMERA_COUNT,
                             OptimizerConfig(K=COVERAGE_K, seed=0,
                                             resolution=0.0075, max_outer=3))
-        grads = [(r.index, r.wall_ms) for r in trace.records if r.phase == "grad"]
-        assert grads
-        worst = max(wall for _, wall in grads)
+        outers = {}
+        for r in trace.records:
+            if r.phase in ("grad", "non_grad"):
+                outers[r.index] = outers.get(r.index, 0.0) + r.wall_ms
+        assert outers
+        worst = max(outers.values())
         if worst < best_worst_ms:
-            best_worst_ms, best_grads = worst, grads
-    per_outer = ", ".join(f"outer {i}: {wall:.0f} ms" for i, wall in best_grads)
+            best_worst_ms, best_outers = worst, sorted(outers.items())
+    per_outer = ", ".join(f"outer {i}: {wall:.0f} ms" for i, wall in best_outers)
     assert best_worst_ms < 1000.0, \
-        f"{best_worst_ms:.0f} ms (grad records of the best run: {per_outer})"
+        f"{best_worst_ms:.0f} ms (grad plus non_grad records of the best run: {per_outer})"
 
 
 # ---------------------------------------------------------------------------

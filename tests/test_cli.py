@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import camopt.baselines as baselines
 import camopt.cli as cli
+import camopt.field as field
 from camopt.attributes import ObservationAttributes
 from camopt.baselines import W_VIS
 from camopt.cli import (
@@ -151,6 +153,35 @@ class TestRun:
         for name in ("hybrid_k3_seed0.json", "hybrid_k3_seed1.json"):
             ps = json.loads((tmp_path / "serial" / name).read_text())
             pt = json.loads((tmp_path / "threaded" / name).read_text())
+            ps["config"]["output_dir"] = pt["config"]["output_dir"] = ""
+            assert strip_wall_ms(ps) == strip_wall_ms(pt)
+
+    @pytest.mark.parametrize("optimizer", ["hybrid", "grad_only", "non_grad_only"])
+    def test_threads_match_serial_output_with_the_fit_kernel(self, tmp_path, monkeypatch,
+                                                              optimizer):
+        # the process's first fits start in the pool's two threads at once:
+        # they build the fit kernel once, and the files match a serial run's
+        builds = []
+        real_build = field._build_kernel
+
+        def counting_build(*args):
+            builds.append(1)
+            return real_build(*args)
+
+        monkeypatch.setattr(field, "_build_kernel", counting_build)
+        monkeypatch.setattr(field, "_kernel", None)
+        monkeypatch.setattr(field, "_kernel_tried", False)
+        outputs = {}
+        for threads in ("2", "1"):
+            cfg = write_config(tmp_path / f"t{threads}.json", seeds=[0, 1], optimizer=optimizer,
+                               output_dir=str(tmp_path / f"threads{threads}"))
+            assert main(["optimize", "--config", str(cfg), "--threads", threads]) == 0
+            outputs[threads] = tmp_path / f"threads{threads}"
+        assert len(builds) == 1
+        assert (field._kernel is None) == (shutil.which("cc") is None)
+        for seed in (0, 1):
+            name = f"{optimizer}_k3_seed{seed}.json"
+            pt, ps = (json.loads((outputs[t] / name).read_text()) for t in ("2", "1"))
             ps["config"]["output_dir"] = pt["config"]["output_dir"] = ""
             assert strip_wall_ms(ps) == strip_wall_ms(pt)
 
@@ -386,6 +417,15 @@ class TestSubcommands:
         assert report["angle_quality"] == pytest.approx(
             stored["angle_quality"], abs=1e-12)
         assert report["camera_count"] == 3
+
+    @pytest.mark.parametrize("key, bad", [("position", float("nan")),
+                                          ("rot6", float("inf"))])
+    def test_evaluate_non_finite_pose_is_usage_error(self, cell_file, capsys, key, bad):
+        data = json.loads(cell_file.read_text())
+        data["final"]["poses"][0][key][0] = bad
+        cell_file.write_text(json.dumps(data))
+        assert main(["evaluate", str(cell_file)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_export_writes_colored_voxels(self, cell_file, tmp_path):
         out = tmp_path / "need.ply"

@@ -1,7 +1,9 @@
 """Field tests: attention identities, a dense unfolded reference forward,
 training behaviour, pose gradients of the placement loss."""
 
+import contextlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camopt import autodiff as ad
+from camopt import field as field_module
 from camopt.attributes import ObservationAttributes, shape_analyze, sup_vector
 from camopt.field import (
     D_K,
@@ -20,7 +23,11 @@ from camopt.field import (
     FieldQueryBatch,
     ObservationField,
     PlacementLoss,
+    _build_kernel,
+    _encode,
     _fit_gradients,
+    _fit_kernel,
+    _logit_grads,
     _strided,
     capture_visible,
     lean_neof,
@@ -315,50 +322,77 @@ def rel_diff(got, want):
 GRAD_REL_BOUND = 1e-3
 
 
+@contextlib.contextmanager
+def numpy_step():
+    """Run the fit step in numpy, as where the kernel cannot be built: the
+    loader is made to fail."""
+    real = field_module._fit_kernel
+    field_module._fit_kernel = lambda: None
+    try:
+        yield
+    finally:
+        field_module._fit_kernel = real
+
+
+def check_snapshot_bounds(kind):
+    grid, attrs = real_snapshot(kind)
+    fresh = lean_neof(None, grid, attrs, budget=0, seed=0)
+    assert len(fresh.key_idx) == 256 and fresh.voxel_count > TRAIN_QUERY_POOL
+    first = next(train_batches(fresh, 1))
+    trained = lean_neof(None, grid, attrs, budget=25, seed=0)
+    assert trained.adam.step_count == 25
+    for field in (fresh, trained):
+        for got, want in zip(fused_fit_grads(field, first), tape_fit_grads(field, first)):
+            assert got.dtype == np.float64
+            assert rel_diff(got, want) <= GRAD_REL_BOUND
+
+
+def check_random_case(keys, queries, seed, margin):
+    # a negative margin puts attributes outside their range, so the
+    # output clamp is active on some rows; 130 queries leave a partial
+    # last block
+    rng = np.random.default_rng(seed)
+    grid = scattered_grid(keys, rng)
+    field = lean_neof(None, grid, random_attrs(keys, 3, rng, margin=margin),
+                      budget=0, seed=seed)
+    assert len(field.key_idx) == keys
+    idx = rng.integers(keys, size=queries)
+    for got, want in zip(fused_fit_grads(field, idx), tape_fit_grads(field, idx)):
+        assert rel_diff(got, want) <= GRAD_REL_BOUND
+
+
+def check_clamped_component():
+    # every c value lies above its range, so every output's c is clamped
+    # and only phi_cc and phi_co carry error back to the weights
+    rng = np.random.default_rng(8)
+    grid = scattered_grid(60, rng)
+    sup = sup_vector(3)
+    vals = sup * rng.uniform(0.05, 0.95, size=(60, 3))
+    vals[:, 0] = sup[0] * rng.uniform(1.2, 1.5, size=60)
+    attrs = ObservationAttributes(c=vals[:, 0], phi_cc=vals[:, 1], phi_co=vals[:, 2], K=3)
+    field = lean_neof(None, grid, attrs, budget=0, seed=8)
+    idx = np.arange(60)
+    for got, want in zip(fused_fit_grads(field, idx), tape_fit_grads(field, idx)):
+        assert np.max(np.abs(want)) > 0
+        assert rel_diff(got, want) <= GRAD_REL_BOUND
+
+
 class TestFloat32FitStep:
+    """The fit step as it runs here: with the compiled kernel wherever a C
+    compiler is on PATH (TestFitKernel checks that it loads)."""
+
     @pytest.mark.parametrize("kind", ["circle", "sphere"])
     def test_gradients_within_float32_bound_before_and_after_25_steps(self, kind):
-        grid, attrs = real_snapshot(kind)
-        fresh = lean_neof(None, grid, attrs, budget=0, seed=0)
-        assert len(fresh.key_idx) == 256 and fresh.voxel_count > TRAIN_QUERY_POOL
-        first = next(train_batches(fresh, 1))
-        trained = lean_neof(None, grid, attrs, budget=25, seed=0)
-        assert trained.adam.step_count == 25
-        for field in (fresh, trained):
-            for got, want in zip(fused_fit_grads(field, first), tape_fit_grads(field, first)):
-                assert got.dtype == np.float64
-                assert rel_diff(got, want) <= GRAD_REL_BOUND
+        check_snapshot_bounds(kind)
 
     @settings(max_examples=40, deadline=None)
     @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
            seed=st.integers(0, 10_000), margin=st.sampled_from([-0.3, 0.05]))
     def test_within_float32_bound_over_batch_and_key_counts(self, keys, queries, seed, margin):
-        # a negative margin puts attributes outside their range, so the
-        # output clamp is active on some rows; 130 queries leave a partial
-        # last block
-        rng = np.random.default_rng(seed)
-        grid = scattered_grid(keys, rng)
-        field = lean_neof(None, grid, random_attrs(keys, 3, rng, margin=margin),
-                          budget=0, seed=seed)
-        assert len(field.key_idx) == keys
-        idx = rng.integers(keys, size=queries)
-        for got, want in zip(fused_fit_grads(field, idx), tape_fit_grads(field, idx)):
-            assert rel_diff(got, want) <= GRAD_REL_BOUND
+        check_random_case(keys, queries, seed, margin)
 
     def test_clamped_component_passes_no_gradient(self):
-        # every c value lies above its range, so every output's c is clamped
-        # and only phi_cc and phi_co carry error back to the weights
-        rng = np.random.default_rng(8)
-        grid = scattered_grid(60, rng)
-        sup = sup_vector(3)
-        vals = sup * rng.uniform(0.05, 0.95, size=(60, 3))
-        vals[:, 0] = sup[0] * rng.uniform(1.2, 1.5, size=60)
-        attrs = ObservationAttributes(c=vals[:, 0], phi_cc=vals[:, 1], phi_co=vals[:, 2], K=3)
-        field = lean_neof(None, grid, attrs, budget=0, seed=8)
-        idx = np.arange(60)
-        for got, want in zip(fused_fit_grads(field, idx), tape_fit_grads(field, idx)):
-            assert np.max(np.abs(want)) > 0
-            assert rel_diff(got, want) <= GRAD_REL_BOUND
+        check_clamped_component()
 
     @pytest.mark.parametrize("kind", ["circle", "sphere"])
     def test_trained_field_matches_float64_tape_fit(self, kind):
@@ -410,6 +444,156 @@ class TestFloat32FitStep:
             with np.load(out) as npz:
                 weights.append([npz[key] for key in sorted(npz.files)])
         assert all(np.array_equal(a, b) for a, b in zip(*weights))
+
+
+class TestNumpyFitStep:
+    """The same bounds on the numpy step that runs where no kernel loads."""
+
+    @pytest.mark.parametrize("kind", ["circle", "sphere"])
+    def test_gradients_within_float32_bound_before_and_after_25_steps(self, kind):
+        with numpy_step():
+            check_snapshot_bounds(kind)
+
+    @settings(max_examples=20, deadline=None)
+    @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
+           seed=st.integers(0, 10_000), margin=st.sampled_from([-0.3, 0.05]))
+    def test_within_float32_bound_over_batch_and_key_counts(self, keys, queries, seed, margin):
+        with numpy_step():
+            check_random_case(keys, queries, seed, margin)
+
+    def test_clamped_component_passes_no_gradient(self):
+        with numpy_step():
+            check_clamped_component()
+
+
+# ---------------------------------------------------------------------------
+# the compiled slab kernel
+# ---------------------------------------------------------------------------
+
+def reference_slab(A, B, Z, g):
+    """Scores and (gA, gB, gZ) of the kernel over full (queries, keys,
+    channels) float32 tensors, with numpy summing in the kernel's order: the
+    scores channel by channel, gZ and gB over keys (axis 1) and gA over
+    queries (axis 0), each a sequential reduction over a non-contiguous
+    axis."""
+    slab = A[None, :, :] + B[:, None, :]
+    relu = np.maximum(slab, np.float32(0.0))
+    scores = np.zeros((len(B), len(A)), dtype=np.float32)
+    for h in range(A.shape[1]):
+        scores += relu[:, :, h] * Z[:, None, h]
+    t = g[:, :, None] * np.where(slab > 0, Z[:, None, :], np.float32(0.0))
+    return scores, t.sum(axis=0), t.sum(axis=1), (g[:, :, None] * relu).sum(axis=1)
+
+
+def slab_operands(keys, queries, seed, margin):
+    """Float32 A, B, Z of a random field at random queries, and the logit
+    gradients g the row chain makes of the kernel's scores."""
+    rng = np.random.default_rng(seed)
+    grid = scattered_grid(keys, rng)
+    field = lean_neof(None, grid, random_attrs(keys, 3, rng, margin=margin),
+                      budget=0, seed=seed)
+    idx = rng.integers(keys, size=queries)
+    enc = _encode(field, field.normals[idx])
+    A, Z = enc.A.astype(np.float32), enc.Z.astype(np.float32)
+    B = (-(field.centers[idx] @ field.W1.data[0:3])).astype(np.float32)
+    V, target = field.values[field.key_idx], field.values[idx]
+    scores = _fit_kernel().scores(A, B, Z)
+    g = _logit_grads(scores.astype(np.float64), V, target, V.T * (2.0 / target.size),
+                     field.sup)
+    return A, B, Z, g
+
+
+@pytest.fixture(scope="module")
+def kernel_O0():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    kernel = _build_kernel(opt=("-O0",))
+    assert kernel is not None
+    return kernel
+
+
+class TestFitKernel:
+    def test_loads_where_cc_is_on_path(self):
+        # a silent fallback to the numpy step would cost about 2x in the fit
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert _fit_kernel() is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
+           seed=st.integers(0, 10_000), margin=st.sampled_from([-0.3, 0.05]))
+    def test_equals_full_tensor_reference_and_O0_build(self, kernel_O0, keys, queries,
+                                                       seed, margin):
+        # a negative margin puts attributes outside their range, so the
+        # clamp zeroes some of g
+        A, B, Z, g = slab_operands(keys, queries, seed, margin)
+        kernel = _fit_kernel()
+        got = (kernel.scores(A, B, Z),) + kernel.grads(A, B, Z, g)
+        for other in (reference_slab(A, B, Z, g),
+                      (kernel_O0.scores(A, B, Z),) + kernel_O0.grads(A, B, Z, g)):
+            for x, y in zip(got, other):
+                assert x.dtype == y.dtype == np.float32
+                np.testing.assert_array_equal(x, y)
+
+    def test_rejects_operands_of_mismatched_shape(self):
+        if _fit_kernel() is None:
+            pytest.skip("no fit kernel on this host")
+        A, B, Z, g = slab_operands(40, 9, 0, 0.05)
+        with pytest.raises(ValueError):
+            _fit_kernel().scores(A, B[:5], Z)
+        with pytest.raises(ValueError):
+            _fit_kernel().grads(A, B, Z, g[:, :-1])
+
+    def test_kernel_and_numpy_steps_agree(self):
+        # forcing the loader to fail selects the numpy step; the two steps
+        # sum in different orders and agree to float32 rounding
+        grid, attrs = real_snapshot("circle")
+        field = lean_neof(None, grid, attrs, budget=0, seed=0)
+        idx = next(train_batches(field, 1))
+        with numpy_step():
+            assert field_module._fit_kernel() is None
+            slow = fused_fit_grads(field, idx)
+        for got, want in zip(fused_fit_grads(field, idx), slow):
+            assert rel_diff(got, want) <= 1e-5
+
+    def test_import_starts_no_process_and_a_fit_leaves_nothing_behind(self, tmp_path):
+        code = (
+            "import os, subprocess, sys, tempfile\n"
+            "started = []\n"
+            "real_popen = subprocess.Popen\n"
+            "class Counting(real_popen):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        started.append(args[0])\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "subprocess.Popen = Counting\n"
+            "names = [n for n in ('fork', 'system', 'posix_spawn', 'posix_spawnp')\n"
+            "         if hasattr(os, n)]\n"
+            "real = {n: getattr(os, n) for n in names}\n"
+            "for n in names:\n"
+            "    setattr(os, n, lambda *a, _n=n, **k: sys.exit('os.%s at import' % _n))\n"
+            "import camopt, camopt.cli, camopt.field as field\n"
+            "for n in names:\n"
+            "    setattr(os, n, real[n])\n"
+            "assert started == [], started\n"
+            "assert not field._kernel_tried\n"
+            "tempfile.tempdir = sys.argv[1]\n"
+            "from test_field import real_snapshot\n"
+            "field.lean_neof(None, *real_snapshot('circle'), budget=2, seed=0)\n"
+            "assert len(started) == (0 if field._kernel is None else 1), started\n"
+            "assert os.listdir(sys.argv[1]) == [], os.listdir(sys.argv[1])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    sys.exit('a child process is left')\n"
+            "except ChildProcessError:\n"
+            "    pass\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        proc = subprocess.run([sys.executable, "-c", code, str(scratch)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

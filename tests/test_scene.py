@@ -454,6 +454,42 @@ class TestLoadScene:
         ok = np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0))) <= 5.0
         assert ok.mean() >= 0.95
 
+    @pytest.mark.parametrize("mode", [VOLUMETRIC3D, PLANAR2D])
+    def test_only_degenerate_normals_are_estimated(self, tmp_path, monkeypatch, mode):
+        import scipy.spatial
+        pts = unit_sphere_cloud(2000, seed=4)
+        if mode == PLANAR2D:
+            pts[:, 2] = 0.0
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        nrm = pts.copy()
+        bad = np.array([7, 1234])
+        nrm[bad] = 0.0
+        path = tmp_path / "cloud.ply"
+        with open(path, "w") as fh:
+            fh.write("ply\nformat ascii 1.0\nelement vertex 2000\n")
+            fh.write("property double x\nproperty double y\nproperty double z\n")
+            fh.write("property double nx\nproperty double ny\nproperty double nz\n")
+            fh.write("end_header\n")
+            for row in np.concatenate([pts, nrm], axis=1):
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        sizes = []
+
+        class SpyTree(scipy.spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                sizes.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.spatial, "cKDTree", SpyTree)
+            scene = load_scene(path, mode)
+        assert sizes == [len(bad)]
+        points = cloudio.read_point_file(path)[0]
+        full = estimate_normals(points, mode)
+        np.testing.assert_array_equal(estimate_normals(points, mode, rows=bad), full[bad])
+        np.testing.assert_allclose(scene.normals[bad], full[bad], atol=1e-12)
+        np.testing.assert_allclose(np.delete(scene.normals, bad, axis=0),
+                                   np.delete(nrm, bad, axis=0), atol=1e-12)
+
     def test_degenerate_cloud_rejected(self, tmp_path):
         path = tmp_path / "flat.ply"
         with open(path, "w") as fh:

@@ -113,6 +113,16 @@ class TestRotation:
         assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-9)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("name, index", [("position", i) for i in range(3)]
+                             + [("rot6", i) for i in range(6)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pose_rejects_non_finite_values(self, name, index, bad):
+        # a NaN rotation passes the determinant check, so it needs its own
+        values = {"position": np.zeros(3), "rot6": np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])}
+        values[name][index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CameraPose(**values)
+
     def test_pose_derives_its_rotation_once(self, monkeypatch):
         import camopt.baselines as baselines
         import camopt.visibility as visibility
