@@ -462,8 +462,8 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
     that intermediate: the pre-activation is built block by block by
     score_blocks, and the backward pass rebuilds it the same way (bit for
     bit) to get the relu mask.  Only the inputs that need a gradient get one.
-    The field's weight fit runs its own fused pass over the same blocks; this
-    op serves the pose descent and the gradient checks.
+    The field's numpy fit step runs its own fused pass over the same blocks;
+    this op serves the pose descent and the gradient checks.
     """
     a, b, z = _lift(a), _lift(b), _lift(z)
     out = np.empty((len(b.data), len(a.data)))

@@ -38,7 +38,6 @@ loss to about 1e-6 relative.
 import ctypes
 import os
 import shutil
-import subprocess
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -59,8 +58,8 @@ TRAIN_QUERY_POOL = 512
 TRAIN_BATCH = 128
 KEY_BASIS_CAP = 256
 LOSS_QUERY_CAP = 16
-# training queries per block of the fit step's float32 relu slab (512 KB at
-# 256 keys and 32 channels)
+# training queries per block of the numpy fit step's float32 relu slab
+# (512 KB at 256 keys and 32 channels)
 FIT_BLOCK = 16
 _INV_SQRT_DK = 1.0 / np.sqrt(D_K)
 _FLUSH = 1e-30       # fit-step logit gradients below this are dropped
@@ -300,6 +299,10 @@ def _build_kernel(opt=_KERNEL_OPT) -> Optional[_FitKernel]:
     """Compile the slab kernel with the system C compiler into a temporary
     directory, load it and delete the directory; None when there is no
     compiler or the build or the load fails."""
+    # imported here, not at module level: only a fit needs it, and it is
+    # the one module this adds to `import camopt`
+    import subprocess
+
     cc = shutil.which("cc")
     if cc is None:
         return None
