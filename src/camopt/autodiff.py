@@ -4,8 +4,8 @@ A dynamic tape is rebuilt on every forward pass: each op returns a Tensor
 that keeps references to its parent tensors and a closure that pushes the
 output gradient into them.  ``backward()`` on a scalar output walks the
 graph in reverse topological order and runs those closures.  Gradients only
-flow into branches that end in a ``requires_grad`` leaf, so frozen weights
-cost nothing during pose-only optimization.
+flow into branches that end in a ``requires_grad`` leaf, so constants cost
+nothing in the backward pass.
 
 Everything is float64 and single-threaded per tape; the tensors involved
 are small (a few thousand parameters, query batches in the hundreds), so
@@ -14,12 +14,14 @@ gradients over throughput tricks.  The one exception is
 ``pairwise_scores``, a fused kernel for the attention logits that avoids
 materializing the (query, key, channel) intermediates on the tape.
 
-The tape now serves the camera-pose gradients of the placement loss and the
-tests.  The field's weight fit takes its gradients from a fused float32
-step in ``camopt.field`` (a compiled C kernel, or where none can be built a
-numpy step that reuses ``score_blocks``) and ``adam_step`` from here; it
-matches what this tape computes for the same loss to about 1e-6 relative,
-not bit for bit.
+Nothing on the optimization path builds a tape: the field's weight fit and
+the placement loss's pose gradients are closed-form numpy passes in
+``camopt.field``. The tape serves the gradient checks and the tests'
+float64 references of those passes. The numpy parts the run path does use
+live here as well: the attention-logit helpers ``scores_forward`` and
+``scores_b_grad`` (which ``pairwise_scores`` wraps) over ``score_blocks``,
+and ``adam_step``, one update of a list of parameter arrays from a list of
+gradients.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ __all__ = [
     "cross3",
     "pairwise_scores",
     "score_blocks",
+    "scores_b_grad",
+    "scores_forward",
 ]
 
 
@@ -454,6 +458,28 @@ def score_blocks(a: np.ndarray, b: np.ndarray, block: int):
         yield rows, pre
 
 
+def scores_forward(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """scores[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h], in float64
+    blocks of SCORE_BLOCK queries."""
+    out = np.empty((len(b), len(a)))
+    for rows, pre in score_blocks(a, b, SCORE_BLOCK):
+        np.maximum(pre, 0.0, out=pre)
+        np.matmul(pre, z[rows, :, None], out=out[rows, :, None])
+    return out
+
+
+def scores_b_grad(a: np.ndarray, b: np.ndarray, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of sum(g * scores_forward(a, b, z)) with respect to b:
+    gb[q] = (g[q] @ mask[q]) * z[q], mask[q] the relu mask of a + b[q], in
+    the same blocks as the forward."""
+    gb = np.empty_like(b)
+    for rows, pre in score_blocks(a, b, SCORE_BLOCK):
+        on = np.greater(pre, 0.0, out=pre)
+        np.matmul(g[rows, None, :], on, out=gb[rows, None, :])
+        gb[rows] *= z[rows]
+    return gb
+
+
 def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
     """Fused scores[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h].
 
@@ -461,39 +487,34 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
     applying relu, and contracting with a per-query vector, but never stores
     that intermediate: the pre-activation is built block by block by
     score_blocks, and the backward pass rebuilds it the same way (bit for
-    bit) to get the relu mask.  Only the inputs that need a gradient get one.
-    The field's numpy fit step runs its own fused pass over the same blocks;
-    this op serves the pose descent and the gradient checks.
+    bit) to get the relu mask.  The forward and the b gradient are the numpy
+    helpers scores_forward and scores_b_grad, which the field's queries and
+    pose gradients call directly.  Only the inputs that need a gradient get
+    one.
     """
     a, b, z = _lift(a), _lift(b), _lift(z)
-    out = np.empty((len(b.data), len(a.data)))
-    for rows, pre in score_blocks(a.data, b.data, SCORE_BLOCK):
-        np.maximum(pre, 0.0, out=pre)
-        np.matmul(pre, z.data[rows, :, None], out=out[rows, :, None])
 
     def backward(g):
+        if b.needs_grad:
+            b._accumulate(scores_b_grad(a.data, b.data, z.data, g))
         ga = np.zeros_like(a.data) if a.needs_grad else None
-        gb = np.empty_like(b.data) if b.needs_grad else None
         gz = np.empty_like(z.data) if z.needs_grad else None
+        if ga is None and gz is None:
+            return
         mask = np.empty((min(len(b.data), SCORE_BLOCK),) + a.data.shape)
         for rows, pre in score_blocks(a.data, b.data, SCORE_BLOCK):
-            g_rows = g[rows, None, :]                               # (block, 1, m)
-            on = mask[:len(pre)]
-            np.greater(pre, 0.0, out=on)
+            on = np.greater(pre, 0.0, out=mask[:len(pre)])
             if gz is not None:
                 np.maximum(pre, 0.0, out=pre)
-                np.matmul(g_rows, pre, out=gz[rows, None, :])
-            if gb is not None:
-                np.matmul(g_rows, on, out=gb[rows, None, :])
-                gb[rows] *= z.data[rows]
+                np.matmul(g[rows, None, :], pre, out=gz[rows, None, :])
             if ga is not None:
                 on *= z.data[rows, None, :]
                 ga += np.einsum("qm,qmh->mh", g[rows], on)
-        for t, grad in ((a, ga), (b, gb), (z, gz)):
+        for t, grad in ((a, ga), (z, gz)):
             if grad is not None:
                 t._accumulate(grad)
 
-    return _make(out, (a, b, z), backward)
+    return _make(scores_forward(a.data, b.data, z.data), (a, b, z), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +525,16 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
 class AdamState:
     """Adam moments plus a stepped learning-rate decay schedule.
 
-    The state is positionally tied to the parameter list it was built from.
-    The moments of all parameters live in two flat buffers, so one step
-    updates them all at once; m[i] and v[i] are views of parameter i's part.
-    Learning rate at step t (1-based) is lr0 * decay ** ((t - 1) // decay_every).
+    The state is positionally tied to the list of parameter arrays it was
+    built from. The moments of all parameters live in two flat buffers, so
+    one step updates them all at once; m[i] and v[i] are views of parameter
+    i's part. Learning rate at step t (1-based) is
+    lr0 * decay ** ((t - 1) // decay_every).
     """
 
     def __init__(
         self,
-        params: list[Tensor],
+        params: list[np.ndarray],
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -527,12 +549,12 @@ class AdamState:
         self.decay = decay
         self.decay_every = decay_every
         self.step_count = 0
-        ends = np.cumsum([p.data.size for p in params]).tolist()
+        ends = np.cumsum([p.size for p in params]).tolist()
         self.slots = list(zip([0] + ends[:-1], ends))
         self.flat_m = np.zeros(ends[-1] if ends else 0)
         self.flat_v = np.zeros_like(self.flat_m)
-        self.m = [self.flat_m[a:b].reshape(p.data.shape) for p, (a, b) in zip(params, self.slots)]
-        self.v = [self.flat_v[a:b].reshape(p.data.shape) for p, (a, b) in zip(params, self.slots)]
+        self.m = [self.flat_m[a:b].reshape(p.shape) for p, (a, b) in zip(params, self.slots)]
+        self.v = [self.flat_v[a:b].reshape(p.shape) for p, (a, b) in zip(params, self.slots)]
 
     def current_lr(self) -> float:
         return self.lr0 * self.decay ** (self.step_count // self.decay_every)
@@ -543,18 +565,17 @@ class AdamState:
         self.v[i][...] = 0.0
 
 
-def adam_step(params: list[Tensor], state: AdamState) -> None:
-    """One in-place Adam update of every parameter at once, over the flat
-    moment buffers; each element follows the same expressions as a
-    per-parameter update. Clears gradients afterwards."""
-    for i, p in enumerate(params):
-        if p.grad is None:
-            raise ValueError(f"parameter {i} has no gradient")
+def adam_step(params: list[np.ndarray], grads, state: AdamState) -> None:
+    """One in-place Adam update of every parameter array at once, grads[i]
+    being the gradient of params[i], over the flat moment buffers; each
+    element follows the same expressions as a per-parameter update."""
+    if len(grads) != len(params) or any(np.shape(g) != p.shape for p, g in zip(params, grads)):
+        raise ValueError("need one gradient of its parameter's shape per parameter")
     lr = state.current_lr()
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    g = np.concatenate([p.grad.ravel() for p in params])
+    g = np.concatenate([np.ravel(g) for g in grads])
     m, v = state.flat_m, state.flat_v
     m *= b1
     m += (1.0 - b1) * g
@@ -564,5 +585,4 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
     v_hat = v / (1.0 - b2**t)
     update = lr * m_hat / (np.sqrt(v_hat) + state.eps)
     for p, (a, b) in zip(params, state.slots):
-        p.data -= update[a:b].reshape(p.data.shape)
-        p.grad = None
+        p -= update[a:b].reshape(p.shape)

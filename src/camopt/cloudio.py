@@ -202,7 +202,7 @@ def write_ply_rgb(path, points, colors, normals=None):
     colors = np.clip(np.rint(colors), 0, 255).astype(np.uint8)
     names = ["x", "y", "z"] + (["nx", "ny", "nz"] if normals is not None else [])
     table = np.column_stack([points] + ([normals] if normals is not None else []) + [colors])
-    row = "%.9g " * len(names) + "%d %d %d\n"
+    row = "%.17g " * len(names) + "%d %d %d\n"
     with open(path, "w") as fh:
         fh.write(f"ply\nformat ascii 1.0\nelement vertex {len(points)}\n")
         fh.write("".join(f"property double {name}\n" for name in names))

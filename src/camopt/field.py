@@ -18,21 +18,25 @@ per-query constant shifts every logit of a row equally, so softmax discards
 it and it is dropped. This avoids materializing per-pair encoder activations
 through two linear layers and keeps the hot loop in one fused kernel.
 
-A and Z depend only on the weights and the query normals, so one numpy
-encode (_encode) serves all three callers, none of which differentiates
-through the weights: `query` runs the forward without a tape; the placement
-loss keeps only B on the tape, since only the query positions move with the
-poses (a gradient phase encodes its frozen captures once, encode_captures);
-and the weight fit (`lean_neof`) takes its gradients from a fused step,
-_fit_gradients. Its slab passes, the relu(A + B) scores and the slab
-contractions for the gradients of A, B and Z, run in float32; everything
-else here (the per-row softmax and error chain, weights, Adam state,
-`query`, the placement loss) stays float64. The slab passes run in a small C
-kernel that the first fit of a process compiles with the system compiler
-and loads through ctypes (_fit_kernel); where that fails, in numpy blocks of
-FIT_BLOCK queries. The two sum in different orders, so the rigs of the two
-paths differ in their last bits; both match the float64 tape of the same
-loss to about 1e-6 relative.
+Everything here is plain numpy arrays; nothing builds a tape. A and Z
+depend only on the weights and the query normals, so one encode (_encode)
+serves all three callers: `query` runs the forward; the placement loss
+(placement_loss_grads) runs it at captured points that move with the poses
+and takes the gradients of the poses in closed form back through B, the
+points and each camera's Gram-Schmidt frame (a gradient phase encodes its
+frozen captures once, encode_captures); and the weight fit (`lean_neof`)
+takes the gradients of the six weights from a fused step, _fit_gradients,
+and hands them to autodiff.adam_step. The fit's row chain and the pose
+gradients share the softmax, att @ V and clamp forward (_attend) and the
+softmax backward (_softmax_backward). The fit's slab passes, the
+relu(A + B) scores and the slab contractions for the gradients of A, B and
+Z, run in float32; everything else (the per-row chain, weights, Adam state,
+`query`, the placement loss) stays float64. The slab passes run in a small
+C kernel that the first fit of a process compiles with the system compiler
+and loads through ctypes (_fit_kernel); where that fails, in numpy blocks
+of FIT_BLOCK queries. The two sum in different orders, so the rigs of the
+two paths differ in their last bits; both match the float64 tape of the
+same loss to about 1e-6 relative.
 """
 
 import ctypes
@@ -95,14 +99,12 @@ class ObservationField:
         # training cannot unlearn at the fixed learning rate. Positive b1
         # keeps most ReLU units live from step one.
         rng = np.random.default_rng(seed)
-        self.W1 = ad.Tensor(rng.normal(0.0, np.sqrt(2.0 / 6.0), size=(6, HIDDEN)),
-                            requires_grad=True)
-        self.b1 = ad.Tensor(np.full(HIDDEN, 0.5), requires_grad=True)
-        self.W2 = ad.Tensor(rng.normal(0.0, np.sqrt(2.0 / HIDDEN), size=(HIDDEN, HIDDEN)),
-                            requires_grad=True)
-        self.b2 = ad.Tensor(np.zeros(HIDDEN), requires_grad=True)
-        self.WQ = ad.Tensor(rng.normal(0.0, 0.05, size=(HIDDEN, D_K)), requires_grad=True)
-        self.WK = ad.Tensor(rng.normal(0.0, 0.05, size=(HIDDEN, D_K)), requires_grad=True)
+        self.W1 = rng.normal(0.0, np.sqrt(2.0 / 6.0), size=(6, HIDDEN))
+        self.b1 = np.full(HIDDEN, 0.5)
+        self.W2 = rng.normal(0.0, np.sqrt(2.0 / HIDDEN), size=(HIDDEN, HIDDEN))
+        self.b2 = np.zeros(HIDDEN)
+        self.WQ = rng.normal(0.0, 0.05, size=(HIDDEN, D_K))
+        self.WK = rng.normal(0.0, 0.05, size=(HIDDEN, D_K))
         self.adam = ad.AdamState(self.params())
         self.centers = None
         self.normals = None
@@ -113,6 +115,7 @@ class ObservationField:
         self.trained = False
 
     def params(self):
+        """The weight arrays, in the order of their gradients and Adam slots."""
         return [self.W1, self.b1, self.W2, self.b2, self.WQ, self.WK]
 
     @property
@@ -154,7 +157,7 @@ class _Encoding(NamedTuple):
 def _encode(field: ObservationField, normals: np.ndarray) -> _Encoding:
     """Encode the key basis and the query normals with the current weights,
     in numpy: the weights are constants to every caller."""
-    W1, b1, W2, b2, WQ, WK = (p.data for p in field.params())
+    W1, b1, W2, b2, WQ, WK = field.params()
     kidx = field.key_idx
     basis = np.concatenate([field.centers[kidx], field.normals[kidx]], axis=1)
     q_in = np.concatenate([np.zeros_like(normals), normals], axis=1)
@@ -168,17 +171,28 @@ def _encode(field: ObservationField, normals: np.ndarray) -> _Encoding:
                      qrow @ folded.T)
 
 
-def _offsets(field: ObservationField, positions: ad.Tensor) -> ad.Tensor:
-    """B = -X @ W1[:3], the query-position half of the logits' pre-activation;
-    on the tape only when the positions are."""
-    return ad.mul(ad.matmul(positions, ad.Tensor(field.W1.data[0:3])), ad.Tensor(-1.0))
+def _offsets(field: ObservationField, positions: np.ndarray) -> np.ndarray:
+    """B = -X @ W1[:3], the query-position half of the logits' pre-activation."""
+    return (positions @ field.W1[0:3]) * -1.0
 
 
-def _attend(field: ObservationField, A, B, Z) -> ad.Tensor:
-    """Attention forward from the logits' parts; returns the clamped outputs
-    (q, 3), on the tape only where B is."""
-    att = ad.softmax(ad.pairwise_scores(ad.Tensor(A), B, ad.Tensor(Z)))
-    return ad.clamp(ad.matmul(att, ad.Tensor(field.values[field.key_idx])), 0.0, field.sup)
+def _attend(s: np.ndarray, V: np.ndarray, sup: np.ndarray):
+    """The row chain's forward from float64 scores s (rows, keys): the
+    softmax (in place in s), raw = att @ V and the outputs raw clamped to
+    [0, sup]. Returns (att, raw, out); every step is per row."""
+    s -= s.max(axis=-1, keepdims=True)
+    att = np.exp(s, out=s)
+    att /= att.sum(axis=-1, keepdims=True)
+    raw = att @ V
+    return att, raw, np.minimum(np.maximum(raw, 0.0), sup)
+
+
+def _softmax_backward(g: np.ndarray, att: np.ndarray) -> np.ndarray:
+    """The gradient g with respect to att, turned in place into the one
+    with respect to the logits: att * (g - sum(g * att)), per row."""
+    g -= (g * att).sum(axis=-1, keepdims=True)
+    g *= att
+    return g
 
 
 def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
@@ -187,7 +201,8 @@ def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
     if not field.trained:
         raise ValueError("field must be trained (lean_neof) before querying")
     enc = _encode(field, batch.normals)
-    return _attend(field, enc.A, _offsets(field, ad.Tensor(batch.positions)), enc.Z).data
+    s = ad.scores_forward(enc.A, _offsets(field, batch.positions), enc.Z)
+    return _attend(s, field.values[field.key_idx], field.sup)[2]
 
 
 # The fit step's two slab passes in C, float32 throughout. The sums run in
@@ -335,19 +350,12 @@ def _fit_kernel() -> Optional[_FitKernel]:
 
 
 def _logit_grads(s, V, target, dV, sup) -> np.ndarray:
-    """From float64 scores s (rows, keys): the softmax, the clamped outputs,
+    """From float64 scores s (rows, keys): the attention forward (_attend),
     the squared-error gradient where the clamp passes it, and the softmax
     backward to the logits, cast to float32. Every step is per row."""
-    s -= s.max(axis=-1, keepdims=True)
-    att = np.exp(s, out=s)
-    att /= att.sum(axis=-1, keepdims=True)
-    raw = att @ V
-    out = np.minimum(np.maximum(raw, 0.0), sup)
+    att, raw, out = _attend(s, V, sup)
     err = (out - target) * (out == raw)
-    # softmax backward: att * (g_att - sum(g_att * att))
-    g = err @ dV
-    g -= (g * att).sum(axis=-1, keepdims=True)
-    g *= att
+    g = _softmax_backward(err @ dV, att)
     # a key the row barely attends to leaves a g far below float32
     # resolution; as a float32 denormal it would slow every product it
     # enters many times over, so it is dropped
@@ -379,9 +387,10 @@ def _numpy_slab_grads(A, B, Z, V, target, dV, sup):
     return gA, gB, gZ
 
 
-def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
-    """Set every weight's .grad to the gradient of the mean squared error of
-    the field's outputs at the snapshot voxels idx against their attributes.
+def _fit_gradients(field: ObservationField, idx: np.ndarray):
+    """The gradients of the six weights (in params() order) of the mean
+    squared error of the field's outputs at the snapshot voxels idx against
+    their attributes.
 
     The slab passes, the relu(A + B) scores and the contractions for A, B
     and Z, run in float32: A, B and Z are cast once per step and their
@@ -398,7 +407,7 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
     pos = field.centers[idx]
     f32 = np.float32
     A, Z = enc.A.astype(f32), enc.Z.astype(f32)
-    B = _offsets(field, ad.Tensor(pos)).data.astype(f32)
+    B = _offsets(field, pos).astype(f32)
     V = field.values[field.key_idx]
     target = field.values[idx]
     dV = V.T * (2.0 / target.size)      # d mean(err ** 2) / d err = 2 err / size
@@ -414,16 +423,17 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray) -> None:
     # enc = relu(q_in @ W1 + b1) @ W2 + b2
     g_qrow = gZ @ enc.folded
     g_fold = (gZ.T @ enc.qrow) * _INV_SQRT_DK
-    g_enc = g_qrow @ WQ.data.T
-    g_pre = (g_enc @ W2.data.T) * enc.live
-    W1.grad = enc.basis.T @ gA + enc.q_in.T @ g_pre
+    g_enc = g_qrow @ WQ.T
+    g_pre = (g_enc @ W2.T) * enc.live
+    g_W1 = enc.basis.T @ gA + enc.q_in.T @ g_pre
     # B = -pos @ W1[:3] touches only the position rows of W1
-    W1.grad[0:3] -= pos.T @ gB
-    b1.grad = gA.sum(axis=0) + g_pre.sum(axis=0)
-    W2.grad = enc.h.T @ g_enc + g_fold @ WK.data.T
-    b2.grad = g_enc.sum(axis=0)
-    WQ.grad = enc.enc.T @ g_qrow
-    WK.grad = W2.data.T @ g_fold
+    g_W1[0:3] -= pos.T @ gB
+    return (g_W1,
+            gA.sum(axis=0) + g_pre.sum(axis=0),
+            enc.h.T @ g_enc + g_fold @ WK.T,
+            g_enc.sum(axis=0),
+            enc.enc.T @ g_qrow,
+            W2.T @ g_fold)
 
 
 def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttributes,
@@ -449,8 +459,7 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
             idx = pool[(start + np.arange(TRAIN_BATCH)) % len(pool)]
         else:
             idx = pool
-        _fit_gradients(field, idx)
-        ad.adam_step(field.params(), field.adam)
+        ad.adam_step(field.params(), _fit_gradients(field, idx), field.adam)
     field.trained = True
     return field
 
@@ -507,19 +516,6 @@ def capture_visible(field: ObservationField, rig: CameraRig, E: CoverageMatrix,
     return caps
 
 
-def _rotation_rows(rot6_t: ad.Tensor) -> ad.Tensor:
-    """(3, 3) matrix whose rows are the orthonormalized camera axes, i.e. the
-    transpose of the rotation; world = local @ rows + position."""
-    a = rot6_t[0:3]
-    b = rot6_t[3:6]
-    c1 = ad.normalize(a)
-    proj = ad.sum_(ad.mul(c1, b))
-    c2 = ad.normalize(ad.sub(b, ad.mul(c1, proj)))
-    c3 = ad.cross3(c1, c2)
-    return ad.concat([ad.reshape(c1, (1, 3)), ad.reshape(c2, (1, 3)),
-                      ad.reshape(c3, (1, 3))], axis=0)
-
-
 def encode_captures(field: ObservationField, captures):
     """The weight-only logit parts (_encode) of the captured normals of the
     non-empty cameras, in camera order: fixed while the field and the
@@ -529,65 +525,104 @@ def encode_captures(field: ObservationField, captures):
     return _encode(field, np.concatenate(normals, axis=0)) if normals else None
 
 
-def placement_loss_graph(field: ObservationField, position_ts, rot6_ts, captures,
-                         weights=DEFAULT_WEIGHTS, encoding=None):
-    """Differentiable loss over pose parameter tensors; the field's weights
-    are constants.
-
-    Empty-visibility cameras contribute nothing to the attribute sum (their
-    share of the loss stays at the componentwise maximum) and receive no
-    gradient. `encoding` is encode_captures(field, captures), computed here
-    when not given. Returns (scalar loss, component vector) tensors.
-    """
-    field._require_snapshot()
-    k = len(captures)
-    n = field.voxel_count
-    sup = field.sup
-
-    world_parts, spans, scales = [], [], []
-    q0 = 0
-    for pos_t, rot_t, cap in zip(position_ts, rot6_ts, captures):
-        if cap.empty:
-            continue
-        rows = _rotation_rows(rot_t)
-        world = ad.add(ad.matmul(ad.Tensor(cap.local), rows), ad.reshape(pos_t, (1, 3)))
-        world_parts.append(world)
-        spans.append((q0, q0 + len(cap.local)))
-        scales.append(cap.scale)
-        q0 += len(cap.local)
-
-    w_t = ad.Tensor(np.asarray(weights, dtype=np.float64))
-    if not world_parts:
-        L_vec = ad.Tensor(sup.copy())
-        return ad.sum_(ad.mul(L_vec, w_t)), L_vec
-
-    if encoding is None:
-        encoding = encode_captures(field, captures)
-    B = _offsets(field, ad.concat(world_parts, axis=0))
-    out = _attend(field, encoding.A, B, encoding.Z)
-
-    total = None
-    for (lo, hi), scale in zip(spans, scales):
-        part = ad.mul(ad.sum_(out[lo:hi], axis=0), ad.Tensor(scale))
-        total = part if total is None else ad.add(total, part)
-    L_vec = ad.sub(ad.Tensor(sup.copy()), ad.mul(total, ad.Tensor(1.0 / (k * n))))
-    return ad.sum_(ad.mul(L_vec, w_t)), L_vec
-
-
 @dataclass(eq=False)
 class PlacementLoss:
     total: float
     components: np.ndarray        # (3,) [L_vis, L_cc, L_co]
 
 
+def _frames(rot6: np.ndarray):
+    """The camera axes of every rot6 row by Gram-Schmidt: rows (k, 3, 3)
+    holding c1, c2 and c1 x c2, the transposed rotations (world = local @
+    rows[i] + position), and the backward from their gradients G (k, 3, 3)
+    to the (k, 6) rot6 gradients.
+
+    The backward adds its terms in the order reverse-mode accumulation adds
+    them (where more than two add, the order changes the last bits): c1
+    collects its row, the cross product, the projection and the dot product
+    in turn."""
+    a, b = rot6[:, 0:3], rot6[:, 3:6]
+    n1 = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+    c1 = a / n1
+    proj = np.sum(c1 * b, axis=-1, keepdims=True)
+    v = b - c1 * proj
+    n2 = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    c2 = v / n2
+
+    def backward(G):
+        g3 = G[:, 2]
+        g2 = G[:, 1] + np.cross(g3, c1)
+        g_n2 = np.sum(((-g2) * v) / (n2 * n2), axis=-1, keepdims=True)
+        g_v = g2 / n2 + (g_n2 * v) / n2
+        g_proj = np.sum((-g_v) * c1, axis=-1, keepdims=True)
+        g_c1 = G[:, 0] + np.cross(c2, g3) + (-g_v) * proj + g_proj * b
+        g_n1 = np.sum(((-g_c1) * a) / (n1 * n1), axis=-1, keepdims=True)
+        g_a = g_c1 / n1 + (g_n1 * a) / n1
+        return np.concatenate([g_a, g_v + g_proj * c1], axis=1)
+
+    return np.stack([c1, c2, np.cross(c1, c2)], axis=1), backward
+
+
+def placement_loss_grads(field: ObservationField, positions: np.ndarray, rot6: np.ndarray,
+                         captures, weights=DEFAULT_WEIGHTS, encoding=None):
+    """The placement loss of poses (positions (k, 3), rot6 (k, 6)) whose
+    captures stay frozen, under the frozen field, with its gradients.
+
+    Each non-empty camera's captured points move with its pose to world
+    coordinates X; the loss is w . (sup - sum of the field's outputs at X,
+    rescaled per camera, / (k n)). Empty-visibility cameras contribute
+    nothing to the attribute sum (their share of the loss stays at the
+    componentwise maximum) and get zero gradients. `encoding` is
+    encode_captures(field, captures), computed here when not given.
+
+    Returns (PlacementLoss, (k, 3) position gradients, (k, 6) rot6
+    gradients).
+    """
+    field._require_snapshot()
+    k, n, sup = len(captures), field.voxel_count, field.sup
+    w = np.asarray(weights, dtype=np.float64)
+    g_pos, g_rot = np.zeros((k, 3)), np.zeros((k, 6))
+    live = [i for i, cap in enumerate(captures) if not cap.empty]
+    if not live:
+        L_vec = sup.copy()
+        return PlacementLoss(float(np.sum(L_vec * w)), L_vec), g_pos, g_rot
+    if encoding is None:
+        encoding = encode_captures(field, captures)
+
+    rows, frames_backward = _frames(rot6[live])
+    ends = np.cumsum([len(captures[i].local) for i in live]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    X = np.concatenate([captures[i].local @ r + positions[i] for i, r in zip(live, rows)])
+    B = _offsets(field, X)
+    V = field.values[field.key_idx]
+    att, raw, out = _attend(ad.scores_forward(encoding.A, B, encoding.Z), V, sup)
+    total = None
+    for (lo, hi), i in zip(spans, live):
+        part = np.sum(out[lo:hi], axis=0) * captures[i].scale
+        total = part if total is None else total + part
+    scale = 1.0 / (k * n)
+    L_vec = sup - total * scale
+
+    # backward: d loss / d total = -w / (k n), spread over each span
+    g_total = (-w) * scale
+    g_out = np.empty_like(out)
+    for (lo, hi), i in zip(spans, live):
+        g_out[lo:hi] = g_total * captures[i].scale
+    g_s = _softmax_backward((g_out * (out == raw)) @ V.T, att)
+    g_X = (ad.scores_b_grad(encoding.A, B, encoding.Z, g_s) * -1.0) @ field.W1[0:3].T
+    G = np.empty((len(live), 3, 3))
+    for j, ((lo, hi), i) in enumerate(zip(spans, live)):
+        G[j] = captures[i].local.T @ g_X[lo:hi]
+        g_pos[i] = g_X[lo:hi].sum(axis=0)
+    g_rot[live] = frames_backward(G)
+    return PlacementLoss(float(np.sum(L_vec * w)), L_vec), g_pos, g_rot
+
+
 def placement_loss(field: ObservationField, rig: CameraRig, E: CoverageMatrix,
                    weights=DEFAULT_WEIGHTS, query_cap: int = LOSS_QUERY_CAP) -> PlacementLoss:
     """Loss of the rig at its current poses, seeing the voxels of its
-    coverage matrix E, under the frozen field and without gradients
-    (grad_phase differentiates placement_loss_graph itself)."""
+    coverage matrix E, under the frozen field."""
     captures = capture_visible(field, rig, E, query_cap=query_cap)
-    position_ts = [ad.Tensor(p.position.copy()) for p in rig.poses]
-    rot6_ts = [ad.Tensor(p.rot6.copy()) for p in rig.poses]
-    loss_t, vec_t = placement_loss_graph(field, position_ts, rot6_ts, captures,
-                                         weights=weights)
-    return PlacementLoss(total=float(loss_t.data), components=vec_t.data.copy())
+    positions = np.stack([p.position for p in rig.poses])
+    rot6 = np.stack([p.rot6 for p in rig.poses])
+    return placement_loss_grads(field, positions, rot6, captures, weights=weights)[0]

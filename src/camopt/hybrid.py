@@ -20,7 +20,7 @@ from camopt.field import (
     encode_captures,
     lean_neof,
     placement_loss,
-    placement_loss_graph,
+    placement_loss_grads,
     visible_attr_sum,
 )
 from camopt.metrics import coverage_optimality_gap, observation_angle_quality
@@ -169,32 +169,42 @@ def initialize(scene: TargetScene, k: int, seed: int, intrinsics=None) -> Camera
 # ---------------------------------------------------------------------------
 
 class PoseOptimizer:
-    """Pose tensors plus one Adam state shared across every gradient phase of
+    """Pose arrays plus one Adam state shared across every gradient phase of
     a run, so the scheduled learning-rate decay actually accumulates. A fresh
     optimizer per phase would restart at the initial rate forever and the
     descent would never quiesce enough for the step-update termination test.
+
+    Adam's parameters are the rows of `positions` (k, 3) and `rot6` (k, 6),
+    camera by camera, so slots 2i and 2i + 1 are camera i's. `carry` holds
+    the last gradients of a phase that stopped on its loss tolerance: the
+    next step adds them to its own, as the descent has always done (when
+    the gradients were accumulated on tensors, nothing spent them).
     """
 
     def __init__(self, rig: CameraRig, config: "OptimizerConfig"):
-        self.pos_ts = [ad.Tensor(p.position.copy(), requires_grad=True) for p in rig.poses]
-        self.rot_ts = [ad.Tensor(p.rot6.copy(), requires_grad=True) for p in rig.poses]
-        self.params = []
-        for pt, rt in zip(self.pos_ts, self.rot_ts):
-            self.params.extend([pt, rt])
+        self.positions = np.stack([p.position for p in rig.poses])
+        self.rot6 = np.stack([p.rot6 for p in rig.poses])
+        self.params = [row for pair in zip(self.positions, self.rot6) for row in pair]
         self.adam = ad.AdamState(self.params, lr=config.pose_lr,
                                  decay=config.pose_lr_decay,
                                  decay_every=config.pose_lr_decay_every)
+        self.carry = None
 
     def sync_from(self, rig: CameraRig, reset_moments=()):
-        """Copy rig poses into the tensors; cameras whose pose was replaced
+        """Copy rig poses into the arrays; cameras whose pose was replaced
         outside the gradient flow get their Adam moments zeroed (the old
         moments described a basin the camera no longer occupies)."""
         for i, pose in enumerate(rig.poses):
-            self.pos_ts[i].data = pose.position.copy()
-            self.rot_ts[i].data = pose.rot6.copy()
+            self.positions[i] = pose.position
+            self.rot6[i] = pose.rot6
         for i in reset_moments:
             self.adam.reset_slot(2 * i)
             self.adam.reset_slot(2 * i + 1)
+
+    def step(self, g_pos: np.ndarray, g_rot: np.ndarray) -> None:
+        """One Adam step on every pose from (k, 3) and (k, 6) gradients."""
+        ad.adam_step(self.params, [g for pair in zip(g_pos, g_rot) for g in pair], self.adam)
+        self.carry = None
 
 
 def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerConfig,
@@ -215,7 +225,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
         opt = PoseOptimizer(rig, config)
     else:
         opt.sync_from(rig)
-    pos_ts, rot_ts, params, adam = opt.pos_ts, opt.rot_ts, opt.params, opt.adam
+    positions, rot6 = opt.positions, opt.rot6
 
     # the local-frame capture stays frozen for the whole phase: the visible
     # bundle rides along with the pose, so pose motion registers as moving
@@ -234,43 +244,39 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     steps = 0
     converged = False
     for _ in range(config.inner_cap):
-        loss_t, vec_t = placement_loss_graph(field, pos_ts, rot_ts, caps,
-                                             weights=config.weights, encoding=encoding)
-        L_here = float(loss_t.data)
+        loss, g_pos, g_rot = placement_loss_grads(field, positions, rot6, caps,
+                                                  weights=config.weights, encoding=encoding)
+        L_here = loss.total
         if not np.isfinite(L_here):
             raise RuntimeError(f"non-finite placement loss {L_here!r} during gradient phase")
         if L_prev is not None and L_here > L_prev:
             # reject the step that got us here; the rig the resampler placed
             # is often already at a proxy minimum and a blind Adam step off
             # it would trade away visibility for nothing
-            for p, saved in zip(params, snapshot):
-                p.data = saved
+            positions[...], rot6[...] = snapshot
             converged = True
             break
         L_last = L_here
-        vec_last = vec_t.data.copy()
-        if loss_t.needs_grad:
-            loss_t.backward()
-        for p in params:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
+        vec_last = loss.components
+        if opt.carry is not None:
+            # the unspent gradients of the last tolerance stop (PoseOptimizer)
+            g_pos += opt.carry[0]
+            g_rot += opt.carry[1]
         if planar:
-            for pt, rt in zip(pos_ts, rot_ts):
-                pt.grad[2] = 0.0
-                rt.grad[2:] = 0.0   # keep the right-axis in-plane and up pinned
-        grad_norms = np.array([
-            np.sqrt(np.sum(pt.grad ** 2) + np.sum(rt.grad ** 2))
-            for pt, rt in zip(pos_ts, rot_ts)])
+            g_pos[:, 2] = 0.0
+            g_rot[:, 2:] = 0.0   # keep the right-axis in-plane and up pinned
+        grad_norms = np.array([np.sqrt(np.sum(gp ** 2) + np.sum(gr ** 2))
+                               for gp, gr in zip(g_pos, g_rot)])
         if L_prev is not None and abs(L_here - L_prev) < config.eps_L:
+            opt.carry = (g_pos, g_rot)
             converged = True
             break
-        snapshot = [p.data.copy() for p in params]
-        ad.adam_step(params, adam)
+        snapshot = (positions.copy(), rot6.copy())
+        opt.step(g_pos, g_rot)
         steps += 1
         L_prev = L_here
 
-    final_poses = tuple(CameraPose(pt.data.copy(), rt.data.copy())
-                        for pt, rt in zip(pos_ts, rot_ts))
+    final_poses = tuple(CameraPose(p.copy(), r.copy()) for p, r in zip(positions, rot6))
     out_rig = CameraRig(final_poses, rig.intrinsics)
     return out_rig, PlacementLoss(L_last, vec_last), grad_norms, steps, converged
 

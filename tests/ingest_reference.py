@@ -139,10 +139,10 @@ def write_ply_rgb(path, points, colors, normals=None):
         fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         fh.write("end_header\n")
         for i, p in enumerate(points):
-            row = f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}"
+            row = f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}"
             if normals is not None:
                 q = normals[i]
-                row += f" {q[0]:.9g} {q[1]:.9g} {q[2]:.9g}"
+                row += f" {q[0]:.17g} {q[1]:.17g} {q[2]:.17g}"
             c = colors[i]
             fh.write(row + f" {c[0]} {c[1]} {c[2]}\n")
 

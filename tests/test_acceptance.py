@@ -33,7 +33,7 @@ from camopt import (
 )
 from camopt.attributes import attributes_from_coverage
 from camopt.baselines import accept_proposal
-from camopt.field import capture_visible, placement_loss_graph
+from camopt.field import capture_visible, placement_loss_grads
 
 COVERAGE_K = 3
 CAMERA_COUNT = 10
@@ -244,21 +244,16 @@ def test_criterion_01_gradients_match_finite_differences():
         assert E.entries.any(), "degenerate instance: nothing visible"
         caps = capture_visible(field, rig, E, query_cap=16)
 
-        pos_arrays = [p.position.copy() for p in rig.poses]
-        rot_arrays = [p.rot6.copy() for p in rig.poses]
+        positions = np.stack([p.position for p in rig.poses])
+        rot6 = np.stack([p.rot6 for p in rig.poses])
 
-        def loss_scalar():
-            pos_ts = [ad.Tensor(a, requires_grad=True) for a in pos_arrays]
-            rot_ts = [ad.Tensor(a, requires_grad=True) for a in rot_arrays]
-            total, _ = placement_loss_graph(field, pos_ts, rot_ts, caps,
-                                            weights=LOSS_WEIGHTS)
-            return total, pos_ts, rot_ts
+        def loss_and_grads():
+            loss, g_pos, g_rot = placement_loss_grads(field, positions, rot6, caps,
+                                                      weights=LOSS_WEIGHTS)
+            return loss.total, [g_pos, g_rot]
 
-        total, pos_ts, rot_ts = loss_scalar()
-        total.backward()
-        got = [t.grad for t in pos_ts + rot_ts]
-        want = _fd_grads(lambda: float(loss_scalar()[0].data),
-                         pos_arrays + rot_arrays)
+        got = loss_and_grads()[1]
+        want = _fd_grads(lambda: loss_and_grads()[0], [positions, rot6])
         err = _max_rel_err(got, want)
         assert err < 1e-3, f"placement loss trial {trial}: rel err {err:.2e}"
         worst = max(worst, err)

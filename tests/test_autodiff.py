@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pose_loss_reference as ref
 from camopt import autodiff as ad
 from gradcheck_utils import gradcheck, op_cases, backprop_grads, finite_diff, max_rel_err
 
@@ -84,8 +85,8 @@ def test_tape_determinism():
 
 
 def test_pairwise_scores_b_only_backward_matches_all_inputs():
-    # the pose-descent case: a and z come from frozen weights, only b
-    # (the query positions' projection) carries a gradient
+    # the pose-descent case (scores_b_grad): a and z come from frozen
+    # weights, only b (the query positions' projection) carries a gradient
     q = 2 * ad.SCORE_BLOCK + 5    # two full query blocks and a partial one
     rng = np.random.default_rng(11)
     arrays = (rng.normal(size=(40, 32)), rng.normal(size=(q, 32)),
@@ -115,8 +116,8 @@ def test_pairwise_scores_b_only_backward_matches_all_inputs():
 
 
 def test_pairwise_scores_stays_float64():
-    # the pose descent differentiates pairwise_scores in float64; only the
-    # field's weight fit runs its slab in float32
+    # the pose descent runs scores_forward and scores_b_grad in float64;
+    # only the field's weight fit runs its slab in float32
     rng = np.random.default_rng(5)
     leaves = [ad.Tensor(rng.normal(size=s), requires_grad=True)
               for s in ((30, 32), (2 * ad.SCORE_BLOCK + 3, 32), (2 * ad.SCORE_BLOCK + 3, 32))]
@@ -149,57 +150,65 @@ def test_matmul_rejects_bad_shapes():
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        p = np.array([1.0, -2.0])
         state = ad.AdamState([p])
-        before = p.data.copy()
+        before = p.copy()
         for _ in range(3):
-            p.grad = np.zeros_like(p.data)
-            ad.adam_step([p], state)
-        assert np.array_equal(p.data, before)
+            ad.adam_step([p], [np.zeros_like(p)], state)
+        assert np.array_equal(p, before)
         assert state.step_count == 3
 
     def test_missing_gradient_raises(self):
-        p = ad.Tensor(np.ones(2), requires_grad=True)
+        p = np.ones(2)
         state = ad.AdamState([p])
         with pytest.raises(ValueError):
-            ad.adam_step([p], state)
+            ad.adam_step([p], [], state)
+
+    def test_mismatched_gradients_raise_and_leave_the_state_alone(self):
+        params = [np.ones(2), np.ones((2, 3))]
+        state = ad.AdamState(params)
+        for grads in ([np.ones(2)], [np.ones(2), np.ones(2), np.ones(2)],
+                      [np.ones(2), np.ones((3, 2))], [np.ones(2), np.ones(6)]):
+            with pytest.raises(ValueError):
+                ad.adam_step(params, grads, state)
+        assert state.step_count == 0
+        assert all(np.array_equal(p, np.ones(p.shape)) for p in params)
 
     def test_constant_gradient_moves_against_its_sign(self):
-        p = ad.Tensor(np.array([0.0, 0.0]), requires_grad=True)
+        p = np.array([0.0, 0.0])
         state = ad.AdamState([p])
         g = np.array([0.5, -2.0])
         for _ in range(100):
-            p.grad = g.copy()
-            ad.adam_step([p], state)
-        assert p.data[0] < 0.0
-        assert p.data[1] > 0.0
+            ad.adam_step([p], [g.copy()], state)
+        assert p[0] < 0.0
+        assert p[1] > 0.0
 
     def test_quadratic_bowl_converges(self):
         target = np.array([0.3, -1.1, 0.7])
-        p = ad.Tensor(np.zeros(3), requires_grad=True)
+        p = np.zeros(3)
         state = ad.AdamState([p], lr=1e-2, decay=1.0)
         for _ in range(2000):
-            diff = ad.sub(p, ad.Tensor(target))
-            loss = ad.sum_(ad.mul(diff, diff))
-            loss.backward()
-            ad.adam_step([p], state)
-        assert np.linalg.norm(p.data - target) < 1e-2
+            leaf = ad.Tensor(p.copy(), requires_grad=True)
+            diff = ad.sub(leaf, ad.Tensor(target))
+            ad.sum_(ad.mul(diff, diff)).backward()
+            ad.adam_step([p], [leaf.grad], state)
+        assert np.linalg.norm(p - target) < 1e-2
 
-    def test_gradients_cleared_after_step(self):
-        p = ad.Tensor(np.ones(2), requires_grad=True)
+    def test_gradients_are_left_unchanged_by_a_step(self):
+        p = np.ones(2)
         state = ad.AdamState([p])
-        p.grad = np.ones(2)
-        ad.adam_step([p], state)
-        assert p.grad is None
+        g = np.array([0.25, -1.0])
+        ad.adam_step([p], [g], state)
+        assert np.array_equal(g, [0.25, -1.0])
 
     def test_fused_step_equals_the_per_parameter_loop(self):
         # the per-parameter update, element for element, across two
         # learning-rate decays and a moment reset
         rng = np.random.default_rng(4)
         shapes = [(6, 32), (32,), (3,), (2, 2, 2)]
-        params = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        params = [rng.normal(size=s) for s in shapes]
         state = ad.AdamState(params, lr=1e-2, decay=0.5, decay_every=3)
-        ref = [p.data.copy() for p in params]
+        ref = [p.copy() for p in params]
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         for step in range(8):
@@ -214,23 +223,44 @@ class TestAdam:
                 m_hat = m[i] / (1.0 - 0.9**t)
                 v_hat = v[i] / (1.0 - 0.999**t)
                 ref[i] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-            for p, g in zip(params, grads):
-                p.grad = g
-            ad.adam_step(params, state)
+            ad.adam_step(params, grads, state)
             for i, p in enumerate(params):
-                assert np.array_equal(p.data, ref[i]) and p.grad is None
+                assert np.array_equal(p, ref[i])
                 assert np.array_equal(state.m[i], m[i]) and np.array_equal(state.v[i], v[i])
         assert state.current_lr() == 1e-2 * 0.5 ** 2
 
+    def test_array_step_equals_the_tape_era_step(self):
+        # the tape-era step read each Tensor's .grad; the array step takes
+        # the same gradients as a list and must move every element the same
+        # way, across learning-rate decays and a moment reset
+        rng = np.random.default_rng(9)
+        shapes = [(6, 32), (32,), (3,), (6,), (2, 2, 2)]
+        arrays = [rng.normal(size=s) for s in shapes]
+        tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        state = ad.AdamState(arrays, lr=1e-2, decay=0.5, decay_every=4)
+        tape_state = ad.AdamState([t.data for t in tensors], lr=1e-2, decay=0.5,
+                                  decay_every=4)
+        for step in range(12):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for s in shapes]
+            if step == 5:
+                state.reset_slot(3)
+                tape_state.reset_slot(3)
+            for t, g in zip(tensors, grads):
+                t.grad = g.copy()
+            ref.tape_era_adam_step(tensors, tape_state)
+            ad.adam_step(arrays, grads, state)
+            for a, t in zip(arrays, tensors):
+                assert np.array_equal(a, t.data)
+            assert np.array_equal(state.flat_m, tape_state.flat_m)
+            assert np.array_equal(state.flat_v, tape_state.flat_v)
+
     def test_learning_rate_schedule(self):
-        p = ad.Tensor(np.ones(1), requires_grad=True)
+        p = np.ones(1)
         state = ad.AdamState([p], lr=1e-3, decay=0.95, decay_every=50)
         assert state.current_lr() == pytest.approx(1e-3)
         for _ in range(50):
-            p.grad = np.ones(1)
-            ad.adam_step([p], state)
+            ad.adam_step([p], [np.ones(1)], state)
         assert state.current_lr() == pytest.approx(1e-3 * 0.95)
         for _ in range(50):
-            p.grad = np.ones(1)
-            ad.adam_step([p], state)
+            ad.adam_step([p], [np.ones(1)], state)
         assert state.current_lr() == pytest.approx(1e-3 * 0.95**2)

@@ -270,6 +270,43 @@ class TestGradPhase:
                 wins += 1
         assert wins >= 9
 
+    def test_tolerance_stop_carries_its_last_gradient_into_the_next_step(self, monkeypatch):
+        # a phase that stops on eps_L leaves its last gradients unspent; the
+        # first step of the next phase adds them to its own (the descent's
+        # behaviour since the gradients were accumulated on pose tensors)
+        scene = two_lobe_scene()
+        grid = voxelize(scene, None)
+        rig = initialize(scene, 6, seed=1)
+        field, _ = trained_field(rig, grid, seed=1)
+        cfg = OptimizerConfig(eps_L=1e3)
+        opt = hybrid.PoseOptimizer(rig, cfg)
+        rig1, _, _, steps, converged = grad_phase(rig, field, grid, cfg, planar=True, opt=opt)
+        assert converged and steps == 1 and opt.carry is not None
+        carry = [g.copy() for g in opt.carry]
+
+        fresh, stepped = [], []
+        real_loss, real_step = hybrid.placement_loss_grads, hybrid.ad.adam_step
+
+        def loss_spy(*args, **kwargs):
+            out = real_loss(*args, **kwargs)
+            fresh.append([g.copy() for g in out[1:]])
+            return out
+
+        def step_spy(params, grads, state):
+            stepped.append([np.array(g) for g in grads])
+            return real_step(params, grads, state)
+
+        monkeypatch.setattr(hybrid, "placement_loss_grads", loss_spy)
+        monkeypatch.setattr(hybrid.ad, "adam_step", step_spy)
+        grad_phase(rig1, field, grid, OptimizerConfig(inner_cap=1), planar=True, opt=opt)
+        assert opt.carry is None
+        want_pos, want_rot = fresh[0][0] + carry[0], fresh[0][1] + carry[1]
+        want_pos[:, 2] = 0.0
+        want_rot[:, 2:] = 0.0
+        np.testing.assert_array_equal(np.stack(stepped[0][0::2]), want_pos)
+        np.testing.assert_array_equal(np.stack(stepped[0][1::2]), want_rot)
+        assert np.any(carry[0] != 0) and np.any(fresh[0][0] != 0)
+
     def test_planar_masks_out_of_plane_motion(self):
         scene = circle_scene()
         grid = voxelize(scene, None)

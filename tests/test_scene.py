@@ -412,6 +412,28 @@ class TestMalformedPly:
 
 
 class TestLoadScene:
+    @pytest.mark.parametrize("kind", ["circle", "sphere"])
+    def test_written_scene_loads_back_exactly(self, tmp_path, kind):
+        # a generated scene written as PLY and loaded again has the
+        # generator's points and normals to the last bit; load_scene divides
+        # every normal by its length, as it does for the in-memory normals
+        if kind == "circle":
+            scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 2000, seed=0))
+        else:
+            pts = unit_sphere_cloud(3000, seed=0)
+            scene = TargetScene(pts, pts.copy(), VOLUMETRIC3D,
+                                np.stack([pts.min(axis=0), pts.max(axis=0)]))
+        path = tmp_path / "scene.ply"
+        cloudio.write_ply_rgb(path, scene.points, np.full(scene.points.shape, 128.0),
+                              normals=scene.normals)
+        points, normals, _ = cloudio.read_ply(path)
+        np.testing.assert_array_equal(points, scene.points)
+        np.testing.assert_array_equal(normals, scene.normals)
+        loaded = load_scene(path, scene.mode)
+        np.testing.assert_array_equal(loaded.points, scene.points)
+        np.testing.assert_array_equal(
+            loaded.normals, scene.normals / np.linalg.norm(scene.normals, axis=1)[:, None])
+
     def test_explicit_normals_pass_through(self, tmp_path):
         pts = np.eye(3)
         nrm = np.eye(3)
