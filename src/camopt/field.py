@@ -402,7 +402,7 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray):
     relative; a rare relu or clamp decision at a float32 rounding boundary
     moves one by up to about 1e-3.
     """
-    W1, b1, W2, b2, WQ, WK = field.params()
+    W2, WQ, WK = field.W2, field.WQ, field.WK
     enc = _encode(field, field.normals[idx])
     pos = field.centers[idx]
     f32 = np.float32

@@ -176,9 +176,9 @@ class PoseOptimizer:
 
     Adam's parameters are the rows of `positions` (k, 3) and `rot6` (k, 6),
     camera by camera, so slots 2i and 2i + 1 are camera i's. `carry` holds
-    the last gradients of a phase that stopped on its loss tolerance: the
-    next step adds them to its own, as the descent has always done (when
-    the gradients were accumulated on tensors, nothing spent them).
+    the last gradients of a phase that stopped on its loss tolerance, which
+    no step spent: the next step adds them to its own. Seeded rigs depend on
+    this; dropping it changes them.
     """
 
     def __init__(self, rig: CameraRig, config: "OptimizerConfig"):
