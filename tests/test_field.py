@@ -30,10 +30,10 @@ from camopt.field import (
     _fit_gradients,
     _fit_kernel,
     _logit_grads,
+    _numpy_slab_grads,
     _strided,
     capture_visible,
     lean_neof,
-    _numpy_slab_grads,
     placement_loss,
     placement_loss_grads,
     query,
