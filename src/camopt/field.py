@@ -31,29 +31,25 @@ gradients share the softmax, att @ V and clamp forward (_attend) and the
 softmax backward (_softmax_backward). The fit's slab passes, the
 relu(A + B) scores and the slab contractions for the gradients of A, B and
 Z, run in float32; everything else (the per-row chain, weights, Adam state,
-`query`, the placement loss) stays float64. The slab passes run in a small
-C kernel that the first fit of a process compiles with the system compiler
-and loads through ctypes (_fit_kernel); where that fails, in numpy blocks
-of FIT_BLOCK queries. The two sum in different orders, so the rigs of the
-two paths differ in their last bits; both match the float64 tape of the
-same loss to about 1e-6 relative.
+`query`, the placement loss) stays float64. The slab passes run in the
+fit kernel of the compiled library (camopt.native), which the process's
+first fit or visibility traversal builds with the system compiler; where
+no library loads, in numpy blocks of FIT_BLOCK queries. The two sum in
+different orders, so the rigs of the two paths differ in their last bits;
+both match the float64 tape of the same loss to about 1e-6 relative.
 """
 
-import ctypes
-import os
-import shutil
-import tempfile
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from camopt import autodiff as ad
+from camopt import native
 from camopt.attributes import ObservationAttributes, sup_vector
 from camopt.visibility import CameraRig, CoverageMatrix
 
-HIDDEN = 32
+HIDDEN = native.HIDDEN     # 32, the width the fit kernel is compiled for
 D_K = 32
 DEFAULT_WEIGHTS = (0.4, 0.3, 0.3)
 INITIAL_BUDGET = 200
@@ -205,150 +201,6 @@ def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
     return _attend(s, field.values[field.key_idx], field.sup)[2]
 
 
-# The fit step's two slab passes in C, float32 throughout. The sums run in
-# one fixed sequential order (the scores over channels; gZ and gB over keys,
-# gA over queries) and FP contraction is off, so the results do not depend on
-# the optimization flags: a full-tensor numpy evaluation in the same order
-# reproduces them bit for bit.
-_KERNEL_SOURCE = r"""
-/* s[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h]; at is a transposed,
-   (H, nm), so the inner loop runs over contiguous keys. The relu is a
-   product with the 0/1 mask, which keeps the loops free of branches so the
-   compiler vectorizes them; it differs from max(pre, 0) only in the sign of
-   a zero, which no sum here can carry. */
-void fit_scores(const float *restrict at, const float *restrict b,
-                const float *restrict z, float *restrict s, long nq, long nm)
-{
-    for (long q = 0; q < nq; q++) {
-        float *restrict row = s + q * nm;
-        for (long m = 0; m < nm; m++)
-            row[m] = 0.0f;
-        for (long h = 0; h < H; h++) {
-            const float bh = b[q * H + h], zh = z[q * H + h];
-            const float *restrict col = at + h * nm;
-            for (long m = 0; m < nm; m++) {
-                const float pre = col[m] + bh, on = pre > 0.0f;
-                row[m] += pre * on * zh;
-            }
-        }
-    }
-}
-
-/* With t[q, m, h] = g[q, m] * (z[q, h] * on[q, m, h]), on the relu mask of
-   a[m, h] + b[q, h]: gz[q] = sum_m g[q, m] * relu(a[m] + b[q]),
-   gb[q] = sum_m t[q, m] and ga[m] = sum_q t[q, m]. */
-void fit_grads(const float *restrict a, const float *restrict b,
-               const float *restrict z, const float *restrict g,
-               float *restrict ga, float *restrict gb, float *restrict gz,
-               long nq, long nm)
-{
-    for (long i = 0; i < nm * H; i++)
-        ga[i] = 0.0f;
-    for (long q = 0; q < nq; q++) {
-        const float *restrict bq = b + q * H, *restrict zq = z + q * H;
-        float sb[H] = {0.0f}, sz[H] = {0.0f};
-        for (long m = 0; m < nm; m++) {
-            const float w = g[q * nm + m];
-            const float *restrict am = a + m * H;
-            float *restrict gam = ga + m * H;
-            for (long h = 0; h < H; h++) {
-                const float pre = am[h] + bq[h], on = pre > 0.0f;
-                const float t = w * (zq[h] * on);
-                sz[h] += w * (pre * on);
-                sb[h] += t;
-                gam[h] += t;
-            }
-        }
-        for (long h = 0; h < H; h++) {
-            gb[q * H + h] = sb[h];
-            gz[q * H + h] = sz[h];
-        }
-    }
-}
-"""
-# -march=native is safe: the library is built on the host that runs it and
-# kept nowhere, and its results do not depend on the flags. Without it gcc
-# 12 leaves the gradient loop scalar, slower than the numpy step.
-_KERNEL_OPT = ("-O3", "-march=native")
-_KERNEL_FLAGS = ("-ffp-contract=off", f"-DH={HIDDEN}", "-shared", "-fPIC")
-
-
-class _FitKernel:
-    """ctypes binding of the compiled slab kernel. Its functions keep no
-    state and ctypes releases the GIL around them, so threads fit in
-    parallel."""
-
-    def __init__(self, lib):
-        f32 = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
-        n = ctypes.c_long
-        self.lib = lib
-        lib.fit_scores.argtypes = [f32] * 4 + [n, n]
-        lib.fit_scores.restype = None
-        lib.fit_grads.argtypes = [f32] * 7 + [n, n]
-        lib.fit_grads.restype = None
-
-    @staticmethod
-    def _check(A, B, Z, g=None):
-        q, m = len(B), len(A)
-        if A.shape != (m, HIDDEN) or B.shape != (q, HIDDEN) or Z.shape != (q, HIDDEN) \
-                or (g is not None and g.shape != (q, m)):
-            raise ValueError("slab kernel operands do not match in shape")
-        return q, m
-
-    def scores(self, A, B, Z) -> np.ndarray:
-        """(q, keys) float32 scores sum_h relu(A[m] + B[q])_h Z[q, h]."""
-        q, m = self._check(A, B, Z)
-        s = np.empty((q, m), dtype=np.float32)
-        self.lib.fit_scores(np.ascontiguousarray(A.T), B, Z, s, q, m)
-        return s
-
-    def grads(self, A, B, Z, g):
-        """(gA, gB, gZ) in float32 for the logit gradients g (q, keys)."""
-        q, m = self._check(A, B, Z, g)
-        gA, gB, gZ = np.empty_like(A), np.empty_like(B), np.empty_like(Z)
-        self.lib.fit_grads(A, B, Z, g, gA, gB, gZ, q, m)
-        return gA, gB, gZ
-
-
-def _build_kernel(opt=_KERNEL_OPT) -> Optional[_FitKernel]:
-    """Compile the slab kernel with the system C compiler into a temporary
-    directory, load it and delete the directory; None when there is no
-    compiler or the build or the load fails."""
-    # imported here, not at module level: only a fit needs it, and it is
-    # the one module this adds to `import camopt`
-    import subprocess
-
-    cc = shutil.which("cc")
-    if cc is None:
-        return None
-    try:
-        with tempfile.TemporaryDirectory(prefix="camopt-fit-") as tmp:
-            src, lib = os.path.join(tmp, "fit.c"), os.path.join(tmp, "fit.so")
-            with open(src, "w") as fh:
-                fh.write(_KERNEL_SOURCE)
-            subprocess.run([cc, *opt, *_KERNEL_FLAGS, "-o", lib, src], check=True,
-                           stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
-            return _FitKernel(ctypes.CDLL(lib))
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-_kernel_lock = threading.Lock()
-_kernel = None
-_kernel_tried = False
-
-
-def _fit_kernel() -> Optional[_FitKernel]:
-    """The slab kernel, built by the first fit of the process (one build even
-    when threads fit at once); None where it cannot be built."""
-    global _kernel, _kernel_tried
-    with _kernel_lock:
-        if not _kernel_tried:
-            _kernel = _build_kernel()
-            _kernel_tried = True
-    return _kernel
-
-
 def _logit_grads(s, V, target, dV, sup) -> np.ndarray:
     """From float64 scores s (rows, keys): the attention forward (_attend),
     the squared-error gradient where the clamp passes it, and the softmax
@@ -367,7 +219,7 @@ def _numpy_slab_grads(A, B, Z, V, target, dV, sup):
     """gA, gB, gZ (float32) in numpy, FIT_BLOCK queries at a time: each
     block's relu slab is built once and, while it is in cache, runs the
     scores, the row chain (_logit_grads) and the slab contractions. The step
-    where no kernel loads."""
+    where no compiled library loads."""
     gA = np.zeros_like(A)
     gB = np.empty_like(B)
     gZ = np.empty_like(Z)
@@ -411,12 +263,13 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray):
     V = field.values[field.key_idx]
     target = field.values[idx]
     dV = V.T * (2.0 / target.size)      # d mean(err ** 2) / d err = 2 err / size
-    kernel = _fit_kernel()
-    if kernel is None:
+    library = native.load()
+    if library is None:
         gA, gB, gZ = _numpy_slab_grads(A, B, Z, V, target, dV, field.sup)
     else:
-        g = _logit_grads(kernel.scores(A, B, Z).astype(np.float64), V, target, dV, field.sup)
-        gA, gB, gZ = kernel.grads(A, B, Z, g)
+        g = _logit_grads(library.fit_scores(A, B, Z).astype(np.float64), V, target, dV,
+                         field.sup)
+        gA, gB, gZ = library.fit_grads(A, B, Z, g)
     gA, gB, gZ = (x.astype(np.float64) for x in (gA, gB, gZ))
 
     # Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,

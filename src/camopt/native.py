@@ -1,0 +1,329 @@
+"""The compiled kernels: one C source, built by the system compiler at first
+use and loaded through ctypes.
+
+The source holds two kernels: the field fit's float32 slab passes
+(`fit_scores`, `fit_grads`) and the exact occupied-cell traversal behind
+visibility (`cell_blocked`). The first call that needs either, a visibility
+traversal or a field fit, compiles the whole source once per process into a
+temporary directory, loads it and deletes the directory (`load`). Nothing is
+built at import and nothing is cached on disk. Where there is no `cc` on
+PATH, or the build or the load fails, `load` returns None and both callers
+run their numpy paths.
+
+FP contraction is off and every kernel repeats its numpy path's float
+expressions in a fixed order, so the results do not depend on the
+optimization flags: the traversal's masks equal the numpy traversal's, and
+the fit's slab passes equal a full-tensor numpy evaluation in the kernel's
+summation order.
+"""
+
+import ctypes
+import os
+import shutil
+import tempfile
+import threading
+import weakref
+from typing import Optional
+
+import numpy as np
+
+HIDDEN = 32          # the observation field's hidden width, compiled into the fit kernel
+
+SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* The field fit's two slab passes, float32 throughout. The sums run in one
+   fixed sequential order: the scores over channels; gz and gb over keys, ga
+   over queries. */
+
+/* s[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h]; at is a transposed,
+   (H, nm), so the inner loop runs over contiguous keys. The relu is a
+   product with the 0/1 mask, which keeps the loops free of branches so the
+   compiler vectorizes them; it differs from max(pre, 0) only in the sign of
+   a zero, which no sum here can carry. */
+void fit_scores(const float *restrict at, const float *restrict b,
+                const float *restrict z, float *restrict s, long nq, long nm)
+{
+    for (long q = 0; q < nq; q++) {
+        float *restrict row = s + q * nm;
+        for (long m = 0; m < nm; m++)
+            row[m] = 0.0f;
+        for (long h = 0; h < H; h++) {
+            const float bh = b[q * H + h], zh = z[q * H + h];
+            const float *restrict col = at + h * nm;
+            for (long m = 0; m < nm; m++) {
+                const float pre = col[m] + bh, on = pre > 0.0f;
+                row[m] += pre * on * zh;
+            }
+        }
+    }
+}
+
+/* With t[q, m, h] = g[q, m] * (z[q, h] * on[q, m, h]), on the relu mask of
+   a[m, h] + b[q, h]: gz[q] = sum_m g[q, m] * relu(a[m] + b[q]),
+   gb[q] = sum_m t[q, m] and ga[m] = sum_q t[q, m]. */
+void fit_grads(const float *restrict a, const float *restrict b,
+               const float *restrict z, const float *restrict g,
+               float *restrict ga, float *restrict gb, float *restrict gz,
+               long nq, long nm)
+{
+    for (long i = 0; i < nm * H; i++)
+        ga[i] = 0.0f;
+    for (long q = 0; q < nq; q++) {
+        const float *restrict bq = b + q * H, *restrict zq = z + q * H;
+        float sb[H] = {0.0f}, sz[H] = {0.0f};
+        for (long m = 0; m < nm; m++) {
+            const float w = g[q * nm + m];
+            const float *restrict am = a + m * H;
+            float *restrict gam = ga + m * H;
+            for (long h = 0; h < H; h++) {
+                const float pre = am[h] + bq[h], on = pre > 0.0f;
+                const float t = w * (zq[h] * on);
+                sz[h] += w * (pre * on);
+                sb[h] += t;
+                gam[h] += t;
+            }
+        }
+        for (long h = 0; h < H; h++) {
+            gb[q * H + h] = sb[h];
+            gz[q * H + h] = sz[h];
+        }
+    }
+}
+
+/* The occupied-cell box: its 0/1 cells in C order, their strides and the
+   top cell along each axis. */
+struct box {
+    const unsigned char *occupied;
+    double top[3];
+    int64_t stride[3];
+};
+
+/* A cell coordinate clipped into the box: max(v, 0), then min(., top). */
+static double clip(double v, double top)
+{
+    return v > 0.0 ? (v < top ? v : top) : 0.0;
+}
+
+/* The hit test, the one place a visited cell is judged: it blocks the ray
+   when it is occupied and is not the target's own cell. */
+static int hits(const struct box *box, int64_t cell, int64_t own)
+{
+    return box->occupied[cell] && cell != own;
+}
+
+/* Whether the ray start + t * ray, t in [t_in, t_out], passes through a
+   blocking cell: the entry cell, then along each moving axis in turn the
+   cell each plane crossing enters, and for a crossing that also lies on a
+   plane of a moving other axis the cell below that plane too. Each step is
+   the numpy traversal's expression (visibility._numpy_cell_blocked). */
+static int ray_blocked(const struct box *box, const double *start,
+                       const double *ray, double t_in, double t_out, int64_t own)
+{
+    double first[3], last[3];
+    for (int a = 0; a < 3; a++) {
+        first[a] = clip(floor(start[a] + t_in * ray[a]), box->top[a]);
+        last[a] = clip(floor(start[a] + t_out * ray[a]), box->top[a]);
+    }
+    int64_t cell = 0;
+    for (int a = 0; a < 3; a++)
+        cell += (int64_t)first[a] * box->stride[a];
+    if (hits(box, cell, own))
+        return 1;
+    for (int a = 0; a < 3; a++) {
+        if (ray[a] == 0.0)
+            continue;
+        const double step = ray[a] > 0.0 ? 1.0 : -1.0;
+        const int64_t count = (int64_t)((last[a] - first[a]) * step);
+        const int b = a == 2 ? 0 : a + 1, c = a == 0 ? 2 : a - 1;
+        for (int64_t k = 1; k <= count; k++) {
+            const double entered = first[a] + (double)k * step;
+            const double plane = entered + (step < 0.0 ? 1.0 : 0.0);
+            const double t = (plane - start[a]) / ray[a];
+            const double pb = t * ray[b] + start[b], pc = t * ray[c] + start[c];
+            const double fb = floor(pb), fc = floor(pc);
+            const int64_t base = (int64_t)entered * box->stride[a];
+            const int64_t upper = base + (int64_t)clip(fb, box->top[b]) * box->stride[b]
+                                  + (int64_t)clip(fc, box->top[c]) * box->stride[c];
+            if (hits(box, upper, own))
+                return 1;
+            const int on_b = pb == fb && ray[b] != 0.0, on_c = pc == fc && ray[c] != 0.0;
+            if (on_b || on_c) {
+                const int64_t lower = base + (int64_t)clip(fb - on_b, box->top[b]) * box->stride[b]
+                                      + (int64_t)clip(fc - on_c, box->top[c]) * box->stride[c];
+                if (lower != upper && hits(box, lower, own))
+                    return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* blocked[i] = 1 where the segment from the eye to the center of voxel
+   rows[i] passes through an occupied cell other than that voxel's own. Each
+   ray is clipped to the box by the slab test first. Returns 0, or i + 1 for
+   the first row i outside [0, m), where it stops. */
+long cell_blocked(const unsigned char *occupied, const int64_t *lo, const int64_t *shape,
+                  const double *origin, double res, const double *centers,
+                  const int64_t *keys, long m, double ex, double ey, double ez,
+                  const int64_t *rows, long n, unsigned char *blocked)
+{
+    struct box box = {occupied, {0.0}, {shape[1] * shape[2], shape[2], 1}};
+    const double eye[3] = {ex, ey, ez};
+    double start[3], ext[3];
+    int inside[3];
+    for (int a = 0; a < 3; a++) {
+        start[a] = (eye[a] - origin[a]) / res - (double)lo[a];
+        ext[a] = (double)shape[a];
+        box.top[a] = ext[a] - 1.0;
+        const double cell = floor(start[a]);
+        inside[a] = cell >= 0.0 && cell < ext[a];
+    }
+    for (long i = 0; i < n; i++) {
+        const int64_t row = rows[i];
+        if (row < 0 || row >= m)
+            return i + 1;
+        double ray[3], t_in = -INFINITY, t_out = INFINITY;
+        int enters = 1;
+        for (int a = 0; a < 3; a++) {
+            ray[a] = (centers[3 * row + a] - eye[a]) / res;
+            if (ray[a] != 0.0) {
+                const double t_lo = -start[a] / ray[a], t_hi = (ext[a] - start[a]) / ray[a];
+                const double near = t_lo < t_hi ? t_lo : t_hi, far = t_lo < t_hi ? t_hi : t_lo;
+                t_in = near > t_in ? near : t_in;
+                t_out = far < t_out ? far : t_out;
+            } else {
+                enters &= inside[a];
+            }
+        }
+        t_in = t_in > 0.0 ? t_in : 0.0;
+        t_out = t_out < 1.0 ? t_out : 1.0;
+        const int64_t *key = keys + 3 * row;
+        const int64_t own = (key[0] - lo[0]) * box.stride[0] + (key[1] - lo[1]) * box.stride[1]
+                            + (key[2] - lo[2]) * box.stride[2];
+        blocked[i] = enters && t_in < t_out && ray_blocked(&box, start, ray, t_in, t_out, own);
+    }
+    return 0;
+}
+"""
+# -march=native is safe: the library is built on the host that runs it and
+# kept nowhere, and its results do not depend on the flags. Without it gcc
+# 12 leaves the fit's gradient loop scalar, slower than the numpy step.
+OPT = ("-O3", "-march=native")
+FLAGS = ("-ffp-contract=off", f"-DH={HIDDEN}", "-shared", "-fPIC")
+
+
+def _address(x: np.ndarray, dtype, shape) -> int:
+    """The data address of x after checking that it is a C-contiguous array
+    of dtype and shape, the layout its kernel reads."""
+    if not (isinstance(x, np.ndarray) and x.dtype == dtype and x.shape == shape
+            and x.flags.c_contiguous):
+        raise ValueError(f"kernel operand is not a C-contiguous {np.dtype(dtype)} array "
+                         f"of shape {shape}")
+    return x.ctypes.data
+
+
+def _grid_operands(grid) -> tuple:
+    """The traversal's per-grid operands, checked: the occupied-cell box
+    (cells, lower corner, extent), the lattice origin and resolution, and
+    the voxel centers and keys with their count."""
+    lo, shape, occupied = grid.occupancy
+    m = len(grid.centers)
+    return (_address(occupied, np.bool_, tuple(shape.tolist())), _address(lo, np.int64, (3,)),
+            _address(shape, np.int64, (3,)), _address(grid.origin, np.float64, (3,)),
+            float(grid.resolution), _address(grid.centers, np.float64, (m, 3)),
+            _address(grid.keys, np.int64, (m, 3)), m)
+
+
+class Library:
+    """ctypes binding of the compiled kernels. Arrays go in as raw pointers,
+    each checked first for dtype, contiguity and shape; a grid's arrays are
+    checked once, at its first traversal. The functions keep no state and
+    ctypes releases the GIL around them, so threads run them in parallel."""
+
+    def __init__(self, lib):
+        ptr, n, f64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+        self.lib = lib
+        self._grids = weakref.WeakKeyDictionary()    # grid -> _grid_operands(grid)
+        lib.fit_scores.argtypes = [ptr] * 4 + [n, n]
+        lib.fit_scores.restype = None
+        lib.fit_grads.argtypes = [ptr] * 7 + [n, n]
+        lib.fit_grads.restype = None
+        lib.cell_blocked.argtypes = [ptr] * 4 + [f64, ptr, ptr, n] + [f64] * 3 + [ptr, n, ptr]
+        lib.cell_blocked.restype = n
+
+    def fit_scores(self, A, B, Z) -> np.ndarray:
+        """(q, keys) float32 scores sum_h relu(A[m] + B[q])_h Z[q, h]."""
+        q, m = len(B), len(A)
+        At = np.ascontiguousarray(A.T)
+        s = np.empty((q, m), dtype=np.float32)
+        f32 = np.float32
+        self.lib.fit_scores(_address(At, f32, (HIDDEN, m)), _address(B, f32, (q, HIDDEN)),
+                            _address(Z, f32, (q, HIDDEN)), s.ctypes.data, q, m)
+        return s
+
+    def fit_grads(self, A, B, Z, g):
+        """(gA, gB, gZ) in float32 for the logit gradients g (q, keys)."""
+        q, m = len(B), len(A)
+        f32 = np.float32
+        args = (_address(A, f32, (m, HIDDEN)), _address(B, f32, (q, HIDDEN)),
+                _address(Z, f32, (q, HIDDEN)), _address(g, f32, (q, m)))
+        gA, gB, gZ = np.empty_like(A), np.empty_like(B), np.empty_like(Z)
+        self.lib.fit_grads(*args, gA.ctypes.data, gB.ctypes.data, gZ.ctypes.data, q, m)
+        return gA, gB, gZ
+
+    def cell_blocked(self, grid, eye, rows) -> np.ndarray:
+        """The traversal's mask over the voxel rows for a camera at eye
+        (visibility._cell_blocked); a row outside [0, voxel count) raises
+        IndexError."""
+        operands = self._grids.get(grid)
+        if operands is None:
+            operands = self._grids[grid] = _grid_operands(grid)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        blocked = np.empty(len(rows), dtype=bool)
+        ex, ey, ez = np.asarray(eye, dtype=np.float64).reshape(3).tolist()
+        bad = self.lib.cell_blocked(*operands, ex, ey, ez, _address(rows, np.int64, (len(rows),)),
+                                    len(rows), blocked.ctypes.data)
+        if bad:
+            raise IndexError(f"voxel row {rows[bad - 1]} is out of range for {operands[-1]} voxels")
+        return blocked
+
+
+def build(opt=OPT) -> Optional[Library]:
+    """Compile SOURCE with the system C compiler into a temporary directory,
+    load it and delete the directory; None when there is no compiler or the
+    build or the load fails."""
+    # imported here, not at module level: only a build needs it, and it is
+    # the one module this adds to `import camopt`
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        with tempfile.TemporaryDirectory(prefix="camopt-native-") as tmp:
+            src, lib = os.path.join(tmp, "native.c"), os.path.join(tmp, "native.so")
+            with open(src, "w") as fh:
+                fh.write(SOURCE)
+            subprocess.run([cc, *opt, *FLAGS, "-o", lib, src, "-lm"], check=True,
+                           stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
+            return Library(ctypes.CDLL(lib))
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+_lock = threading.Lock()
+_library = None
+_tried = False
+
+
+def load() -> Optional[Library]:
+    """The kernels, built by the first call of the process (one build even
+    when threads call at once); None where they cannot be built."""
+    global _library, _tried
+    with _lock:
+        if not _tried:
+            _library = build()
+            _tried = True
+    return _library

@@ -2,7 +2,10 @@
 
 Occlusion is one exact test: a voxel is hidden when the segment from the
 camera to its center passes through another occupied cell, found by
-traversing the cells of the occupancy box its grid derives once.
+traversing the cells of the occupancy box its grid derives once. The
+traversal runs per ray in the compiled kernel library (`camopt.native`),
+which the process's first traversal or field fit builds; where no library
+loads, it runs vectorized in numpy. Both give the same masks bit for bit.
 """
 
 import math
@@ -10,6 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from camopt import native
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,7 @@ _OTHER_AXES = np.array([[1, 2, 0], [2, 0, 1]])   # column a: the two axes beside
 
 def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
     """Exact occupied-cell traversal: True where the segment eye->center
-    passes through another voxel's cell (Amanatides & Woo, 1987, vectorized
-    over rays).
+    passes through another voxel's cell (Amanatides & Woo, 1987).
 
     In cell units each ray is clipped to the occupied box [lo, lo + shape).
     Every cell plane the clipped segment crosses enters exactly one cell;
@@ -192,6 +196,23 @@ def _cell_blocked(grid, eye, target_rows) -> np.ndarray:
     lower side of that plane too, so a cell the segment touches along an
     edge blocks as well. Along a zero direction component the ray keeps the
     eye's coordinate, so it spans that slab iff floor(start) lies in the box.
+
+    The traversal runs per ray in the compiled library (native.load, built
+    by the process's first traversal or fit). It repeats the numpy
+    traversal's float expressions under the same rules, visits the cells of
+    one axis's crossings after another and stops a ray at its first
+    blocking cell, so its mask equals _numpy_cell_blocked's bit for bit.
+    Where no library loads, _numpy_cell_blocked runs instead.
+    """
+    library = native.load()
+    if library is None:
+        return _numpy_cell_blocked(grid, eye, target_rows)
+    return library.cell_blocked(grid, eye, target_rows)
+
+
+def _numpy_cell_blocked(grid, eye, target_rows) -> np.ndarray:
+    """_cell_blocked in numpy, vectorized over rays: the path where no
+    compiled library loads, and the tests' oracle for the compiled one.
 
     Per-ray values are held axis-major, as (3, rays) arrays, and the plane
     crossings of all three axes are handled in one pass, in that order.

@@ -12,7 +12,8 @@ import pytest
 
 import camopt.baselines as baselines
 import camopt.cli as cli
-import camopt.field as field
+import camopt.native as native
+from camopt import cloudio
 from camopt.attributes import ObservationAttributes
 from camopt.baselines import W_VIS
 from camopt.cli import (
@@ -159,18 +160,19 @@ class TestRun:
     @pytest.mark.parametrize("optimizer", ["hybrid", "grad_only", "non_grad_only"])
     def test_threads_match_serial_output_with_the_fit_kernel(self, tmp_path, monkeypatch,
                                                               optimizer):
-        # the process's first fits start in the pool's two threads at once:
-        # they build the fit kernel once, and the files match a serial run's
+        # the process's first traversals and fits start in the pool's two
+        # threads at once: they build the compiled library once, and the
+        # files match a serial run's
         builds = []
-        real_build = field._build_kernel
+        real_build = native.build
 
         def counting_build(*args):
             builds.append(1)
             return real_build(*args)
 
-        monkeypatch.setattr(field, "_build_kernel", counting_build)
-        monkeypatch.setattr(field, "_kernel", None)
-        monkeypatch.setattr(field, "_kernel_tried", False)
+        monkeypatch.setattr(native, "build", counting_build)
+        monkeypatch.setattr(native, "_library", None)
+        monkeypatch.setattr(native, "_tried", False)
         outputs = {}
         for threads in ("2", "1"):
             cfg = write_config(tmp_path / f"t{threads}.json", seeds=[0, 1], optimizer=optimizer,
@@ -178,7 +180,7 @@ class TestRun:
             assert main(["optimize", "--config", str(cfg), "--threads", threads]) == 0
             outputs[threads] = tmp_path / f"threads{threads}"
         assert len(builds) == 1
-        assert (field._kernel is None) == (shutil.which("cc") is None)
+        assert (native._library is None) == (shutil.which("cc") is None)
         for seed in (0, 1):
             name = f"{optimizer}_k3_seed{seed}.json"
             pt, ps = (json.loads((outputs[t] / name).read_text()) for t in ("2", "1"))
@@ -510,12 +512,43 @@ class TestHybridCellsShareWork:
                 stored["final"]["uc"], stored["final"]["angle_quality"])
 
 
+class TestCompiledLibraryParity:
+    def test_sa_files_match_without_the_library(self, tmp_path, monkeypatch):
+        # SA never fits, so the traversal is all the compiled library runs:
+        # a seeded cell on a written 3000-point torus writes the same files
+        # with the library as with its loader made to fail
+        rng = np.random.default_rng(0)
+        u, v = rng.uniform(0.0, 2.0 * np.pi, (2, 3000))
+        normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
+        points = np.stack([np.cos(u), np.sin(u), np.zeros(3000)], axis=1) + 0.35 * normals
+        ply = tmp_path / "torus.ply"
+        cloudio.write_ply_rgb(ply, points, np.full(points.shape, 128.0), normals=normals)
+        anneal = {"T0": 0.05, "cooling": 0.8, "steps_per_temp": 3, "termination": 0.001}
+        outputs = {}
+        for path in ("native", "numpy"):
+            if path == "numpy":
+                monkeypatch.setattr(native, "load", lambda: None)
+            cfg = write_config(tmp_path / f"{path}.json", scene_source={"path": str(ply)},
+                               mode="volumetric3d", optimizer="sa", k_list=[8],
+                               seeds=[0, 1, 2], K=3, optimizer_config=anneal,
+                               output_dir=str(tmp_path / path))
+            assert main(["optimize", "--config", str(cfg)]) == 0
+            outputs[path] = tmp_path / path
+        names = sorted(p.name for p in outputs["native"].iterdir())
+        assert names == sorted(p.name for p in outputs["numpy"].iterdir())
+        assert len(names) == 4
+        for name in names:
+            pn, pp = (json.loads((outputs[path] / name).read_text()) for path in outputs)
+            if "config" in pn:
+                pn["config"]["output_dir"] = pp["config"]["output_dir"] = ""
+            assert strip_wall_ms(pn) == strip_wall_ms(pp), name
+
+
 class TestContainmentBuiltOnce:
     def test_sa_run_builds_the_scene_predicate_once(self, tmp_path, monkeypatch):
         # every cell's initialize rejects camera samples inside the scene's
         # hull; the predicate is derived once per scene, not once per cell
         import camopt.scene as scene_mod
-        from camopt import cloudio
         from camopt.baselines import AnnealConfig, simulated_annealing
 
         rng = np.random.default_rng(0)

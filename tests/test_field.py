@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import pose_loss_reference as ref
 from camopt import autodiff as ad
 from camopt import field as field_module
+from camopt import native
 from camopt.attributes import ObservationAttributes, shape_analyze, sup_vector
 from camopt.field import (
     D_K,
@@ -25,10 +26,8 @@ from camopt.field import (
     FieldQueryBatch,
     ObservationField,
     PlacementLoss,
-    _build_kernel,
     _encode,
     _fit_gradients,
-    _fit_kernel,
     _logit_grads,
     _numpy_slab_grads,
     _strided,
@@ -320,14 +319,14 @@ GRAD_REL_BOUND = 1e-3
 
 @contextlib.contextmanager
 def numpy_step():
-    """Run the fit step in numpy, as where the kernel cannot be built: the
-    loader is made to fail."""
-    real = field_module._fit_kernel
-    field_module._fit_kernel = lambda: None
+    """Run the fit step and the visibility traversal in numpy, as where the
+    compiled library cannot be built: the loader is made to fail."""
+    real = native.load
+    native.load = lambda: None
     try:
         yield
     finally:
-        field_module._fit_kernel = real
+        native.load = real
 
 
 def check_snapshot_bounds(kind):
@@ -493,7 +492,7 @@ def slab_operands(keys, queries, seed, margin):
     A, Z = enc.A.astype(np.float32), enc.Z.astype(np.float32)
     B = (-(field.centers[idx] @ field.W1[0:3])).astype(np.float32)
     V, target = field.values[field.key_idx], field.values[idx]
-    scores = _fit_kernel().scores(A, B, Z)
+    scores = native.load().fit_scores(A, B, Z)
     g = _logit_grads(scores.astype(np.float64), V, target, V.T * (2.0 / target.size),
                      field.sup)
     return A, B, Z, g
@@ -503,7 +502,7 @@ def slab_operands(keys, queries, seed, margin):
 def kernel_O0():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    kernel = _build_kernel(opt=("-O0",))
+    kernel = native.build(opt=("-O0",))
     assert kernel is not None
     return kernel
 
@@ -513,7 +512,7 @@ class TestFitKernel:
         # a silent fallback to the numpy step would cost about 2x in the fit
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH")
-        assert _fit_kernel() is not None
+        assert native.load() is not None
 
     @settings(max_examples=40, deadline=None)
     @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
@@ -523,22 +522,29 @@ class TestFitKernel:
         # a negative margin puts attributes outside their range, so the
         # clamp zeroes some of g
         A, B, Z, g = slab_operands(keys, queries, seed, margin)
-        kernel = _fit_kernel()
-        got = (kernel.scores(A, B, Z),) + kernel.grads(A, B, Z, g)
+        kernel = native.load()
+        got = (kernel.fit_scores(A, B, Z),) + kernel.fit_grads(A, B, Z, g)
         for other in (reference_slab(A, B, Z, g),
-                      (kernel_O0.scores(A, B, Z),) + kernel_O0.grads(A, B, Z, g)):
+                      (kernel_O0.fit_scores(A, B, Z),) + kernel_O0.fit_grads(A, B, Z, g)):
             for x, y in zip(got, other):
                 assert x.dtype == y.dtype == np.float32
                 np.testing.assert_array_equal(x, y)
 
     def test_rejects_operands_of_mismatched_shape(self):
-        if _fit_kernel() is None:
+        kernel = native.load()
+        if kernel is None:
             pytest.skip("no fit kernel on this host")
         A, B, Z, g = slab_operands(40, 9, 0, 0.05)
         with pytest.raises(ValueError):
-            _fit_kernel().scores(A, B[:5], Z)
+            kernel.fit_scores(A, B[:5], Z)
         with pytest.raises(ValueError):
-            _fit_kernel().grads(A, B, Z, g[:, :-1])
+            kernel.fit_grads(A, B, Z, g[:, :-1])
+        # the operands go in as raw pointers, so a wrong dtype or layout is
+        # refused as well
+        with pytest.raises(ValueError):
+            kernel.fit_scores(A, B.astype(np.float64), Z)
+        with pytest.raises(ValueError):
+            kernel.fit_grads(A, np.asfortranarray(B), Z, g)
 
     def test_kernel_is_faster_than_the_numpy_step(self):
         # a build the compiler leaves scalar is slower than the numpy step it
@@ -546,7 +552,7 @@ class TestFitKernel:
         # 256 call, against 0.40 ms vectorized and 4.3-5.0 ms for a whole
         # numpy step), so a kernel that loads but does not vectorize fails
         # here instead of slowing every fit
-        kernel = _fit_kernel()
+        kernel = native.load()
         if kernel is None:
             pytest.skip("no fit kernel on this host")
         grid, attrs = real_snapshot("circle")
@@ -558,7 +564,8 @@ class TestFitKernel:
         assert A.shape == (256, 32) and B.shape == (TRAIN_BATCH, 32)
         V, target = field.values[field.key_idx], field.values[idx]
         dV = V.T * (2.0 / target.size)
-        g = _logit_grads(kernel.scores(A, B, Z).astype(np.float64), V, target, dV, field.sup)
+        g = _logit_grads(kernel.fit_scores(A, B, Z).astype(np.float64), V, target, dV,
+                         field.sup)
 
         def best_of_5(step):
             times = []
@@ -568,7 +575,7 @@ class TestFitKernel:
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        kernel_s = best_of_5(lambda: (kernel.scores(A, B, Z), kernel.grads(A, B, Z, g)))
+        kernel_s = best_of_5(lambda: (kernel.fit_scores(A, B, Z), kernel.fit_grads(A, B, Z, g)))
         numpy_s = best_of_5(lambda: _numpy_slab_grads(A, B, Z, V, target, dV, field.sup))
         assert kernel_s < numpy_s, f"kernel {kernel_s * 1e3:.2f} ms, numpy {numpy_s * 1e3:.2f} ms"
 
@@ -579,14 +586,14 @@ class TestFitKernel:
         field = lean_neof(None, grid, attrs, budget=0, seed=0)
         idx = next(train_batches(field, 1))
         with numpy_step():
-            assert field_module._fit_kernel() is None
+            assert native.load() is None
             slow = fused_fit_grads(field, idx)
         for got, want in zip(fused_fit_grads(field, idx), slow):
             assert rel_diff(got, want) <= 1e-5
 
     def test_import_starts_no_process_and_a_fit_leaves_nothing_behind(self, tmp_path):
         code = (
-            "import os, subprocess, sys, tempfile\n"
+            "import os, shutil, subprocess, sys, tempfile\n"
             "started = []\n"
             "real_popen = subprocess.Popen\n"
             "class Counting(real_popen):\n"
@@ -599,15 +606,22 @@ class TestFitKernel:
             "real = {n: getattr(os, n) for n in names}\n"
             "for n in names:\n"
             "    setattr(os, n, lambda *a, _n=n, **k: sys.exit('os.%s at import' % _n))\n"
-            "import camopt, camopt.cli, camopt.field as field\n"
+            "import camopt, camopt.cli, camopt.field as field, camopt.native as native\n"
             "for n in names:\n"
             "    setattr(os, n, real[n])\n"
             "assert started == [], started\n"
-            "assert not field._kernel_tried\n"
+            "assert not native._tried and native._library is None\n"
             "tempfile.tempdir = sys.argv[1]\n"
             "from test_field import real_snapshot\n"
-            "field.lean_neof(None, *real_snapshot('circle'), budget=2, seed=0)\n"
-            "assert len(started) == (0 if field._kernel is None else 1), started\n"
+            "grid, attrs = real_snapshot('circle')\n"
+            "built = [] if shutil.which('cc') is None else [1]\n"
+            "assert native._tried and len(started) == len(built), started\n"
+            "eye = grid.centers.mean(axis=0) + (1.6, 0.0, 0.0)\n"
+            "camopt.visible_set(camopt.pose_from_forward(eye, (-1.0, 0.0, 0.0)),\n"
+            "                   camopt.default_intrinsics(), grid)\n"
+            "field.lean_neof(None, grid, attrs, budget=2, seed=0)\n"
+            "assert len(started) == len(built), started\n"
+            "assert (native._library is None) == (not built)\n"
             "assert os.listdir(sys.argv[1]) == [], os.listdir(sys.argv[1])\n"
             "try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"

@@ -1,9 +1,14 @@
+import shutil
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from camopt.scene import (ShapeSpec, TargetScene, VOLUMETRIC3D, VoxelGrid, generate_planar_shape,
-                          voxelize)
+from camopt import native
+from camopt.hybrid import initialize
+from camopt.scene import (PLANAR2D, VOLUMETRIC3D, ShapeSpec, TargetScene, VoxelGrid,
+                          generate_planar_shape, voxelize)
 from camopt.visibility import (
     CameraIntrinsics,
     CameraPose,
@@ -17,7 +22,9 @@ from camopt.visibility import (
     rotation_from_six,
     visible_set,
 )
-from camopt.visibility import _cell_blocked
+from camopt.visibility import _cell_blocked, _numpy_cell_blocked
+from test_baselines import torus_scene
+from test_field import numpy_step
 
 
 def raycast_visible_oracle(pose, intrinsics, centers, normals, radius):
@@ -496,9 +503,18 @@ def slab_oracle(grid, eye, target_rows):
     return blocked
 
 
+def traversals(grid, eye, rows):
+    """_cell_blocked's masks on the compiled path (numpy again where the
+    library does not load) and on the numpy path."""
+    got = _cell_blocked(grid, eye, rows)
+    with numpy_step():
+        return got, _cell_blocked(grid, eye, rows)
+
+
 class TestCellMarch:
     """Exact traversal must equal the brute-force slab oracle, and block a
-    superset of what the quarter-step full-segment march blocks."""
+    superset of what the quarter-step full-segment march blocks, on both
+    paths."""
 
     def planar_grid(self):
         scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 400, seed=2))
@@ -527,14 +543,14 @@ class TestCellMarch:
         for eye in eyes:
             eye = np.asarray(eye, dtype=np.float64)
             rows = np.nonzero(np.linalg.norm(grid.centers - eye, axis=1) > 1e-12)[0]
-            got = _cell_blocked(grid, eye, rows)
             march = full_segment_march(grid, eye, rows)
-            assert not np.any(march & ~got), f"eye {eye.tolist()}"
-            if oracle:
-                np.testing.assert_array_equal(got, slab_oracle(grid, eye, rows),
-                                              err_msg=f"eye {eye.tolist()}")
-            blocked += int(got.sum())
-            clear += int((~got).sum())
+            want = slab_oracle(grid, eye, rows) if oracle else None
+            for got in traversals(grid, eye, rows):
+                assert not np.any(march & ~got), f"eye {eye.tolist()}"
+                if oracle:
+                    np.testing.assert_array_equal(got, want, err_msg=f"eye {eye.tolist()}")
+                blocked += int(got.sum())
+                clear += int((~got).sum())
         assert blocked and clear   # both outcomes were exercised
 
     def eyes_around(self, grid, rng, count, planar):
@@ -580,8 +596,8 @@ class TestCellMarch:
         # block, so this eye is held to the oracle alone
         eye = np.array([3.0, 3.0, np.nextafter(0.0, -1.0)])
         rows = np.arange(len(grid.centers))
-        np.testing.assert_array_equal(_cell_blocked(grid, eye, rows),
-                                      np.zeros(len(rows), dtype=bool))
+        for got in traversals(grid, eye, rows):
+            np.testing.assert_array_equal(got, np.zeros(len(rows), dtype=bool))
         np.testing.assert_array_equal(slab_oracle(grid, eye, rows),
                                       np.zeros(len(rows), dtype=bool))
         # eyes on the sphere grid's box faces, and a hair either side of them
@@ -609,7 +625,7 @@ class TestCellMarch:
         rows = np.array([2])
         assert not full_segment_march(grid, eye, rows)[0]
         assert slab_oracle(grid, eye, rows)[0]
-        assert _cell_blocked(grid, eye, rows)[0]
+        assert all(got[0] for got in traversals(grid, eye, rows))
 
     def test_planar_eye_on_box_face(self):
         # the planar scene's cells span z in [0, 1) from the plane z = 0, so
@@ -626,7 +642,123 @@ class TestCellMarch:
         rows = rng.choice(len(grid.centers), 150, replace=False)
         blocked = 0
         for eye in eyes:
-            got = _cell_blocked(grid, eye, rows)
-            np.testing.assert_array_equal(got, slab_oracle(grid, eye, rows))
-            blocked += int(got.sum())
+            want = slab_oracle(grid, eye, rows)
+            for got in traversals(grid, eye, rows):
+                np.testing.assert_array_equal(got, want)
+                blocked += int(got.sum())
         assert blocked > 0
+
+
+@pytest.fixture(scope="module", params=["circle", "sphere", "torus"])
+def bench_scene(request):
+    """A benchmark scene and its grid: the 2000-point circle at resolution
+    0.0075, and the 3000-point unit sphere and torus at their default
+    resolution."""
+    if request.param == "circle":
+        scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 2000, seed=0))
+        return scene, voxelize(scene, resolution=0.0075)
+    if request.param == "sphere":
+        pts = np.random.default_rng(0).normal(size=(3000, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        scene = TargetScene(pts, pts.copy(), VOLUMETRIC3D,
+                            np.stack([pts.min(axis=0), pts.max(axis=0)]))
+    else:
+        scene = torus_scene(count=3000)
+    return scene, voxelize(scene)
+
+
+@pytest.fixture(scope="module")
+def library():
+    lib = native.load()
+    if lib is None:
+        pytest.skip("no compiled library on this host")
+    return lib
+
+
+@pytest.fixture(scope="module")
+def library_O0():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    lib = native.build(opt=("-O0",))
+    assert lib is not None
+    return lib
+
+
+def on_cell_plane(grid, axis, value):
+    """The coordinate nearest value that lies exactly on a cell plane of the
+    given axis in the traversal's cell units."""
+    origin, res = grid.origin[axis], grid.resolution
+    k = round((value - origin) / res)
+    for step in range(64):
+        snapped = origin + (k + step) * res
+        if ((snapped - origin) / res).is_integer():
+            return snapped
+    raise AssertionError("no coordinate on a cell plane near the eye")
+
+
+class TestCompiledTraversal:
+    def test_masks_equal_the_numpy_traversal(self, bench_scene, library, library_O0):
+        # 80 eyes per scene, 240 in all: a third anywhere around and inside
+        # the scene, a third with one coordinate on a cell plane, and a third
+        # on the axis-parallel line through a voxel center, whose rays to
+        # that row of voxels run along an axis
+        scene, grid = bench_scene
+        rng = np.random.default_rng(7)
+        lo, hi = grid.centers.min(axis=0), grid.centers.max(axis=0)
+        blocked = clear = 0
+        for i in range(80):
+            eye = (lo + hi) / 2.0 + rng.normal(size=3) * (hi - lo).max()
+            if scene.mode == PLANAR2D:
+                eye[2] = grid.centers[0, 2]
+            if i % 3 == 1:
+                axis = rng.integers(3)
+                eye[axis] = on_cell_plane(grid, axis, eye[axis])
+            elif i % 3 == 2:
+                center = grid.centers[rng.integers(len(grid))]
+                beside = np.arange(3) != rng.integers(3)
+                eye[beside] = center[beside]
+            rows = np.flatnonzero(np.linalg.norm(grid.centers - eye, axis=1) > 1e-12)
+            want = _numpy_cell_blocked(grid, eye, rows)
+            for lib in (library, library_O0):
+                np.testing.assert_array_equal(lib.cell_blocked(grid, eye, rows), want,
+                                              err_msg=f"eye {eye.tolist()}")
+            blocked += int(want.sum())
+            clear += int((~want).sum())
+        assert blocked and clear
+
+    def test_coverage_matrix_is_the_same_without_the_library(self, bench_scene):
+        scene, grid = bench_scene
+        rig = initialize(scene, 10, 0)
+        E = coverage_matrix(rig, grid)
+        with numpy_step():
+            F = coverage_matrix(rig, grid)
+        assert E.entries.any()
+        np.testing.assert_array_equal(E.entries, F.entries)
+
+    def test_is_faster_than_the_numpy_traversal(self, library):
+        # one circle-workload call: an eye at distance 1.6 in the plane and
+        # the rays to the voxels facing it
+        scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 2000, seed=0))
+        grid = voxelize(scene, resolution=0.0075)
+        eye = np.array([1.6, 0.0, grid.centers[0, 2]])
+        rows = np.flatnonzero(np.sum((grid.centers - eye) * grid.normals, axis=1) < 0.0)
+        assert 200 < len(rows) < 320
+
+        def best_of_5(traverse):
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                traverse(grid, eye, rows)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        native_s = best_of_5(_cell_blocked)
+        numpy_s = best_of_5(_numpy_cell_blocked)
+        assert native_s < numpy_s, f"native {native_s * 1e3:.3f} ms, numpy {numpy_s * 1e3:.3f} ms"
+
+    def test_rejects_rows_out_of_range(self, library):
+        grid = sphere_grid(n=400, seed=3, resolution=0.2)
+        eye = np.array([3.0, 0.0, 0.0])
+        for rows in ([0, len(grid)], [-1]):
+            with pytest.raises(IndexError):
+                library.cell_blocked(grid, eye, np.array(rows))
