@@ -28,6 +28,7 @@ from camopt.cli import (
 from camopt.hybrid import initialize
 from camopt.metrics import evaluate_rig
 from camopt.scene import voxelize
+from test_baselines import torus_scene
 from test_scene import MALFORMED_PLY_CASES, write_malformed_ply
 
 
@@ -517,12 +518,10 @@ class TestCompiledLibraryParity:
         # SA never fits, so the traversal is all the compiled library runs:
         # a seeded cell on a written 3000-point torus writes the same files
         # with the library as with its loader made to fail
-        rng = np.random.default_rng(0)
-        u, v = rng.uniform(0.0, 2.0 * np.pi, (2, 3000))
-        normals = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
-        points = np.stack([np.cos(u), np.sin(u), np.zeros(3000)], axis=1) + 0.35 * normals
+        scene = torus_scene(count=3000)
         ply = tmp_path / "torus.ply"
-        cloudio.write_ply_rgb(ply, points, np.full(points.shape, 128.0), normals=normals)
+        cloudio.write_ply_rgb(ply, scene.points, np.full(scene.points.shape, 128.0),
+                              normals=scene.normals)
         anneal = {"T0": 0.05, "cooling": 0.8, "steps_per_temp": 3, "termination": 0.001}
         outputs = {}
         for path in ("native", "numpy"):
