@@ -532,20 +532,18 @@ class AdamState:
     lr0 * decay ** ((t - 1) // decay_every).
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(
         self,
         params: list[np.ndarray],
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         decay: float = 0.95,
         decay_every: int = 50,
     ):
         self.lr0 = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.decay = decay
         self.decay_every = decay_every
         self.step_count = 0

@@ -42,6 +42,14 @@ class ConfigError(ValueError):
     """Raised for malformed experiment configs; maps to exit code 2."""
 
 
+def optimizer_config_keys(optimizer: str) -> set:
+    """The `optimizer_config` keys an optimizer reads. Every optimizer reads
+    `resolution`; the top-level K and the cell's seed are not keys here."""
+    reads = {"trials"} if optimizer == "random" else {
+        f.name for f in fields(AnnealConfig if optimizer == "sa" else OptimizerConfig)}
+    return (reads - {"K", "seed"}) | {"resolution"}
+
+
 @dataclass
 class ExperimentConfig:
     scene_source: dict                     # {"generator": {...}} or {"path": "..."}
@@ -69,10 +77,7 @@ class ExperimentConfig:
             raise ConfigError("scene_source: need a 'generator' spec or a 'path'")
         if not isinstance(self.optimizer_config, dict):
             raise ConfigError("optimizer_config: need an object")
-        # keys the optimizer reads; all read resolution, and run_cell overrides K and seed
-        reads = {"trials"} if self.optimizer == "random" else {
-            f.name for f in fields(AnnealConfig if self.optimizer == "sa" else OptimizerConfig)}
-        unknown = set(self.optimizer_config) - reads - {"K", "seed", "resolution"}
+        unknown = set(self.optimizer_config) - optimizer_config_keys(self.optimizer)
         if unknown:
             raise ConfigError(
                 f"optimizer_config: {self.optimizer} takes no keys {sorted(unknown)}")
@@ -130,6 +135,12 @@ def build_scene(config: ExperimentConfig):
     return load_scene(src["path"], mode=config.mode)
 
 
+def _scene_and_grid(config: ExperimentConfig):
+    """The configured scene and its voxel grid at `optimizer_config.resolution`."""
+    scene = build_scene(config)
+    return scene, voxelize(scene, config.optimizer_config.get("resolution"))
+
+
 def _build_intrinsics(config: ExperimentConfig, scene) -> CameraIntrinsics:
     if config.intrinsics is None:
         return default_intrinsics(scene.diagonal)
@@ -161,9 +172,7 @@ def run_cell(scene, grid, config: ExperimentConfig, k: int, seed: int) -> dict:
     `grid` is the scene voxelized at the configured resolution; the cells of
     a run share it read-only. The final scores come from the optimizer's own
     exact evaluation of its returned rig where it has one."""
-    opt_kw = dict(config.optimizer_config)
-    opt_kw.pop("K", None)      # top-level K and the cell seed always win
-    opt_kw.pop("seed", None)
+    opt_kw = config.optimizer_config
     intrinsics = _build_intrinsics(config, scene) if config.intrinsics else None
     if config.optimizer in ("hybrid", "grad_only", "non_grad_only"):
         cfg = OptimizerConfig(K=config.K, seed=seed, **opt_kw)
@@ -176,7 +185,7 @@ def run_cell(scene, grid, config: ExperimentConfig, k: int, seed: int) -> dict:
         last = trace.records[-1]        # scores the returned rig exactly
         final = {"uc": last.uc, "angle_quality": last.angle_quality}
     elif config.optimizer == "random":
-        trials = int(opt_kw.pop("trials", 50))
+        trials = int(opt_kw.get("trials", 50))
         rig = random_search(scene, k, trials=trials, seed=seed, K=config.K,
                             grid=grid, intrinsics=intrinsics)
         per_iteration = []
@@ -240,8 +249,7 @@ def run(config_path, threads: int = 1, seed_override=None, out_override=None) ->
     if out_override is not None:
         config.output_dir = str(out_override)
     try:
-        scene = build_scene(config)
-        grid = voxelize(scene, config.optimizer_config.get("resolution"))
+        scene, grid = _scene_and_grid(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -384,8 +392,7 @@ def main(argv=None) -> int:
             config, poses = _load_result(args.results)
             if args.config:
                 config = parse_config(args.config)
-            scene = build_scene(config)
-            grid = voxelize(scene, config.optimizer_config.get("resolution"))
+            scene, grid = _scene_and_grid(config)
             rig = CameraRig(poses, _build_intrinsics(config, scene))
             report = evaluate_rig(rig, grid, config.K)
             payload = {"uc": report.uc, "angle_quality": report.angle_quality,
@@ -399,8 +406,7 @@ def main(argv=None) -> int:
 
         if args.command == "export":
             config, poses = _load_result(args.results)
-            scene = build_scene(config)
-            grid = voxelize(scene, config.optimizer_config.get("resolution"))
+            scene, grid = _scene_and_grid(config)
             rig = CameraRig(poses, _build_intrinsics(config, scene))
             _, attrs = shape_analyze(rig, grid, config.K)
             export_colored_cloud(grid, attrs, args.channel, args.out)

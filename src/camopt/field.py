@@ -330,31 +330,29 @@ class CapturedCamera:
     empty: bool
 
 
-def _sample_visible(rows: np.ndarray, query_cap: int):
-    """The voxel rows a camera is queried at, a strided subset of its sorted
-    non-empty visible rows, and the factor |rows| / |sample| that undoes the
-    sampling in a sum."""
-    take = rows[_strided(len(rows), query_cap)]
+def _sample_visible(rows: np.ndarray):
+    """The voxel rows a camera is queried at, a strided subset of at most
+    LOSS_QUERY_CAP of its sorted non-empty visible rows, and the factor
+    |rows| / |sample| that undoes the sampling in a sum."""
+    take = rows[_strided(len(rows), LOSS_QUERY_CAP)]
     return take, len(rows) / len(take)
 
 
-def visible_attr_sum(field: ObservationField, rows: np.ndarray,
-                     query_cap: int = LOSS_QUERY_CAP) -> np.ndarray:
+def visible_attr_sum(field: ObservationField, rows: np.ndarray) -> np.ndarray:
     """Componentwise sum of field attributes over one camera's sorted visible
-    voxel rows (sampled and rescaled), the additive per-camera share of the
-    loss; zeros when there are none."""
+    voxel rows (at most LOSS_QUERY_CAP of them sampled, the sum rescaled), the
+    additive per-camera share of the loss; zeros when there are none."""
     if len(rows) == 0:
         return np.zeros(3)
-    take, scale = _sample_visible(rows, query_cap)
+    take, scale = _sample_visible(rows)
     out = query(field, FieldQueryBatch(field.centers[take], field.normals[take]))
     return out.sum(axis=0) * scale
 
 
-def capture_visible(field: ObservationField, rig: CameraRig, E: CoverageMatrix,
-                    query_cap: int = LOSS_QUERY_CAP):
+def capture_visible(field: ObservationField, rig: CameraRig, E: CoverageMatrix):
     """Store each camera's visible voxel centers (its row of the coverage
-    matrix E) in its own frame so their world positions become a
-    differentiable function of the pose."""
+    matrix E, at most LOSS_QUERY_CAP of them sampled) in its own frame so
+    their world positions become a differentiable function of the pose."""
     field._require_snapshot()
     caps = []
     for pose, row in zip(rig.poses, E.entries):
@@ -362,7 +360,7 @@ def capture_visible(field: ObservationField, rig: CameraRig, E: CoverageMatrix,
         if len(rows) == 0:
             caps.append(CapturedCamera(np.zeros((0, 3)), np.zeros((0, 3)), 1.0, True))
             continue
-        take, scale = _sample_visible(rows, query_cap)
+        take, scale = _sample_visible(rows)
         local = (field.centers[take] - pose.position) @ pose.rotation()
         caps.append(CapturedCamera(local=local, normals=field.normals[take].copy(),
                                    scale=scale, empty=False))
@@ -472,10 +470,10 @@ def placement_loss_grads(field: ObservationField, positions: np.ndarray, rot6: n
 
 
 def placement_loss(field: ObservationField, rig: CameraRig, E: CoverageMatrix,
-                   weights=DEFAULT_WEIGHTS, query_cap: int = LOSS_QUERY_CAP) -> PlacementLoss:
+                   weights=DEFAULT_WEIGHTS) -> PlacementLoss:
     """Loss of the rig at its current poses, seeing the voxels of its
-    coverage matrix E, under the frozen field."""
-    captures = capture_visible(field, rig, E, query_cap=query_cap)
+    coverage matrix E (capture_visible samples them), under the frozen field."""
+    captures = capture_visible(field, rig, E)
     positions = np.stack([p.position for p in rig.poses])
     rot6 = np.stack([p.rot6 for p in rig.poses])
     return placement_loss_grads(field, positions, rot6, captures, weights=weights)[0]

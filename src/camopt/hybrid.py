@@ -12,8 +12,8 @@ import numpy as np
 from camopt import autodiff as ad
 from camopt.attributes import attributes_from_coverage, shape_analyze, sup_vector
 from camopt.field import (
+    DEFAULT_WEIGHTS,
     FINETUNE_BUDGET,
-    LOSS_QUERY_CAP,
     ObservationField,
     PlacementLoss,
     capture_visible,
@@ -40,43 +40,41 @@ from camopt.visibility import (
 INNER_STEP_CAP = 100
 BOUNDS_INFLATION = 1.5
 CONTRIBUTION_MARGIN = 1.1   # "large loss" = this factor above the mean share
+# Pose steps are Adam-normalized, so the rate is roughly meters moved per
+# inner step. The rate decays across the whole run (the optimizer state
+# persists through every gradient phase): early phases travel toward what
+# the field flags as needy, late phases shrink until per-step loss changes
+# drop under eps_L, descent stalls immediately, and the step-update test can
+# terminate the loop. Without the decay the descent keeps trading visibility
+# for predicted need forever and the loop never settles.
+POSE_LR = 1e-3
+POSE_LR_DECAY = 0.5
+POSE_LR_DECAY_EVERY = 10
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The paper's parameters of a hybrid run, plus its seed and voxel size;
+    the pose step schedule and the caps are module constants."""
     K: int = 3
-    weights: tuple = (0.4, 0.3, 0.3)
+    weights: tuple = DEFAULT_WEIGHTS
     eps_L: float = 1e-4        # loss-stall tolerance
     eps_P: float = 1e-4        # pose step-update stopping tolerance
     eps_g: float = 1e-4        # per-camera gradient-norm convergence tolerance
     m: int = 5                 # candidate regions for resampling
     max_outer: int = 12
     seed: int = 0
-    inner_cap: int = INNER_STEP_CAP
-    query_cap: int = LOSS_QUERY_CAP
     resolution: Optional[float] = None
-    # pose steps are Adam-normalized, so the rate is roughly meters moved per
-    # inner step. The rate decays across the whole run (the optimizer state
-    # persists through every gradient phase): early phases travel toward what
-    # the field flags as needy, late phases shrink until per-step loss changes
-    # drop under eps_L, descent stalls immediately, and the step-update test
-    # can terminate the loop. Without the decay the descent keeps trading
-    # visibility for predicted need forever and the loop never settles.
-    pose_lr: float = 1e-3
-    pose_lr_decay: float = 0.5
-    pose_lr_decay_every: int = 10
 
     def __post_init__(self):
         if min(self.eps_L, self.eps_P, self.eps_g) <= 0:
             raise ValueError("tolerances must be positive")
         if self.m < 1:
             raise ValueError("need at least one candidate region")
-        if self.max_outer < 1 or self.inner_cap < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
         if len(self.weights) != 3 or min(self.weights) < 0:
             raise ValueError("weights must be three non-negative numbers")
-        if not 0.0 < self.pose_lr_decay <= 1.0 or self.pose_lr_decay_every < 1:
-            raise ValueError("pose learning-rate schedule is out of range")
 
 
 @dataclass(eq=False)
@@ -174,20 +172,20 @@ class PoseOptimizer:
     optimizer per phase would restart at the initial rate forever and the
     descent would never quiesce enough for the step-update termination test.
 
-    Adam's parameters are the rows of `positions` (k, 3) and `rot6` (k, 6),
-    camera by camera, so slots 2i and 2i + 1 are camera i's. `carry` holds
-    the last gradients of a phase that stopped on its loss tolerance, which
-    no step spent: the next step adds them to its own. Seeded rigs depend on
-    this; dropping it changes them.
+    The rate starts at POSE_LR and is multiplied by POSE_LR_DECAY every
+    POSE_LR_DECAY_EVERY steps. Adam's parameters are the rows of `positions`
+    (k, 3) and `rot6` (k, 6), camera by camera, so slots 2i and 2i + 1 are
+    camera i's. `carry` holds the last gradients of a phase that stopped on
+    its loss tolerance, which no step spent: the next step adds them to its
+    own. Seeded rigs depend on this; dropping it changes them.
     """
 
-    def __init__(self, rig: CameraRig, config: "OptimizerConfig"):
+    def __init__(self, rig: CameraRig):
         self.positions = np.stack([p.position for p in rig.poses])
         self.rot6 = np.stack([p.rot6 for p in rig.poses])
         self.params = [row for pair in zip(self.positions, self.rot6) for row in pair]
-        self.adam = ad.AdamState(self.params, lr=config.pose_lr,
-                                 decay=config.pose_lr_decay,
-                                 decay_every=config.pose_lr_decay_every)
+        self.adam = ad.AdamState(self.params, lr=POSE_LR, decay=POSE_LR_DECAY,
+                                 decay_every=POSE_LR_DECAY_EVERY)
         self.carry = None
 
     def sync_from(self, rig: CameraRig, reset_moments=()):
@@ -222,7 +220,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
         E = coverage_matrix(rig, grid)
     k = len(rig)
     if opt is None:
-        opt = PoseOptimizer(rig, config)
+        opt = PoseOptimizer(rig)
     else:
         opt.sync_from(rig)
     positions, rot6 = opt.positions, opt.rot6
@@ -231,7 +229,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     # bundle rides along with the pose, so pose motion registers as moving
     # query points in the field (re-capturing every step would pin the
     # queries back onto the voxel centers and freeze the loss value)
-    caps = capture_visible(field, rig, E, query_cap=config.query_cap)
+    caps = capture_visible(field, rig, E)
     # the field and the captures are frozen too, so only B = -X @ W1[:3] of
     # the logits moves with the poses; the rest is encoded once
     encoding = encode_captures(field, caps)
@@ -243,7 +241,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     snapshot = None
     steps = 0
     converged = False
-    for _ in range(config.inner_cap):
+    for _ in range(INNER_STEP_CAP):
         loss, g_pos, g_rot = placement_loss_grads(field, positions, rot6, caps,
                                                   weights=config.weights, encoding=encoding)
         L_here = loss.total
@@ -374,7 +372,7 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
 
     def evaluate_pose(pose):
         vis = _candidate_visible(pose, rig.intrinsics, grid, candidate_cache)
-        return vis, visible_attr_sum(field, vis, config.query_cap)
+        return vis, visible_attr_sum(field, vis)
 
     poses = list(rig.poses)
     committed = []
@@ -388,7 +386,7 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
         cand_eval = [evaluate_pose(p) for p in cand_poses]
 
         rows = [np.flatnonzero(row) for row in E.entries]
-        sums = np.array([visible_attr_sum(field, r, config.query_cap) for r in rows])
+        sums = np.array([visible_attr_sum(field, r) for r in rows])
         sizes = np.array([len(r) for r in rows])
         L_cur = float(w @ (sup - sums.sum(axis=0) / (k * n)))
 
@@ -481,11 +479,11 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
     rig = initialize(scene, k, config.seed, intrinsics)
     E, attrs = shape_analyze(rig, grid, config.K)
     field = lean_neof(None, grid, attrs, seed=config.seed)
-    init = placement_loss(field, rig, E, weights=config.weights, query_cap=config.query_cap)
+    init = placement_loss(field, rig, E, weights=config.weights)
     trace = OptimizationTrace()
     trace.add(record(0, "init", init, rig, E, t0))
 
-    opt = PoseOptimizer(rig, config) if grad_enabled else None
+    opt = PoseOptimizer(rig) if grad_enabled else None
     candidate_cache = {}
     L_outer_prev = init.total
     prev_poses = rig.poses
@@ -496,8 +494,7 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
                 rig, field, grid, config, planar=planar, E=E, opt=opt)
         else:
             # ablation: skip descent, keep analysis/resampling cadence
-            summary = placement_loss(field, rig, E, weights=config.weights,
-                                     query_cap=config.query_cap)
+            summary = placement_loss(field, rig, E, weights=config.weights)
             grad_norms = np.zeros(len(rig))
             steps, converged = 0, True
         E, attrs = shape_analyze(rig, grid, config.K)
@@ -521,8 +518,7 @@ def optimize(scene: TargetScene, k: int, config: OptimizerConfig,
                 trace.swaps.extend({"iteration": outer, **c} for c in commits)
                 if opt is not None:
                     opt.sync_from(rig, reset_moments=[c["camera"] for c in commits])
-            after = placement_loss(field, rig, E, weights=config.weights,
-                                   query_cap=config.query_cap)
+            after = placement_loss(field, rig, E, weights=config.weights)
             trace.add(record(outer, "non_grad", after, rig, E, t1, commits=len(commits)))
 
         if step_update(prev_poses, rig.poses, diag) < config.eps_P:

@@ -242,7 +242,7 @@ def test_criterion_01_gradients_match_finite_differences():
         E, attrs = shape_analyze(rig, grid, COVERAGE_K)
         field = lean_neof(None, grid, attrs, seed=trial)
         assert E.entries.any(), "degenerate instance: nothing visible"
-        caps = capture_visible(field, rig, E, query_cap=16)
+        caps = capture_visible(field, rig, E)
 
         positions = np.stack([p.position for p in rig.poses])
         rot6 = np.stack([p.rot6 for p in rig.poses])

@@ -356,9 +356,9 @@ class TestDeltaScoring:
 
 # tiny budgets: the property is about where cameras may go, not how well
 TINY_BUDGETS = {
-    "hybrid": {"max_outer": 1, "inner_cap": 3},
-    "grad_only": {"max_outer": 1, "inner_cap": 3},
-    "non_grad_only": {"max_outer": 1, "inner_cap": 3},
+    "hybrid": {"max_outer": 1},
+    "grad_only": {"max_outer": 1},
+    "non_grad_only": {"max_outer": 1},
     "sa": {"T0": 1.0, "cooling": 0.5, "steps_per_temp": 3, "termination": 0.1},
     "random": {"trials": 3},
 }

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -358,27 +359,41 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("optimizer", ["hybrid", "grad_only", "non_grad_only"])
-    @pytest.mark.parametrize("key", ["bogus", "threads", "trials", "T0"])
+    @pytest.mark.parametrize("key", ["bogus", "threads", "trials", "T0", "inner_cap",
+                                     "query_cap", "pose_lr", "pose_lr_decay",
+                                     "pose_lr_decay_every", "K", "seed"])
     def test_unknown_gradient_optimizer_key_is_usage_error(self, tmp_path, capsys,
                                                            optimizer, key):
         self.assert_rejected_before_any_cell(tmp_path, capsys, optimizer,
                                              {"max_outer": 1, key: 1})
 
-    @pytest.mark.parametrize("key", ["bogus", "trials", "max_outer"])
+    @pytest.mark.parametrize("key", ["bogus", "trials", "max_outer", "K", "seed"])
     def test_unknown_sa_key_is_usage_error(self, tmp_path, capsys, key):
         self.assert_rejected_before_any_cell(tmp_path, capsys, "sa", {"T0": 0.5, key: 1})
 
-    @pytest.mark.parametrize("key", ["bogus", "T0", "max_outer"])
+    @pytest.mark.parametrize("key", ["bogus", "T0", "max_outer", "K", "seed"])
     def test_unknown_random_key_is_usage_error(self, tmp_path, capsys, key):
         self.assert_rejected_before_any_cell(tmp_path, capsys, "random", {"trials": 2, key: 1})
 
     @pytest.mark.parametrize("optimizer", ["hybrid", "grad_only", "non_grad_only",
                                            "sa", "random"])
     def test_shared_keys_accepted_by_every_optimizer(self, optimizer):
+        # resolution is the one key every optimizer reads
         config = ExperimentConfig(scene_source={"path": "scene.ply"}, k_list=[1], seeds=[0],
-                                  optimizer=optimizer,
-                                  optimizer_config={"K": 5, "seed": 9, "resolution": 0.1})
+                                  optimizer=optimizer, optimizer_config={"resolution": 0.1})
         assert config.optimizer_config["resolution"] == 0.1
+
+    def test_readme_lists_exactly_the_accepted_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| optimizer | accepted `optimizer_config` keys |\n")[1]
+        listed = {}
+        for line in table.splitlines()[1:]:
+            if not line.startswith("|"):
+                break
+            names, keys = line.strip("|").split("|")
+            for name in re.findall(r"`(\w+)`", names):
+                listed[name] = set(re.findall(r"`(\w+)`", keys))
+        assert listed == {name: cli.optimizer_config_keys(name) for name in cli.OPTIMIZERS}
 
     @pytest.fixture(params=["invalid_json", "missing_config"])
     def malformed_result(self, request, tmp_path):

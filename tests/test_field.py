@@ -744,7 +744,7 @@ class TestPlacementLoss:
         full = placement_loss(field, rig, E)
         assert full.total == pytest.approx(float(np.dot((0.4, 0.3, 0.3), full.components)))
 
-    def test_sampling_cap_scales_to_full_set_on_constant_attributes(self):
+    def test_sampling_cap_scales_to_full_set_on_constant_attributes(self, monkeypatch):
         # With identical attribute rows the strided query subsample is exact,
         # so capping at 16 queries must reproduce the uncapped loss.
         rng = np.random.default_rng(10)
@@ -753,8 +753,10 @@ class TestPlacementLoss:
         field = lean_neof(None, grid, attrs, budget=0)
         pose = pose_from_forward(np.array([0.0, 0.0, 4.0]), np.array([0.0, 0.0, -1.0]))
         rig = CameraRig((pose,), default_intrinsics())
-        capped = placement_loss(field, rig, coverage_of(field, range(60)), query_cap=16)
-        uncapped = placement_loss(field, rig, coverage_of(field, range(60)), query_cap=60)
+        monkeypatch.setattr(field_module, "LOSS_QUERY_CAP", 16)
+        capped = placement_loss(field, rig, coverage_of(field, range(60)))
+        monkeypatch.setattr(field_module, "LOSS_QUERY_CAP", 60)
+        uncapped = placement_loss(field, rig, coverage_of(field, range(60)))
         assert capped.total == pytest.approx(uncapped.total, abs=1e-12)
 
 

@@ -208,17 +208,18 @@ class TestDescentProperty:
     def test_steps_never_raise_and_swaps_lower_the_loss(self, kind, samples, seed):
         size = {"radius": 1.0} if kind == "circle" else {"side": 2.0}
         scene = generate_planar_shape(ShapeSpec(kind, size, samples, seed=seed))
-        config = OptimizerConfig(K=2, seed=seed, max_outer=2, inner_cap=15)
+        config = OptimizerConfig(K=2, seed=seed, max_outer=2)
         grid = voxelize(scene, None)
         rig = initialize(scene, 4, seed)
         E, attrs = shape_analyze(rig, grid, config.K)
         field = lean_neof(None, grid, attrs, budget=20, seed=seed)
-        start = placement_loss(field, rig, E, weights=config.weights,
-                                query_cap=config.query_cap)
-        _, summary, _, _, _ = grad_phase(rig, field, grid, config, planar=True, E=E)
-        assert summary.total <= start.total
+        start = placement_loss(field, rig, E, weights=config.weights)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hybrid, "INNER_STEP_CAP", 15)
+            _, summary, _, _, _ = grad_phase(rig, field, grid, config, planar=True, E=E)
+            assert summary.total <= start.total
 
-        _, trace = optimize(scene, 4, config)
+            _, trace = optimize(scene, 4, config)
         for swap in trace.swaps:
             assert swap["loss_after"] < swap["loss_before"], swap
 
@@ -279,7 +280,7 @@ class TestGradPhase:
         rig = initialize(scene, 6, seed=1)
         field, _ = trained_field(rig, grid, seed=1)
         cfg = OptimizerConfig(eps_L=1e3)
-        opt = hybrid.PoseOptimizer(rig, cfg)
+        opt = hybrid.PoseOptimizer(rig)
         rig1, _, _, steps, converged = grad_phase(rig, field, grid, cfg, planar=True, opt=opt)
         assert converged and steps == 1 and opt.carry is not None
         carry = [g.copy() for g in opt.carry]
@@ -298,7 +299,8 @@ class TestGradPhase:
 
         monkeypatch.setattr(hybrid, "placement_loss_grads", loss_spy)
         monkeypatch.setattr(hybrid.ad, "adam_step", step_spy)
-        grad_phase(rig1, field, grid, OptimizerConfig(inner_cap=1), planar=True, opt=opt)
+        monkeypatch.setattr(hybrid, "INNER_STEP_CAP", 1)
+        grad_phase(rig1, field, grid, OptimizerConfig(), planar=True, opt=opt)
         assert opt.carry is None
         want_pos, want_rot = fresh[0][0] + carry[0], fresh[0][1] + carry[1]
         want_pos[:, 2] = 0.0
@@ -414,12 +416,14 @@ class TestResultPositions:
     count, non_grad_phase(...)[1] as the commit list and optimize(...)[1] as
     the trace, so those tuple positions are part of the interface."""
 
-    def test_phase_and_loop_results_keep_their_positions(self):
+    def test_phase_and_loop_results_keep_their_positions(self, monkeypatch):
         scene = circle_scene()
         grid = voxelize(scene, None)
         rig = initialize(scene, 6, seed=11)
         field, attrs = trained_field(rig, grid, seed=11)
-        grad = grad_phase(rig, field, grid, OptimizerConfig(inner_cap=3), planar=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(hybrid, "INNER_STEP_CAP", 3)
+            grad = grad_phase(rig, field, grid, OptimizerConfig(), planar=True)
         assert len(grad) == 5 and isinstance(grad[3], int) and 1 <= grad[3] <= 3
         non_grad = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
                                   phase_converged=True)
@@ -660,11 +664,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(weights=(-0.1, 0.5, 0.6))
 
-    def test_rejects_bad_schedule(self):
+    def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(pose_lr_decay=0.0)
+            OptimizerConfig(m=0)
         with pytest.raises(ValueError):
-            OptimizerConfig(pose_lr_decay_every=0)
+            OptimizerConfig(max_outer=0)
 
     def test_trace_rejects_camera_count_change(self):
         trace = OptimizationTrace()
