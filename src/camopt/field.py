@@ -37,6 +37,16 @@ first fit or visibility traversal builds with the system compiler; where
 no library loads, in numpy blocks of FIT_BLOCK queries. The two sum in
 different orders, so the rigs of the two paths differ in their last bits;
 both match the float64 tape of the same loss to about 1e-6 relative.
+
+The kernel takes and gives float64 at the row chain's side: it writes the
+scores widened to float64 and reads the logit gradients in float64,
+flushing and rounding them to float32 itself. A fit step writes its
+(batch, keys) float64 arrays, the scores and the row chain's, into a
+workspace (_FitWorkspace) that lean_neof allocates once per call, so no
+step allocates an array of that size (256 KB at 128 queries and 256 keys,
+where numpy's temporaries turn costly). A 128-query step on the
+benchmark's snapshots takes about 1.0 ms with the kernel and 2.8-3.4 ms in
+numpy on a 2-vCPU Xeon.
 """
 
 from dataclasses import dataclass
@@ -62,7 +72,7 @@ LOSS_QUERY_CAP = 16
 # (512 KB at 256 keys and 32 channels)
 FIT_BLOCK = 16
 _INV_SQRT_DK = 1.0 / np.sqrt(D_K)
-_FLUSH = 1e-30       # fit-step logit gradients below this are dropped
+_FLUSH = native.FLUSH     # fit-step logit gradients below this are dropped
 
 
 def _strided(total: int, want: int) -> np.ndarray:
@@ -106,6 +116,8 @@ class ObservationField:
         self.normals = None
         self.values = None
         self.key_idx = None
+        self.key_basis = None
+        self.key_values = None
         self.K = None
         self.sup = None
         self.trained = False
@@ -127,6 +139,10 @@ class ObservationField:
         self.normals = np.asarray(grid.normals, dtype=np.float64).copy()
         self.values = attrs.stack()
         self.key_idx = _strided(len(self.centers), KEY_BASIS_CAP)
+        # the keys' encoder inputs and attributes, gathered once per snapshot
+        self.key_basis = np.concatenate([self.centers[self.key_idx],
+                                         self.normals[self.key_idx]], axis=1)
+        self.key_values = self.values[self.key_idx]
         self.K = attrs.K
         self.sup = sup_vector(attrs.K)
 
@@ -139,8 +155,7 @@ class _Encoding(NamedTuple):
     """The weight-only parts of the folded logits for one batch of query
     normals: the key basis A and the query vectors Z, plus the intermediates
     the fit step's backward reads."""
-    basis: np.ndarray    # (keys, 6) key centers and normals
-    A: np.ndarray        # (keys, 32) basis @ W1 + b1
+    A: np.ndarray        # (keys, 32) field.key_basis @ W1 + b1
     q_in: np.ndarray     # (q, 6) zero offset and query normal
     live: np.ndarray     # (q, 32) bool, relu mask of the query encoder
     h: np.ndarray        # (q, 32) relu(q_in @ W1 + b1)
@@ -154,8 +169,6 @@ def _encode(field: ObservationField, normals: np.ndarray) -> _Encoding:
     """Encode the key basis and the query normals with the current weights,
     in numpy: the weights are constants to every caller."""
     W1, b1, W2, b2, WQ, WK = field.params()
-    kidx = field.key_idx
-    basis = np.concatenate([field.centers[kidx], field.normals[kidx]], axis=1)
     q_in = np.concatenate([np.zeros_like(normals), normals], axis=1)
     pre = q_in @ W1 + b1
     live = pre > 0
@@ -163,7 +176,7 @@ def _encode(field: ObservationField, normals: np.ndarray) -> _Encoding:
     enc = h @ W2 + b2
     qrow = enc @ WQ
     folded = (W2 @ WK) * _INV_SQRT_DK
-    return _Encoding(basis, basis @ W1 + b1, q_in, live, h, enc, qrow, folded,
+    return _Encoding(field.key_basis @ W1 + b1, q_in, live, h, enc, qrow, folded,
                      qrow @ folded.T)
 
 
@@ -183,10 +196,11 @@ def _attend(s: np.ndarray, V: np.ndarray, sup: np.ndarray):
     return att, raw, np.minimum(np.maximum(raw, 0.0), sup)
 
 
-def _softmax_backward(g: np.ndarray, att: np.ndarray) -> np.ndarray:
+def _softmax_backward(g: np.ndarray, att: np.ndarray, t=None) -> np.ndarray:
     """The gradient g with respect to att, turned in place into the one
-    with respect to the logits: att * (g - sum(g * att)), per row."""
-    g -= (g * att).sum(axis=-1, keepdims=True)
+    with respect to the logits: att * (g - sum(g * att)), per row. g * att
+    goes to t, an array of g's shape, when one is given."""
+    g -= np.multiply(g, att, out=t).sum(axis=-1, keepdims=True)
     g *= att
     return g
 
@@ -198,37 +212,55 @@ def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
         raise ValueError("field must be trained (lean_neof) before querying")
     enc = _encode(field, batch.normals)
     s = ad.scores_forward(enc.A, _offsets(field, batch.positions), enc.Z)
-    return _attend(s, field.values[field.key_idx], field.sup)[2]
+    return _attend(s, field.key_values, field.sup)[2]
 
 
-def _logit_grads(s, V, target, dV, sup) -> np.ndarray:
+def _logit_grads(s, V, target, dV, sup, g, t) -> np.ndarray:
     """From float64 scores s (rows, keys): the attention forward (_attend),
     the squared-error gradient where the clamp passes it, and the softmax
-    backward to the logits, cast to float32. Every step is per row."""
+    backward to the logits, written to g; t is scratch. g and t are float64
+    arrays of s's shape, so a step reuses them. Every step is per row."""
     att, raw, out = _attend(s, V, sup)
     err = (out - target) * (out == raw)
-    g = _softmax_backward(err @ dV, att)
-    # a key the row barely attends to leaves a g far below float32
-    # resolution; as a float32 denormal it would slow every product it
-    # enters many times over, so it is dropped
-    np.putmask(g, np.abs(g) < _FLUSH, 0.0)
-    return g.astype(np.float32)
+    return _softmax_backward(np.matmul(err, dV, out=g), att, t)
 
 
-def _numpy_slab_grads(A, B, Z, V, target, dV, sup):
+class _FitWorkspace(NamedTuple):
+    """The arrays a fit step writes, allocated once per lean_neof call (a
+    local of the call: threads fit at the same time)."""
+    s: np.ndarray        # (rows, keys) float64 scores, then attention
+    g: np.ndarray        # (rows, keys) float64 logit gradients
+    t: np.ndarray        # (rows, keys) float64 scratch of the softmax backward
+    gA32: np.ndarray     # (keys, 32) float32 scratch the kernel sums gA in
+
+
+def _fit_workspace(rows: int, keys: int) -> _FitWorkspace:
+    return _FitWorkspace(np.empty((rows, keys)), np.empty((rows, keys)),
+                         np.empty((rows, keys)), np.empty((keys, HIDDEN), dtype=np.float32))
+
+
+def _numpy_slab_grads(A, B, Z, V, target, dV, sup, work):
     """gA, gB, gZ (float32) in numpy, FIT_BLOCK queries at a time: each
     block's relu slab is built once and, while it is in cache, runs the
-    scores, the row chain (_logit_grads) and the slab contractions. The step
-    where no compiled library loads."""
+    scores, the row chain (_logit_grads, on the first rows of the
+    workspace's g and t) and the slab contractions. The step where no
+    compiled library loads."""
     gA = np.zeros_like(A)
     gB = np.empty_like(B)
     gZ = np.empty_like(Z)
     scores = np.empty((min(len(B), FIT_BLOCK), len(A)), dtype=np.float32)
     for rows, slab in ad.score_blocks(A, B, FIT_BLOCK):
         np.maximum(slab, 0.0, out=slab)
-        s = scores[:len(slab)]
+        n = len(slab)
+        s = scores[:n]
         np.matmul(slab, Z[rows, :, None], out=s[:, :, None])
-        g = _logit_grads(s.astype(np.float64), V, target[rows], dV, sup)
+        g = _logit_grads(s.astype(np.float64), V, target[rows], dV, sup, work.g[:n],
+                         work.t[:n])
+        # a key the row barely attends to leaves a g far below float32
+        # resolution; as a float32 denormal it would slow every product it
+        # enters many times over, so it is dropped
+        np.putmask(g, np.abs(g) < _FLUSH, 0.0)
+        g = g.astype(np.float32)
         np.matmul(g[:, None, :], slab, out=gZ[rows, None, :])
         # last use of the slab: overwrite it with the relu mask times Z;
         # gB[q] = g[q] @ that, gA[m] = g[:, m] @ that[:, m], one product per key
@@ -239,20 +271,22 @@ def _numpy_slab_grads(A, B, Z, V, target, dV, sup):
     return gA, gB, gZ
 
 
-def _fit_gradients(field: ObservationField, idx: np.ndarray):
+def _fit_gradients(field: ObservationField, idx: np.ndarray, work: _FitWorkspace):
     """The gradients of the six weights (in params() order) of the mean
     squared error of the field's outputs at the snapshot voxels idx against
-    their attributes.
+    their attributes, with the arrays of work (_fit_workspace(len(idx), keys)).
 
     The slab passes, the relu(A + B) scores and the contractions for A, B
     and Z, run in float32: A, B and Z are cast once per step and their
-    gradients cast back, so the six weight gradients close in float64. With
-    the compiled kernel they are two calls over all rows, and the float64
-    row chain between them (softmax, clamp, error, softmax backward) runs
-    once over all rows; without it, in numpy blocks of FIT_BLOCK queries.
-    The gradients match the float64 tape of the same loss to about 1e-6
-    relative; a rare relu or clamp decision at a float32 rounding boundary
-    moves one by up to about 1e-3.
+    gradients come back float64, so the six weight gradients close in
+    float64. With the compiled kernel they are two calls over all rows:
+    fit_scores writes the float64 scores into the workspace, the float64
+    row chain (softmax, clamp, error, softmax backward) runs once over all
+    rows in the workspace, and fit_grads reads its logit gradients there,
+    flushing and rounding them to float32 itself. Without it, in numpy
+    blocks of FIT_BLOCK queries. The gradients match the float64 tape of
+    the same loss to about 1e-6 relative; a rare relu or clamp decision at
+    a float32 rounding boundary moves one by up to about 1e-3.
     """
     W2, WQ, WK = field.W2, field.WQ, field.WK
     enc = _encode(field, field.normals[idx])
@@ -260,17 +294,17 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray):
     f32 = np.float32
     A, Z = enc.A.astype(f32), enc.Z.astype(f32)
     B = _offsets(field, pos).astype(f32)
-    V = field.values[field.key_idx]
+    V = field.key_values
     target = field.values[idx]
     dV = V.T * (2.0 / target.size)      # d mean(err ** 2) / d err = 2 err / size
     library = native.load()
     if library is None:
-        gA, gB, gZ = _numpy_slab_grads(A, B, Z, V, target, dV, field.sup)
+        gA, gB, gZ = (x.astype(np.float64)
+                      for x in _numpy_slab_grads(A, B, Z, V, target, dV, field.sup, work))
     else:
-        g = _logit_grads(library.fit_scores(A, B, Z).astype(np.float64), V, target, dV,
-                         field.sup)
-        gA, gB, gZ = library.fit_grads(A, B, Z, g)
-    gA, gB, gZ = (x.astype(np.float64) for x in (gA, gB, gZ))
+        s = library.fit_scores(A, B, Z, work.s)
+        g = _logit_grads(s, V, target, dV, field.sup, work.g, work.t)
+        gA, gB, gZ = library.fit_grads(A, B, Z, g, work.gA32)
 
     # Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,
     # enc = relu(q_in @ W1 + b1) @ W2 + b2
@@ -278,7 +312,7 @@ def _fit_gradients(field: ObservationField, idx: np.ndarray):
     g_fold = (gZ.T @ enc.qrow) * _INV_SQRT_DK
     g_enc = g_qrow @ WQ.T
     g_pre = (g_enc @ W2.T) * enc.live
-    g_W1 = enc.basis.T @ gA + enc.q_in.T @ g_pre
+    g_W1 = field.key_basis.T @ gA + enc.q_in.T @ g_pre
     # B = -pos @ W1[:3] touches only the position rows of W1
     g_W1[0:3] -= pos.T @ gB
     return (g_W1,
@@ -306,13 +340,14 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
     field.snapshot(grid, attrs)
     m = field.voxel_count
     pool = _strided(m, TRAIN_QUERY_POOL)
+    work = _fit_workspace(min(len(pool), TRAIN_BATCH), len(field.key_idx))
     for step in range(budget):
         if len(pool) > TRAIN_BATCH:
             start = (step * TRAIN_BATCH) % len(pool)
             idx = pool[(start + np.arange(TRAIN_BATCH)) % len(pool)]
         else:
             idx = pool
-        ad.adam_step(field.params(), _fit_gradients(field, idx), field.adam)
+        ad.adam_step(field.params(), _fit_gradients(field, idx, work), field.adam)
     field.trained = True
     return field
 
@@ -445,7 +480,7 @@ def placement_loss_grads(field: ObservationField, positions: np.ndarray, rot6: n
     spans = list(zip([0] + ends[:-1], ends))
     X = np.concatenate([captures[i].local @ r + positions[i] for i, r in zip(live, rows)])
     B = _offsets(field, X)
-    V = field.values[field.key_idx]
+    V = field.key_values
     att, raw, out = _attend(ad.scores_forward(encoding.A, B, encoding.Z), V, sup)
     total = None
     for (lo, hi), i in zip(spans, live):

@@ -2,7 +2,8 @@
 use and loaded through ctypes.
 
 The source holds two kernels: the field fit's float32 slab passes
-(`fit_scores`, `fit_grads`) and the exact occupied-cell traversal behind
+(`fit_scores`, `fit_grads`), which read and write float64 at the side of
+the fit's float64 row chain, and the exact occupied-cell traversal behind
 visibility (`cell_blocked`). The first call that needs either, a visibility
 traversal or a field fit, compiles the whole source once per process into a
 temporary directory, loads it and deletes the directory (`load`). Nothing is
@@ -14,7 +15,8 @@ FP contraction is off and every kernel repeats its numpy path's float
 expressions in a fixed order, so the results do not depend on the
 optimization flags: the traversal's masks equal the numpy traversal's, and
 the fit's slab passes equal a full-tensor numpy evaluation in the kernel's
-summation order.
+summation order, and their float32-float64 conversions are the numpy step's
+casts.
 """
 
 import ctypes
@@ -28,55 +30,82 @@ from typing import Optional
 import numpy as np
 
 HIDDEN = 32          # the observation field's hidden width, compiled into the fit kernel
+FLUSH = 1e-30        # fit-step logit gradients below this in magnitude are dropped
 
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
-/* The field fit's two slab passes, float32 throughout. The sums run in one
-   fixed sequential order: the scores over channels; gz and gb over keys, ga
-   over queries. */
+/* The field fit's two slab passes. Their arithmetic is float32 and the
+   sums run in one fixed sequential order: the scores over channels; gz and
+   gb over keys, ga over queries. The row chain between the passes is
+   float64, so the scores go out widened to double (exact) and the logit
+   gradients come in as double and are rounded to float32 here. */
 
-/* s[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h]; at is a transposed,
-   (H, nm), so the inner loop runs over contiguous keys. The relu is a
-   product with the 0/1 mask, which keeps the loops free of branches so the
-   compiler vectorizes them; it differs from max(pre, 0) only in the sign of
-   a zero, which no sum here can carry. */
+/* Keys per register tile of the scores: a tile's float32 sums stay in
+   registers across all H channels. */
+#define TILE 64
+
+/* The scores of keys [0, n) of one tile, n <= TILE: acc[i] = sum_h
+   relu(at[h, i] + b[h]) * z[h], channel by channel, then widened into s.
+   at is the tile's column of a[.]^T, whose rows are nm keys apart. */
+static inline void score_tile(const float *restrict at, long nm, const float *restrict b,
+                              const float *restrict z, double *restrict s, long n)
+{
+    float acc[TILE] = {0.0f};
+    for (long h = 0; h < H; h++) {
+        const float bh = b[h], zh = z[h];
+        const float *restrict col = at + h * nm;
+        for (long i = 0; i < n; i++) {
+            const float pre = col[i] + bh, on = pre > 0.0f;
+            acc[i] += pre * on * zh;
+        }
+    }
+    for (long i = 0; i < n; i++)
+        s[i] = acc[i];
+}
+
+/* s[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h], summed in float32 and
+   stored as double; at is a transposed, (H, nm), so the inner loop runs over
+   contiguous keys. The relu is a product with the 0/1 mask, which keeps the
+   loops free of branches so the compiler vectorizes them; it differs from
+   max(pre, 0) only in the sign of a zero, which no sum here can carry. A
+   full tile passes the constant TILE, which lets the compiler keep its
+   sums in registers. */
 void fit_scores(const float *restrict at, const float *restrict b,
-                const float *restrict z, float *restrict s, long nq, long nm)
+                const float *restrict z, double *restrict s, long nq, long nm)
 {
     for (long q = 0; q < nq; q++) {
-        float *restrict row = s + q * nm;
-        for (long m = 0; m < nm; m++)
-            row[m] = 0.0f;
-        for (long h = 0; h < H; h++) {
-            const float bh = b[q * H + h], zh = z[q * H + h];
-            const float *restrict col = at + h * nm;
-            for (long m = 0; m < nm; m++) {
-                const float pre = col[m] + bh, on = pre > 0.0f;
-                row[m] += pre * on * zh;
-            }
-        }
+        const float *restrict bq = b + q * H, *restrict zq = z + q * H;
+        long m = 0;
+        for (; m + TILE <= nm; m += TILE)
+            score_tile(at + m, nm, bq, zq, s + q * nm + m, TILE);
+        if (m < nm)
+            score_tile(at + m, nm, bq, zq, s + q * nm + m, nm - m);
     }
 }
 
-/* With t[q, m, h] = g[q, m] * (z[q, h] * on[q, m, h]), on the relu mask of
-   a[m, h] + b[q, h]: gz[q] = sum_m g[q, m] * relu(a[m] + b[q]),
-   gb[q] = sum_m t[q, m] and ga[m] = sum_q t[q, m]. */
+/* With w[q, m] the logit gradient g[q, m] rounded to float32, or +0 where
+   |g| < FLUSH (as a float32 denormal it would slow every product it
+   enters), and t[q, m, h] = w[q, m] * (z[q, h] * on[q, m, h]), on the relu
+   mask of a[m, h] + b[q, h]: gz[q] = sum_m w[q, m] * relu(a[m] + b[q]),
+   gb[q] = sum_m t[q, m] and ga[m] = sum_q t[q, m], each summed in float32
+   and stored as double. ga32 (nm, H) is the float32 scratch ga sums in. */
 void fit_grads(const float *restrict a, const float *restrict b,
-               const float *restrict z, const float *restrict g,
-               float *restrict ga, float *restrict gb, float *restrict gz,
-               long nq, long nm)
+               const float *restrict z, const double *restrict g,
+               float *restrict ga32, double *restrict ga, double *restrict gb,
+               double *restrict gz, long nq, long nm)
 {
     for (long i = 0; i < nm * H; i++)
-        ga[i] = 0.0f;
+        ga32[i] = 0.0f;
     for (long q = 0; q < nq; q++) {
         const float *restrict bq = b + q * H, *restrict zq = z + q * H;
         float sb[H] = {0.0f}, sz[H] = {0.0f};
         for (long m = 0; m < nm; m++) {
-            const float w = g[q * nm + m];
+            const double gqm = g[q * nm + m];
+            const float w = fabs(gqm) < FLUSH ? 0.0f : (float)gqm;
             const float *restrict am = a + m * H;
-            float *restrict gam = ga + m * H;
+            float *restrict gam = ga32 + m * H;
             for (long h = 0; h < H; h++) {
                 const float pre = am[h] + bq[h], on = pre > 0.0f;
                 const float t = w * (zq[h] * on);
@@ -90,6 +119,8 @@ void fit_grads(const float *restrict a, const float *restrict b,
             gz[q * H + h] = sz[h];
         }
     }
+    for (long i = 0; i < nm * H; i++)
+        ga[i] = ga32[i];
 }
 
 /* The occupied-cell box: its 0/1 cells in C order, their strides and the
@@ -211,7 +242,7 @@ long cell_blocked(const unsigned char *occupied, const int64_t *lo, const int64_
 # kept nowhere, and its results do not depend on the flags. Without it gcc
 # 12 leaves the fit's gradient loop scalar, slower than the numpy step.
 OPT = ("-O3", "-march=native")
-FLAGS = ("-ffp-contract=off", f"-DH={HIDDEN}", "-shared", "-fPIC")
+FLAGS = ("-ffp-contract=off", f"-DH={HIDDEN}", f"-DFLUSH={FLUSH!r}", "-shared", "-fPIC")
 
 
 def _address(x: np.ndarray, dtype, shape) -> int:
@@ -248,28 +279,33 @@ class Library:
         self._grids = weakref.WeakKeyDictionary()    # grid -> _grid_operands(grid)
         lib.fit_scores.argtypes = [ptr] * 4 + [n, n]
         lib.fit_scores.restype = None
-        lib.fit_grads.argtypes = [ptr] * 7 + [n, n]
+        lib.fit_grads.argtypes = [ptr] * 8 + [n, n]
         lib.fit_grads.restype = None
         lib.cell_blocked.argtypes = [ptr] * 4 + [f64, ptr, ptr, n] + [f64] * 3 + [ptr, n, ptr]
         lib.cell_blocked.restype = n
 
-    def fit_scores(self, A, B, Z) -> np.ndarray:
-        """(q, keys) float32 scores sum_h relu(A[m] + B[q])_h Z[q, h]."""
+    def fit_scores(self, A, B, Z, out) -> np.ndarray:
+        """The (q, keys) scores sum_h relu(A[m] + B[q])_h Z[q, h] of float32
+        A, B and Z, summed in float32 and written widened into the float64
+        array out, which is returned."""
         q, m = len(B), len(A)
-        At = np.ascontiguousarray(A.T)
-        s = np.empty((q, m), dtype=np.float32)
         f32 = np.float32
+        At = np.ascontiguousarray(A.T)
         self.lib.fit_scores(_address(At, f32, (HIDDEN, m)), _address(B, f32, (q, HIDDEN)),
-                            _address(Z, f32, (q, HIDDEN)), s.ctypes.data, q, m)
-        return s
+                            _address(Z, f32, (q, HIDDEN)), _address(out, np.float64, (q, m)),
+                            q, m)
+        return out
 
-    def fit_grads(self, A, B, Z, g):
-        """(gA, gB, gZ) in float32 for the logit gradients g (q, keys)."""
+    def fit_grads(self, A, B, Z, g, scratch):
+        """(gA, gB, gZ), float64, for the float64 logit gradients g (q,
+        keys), which the kernel flushes and rounds to float32; scratch is a
+        float32 array of A's shape that gA sums in."""
         q, m = len(B), len(A)
         f32 = np.float32
         args = (_address(A, f32, (m, HIDDEN)), _address(B, f32, (q, HIDDEN)),
-                _address(Z, f32, (q, HIDDEN)), _address(g, f32, (q, m)))
-        gA, gB, gZ = np.empty_like(A), np.empty_like(B), np.empty_like(Z)
+                _address(Z, f32, (q, HIDDEN)), _address(g, np.float64, (q, m)),
+                _address(scratch, f32, (m, HIDDEN)))
+        gA, gB, gZ = np.empty((m, HIDDEN)), np.empty((q, HIDDEN)), np.empty((q, HIDDEN))
         self.lib.fit_grads(*args, gA.ctypes.data, gB.ctypes.data, gZ.ctypes.data, q, m)
         return gA, gB, gZ
 

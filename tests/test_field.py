@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from camopt.field import (
     PlacementLoss,
     _encode,
     _fit_gradients,
+    _fit_workspace,
     _logit_grads,
     _numpy_slab_grads,
     _strided,
@@ -257,7 +259,7 @@ def tape_fit_grads(field, idx):
 
 
 def fused_fit_grads(field, idx):
-    return list(_fit_gradients(field, idx))
+    return list(_fit_gradients(field, idx, _fit_workspace(len(idx), len(field.key_idx))))
 
 
 def train_batches(field, budget):
@@ -465,12 +467,21 @@ class TestNumpyFitStep:
 # the compiled slab kernel
 # ---------------------------------------------------------------------------
 
+def numpy_flush(g):
+    """The float64 logit gradients g as the numpy fit step hands them to
+    its float32 contractions: below _FLUSH set to +0.0, then rounded."""
+    g = g.copy()
+    np.putmask(g, np.abs(g) < field_module._FLUSH, 0.0)
+    return g.astype(np.float32)
+
+
 def reference_slab(A, B, Z, g):
     """Scores and (gA, gB, gZ) of the kernel over full (queries, keys,
-    channels) float32 tensors, with numpy summing in the kernel's order: the
-    scores channel by channel, gZ and gB over keys (axis 1) and gA over
-    queries (axis 0), each a sequential reduction over a non-contiguous
-    axis."""
+    channels) float32 tensors for float32 logit gradients g, with numpy
+    summing in the kernel's order: the scores channel by channel, gZ and gB
+    over keys (axis 1) and gA over queries (axis 0), each a sequential
+    reduction over a non-contiguous axis. All four are float32; the kernel
+    writes them widened to float64."""
     slab = A[None, :, :] + B[:, None, :]
     relu = np.maximum(slab, np.float32(0.0))
     scores = np.zeros((len(B), len(A)), dtype=np.float32)
@@ -480,9 +491,13 @@ def reference_slab(A, B, Z, g):
     return scores, t.sum(axis=0), t.sum(axis=1), (g[:, :, None] * relu).sum(axis=1)
 
 
+def kernel_scores(kernel, A, B, Z):
+    return kernel.fit_scores(A, B, Z, np.empty((len(B), len(A))))
+
+
 def slab_operands(keys, queries, seed, margin):
-    """Float32 A, B, Z of a random field at random queries, and the logit
-    gradients g the row chain makes of the kernel's scores."""
+    """Float32 A, B, Z of a random field at random queries, and the float64
+    logit gradients g the row chain makes of the kernel's scores."""
     rng = np.random.default_rng(seed)
     grid = scattered_grid(keys, rng)
     field = lean_neof(None, grid, random_attrs(keys, 3, rng, margin=margin),
@@ -491,11 +506,16 @@ def slab_operands(keys, queries, seed, margin):
     enc = _encode(field, field.normals[idx])
     A, Z = enc.A.astype(np.float32), enc.Z.astype(np.float32)
     B = (-(field.centers[idx] @ field.W1[0:3])).astype(np.float32)
-    V, target = field.values[field.key_idx], field.values[idx]
-    scores = native.load().fit_scores(A, B, Z)
-    g = _logit_grads(scores.astype(np.float64), V, target, V.T * (2.0 / target.size),
-                     field.sup)
+    V, target = field.key_values, field.values[idx]
+    scores = kernel_scores(native.load(), A, B, Z)
+    g = _logit_grads(scores, V, target, V.T * (2.0 / target.size), field.sup,
+                     np.empty_like(scores), np.empty_like(scores))
     return A, B, Z, g
+
+
+def kernel_slab(kernel, A, B, Z, g):
+    """The kernel's scores and (gA, gB, gZ), all float64."""
+    return (kernel_scores(kernel, A, B, Z),) + kernel.fit_grads(A, B, Z, g, np.empty_like(A))
 
 
 @pytest.fixture(scope="module")
@@ -522,12 +542,27 @@ class TestFitKernel:
         # a negative margin puts attributes outside their range, so the
         # clamp zeroes some of g
         A, B, Z, g = slab_operands(keys, queries, seed, margin)
-        kernel = native.load()
-        got = (kernel.fit_scores(A, B, Z),) + kernel.fit_grads(A, B, Z, g)
-        for other in (reference_slab(A, B, Z, g),
-                      (kernel_O0.fit_scores(A, B, Z),) + kernel_O0.fit_grads(A, B, Z, g)):
+        got = kernel_slab(native.load(), A, B, Z, g)
+        reference = [x.astype(np.float64) for x in reference_slab(A, B, Z, numpy_flush(g))]
+        for other in (reference, kernel_slab(kernel_O0, A, B, Z, g)):
             for x, y in zip(got, other):
-                assert x.dtype == y.dtype == np.float32
+                assert x.dtype == y.dtype == np.float64
+                np.testing.assert_array_equal(x, y)
+
+    def test_flushes_and_rounds_logit_gradients_like_the_numpy_step(self, kernel_O0):
+        # rows of nothing but values at and below the flush threshold, so
+        # each sum is made of them alone: a 9.9e-31 or a 1e-40 the kernel
+        # kept would leave a nonzero sum where the numpy rule leaves 0
+        kernel = native.load()
+        A, B, Z, _ = slab_operands(8, 3, 0, 0.05)
+        special = np.array([1e-30, -1e-30, 9.9e-31, -9.9e-31, 1e-40, 1e-300, 0.0, -0.0])
+        g = np.stack([np.roll(special, r) for r in range(3)])
+        assert g.shape == (len(B), len(A))
+        want = [x.astype(np.float64) for x in reference_slab(A, B, Z, numpy_flush(g))[1:]]
+        # the +-1e-30 the rule keeps reach every sum
+        assert all(np.any(x != 0.0) for x in want)
+        for build in (kernel, kernel_O0):
+            for x, y in zip(build.fit_grads(A, B, Z, g, np.empty_like(A)), want):
                 np.testing.assert_array_equal(x, y)
 
     def test_rejects_operands_of_mismatched_shape(self):
@@ -535,16 +570,23 @@ class TestFitKernel:
         if kernel is None:
             pytest.skip("no fit kernel on this host")
         A, B, Z, g = slab_operands(40, 9, 0, 0.05)
+        scores, scratch = np.empty((9, 40)), np.empty_like(A)
         with pytest.raises(ValueError):
-            kernel.fit_scores(A, B[:5], Z)
+            kernel.fit_scores(A, B[:5], Z, scores)
         with pytest.raises(ValueError):
-            kernel.fit_grads(A, B, Z, g[:, :-1])
+            kernel.fit_grads(A, B, Z, g[:, :-1], scratch)
+        with pytest.raises(ValueError):
+            kernel.fit_grads(A, B, Z, g, scratch[:-1])
         # the operands go in as raw pointers, so a wrong dtype or layout is
         # refused as well
         with pytest.raises(ValueError):
-            kernel.fit_scores(A, B.astype(np.float64), Z)
+            kernel.fit_scores(A, B.astype(np.float64), Z, scores)
         with pytest.raises(ValueError):
-            kernel.fit_grads(A, np.asfortranarray(B), Z, g)
+            kernel.fit_scores(A, B, Z, np.empty((9, 40), dtype=np.float32))
+        with pytest.raises(ValueError):
+            kernel.fit_grads(A, np.asfortranarray(B), Z, g, scratch)
+        with pytest.raises(ValueError):
+            kernel.fit_grads(A, B, Z, g.astype(np.float32), scratch)
 
     def test_kernel_is_faster_than_the_numpy_step(self):
         # a build the compiler leaves scalar is slower than the numpy step it
@@ -562,10 +604,11 @@ class TestFitKernel:
         A, Z = enc.A.astype(np.float32), enc.Z.astype(np.float32)
         B = field_module._offsets(field, field.centers[idx]).astype(np.float32)
         assert A.shape == (256, 32) and B.shape == (TRAIN_BATCH, 32)
-        V, target = field.values[field.key_idx], field.values[idx]
+        V, target = field.key_values, field.values[idx]
         dV = V.T * (2.0 / target.size)
-        g = _logit_grads(kernel.fit_scores(A, B, Z).astype(np.float64), V, target, dV,
-                         field.sup)
+        work, numpy_work = (_fit_workspace(TRAIN_BATCH, len(A)) for _ in range(2))
+        g = _logit_grads(kernel.fit_scores(A, B, Z, work.s), V, target, dV, field.sup,
+                         work.g, work.t)
 
         def best_of_5(step):
             times = []
@@ -575,8 +618,10 @@ class TestFitKernel:
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        kernel_s = best_of_5(lambda: (kernel.fit_scores(A, B, Z), kernel.fit_grads(A, B, Z, g)))
-        numpy_s = best_of_5(lambda: _numpy_slab_grads(A, B, Z, V, target, dV, field.sup))
+        kernel_s = best_of_5(lambda: (kernel.fit_scores(A, B, Z, work.s),
+                                      kernel.fit_grads(A, B, Z, g, work.gA32)))
+        numpy_s = best_of_5(lambda: _numpy_slab_grads(A, B, Z, V, target, dV, field.sup,
+                                                      numpy_work))
         assert kernel_s < numpy_s, f"kernel {kernel_s * 1e3:.2f} ms, numpy {numpy_s * 1e3:.2f} ms"
 
     def test_kernel_and_numpy_steps_agree(self):
@@ -636,6 +681,66 @@ class TestFitKernel:
         proc = subprocess.run([sys.executable, "-c", code, str(scratch)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+
+def largest_rise_per_fit_step(run):
+    """Call run() under tracemalloc with a tracer on camopt's Python lines
+    and return, for each _fit_gradients call in turn, the largest rise of
+    traced memory over the memory held when a line started, with that line.
+    A block allocated while a line runs raises it by at least its size. The
+    tracer itself makes no string: a new interned one can resize Python's
+    table of them, which tracemalloc counts as a fresh block of its size."""
+    camopt_dir = str(Path(field_module.__file__).parent)
+    steps = []
+    window = {"start": 0, "line": None}
+
+    def next_line(frame):
+        current, peak = tracemalloc.get_traced_memory()
+        if steps and peak - window["start"] > steps[-1][0]:
+            steps[-1] = (peak - window["start"], window["line"])
+        tracemalloc.reset_peak()
+        window["start"] = current
+        window["line"] = (frame.f_code.co_filename, frame.f_lineno)
+
+    def local(frame, event, arg):
+        next_line(frame)
+        return local
+
+    def on_call(frame, event, arg):
+        if frame.f_code is _fit_gradients.__code__:
+            steps.append((0, None))
+        if frame.f_code.co_filename.startswith(camopt_dir):
+            next_line(frame)
+            return local
+        return None
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+        tracemalloc.stop()
+    return steps
+
+
+class TestFitAllocations:
+    def test_steps_after_the_first_allocate_no_block_of_the_row_chains_size(self):
+        # every (batch, keys) float64 array of the row chain lives in the
+        # workspace lean_neof allocates before its first step; numpy makes a
+        # temporary of 256 KB or more costly (it walks the C stack to decide
+        # whether it may reuse it), and a fit step made 256 KB temporaries
+        # in the score widening, err @ dV and g * att
+        if native.load() is None:
+            pytest.skip("no fit kernel on this host; the numpy step's slab is 512 KB")
+        grid, attrs = real_snapshot("circle")
+        block = TRAIN_BATCH * len(lean_neof(None, grid, attrs, budget=0).key_idx) * 8
+        assert block == 256 * 1024
+        steps = largest_rise_per_fit_step(lambda: lean_neof(None, grid, attrs, budget=20))
+        assert len(steps) == 20
+        for step, (rise, line) in enumerate(steps[1:], start=2):
+            assert rise < block, f"step {step}: {rise} bytes at {line[0]}:{line[1]}"
 
 
 # ---------------------------------------------------------------------------
