@@ -20,7 +20,9 @@ the placement loss's pose gradients are closed-form numpy passes in
 float64 references of those passes. The numpy parts the run path does use
 live here as well: the attention-logit helpers ``scores_forward`` and
 ``scores_b_grad`` (which ``pairwise_scores`` wraps) over ``score_blocks``,
-and ``adam_step``, one update of a list of parameter arrays from a list of
+which the field's queries and pose gradients call only where no compiled
+library loads (they run in ``camopt.native`` otherwise), and
+``adam_step``, one update of a list of parameter arrays from a list of
 gradients.
 """
 
@@ -489,8 +491,8 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
     score_blocks, and the backward pass rebuilds it the same way (bit for
     bit) to get the relu mask.  The forward and the b gradient are the numpy
     helpers scores_forward and scores_b_grad, which the field's queries and
-    pose gradients call directly.  Only the inputs that need a gradient get
-    one.
+    pose gradients call directly where no compiled library loads.  Only the
+    inputs that need a gradient get one.
     """
     a, b, z = _lift(a), _lift(b), _lift(z)
 

@@ -1,22 +1,27 @@
 """The compiled kernels: one C source, built by the system compiler at first
 use and loaded through ctypes.
 
-The source holds two kernels: the field fit's float32 slab passes
+The source holds three kernels: the field fit's float32 slab passes
 (`fit_scores`, `fit_grads`), which read and write float64 at the side of
-the fit's float64 row chain, and the exact occupied-cell traversal behind
-visibility (`cell_blocked`). The first call that needs either, a visibility
-traversal or a field fit, compiles the whole source once per process into a
-temporary directory, loads it and deletes the directory (`load`). Nothing is
-built at import and nothing is cached on disk. Where there is no `cc` on
-PATH, or the build or the load fails, `load` returns None and both callers
-run their numpy paths.
+the fit's float64 row chain; the float64 attention scores of the field's
+queries and placement loss and their gradient with respect to the query
+offsets (`attend_scores`, `attend_b_grad`); and the exact occupied-cell
+traversal behind visibility (`cell_blocked`). The first call that needs
+a kernel (a visibility traversal, a field fit or a field query) compiles
+the whole source once per process into a temporary directory, loads it
+and deletes the directory (`load`). Nothing is built at import and
+nothing is cached on disk. Where there is no `cc` on PATH, or the build or
+the load fails, `load` returns None and every caller runs its numpy path.
 
-FP contraction is off and every kernel repeats its numpy path's float
-expressions in a fixed order, so the results do not depend on the
-optimization flags: the traversal's masks equal the numpy traversal's, and
-the fit's slab passes equal a full-tensor numpy evaluation in the kernel's
-summation order, and their float32-float64 conversions are the numpy step's
-casts.
+FP contraction is off and every kernel sums in one fixed sequential order,
+so the results do not depend on the optimization flags: the traversal's
+masks equal the numpy traversal's; the fit's slab passes equal a
+full-tensor numpy evaluation in the kernel's summation order, and their
+float32-float64 conversions are the numpy step's casts; the attention
+scores and their gradient equal a float64 numpy evaluation in the kernel's
+order (over the channels for the scores, over the keys for the gradient),
+which differs from the order of the numpy helpers the callers run without
+the library (autodiff.scores_forward, scores_b_grad) in the last bits.
 """
 
 import ctypes
@@ -29,61 +34,63 @@ from typing import Optional
 
 import numpy as np
 
-HIDDEN = 32          # the observation field's hidden width, compiled into the fit kernel
+HIDDEN = 32          # the observation field's hidden width, compiled into the field's kernels
 FLUSH = 1e-30        # fit-step logit gradients below this in magnitude are dropped
 
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
+/* Keys per register tile of the scores: a tile's sums stay in registers
+   across all H channels. */
+#define TILE 64
+
+/* The scores s[q, m] = sum_h relu(at[h, m] + b[q, h]) * z[q, h] of one
+   element type real, summed in real over the channels in order and stored
+   as double: name##_tile holds the sums of keys [0, n) of one tile, n <=
+   TILE, and name runs the tiles of every query. at is a transposed, (H,
+   nm), so the inner loop runs over contiguous keys. The relu is a product
+   with the 0/1 mask, which keeps the loops free of branches so the compiler
+   vectorizes them; it differs from max(pre, 0) only in the sign of a zero,
+   which no sum here can carry. A full tile passes the constant TILE, which
+   lets the compiler keep its sums in registers. */
+#define SCORES(name, real)                                                          \
+static inline void name##_tile(const real *restrict at, long nm,                   \
+                               const real *restrict b, const real *restrict z,     \
+                               double *restrict s, long n)                         \
+{                                                                                   \
+    real acc[TILE] = {0};                                                           \
+    for (long h = 0; h < H; h++) {                                                  \
+        const real bh = b[h], zh = z[h];                                            \
+        const real *restrict col = at + h * nm;                                     \
+        for (long i = 0; i < n; i++) {                                              \
+            const real pre = col[i] + bh, on = pre > 0;                             \
+            acc[i] += pre * on * zh;                                                \
+        }                                                                           \
+    }                                                                               \
+    for (long i = 0; i < n; i++)                                                    \
+        s[i] = acc[i];                                                              \
+}                                                                                   \
+                                                                                    \
+void name(const real *restrict at, const real *restrict b, const real *restrict z, \
+          double *restrict s, long nq, long nm)                                     \
+{                                                                                   \
+    for (long q = 0; q < nq; q++) {                                                 \
+        const real *restrict bq = b + q * H, *restrict zq = z + q * H;              \
+        long m = 0;                                                                 \
+        for (; m + TILE <= nm; m += TILE)                                           \
+            name##_tile(at + m, nm, bq, zq, s + q * nm + m, TILE);                  \
+        if (m < nm)                                                                 \
+            name##_tile(at + m, nm, bq, zq, s + q * nm + m, nm - m);                \
+    }                                                                               \
+}
+
 /* The field fit's two slab passes. Their arithmetic is float32 and the
    sums run in one fixed sequential order: the scores over channels; gz and
    gb over keys, ga over queries. The row chain between the passes is
    float64, so the scores go out widened to double (exact) and the logit
    gradients come in as double and are rounded to float32 here. */
-
-/* Keys per register tile of the scores: a tile's float32 sums stay in
-   registers across all H channels. */
-#define TILE 64
-
-/* The scores of keys [0, n) of one tile, n <= TILE: acc[i] = sum_h
-   relu(at[h, i] + b[h]) * z[h], channel by channel, then widened into s.
-   at is the tile's column of a[.]^T, whose rows are nm keys apart. */
-static inline void score_tile(const float *restrict at, long nm, const float *restrict b,
-                              const float *restrict z, double *restrict s, long n)
-{
-    float acc[TILE] = {0.0f};
-    for (long h = 0; h < H; h++) {
-        const float bh = b[h], zh = z[h];
-        const float *restrict col = at + h * nm;
-        for (long i = 0; i < n; i++) {
-            const float pre = col[i] + bh, on = pre > 0.0f;
-            acc[i] += pre * on * zh;
-        }
-    }
-    for (long i = 0; i < n; i++)
-        s[i] = acc[i];
-}
-
-/* s[q, m] = sum_h relu(a[m, h] + b[q, h]) * z[q, h], summed in float32 and
-   stored as double; at is a transposed, (H, nm), so the inner loop runs over
-   contiguous keys. The relu is a product with the 0/1 mask, which keeps the
-   loops free of branches so the compiler vectorizes them; it differs from
-   max(pre, 0) only in the sign of a zero, which no sum here can carry. A
-   full tile passes the constant TILE, which lets the compiler keep its
-   sums in registers. */
-void fit_scores(const float *restrict at, const float *restrict b,
-                const float *restrict z, double *restrict s, long nq, long nm)
-{
-    for (long q = 0; q < nq; q++) {
-        const float *restrict bq = b + q * H, *restrict zq = z + q * H;
-        long m = 0;
-        for (; m + TILE <= nm; m += TILE)
-            score_tile(at + m, nm, bq, zq, s + q * nm + m, TILE);
-        if (m < nm)
-            score_tile(at + m, nm, bq, zq, s + q * nm + m, nm - m);
-    }
-}
+SCORES(fit_scores, float)
 
 /* With w[q, m] the logit gradient g[q, m] rounded to float32, or +0 where
    |g| < FLUSH (as a float32 denormal it would slow every product it
@@ -121,6 +128,34 @@ void fit_grads(const float *restrict a, const float *restrict b,
     }
     for (long i = 0; i < nm * H; i++)
         ga[i] = ga32[i];
+}
+
+/* The float64 attention scores of the field's queries and placement loss,
+   and their gradient with respect to b. The scores sum over the channels in
+   order; the b gradient over the keys in order. */
+SCORES(attend_scores, double)
+
+/* gb[q, h] = (sum_m g[q, m] * on[q, m, h]) * z[q, h], on the relu mask of
+   a[m, h] + b[q, h], applied as a product with 0/1 so the loops have no
+   branches; the H sums of a query stay in registers across its keys. */
+void attend_b_grad(const double *restrict a, const double *restrict b,
+                   const double *restrict z, const double *restrict g,
+                   double *restrict gb, long nq, long nm)
+{
+    for (long q = 0; q < nq; q++) {
+        const double *restrict bq = b + q * H;
+        double acc[H] = {0.0};
+        for (long m = 0; m < nm; m++) {
+            const double gqm = g[q * nm + m];
+            const double *restrict am = a + m * H;
+            for (long h = 0; h < H; h++) {
+                const double on = am[h] + bq[h] > 0.0;
+                acc[h] += gqm * on;
+            }
+        }
+        for (long h = 0; h < H; h++)
+            gb[q * H + h] = acc[h] * z[q * H + h];
+    }
 }
 
 /* The occupied-cell box: its 0/1 cells in C order, their strides and the
@@ -281,6 +316,10 @@ class Library:
         lib.fit_scores.restype = None
         lib.fit_grads.argtypes = [ptr] * 8 + [n, n]
         lib.fit_grads.restype = None
+        lib.attend_scores.argtypes = [ptr] * 4 + [n, n]
+        lib.attend_scores.restype = None
+        lib.attend_b_grad.argtypes = [ptr] * 5 + [n, n]
+        lib.attend_b_grad.restype = None
         lib.cell_blocked.argtypes = [ptr] * 4 + [f64, ptr, ptr, n] + [f64] * 3 + [ptr, n, ptr]
         lib.cell_blocked.restype = n
 
@@ -308,6 +347,31 @@ class Library:
         gA, gB, gZ = np.empty((m, HIDDEN)), np.empty((q, HIDDEN)), np.empty((q, HIDDEN))
         self.lib.fit_grads(*args, gA.ctypes.data, gB.ctypes.data, gZ.ctypes.data, q, m)
         return gA, gB, gZ
+
+    def attend_scores(self, A, B, Z) -> np.ndarray:
+        """The float64 (q, keys) scores sum_h relu(A[m] + B[q])_h Z[q, h] of
+        float64 A (keys, 32), B and Z (q, 32), summed over the channels in
+        order (autodiff.scores_forward sums the same terms)."""
+        q, m = len(B), len(A)
+        f64 = np.float64
+        _address(A, f64, (m, HIDDEN))     # checked before the transpose could hide it
+        At = np.ascontiguousarray(A.T)
+        s = np.empty((q, m))
+        self.lib.attend_scores(At.ctypes.data, _address(B, f64, (q, HIDDEN)),
+                               _address(Z, f64, (q, HIDDEN)), s.ctypes.data, q, m)
+        return s
+
+    def attend_b_grad(self, A, B, Z, g) -> np.ndarray:
+        """The float64 gradient (q, 32) of sum(g * attend_scores(A, B, Z))
+        with respect to B, its sums over the keys in order
+        (autodiff.scores_b_grad sums the same terms)."""
+        q, m = len(B), len(A)
+        f64 = np.float64
+        args = (_address(A, f64, (m, HIDDEN)), _address(B, f64, (q, HIDDEN)),
+                _address(Z, f64, (q, HIDDEN)), _address(g, f64, (q, m)))
+        gb = np.empty((q, HIDDEN))
+        self.lib.attend_b_grad(*args, gb.ctypes.data, q, m)
+        return gb
 
     def cell_blocked(self, grid, eye, rows) -> np.ndarray:
         """The traversal's mask over the voxel rows for a camera at eye

@@ -518,6 +518,16 @@ def kernel_slab(kernel, A, B, Z, g):
     return (kernel_scores(kernel, A, B, Z),) + kernel.fit_grads(A, B, Z, g, np.empty_like(A))
 
 
+def best_of_5(step):
+    """The least wall time of five calls of step, in seconds."""
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        step()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
 @pytest.fixture(scope="module")
 def kernel_O0():
     if shutil.which("cc") is None:
@@ -610,14 +620,6 @@ class TestFitKernel:
         g = _logit_grads(kernel.fit_scores(A, B, Z, work.s), V, target, dV, field.sup,
                          work.g, work.t)
 
-        def best_of_5(step):
-            times = []
-            for _ in range(5):
-                t0 = time.perf_counter()
-                step()
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
         kernel_s = best_of_5(lambda: (kernel.fit_scores(A, B, Z, work.s),
                                       kernel.fit_grads(A, B, Z, g, work.gA32)))
         numpy_s = best_of_5(lambda: _numpy_slab_grads(A, B, Z, V, target, dV, field.sup,
@@ -681,6 +683,130 @@ class TestFitKernel:
         proc = subprocess.run([sys.executable, "-c", code, str(scratch)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the compiled float64 attention scores of queries and pose gradients
+# ---------------------------------------------------------------------------
+
+def sequential_scores(A, B, Z):
+    """scores[q, m] = sum_h relu(A[m, h] + B[q, h]) * Z[q, h] in float64,
+    summed over the channels one at a time, the order of
+    native.attend_scores."""
+    s = np.zeros((len(B), len(A)))
+    for h in range(A.shape[1]):
+        s += np.maximum(A[None, :, h] + B[:, None, h], 0.0) * Z[:, None, h]
+    return s
+
+
+def sequential_b_grad(A, B, Z, g):
+    """The gradient of sum(g * scores) with respect to B in float64, its
+    relu-mask sums taken over the keys one at a time, the order of
+    native.attend_b_grad."""
+    acc = np.zeros_like(B)
+    for m in range(len(A)):
+        acc += g[:, m, None] * (A[m] + B > 0.0)
+    return acc * Z
+
+
+def attend_operands(queries, keys, seed):
+    """Random float64 A (keys, 32), B and Z (queries, 32) and g (queries,
+    keys), with pre-activations A[m, h] + B[q, h] that are exactly +0.0
+    (x + -x) and -0.0 (-0.0 + -0.0)."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(keys, field_module.HIDDEN))
+    B = rng.normal(size=(queries, field_module.HIDDEN))
+    Z = rng.normal(size=(queries, field_module.HIDDEN))
+    g = rng.normal(size=(queries, keys))
+    A[0, :8] = -B[0, :8]
+    A[-1, 8:16] = -0.0
+    B[-1, 8:16] = -0.0
+    pre = A[None, :, :] + B[:, None, :]
+    assert np.any(pre == 0.0) and np.any(np.signbit(pre[pre == 0.0]))
+    return A, B, Z, g
+
+
+def loaded_kernel():
+    kernel = native.load()
+    if kernel is None:
+        pytest.skip("no compiled library on this host")
+    return kernel
+
+
+class TestAttendKernel:
+    @pytest.mark.parametrize("keys", [1, 63, 64, 65, 256])
+    @pytest.mark.parametrize("queries", [1, 8, 16, 160, 161])
+    def test_equals_sequential_reference_and_O0_build(self, kernel_O0, queries, keys):
+        # 63, 64 and 65 keys sit at the edges of the kernel's 64-key tile
+        A, B, Z, g = attend_operands(queries, keys, 1000 * queries + keys)
+        scores, b_grad = sequential_scores(A, B, Z), sequential_b_grad(A, B, Z, g)
+        for build in (native.load(), kernel_O0):
+            np.testing.assert_array_equal(build.attend_scores(A, B, Z), scores)
+            np.testing.assert_array_equal(build.attend_b_grad(A, B, Z, g), b_grad)
+
+    def test_rows_do_not_depend_on_the_other_queries(self):
+        kernel = loaded_kernel()
+        A, B, Z, g = attend_operands(160, 256, 3)
+        np.testing.assert_array_equal(kernel.attend_scores(A, B[:5], Z[:5]),
+                                      kernel.attend_scores(A, B, Z)[:5])
+        np.testing.assert_array_equal(kernel.attend_b_grad(A, B[:5], Z[:5], g[:5]),
+                                      kernel.attend_b_grad(A, B, Z, g)[:5])
+
+    @pytest.mark.parametrize("queries,keys", [(1, 1), (16, 256), (161, 65)])
+    def test_agrees_with_the_numpy_helpers(self, queries, keys):
+        # the two sum the same terms in different orders
+        kernel = loaded_kernel()
+        A, B, Z, g = attend_operands(queries, keys, 7)
+        for got, want in ((kernel.attend_scores(A, B, Z), ad.scores_forward(A, B, Z)),
+                          (kernel.attend_b_grad(A, B, Z, g), ad.scores_b_grad(A, B, Z, g))):
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_rejects_float32_fortran_and_misshaped_operands(self):
+        kernel = loaded_kernel()
+        A, B, Z, g = attend_operands(9, 40, 0)
+        for bad in ({"A": A.astype(np.float32)}, {"B": B.astype(np.float32)},
+                    {"Z": np.asfortranarray(Z)}, {"A": np.asfortranarray(A)},
+                    {"B": B[:5]}, {"Z": Z[:, :-1]}):
+            args = {"A": A, "B": B, "Z": Z, **bad}
+            with pytest.raises(ValueError):
+                kernel.attend_scores(**args)
+            with pytest.raises(ValueError):
+                kernel.attend_b_grad(**args, g=g)
+        for bad_g in (g.astype(np.float32), np.asfortranarray(g), g[:, :-1]):
+            with pytest.raises(ValueError):
+                kernel.attend_b_grad(A, B, Z, bad_g)
+
+    def test_queries_and_pose_gradients_run_the_kernels_where_the_library_loads(
+            self, monkeypatch):
+        # TestCompiledPoseLossEqualsTape cannot tell the two paths apart: it
+        # swaps the numpy helpers for references with the kernels' bits
+        loaded_kernel()
+        field, rig, E = two_camera_setup(seed=12)
+        batch = FieldQueryBatch(field.centers[:4], field.normals[:4])
+
+        def refuse(*args):
+            raise AssertionError("numpy score helper called")
+
+        monkeypatch.setattr(ad, "scores_forward", refuse)
+        monkeypatch.setattr(ad, "scores_b_grad", refuse)
+        query(field, batch)
+        pose_grads(field, rig, E)
+        with numpy_step(), pytest.raises(AssertionError, match="numpy score helper"):
+            query(field, batch)
+
+    @pytest.mark.parametrize("queries", [16, 160])
+    def test_kernels_are_faster_than_the_numpy_helpers(self, queries):
+        # 16 queries is one resampling candidate's query, 160 a gradient
+        # phase's ten cameras
+        kernel = loaded_kernel()
+        A, B, Z, g = attend_operands(queries, 256, queries)
+        for compiled, numpy_helper in (
+                (lambda: kernel.attend_scores(A, B, Z), lambda: ad.scores_forward(A, B, Z)),
+                (lambda: kernel.attend_b_grad(A, B, Z, g), lambda: ad.scores_b_grad(A, B, Z, g))):
+            kernel_s, numpy_s = best_of_5(compiled), best_of_5(numpy_helper)
+            assert kernel_s < numpy_s, \
+                f"kernel {kernel_s * 1e3:.3f} ms, numpy {numpy_s * 1e3:.3f} ms"
 
 
 def largest_rise_per_fit_step(run):
@@ -897,6 +1023,14 @@ def rig_setup(scene, k, seed, resolution=None):
 
 
 class TestPoseLossEqualsTape:
+    """On the numpy path, the loader forced to fail: the placement loss runs
+    the tape's own score helpers, autodiff.scores_forward and scores_b_grad."""
+
+    @pytest.fixture(autouse=True)
+    def score_path(self):
+        with numpy_step():
+            yield
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_rigs(self, seed):
         rng = np.random.default_rng(seed)
@@ -938,3 +1072,16 @@ class TestPoseLossEqualsTape:
         positions[:, :2] += rng.normal(scale=0.01, size=(len(positions), 2))
         rot6[:, :2] += rng.normal(scale=0.01, size=(len(rot6), 2))
         assert_equals_tape(field, positions, rot6, caps)
+
+
+
+class TestCompiledPoseLossEqualsTape(TestPoseLossEqualsTape):
+    """With the compiled attention kernels, against the tape whose two score
+    helpers sum in the kernels' order (sequential_scores and
+    sequential_b_grad), so the two still agree bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def score_path(self, monkeypatch):
+        loaded_kernel()
+        monkeypatch.setattr(ad, "scores_forward", sequential_scores)
+        monkeypatch.setattr(ad, "scores_b_grad", sequential_b_grad)
