@@ -26,26 +26,31 @@ and takes the gradients of the poses in closed form back through B, the
 points and each camera's Gram-Schmidt frame (a gradient phase encodes its
 frozen captures once, encode_captures); and the weight fit (`lean_neof`)
 takes the gradients of the six weights from a fused step, _fit_gradients,
-and hands them to autodiff.adam_step. The fit's row chain and the pose
-gradients share the softmax, att @ V and clamp forward (_attend) and the
-softmax backward (_softmax_backward). The fit's slab passes, the
+and hands them to autodiff.adam_step. The pose gradients and the fit's
+numpy row chain share the softmax, att @ V and clamp forward (_attend) and
+the softmax backward (_softmax_backward). The fit's slab passes, the
 relu(A + B) scores and the slab contractions for the gradients of A, B and
-Z, run in float32; everything else (the per-row chain, weights, Adam state,
-`query`, the placement loss) stays float64. The slab passes run in the
-fit kernel of the compiled library (camopt.native), which the process's
-first fit or visibility traversal builds with the system compiler; where
-no library loads, in numpy blocks of FIT_BLOCK queries. The two sum in
-different orders, so the rigs of the two paths differ in their last bits;
-both match the float64 tape of the same loss to about 1e-6 relative.
+Z, run in float32; everything else (the encode, the per-row chain, the
+chain back to the weights, Adam state, `query`, the placement loss) stays
+float64.
 
-The kernel takes and gives float64 at the row chain's side: it writes the
-scores widened to float64 and reads the logit gradients in float64,
-flushing and rounding them to float32 itself. A fit step writes its
-(batch, keys) float64 arrays, the scores and the row chain's, into a
-workspace (_FitWorkspace) that lean_neof allocates once per call, so no
-step allocates an array of that size (256 KB at 128 queries and 256 keys,
-where numpy's temporaries turn costly). A 128-query step on the
-benchmark's snapshots takes about 1.0 ms with the kernel and 2.8-3.4 ms in
+Where the compiled library (camopt.native) loads, which the process's
+first fit or visibility traversal builds with the system compiler, a fit
+step is two kernel calls and numpy's exp between them (native.FitStep):
+fit_forward encodes the weights and writes the scores, each row less its
+maximum, and fit_backward runs the row chain, the slab gradients and the
+chain back to the six weights. Every float64 sum there runs in a fixed
+order, so the fit's bits do not depend on the BLAS kernel. Where no library
+loads, the encode and the weight chain are numpy products, and the slab
+passes and the row chain run in numpy blocks of FIT_BLOCK queries. The two
+paths sum in different orders, so their rigs differ in the last bits; both
+match the float64 tape of the same loss to about 1e-6 relative.
+
+lean_neof allocates a fit's workspace (the FitStep, or a _FitWorkspace for
+the numpy step) and gathers its training batches once per call, so no step
+allocates an array of the (batch, keys) size (256 KB at 128 queries and
+256 keys, where numpy's temporaries turn costly). A 128-query step on the
+benchmark's snapshots takes about 0.6 ms with the library and 2.9 ms in
 numpy on a 2-vCPU Xeon.
 
 The float64 scores of `query` and the placement loss, and the placement
@@ -55,9 +60,9 @@ keys in order; where no library loads, in the numpy helpers
 autodiff.scores_forward and scores_b_grad, whose sums the BLAS kernel
 orders. So the bits of queries and pose gradients depend on whether the
 library loads (they differ in the last place) and, where it loads, not on
-the BLAS kernel. With 256 keys, a 16-query forward takes about 0.05 ms in the
-kernel and 0.2 ms in numpy, a 160-query forward 0.4 ms and 2.1 ms, and a
-160-query B gradient 0.3 ms and 2.0 ms (2-vCPU Xeon).
+the BLAS kernel. With 256 keys, a 16-query forward takes about 0.04 ms in the
+kernel and 0.2 ms in numpy, a 160-query forward 0.23 ms and 2.1 ms, and a
+160-query B gradient 0.22 ms and 2.0 ms (2-vCPU Xeon with 512-bit vectors).
 """
 
 from dataclasses import dataclass
@@ -71,7 +76,7 @@ from camopt.attributes import ObservationAttributes, sup_vector
 from camopt.visibility import CameraRig, CoverageMatrix
 
 HIDDEN = native.HIDDEN     # 32, the width the field's kernels are compiled for
-D_K = 32
+D_K = native.D_K           # 32, the width of the attention queries and keys
 DEFAULT_WEIGHTS = (0.4, 0.3, 0.3)
 INITIAL_BUDGET = 200
 FINETUNE_BUDGET = 20
@@ -165,7 +170,7 @@ class ObservationField:
 class _Encoding(NamedTuple):
     """The weight-only parts of the folded logits for one batch of query
     normals: the key basis A and the query vectors Z, plus the intermediates
-    the fit step's backward reads."""
+    the numpy fit step's backward reads."""
     A: np.ndarray        # (keys, 32) field.key_basis @ W1 + b1
     q_in: np.ndarray     # (q, 6) zero offset and query normal
     live: np.ndarray     # (q, 32) bool, relu mask of the query encoder
@@ -258,17 +263,30 @@ def _logit_grads(s, V, target, dV, sup, g, t) -> np.ndarray:
 
 
 class _FitWorkspace(NamedTuple):
-    """The arrays a fit step writes, allocated once per lean_neof call (a
-    local of the call: threads fit at the same time)."""
-    s: np.ndarray        # (rows, keys) float64 scores, then attention
+    """The arrays the numpy fit step writes, allocated once per lean_neof
+    call (a local of the call: threads fit at the same time)."""
+    dV: np.ndarray       # (3, keys) V.T * 2 / (3 rows): d mean(err ** 2) / d err = 2 err / size
     g: np.ndarray        # (rows, keys) float64 logit gradients
     t: np.ndarray        # (rows, keys) float64 scratch of the softmax backward
-    gA32: np.ndarray     # (keys, 32) float32 scratch the kernel sums gA in
 
 
-def _fit_workspace(rows: int, keys: int) -> _FitWorkspace:
-    return _FitWorkspace(np.empty((rows, keys)), np.empty((rows, keys)),
-                         np.empty((rows, keys)), np.empty((keys, HIDDEN), dtype=np.float32))
+class _FitBatch(NamedTuple):
+    """A training batch's snapshot rows, gathered once per fit."""
+    positions: np.ndarray    # (rows, 3)
+    normals: np.ndarray      # (rows, 3)
+    target: np.ndarray       # (rows, 3) their attributes
+
+
+def _fit_workspace(field: ObservationField, rows: int):
+    """The workspace of a fit's steps of `rows` training rows: the compiled
+    step (native.FitStep) where the library loads, else a _FitWorkspace."""
+    V = field.key_values
+    dV = V.T * (2.0 / (rows * V.shape[1]))
+    library = native.load()
+    if library is None:
+        return _FitWorkspace(dV, np.empty((rows, len(V))), np.empty((rows, len(V))))
+    return library.fit_step(field.params(), field.key_basis, V, np.ascontiguousarray(dV),
+                            field.sup, rows)
 
 
 def _numpy_slab_grads(A, B, Z, V, target, dV, sup, work):
@@ -303,40 +321,35 @@ def _numpy_slab_grads(A, B, Z, V, target, dV, sup, work):
     return gA, gB, gZ
 
 
-def _fit_gradients(field: ObservationField, idx: np.ndarray, work: _FitWorkspace):
+def _fit_gradients(field: ObservationField, batch: _FitBatch, work):
     """The gradients of the six weights (in params() order) of the mean
-    squared error of the field's outputs at the snapshot voxels idx against
-    their attributes, with the arrays of work (_fit_workspace(len(idx), keys)).
+    squared error of the field's outputs at the batch's rows against their
+    attributes, with the workspace work (_fit_workspace).
 
     The slab passes, the relu(A + B) scores and the contractions for A, B
-    and Z, run in float32: A, B and Z are cast once per step and their
-    gradients come back float64, so the six weight gradients close in
-    float64. With the compiled kernel they are two calls over all rows:
-    fit_scores writes the float64 scores into the workspace, the float64
-    row chain (softmax, clamp, error, softmax backward) runs once over all
-    rows in the workspace, and fit_grads reads its logit gradients there,
-    flushing and rounding them to float32 itself. Without it, in numpy
-    blocks of FIT_BLOCK queries. The gradients match the float64 tape of
-    the same loss to about 1e-6 relative; a rare relu or clamp decision at
-    a float32 rounding boundary moves one by up to about 1e-3.
+    and Z, run in float32; everything else, the encode, the row chain
+    (softmax, clamp, error, softmax backward) and the weight chain, in
+    float64. Where the library loads, the step is two kernel calls and
+    numpy's exp between them (native.FitStep), and every float64 sum runs
+    in a fixed order. Without it, the encode and the weight chain are numpy
+    products and the rest runs in numpy blocks of FIT_BLOCK queries. The
+    gradients match the float64 tape of the same loss to about 1e-6
+    relative; a rare relu or clamp decision at a float32 rounding boundary
+    moves one by up to about 1e-3.
     """
+    if isinstance(work, native.FitStep):
+        s = work.forward(batch.positions, batch.normals)
+        np.exp(s, out=s)
+        return work.backward(batch.target)
     W2, WQ, WK = field.W2, field.WQ, field.WK
-    enc = _encode(field, field.normals[idx])
-    pos = field.centers[idx]
+    enc = _encode(field, batch.normals)
+    pos = batch.positions
     f32 = np.float32
     A, Z = enc.A.astype(f32), enc.Z.astype(f32)
     B = _offsets(field, pos).astype(f32)
-    V = field.key_values
-    target = field.values[idx]
-    dV = V.T * (2.0 / target.size)      # d mean(err ** 2) / d err = 2 err / size
-    library = native.load()
-    if library is None:
-        gA, gB, gZ = (x.astype(np.float64)
-                      for x in _numpy_slab_grads(A, B, Z, V, target, dV, field.sup, work))
-    else:
-        s = library.fit_scores(A, B, Z, work.s)
-        g = _logit_grads(s, V, target, dV, field.sup, work.g, work.t)
-        gA, gB, gZ = library.fit_grads(A, B, Z, g, work.gA32)
+    gA, gB, gZ = (x.astype(np.float64) for x in
+                  _numpy_slab_grads(A, B, Z, field.key_values, batch.target, work.dV, field.sup,
+                                    work))
 
     # Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,
     # enc = relu(q_in @ W1 + b1) @ W2 + b2
@@ -370,16 +383,19 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
     elif budget is None:
         budget = FINETUNE_BUDGET
     field.snapshot(grid, attrs)
-    m = field.voxel_count
-    pool = _strided(m, TRAIN_QUERY_POOL)
-    work = _fit_workspace(min(len(pool), TRAIN_BATCH), len(field.key_idx))
+    pool = _strided(field.voxel_count, TRAIN_QUERY_POOL)
+    rows = min(len(pool), TRAIN_BATCH)
+    work = _fit_workspace(field, rows) if budget > 0 else None
+    batches = {}
     for step in range(budget):
-        if len(pool) > TRAIN_BATCH:
-            start = (step * TRAIN_BATCH) % len(pool)
-            idx = pool[(start + np.arange(TRAIN_BATCH)) % len(pool)]
-        else:
-            idx = pool
-        ad.adam_step(field.params(), _fit_gradients(field, idx, work), field.adam)
+        # the rows of the pool from a start that advances a batch a step and
+        # wraps (the whole pool where it holds no more than a batch)
+        start = (step * rows) % len(pool)
+        if start not in batches:
+            idx = pool[(start + np.arange(rows)) % len(pool)]
+            batches[start] = _FitBatch(field.centers[idx], field.normals[idx],
+                                       field.values[idx])
+        ad.adam_step(field.params(), _fit_gradients(field, batches[start], work), field.adam)
     field.trained = True
     return field
 

@@ -1,31 +1,38 @@
 """The compiled kernels: one C source, built by the system compiler at first
 use and loaded through ctypes.
 
-The source holds three kernels: the field fit's float32 slab passes
-(`fit_scores`, `fit_grads`), which read and write float64 at the side of
-the fit's float64 row chain; the float64 attention scores of the field's
-queries and placement loss and their gradient with respect to the query
-offsets (`attend_scores`, `attend_b_grad`); and the exact occupied-cell
-traversal behind visibility (`cell_blocked`). The first call that needs
-a kernel (a visibility traversal, a field fit or a field query) compiles
-the whole source once per process into a temporary directory, loads it
-and deletes the directory (`load`). Nothing is built at import and
-nothing is cached on disk. Where there is no `cc` on PATH, or the build or
-the load fails, `load` returns None and every caller runs its numpy path.
+The source holds three kernels: the field fit's step, two calls around
+numpy's exp (`fit_forward`, `fit_backward`, bound to one fit's workspace
+as a FitStep), which run the encode of the weights, the float32 slab passes
+(`fit_scores`, `fit_grads`, exported on their own as well), the float64
+row chain and the float64 chain back to the weights; the float64
+attention scores of the field's queries and placement loss and their
+gradient with respect to the query offsets (`attend_scores`,
+`attend_b_grad`); and the exact occupied-cell traversal behind visibility
+(`cell_blocked`). The first call that needs a kernel (a visibility
+traversal, a field fit or a field query) compiles the whole source once
+per process into a temporary directory, loads it and deletes the
+directory (`load`). Nothing is built at import and nothing is cached on
+disk. Where there is no `cc` on PATH, or the build or the load fails,
+`load` returns None and every caller runs its numpy path.
 
 FP contraction is off and every kernel sums in one fixed sequential order,
 so the results do not depend on the optimization flags: the traversal's
-masks equal the numpy traversal's; the fit's slab passes equal a
-full-tensor numpy evaluation in the kernel's summation order, and their
-float32-float64 conversions are the numpy step's casts; the attention
-scores and their gradient equal a float64 numpy evaluation in the kernel's
-order (over the channels for the scores, over the keys for the gradient),
-which differs from the order of the numpy helpers the callers run without
-the library (autodiff.scores_forward, scores_b_grad) in the last bits.
+masks equal the numpy traversal's; the fit step equals a numpy evaluation
+in the kernels' summation order (each float64 product over its inner
+index, each row's sums over its keys, the slab passes' float32 sums over
+channels, keys or queries), and its float32-float64 conversions are the
+numpy step's casts; the attention scores and their gradient equal a
+float64 numpy evaluation in the kernel's order (over the channels for the
+scores, over the keys for the gradient). Those orders differ from the ones
+of the numpy paths the callers run without the library (field's numpy fit
+step, whose products the BLAS kernel orders, and autodiff.scores_forward,
+scores_b_grad), so the two paths' results differ in the last bits.
 """
 
 import ctypes
 import os
+import platform
 import shutil
 import tempfile
 import threading
@@ -35,6 +42,7 @@ from typing import Optional
 import numpy as np
 
 HIDDEN = 32          # the observation field's hidden width, compiled into the field's kernels
+D_K = 32             # the width of its attention queries and keys, compiled into the fit kernels
 FLUSH = 1e-30        # fit-step logit gradients below this in magnitude are dropped
 
 SOURCE = r"""
@@ -49,11 +57,11 @@ SOURCE = r"""
    element type real, summed in real over the channels in order and stored
    as double: name##_tile holds the sums of keys [0, n) of one tile, n <=
    TILE, and name runs the tiles of every query. at is a transposed, (H,
-   nm), so the inner loop runs over contiguous keys. The relu is a product
-   with the 0/1 mask, which keeps the loops free of branches so the compiler
-   vectorizes them; it differs from max(pre, 0) only in the sign of a zero,
-   which no sum here can carry. A full tile passes the constant TILE, which
-   lets the compiler keep its sums in registers. */
+   nm), so the inner loop runs over contiguous keys. The relu is a select,
+   which the compiler turns into a vector max; it leaves +0 where the
+   product with the 0/1 mask left -0, a sign no sum here can carry. A full
+   tile passes the constant TILE, which lets the compiler keep its sums in
+   registers. */
 #define SCORES(name, real)                                                          \
 static inline void name##_tile(const real *restrict at, long nm,                   \
                                const real *restrict b, const real *restrict z,     \
@@ -64,8 +72,8 @@ static inline void name##_tile(const real *restrict at, long nm,                
         const real bh = b[h], zh = z[h];                                            \
         const real *restrict col = at + h * nm;                                     \
         for (long i = 0; i < n; i++) {                                              \
-            const real pre = col[i] + bh, on = pre > 0;                             \
-            acc[i] += pre * on * zh;                                                \
+            const real pre = col[i] + bh;                                           \
+            acc[i] += (pre > 0 ? pre : 0) * zh;                                     \
         }                                                                           \
     }                                                                               \
     for (long i = 0; i < n; i++)                                                    \
@@ -97,7 +105,9 @@ SCORES(fit_scores, float)
    enters), and t[q, m, h] = w[q, m] * (z[q, h] * on[q, m, h]), on the relu
    mask of a[m, h] + b[q, h]: gz[q] = sum_m w[q, m] * relu(a[m] + b[q]),
    gb[q] = sum_m t[q, m] and ga[m] = sum_q t[q, m], each summed in float32
-   and stored as double. ga32 (nm, H) is the float32 scratch ga sums in. */
+   and stored as double. ga32 (nm, H) is the float32 scratch ga sums in.
+   The mask stays a product: written as a select, gcc emits branches and
+   the pass runs ten times slower. */
 void fit_grads(const float *restrict a, const float *restrict b,
                const float *restrict z, const double *restrict g,
                float *restrict ga32, double *restrict ga, double *restrict gb,
@@ -128,6 +138,307 @@ void fit_grads(const float *restrict a, const float *restrict b,
     }
     for (long i = 0; i < nm * H; i++)
         ga[i] = ga32[i];
+}
+
+/* The whole fit step around the slab passes, in two calls: fit_forward
+   encodes the weights and writes the scores, each row less its maximum,
+   into s; the caller exponentiates s in place in numpy, whose vector exp
+   is six times faster than glibc's scalar one (libmvec's vector exp, which
+   gcc calls only where it vectorizes, would give other bits at -O0);
+   fit_backward turns them into the gradients of the six weights. Every
+   float64 sum starts from 0.0 and runs over its inner index in order: a
+   matrix product's element over the product's inner index, a row's sum
+   over its keys. Names follow field._encode and field._fit_gradients. */
+struct fit {
+    long nq, nm;                        /* batch rows, keys */
+    const double *weight[6];            /* W1 (6, H), b1, W2 (H, H), b2, WQ (H, DK), WK */
+    const double *basis, *v, *dv, *sup; /* keys' encoder inputs (nm, 6) and attributes
+                                           (nm, 3), dv (3, nm) = v.T * 2 / (3 nq), sup (3) */
+    const double *pos, *nrm, *target;   /* the batch's rows, (nq, 3) each */
+    double *s;                          /* (nq, nm) the scores less their row maxima, their
+                                           exponentials, then the logit gradients */
+    double *grad[6];                    /* the weights' gradients, shaped as weight */
+    double *work;                       /* fit_work(nq, nm) doubles of scratch */
+};
+
+/* The scratch arrays of a step, carved from fit.work, each starting a
+   multiple of 8 doubles into it. Float32: the keys' a (nm, H) and its transpose at, the batch's
+   b and z (nq, H), fit_grads' ga32. Float64: the query encoder's h, enc and
+   qrow (nq, H), folded (H, DK) and its transpose, the slab passes' ga, gb
+   and gz, the weight chain's gradients of qrow, folded, enc and the
+   encoder's pre-activation, three transposed weights, tmp, an (H, H) or
+   (6, H) term of a sum, and the row chain's transposed blocks et and gt. */
+#define ROWS 8
+
+struct parts {
+    float *a, *at, *b, *z, *ga32;
+    double *h, *enc, *qrow, *fold, *foldt, *ga, *gb, *gz;
+    double *gq, *gf, *ge, *gp, *w2t, *wqt, *wkt, *tmp, *et, *gt;
+};
+
+static double *take(double *work, long *used, long n)
+{
+    double *p = work ? work + *used : 0;
+    *used += (n + 7) / 8 * 8;
+    return p;
+}
+
+#define TAKE32(n) ((float *)take(work, &used, ((n) + 1) / 2))
+
+static long carve(double *work, long nq, long nm, struct parts *p)
+{
+    long used = 0;
+    p->a = TAKE32(nm * H);
+    p->at = TAKE32(nm * H);
+    p->b = TAKE32(nq * H);
+    p->z = TAKE32(nq * H);
+    p->ga32 = TAKE32(nm * H);
+    p->h = take(work, &used, nq * H);
+    p->enc = take(work, &used, nq * H);
+    p->qrow = take(work, &used, nq * DK);
+    p->fold = take(work, &used, H * DK);
+    p->foldt = take(work, &used, H * DK);
+    p->ga = take(work, &used, nm * H);
+    p->gb = take(work, &used, nq * H);
+    p->gz = take(work, &used, nq * H);
+    p->gq = take(work, &used, nq * DK);
+    p->gf = take(work, &used, H * DK);
+    p->ge = take(work, &used, nq * H);
+    p->gp = take(work, &used, nq * H);
+    p->w2t = take(work, &used, H * H);
+    p->wqt = take(work, &used, H * DK);
+    p->wkt = take(work, &used, H * DK);
+    p->tmp = take(work, &used, H * (H > 6 ? H : 6));
+    p->et = take(work, &used, nm * ROWS);
+    p->gt = take(work, &used, nm * ROWS);
+    return used;
+}
+
+/* The doubles of scratch a step of nq rows over nm keys needs. */
+long fit_work(long nq, long nm)
+{
+    struct parts p;
+    return carve(0, nq, nm, &p);
+}
+
+/* out (n, c) = x @ y, out[i, j] = sum_k x(i, k) * y[k, j] over k in [0,
+   nk) in order, with x(i, k) = x[i * xi + k * xk] (so x or its transpose)
+   and y (nk, c) in C order; the loops run across the columns j. */
+static inline void mm(const double *restrict x, long xi, long xk, const double *restrict y,
+                      double *restrict out, long n, long nk, long c)
+{
+    for (long i = 0; i < n; i++) {
+        double *restrict o = out + i * c;
+        for (long j = 0; j < c; j++)
+            o[j] = 0.0;
+        for (long k = 0; k < nk; k++) {
+            const double xv = x[i * xi + k * xk];
+            const double *restrict yk = y + k * c;
+            for (long j = 0; j < c; j++)
+                o[j] += xv * yk[j];
+        }
+    }
+}
+
+/* out (c, r) = x.T for x (r, c). */
+static void transpose(const double *restrict x, double *restrict out, long r, long c)
+{
+    for (long i = 0; i < r; i++)
+        for (long j = 0; j < c; j++)
+            out[j * r + i] = x[i * c + j];
+}
+
+/* out[j] = sum of x[:, j] over the n rows in order, (n, c) x. */
+static void column_sums(const double *restrict x, double *restrict out, long n, long c)
+{
+    for (long j = 0; j < c; j++)
+        out[j] = 0.0;
+    for (long i = 0; i < n; i++)
+        for (long j = 0; j < c; j++)
+            out[j] += x[i * c + j];
+}
+
+/* The largest of s[0, n), n > 0, over LANES running maxima, which the
+   compiler keeps in one vector: a maximum does not depend on the order. */
+#define LANES 8
+static double row_max(const double *restrict s, long n)
+{
+    double lane[LANES], top = s[0];
+    for (int j = 0; j < LANES; j++)
+        lane[j] = top;
+    long m = 0;
+    for (; m + LANES <= n; m += LANES)
+        for (int j = 0; j < LANES; j++)
+            lane[j] = s[m + j] > lane[j] ? s[m + j] : lane[j];
+    for (; m < n; m++)
+        top = s[m] > top ? s[m] : top;
+    for (int j = 0; j < LANES; j++)
+        top = lane[j] > top ? lane[j] : top;
+    return top;
+}
+
+/* The encode (field._encode and field._offsets), the casts to float32 and
+   fit_scores; then each row of s less its maximum. */
+void fit_forward(const struct fit *f)
+{
+    const long nq = f->nq, nm = f->nm;
+    const double *w1 = f->weight[0], *b1 = f->weight[1], *w2 = f->weight[2];
+    const double *b2 = f->weight[3], *wq = f->weight[4], *wk = f->weight[5];
+    const double inv_sqrt_dk = 1.0 / sqrt((double)DK);
+    struct parts p;
+    carve(f->work, nq, nm, &p);
+
+    /* A = basis @ W1 + b1, through ga; B and Z go through gb and gz,
+       which fit_backward writes later */
+    mm(f->basis, 6, 1, w1, p.ga, nm, 6, H);
+    for (long m = 0; m < nm; m++)
+        for (long j = 0; j < H; j++) {
+            const float a = (float)(p.ga[m * H + j] + b1[j]);
+            p.a[m * H + j] = a;
+            p.at[j * nm + m] = a;
+        }
+    /* B = (pos @ W1[0:3]) * -1 */
+    mm(f->pos, 3, 1, w1, p.gb, nq, 3, H);
+    for (long i = 0; i < nq * H; i++)
+        p.b[i] = (float)(p.gb[i] * -1.0);
+    /* h = relu(q_in @ W1 + b1): the q_in rows [0, 0, 0, normal] reach
+       W1's normal rows alone */
+    mm(f->nrm, 3, 1, w1 + 3 * H, p.h, nq, 3, H);
+    for (long q = 0; q < nq; q++)
+        for (long j = 0; j < H; j++) {
+            const double pre = p.h[q * H + j] + b1[j];
+            p.h[q * H + j] = pre > 0.0 ? pre : 0.0;
+        }
+    mm(p.h, H, 1, w2, p.enc, nq, H, H);
+    for (long q = 0; q < nq; q++)
+        for (long j = 0; j < H; j++)
+            p.enc[q * H + j] += b2[j];
+    mm(p.enc, H, 1, wq, p.qrow, nq, H, DK);
+    mm(w2, H, 1, wk, p.fold, H, H, DK);
+    for (long i = 0; i < H * DK; i++)
+        p.fold[i] *= inv_sqrt_dk;
+    transpose(p.fold, p.foldt, H, DK);
+    /* Z = qrow @ folded.T */
+    mm(p.qrow, DK, 1, p.foldt, p.gz, nq, DK, H);
+    for (long i = 0; i < nq * H; i++)
+        p.z[i] = (float)p.gz[i];
+
+    fit_scores(p.at, p.b, p.z, f->s, nq, nm);
+    for (long q = 0; q < nq; q++) {
+        double *restrict s = f->s + q * nm;
+        const double top = row_max(s, nm);
+        for (long m = 0; m < nm; m++)
+            s[m] -= top;
+    }
+}
+
+/* ROWS doubles, a value of each row of a block: the compiler runs their
+   lane-wise arithmetic in vector registers. aligned(8): the scratch is
+   aligned to no more. */
+typedef double rowv __attribute__((vector_size(ROWS * sizeof(double)), aligned(8)));
+
+/* The row chain (field._logit_grads) of the n <= ROWS rows from q0, from
+   their exponentiated scores in s: the softmax att, raw = att @ v, the
+   clamp of raw to [0, sup], the error where the clamp passes it, its logit
+   gradient err @ dv and the softmax backward att * (g - sum(g * att)),
+   written over the block's rows of s. The block runs transposed, a rowv
+   per key in p's et and gt, so each of its sums over the keys runs as ROWS
+   independent chains in one vector, where one row at a time would wait on
+   each add; the lanes past n rows hold 1 and pass no error. A full block
+   passes the constant ROWS. */
+static inline void row_chain(const struct fit *f, const struct parts *p, long q0, long n)
+{
+    const long nm = f->nm;
+    const double *restrict v = f->v, *restrict dv = f->dv;
+    double *restrict s = f->s + q0 * nm;
+    rowv *restrict et = (rowv *)p->et, *restrict gt = (rowv *)p->gt;
+    rowv sum = {0.0}, raw[3] = {{0.0}}, err[3], dot = {0.0};
+    for (long m = 0; m < nm; m++) {
+        for (long r = 0; r < n; r++)
+            et[m][r] = s[r * nm + m];
+        for (long r = n; r < ROWS; r++)
+            et[m][r] = 1.0;
+    }
+    for (long m = 0; m < nm; m++)
+        sum += et[m];
+    for (long m = 0; m < nm; m++) {
+        const rowv att = et[m] / sum;
+        et[m] = att;
+        for (int c = 0; c < 3; c++)
+            raw[c] += att * v[m * 3 + c];
+    }
+    for (int c = 0; c < 3; c++)
+        for (long r = 0; r < ROWS; r++) {
+            const double up = raw[c][r] > 0.0 ? raw[c][r] : 0.0;
+            const double out = up < f->sup[c] ? up : f->sup[c];
+            err[c][r] = r < n ? (out - f->target[(q0 + r) * 3 + c]) * (double)(out == raw[c][r])
+                              : 0.0;
+        }
+    for (long m = 0; m < nm; m++) {
+        const rowv ge = ((0.0 + err[0] * dv[m]) + err[1] * dv[nm + m]) + err[2] * dv[2 * nm + m];
+        gt[m] = ge;
+        dot += ge * et[m];
+    }
+    for (long m = 0; m < nm; m++) {
+        const rowv gm = (gt[m] - dot) * et[m];
+        for (long r = 0; r < n; r++)
+            s[r * nm + m] = gm[r];
+    }
+}
+
+/* The row chain in blocks of ROWS rows, fit_grads, and the float64 weight
+   chain (field._fit_gradients) into grad. */
+void fit_backward(const struct fit *f)
+{
+    const long nq = f->nq, nm = f->nm;
+    const double *w2 = f->weight[2], *wq = f->weight[4], *wk = f->weight[5];
+    double *g_w1 = f->grad[0], *g_b1 = f->grad[1], *g_w2 = f->grad[2];
+    double *g_b2 = f->grad[3], *g_wq = f->grad[4], *g_wk = f->grad[5];
+    const double inv_sqrt_dk = 1.0 / sqrt((double)DK);
+    struct parts p;
+    carve(f->work, nq, nm, &p);
+
+    long q0 = 0;
+    for (; q0 + ROWS <= nq; q0 += ROWS)
+        row_chain(f, &p, q0, ROWS);
+    if (q0 < nq)
+        row_chain(f, &p, q0, nq - q0);
+    fit_grads(p.a, p.b, p.z, f->s, p.ga32, p.ga, p.gb, p.gz, nq, nm);
+
+    /* Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,
+       enc = relu(q_in @ W1 + b1) @ W2 + b2 */
+    transpose(wq, p.wqt, H, DK);
+    transpose(w2, p.w2t, H, H);
+    transpose(wk, p.wkt, H, DK);
+    mm(p.gz, H, 1, p.fold, p.gq, nq, H, DK);                  /* g_qrow = gZ @ folded */
+    mm(p.gz, 1, H, p.qrow, p.gf, H, nq, DK);                  /* g_fold = gZ.T @ qrow / sqrt(dk) */
+    for (long i = 0; i < H * DK; i++)
+        p.gf[i] *= inv_sqrt_dk;
+    mm(p.gq, DK, 1, p.wqt, p.ge, nq, DK, H);                  /* g_enc = g_qrow @ WQ.T */
+    mm(p.ge, H, 1, p.w2t, p.gp, nq, H, H);                    /* g_pre = g_enc @ W2.T * live */
+    for (long i = 0; i < nq * H; i++)
+        p.gp[i] *= (double)(p.h[i] > 0.0);
+
+    /* g_W1 = basis.T @ gA, plus on the normal rows q_in.T @ g_pre; B =
+       -pos @ W1[:3] takes pos.T @ gB from the position rows */
+    mm(f->basis, 1, 6, p.ga, g_w1, 6, nm, H);
+    mm(f->pos, 1, 3, p.gb, p.tmp, 3, nq, H);
+    mm(f->nrm, 1, 3, p.gp, p.tmp + 3 * H, 3, nq, H);
+    for (long i = 0; i < 3 * H; i++) {
+        g_w1[i] -= p.tmp[i];
+        g_w1[3 * H + i] += p.tmp[3 * H + i];
+    }
+    column_sums(p.ga, g_b1, nm, H);                            /* g_b1 = sum gA + sum g_pre */
+    column_sums(p.gp, p.tmp, nq, H);
+    for (long j = 0; j < H; j++)
+        g_b1[j] += p.tmp[j];
+    mm(p.h, 1, H, p.ge, g_w2, H, nq, H);                      /* g_W2 = h.T @ g_enc */
+    mm(p.gf, DK, 1, p.wkt, p.tmp, H, DK, H);                   /*        + g_fold @ WK.T */
+    for (long i = 0; i < H * H; i++)
+        g_w2[i] += p.tmp[i];
+    column_sums(p.ge, g_b2, nq, H);                            /* g_b2 = sum g_enc */
+    mm(p.enc, 1, H, p.gq, g_wq, H, nq, DK);                   /* g_WQ = enc.T @ g_qrow */
+    mm(w2, 1, H, p.gf, g_wk, H, H, DK);                       /* g_WK = W2.T @ g_fold */
 }
 
 /* The float64 attention scores of the field's queries and placement loss,
@@ -276,8 +587,13 @@ long cell_blocked(const unsigned char *occupied, const int64_t *lo, const int64_
 # -march=native is safe: the library is built on the host that runs it and
 # kept nowhere, and its results do not depend on the flags. Without it gcc
 # 12 leaves the fit's gradient loop scalar, slower than the numpy step.
-OPT = ("-O3", "-march=native")
-FLAGS = ("-ffp-contract=off", f"-DH={HIDDEN}", f"-DFLUSH={FLUSH!r}", "-shared", "-fPIC")
+# Where an x86 host has 512-bit vectors, gcc uses them only when asked, and
+# the slab passes and the attention scores run faster in them; other
+# architectures have no such option.
+OPT = ("-O3", "-march=native") + (("-mprefer-vector-width=512",)
+                                  if platform.machine().lower() in ("x86_64", "amd64") else ())
+FLAGS = ("-ffp-contract=off", f"-DH={HIDDEN}", f"-DDK={D_K}", f"-DFLUSH={FLUSH!r}", "-shared",
+         "-fPIC")
 
 
 def _address(x: np.ndarray, dtype, shape) -> int:
@@ -302,6 +618,79 @@ def _grid_operands(grid) -> tuple:
             _address(grid.keys, np.int64, (m, 3)), m)
 
 
+class _Fit(ctypes.Structure):
+    """The C struct fit: a fit step's operands and workspace."""
+    _fields_ = ([("nq", ctypes.c_long), ("nm", ctypes.c_long),
+                 ("weight", ctypes.c_void_p * 6)]
+                + [(name, ctypes.c_void_p) for name in ("basis", "v", "dv", "sup", "pos", "nrm",
+                                                        "target", "s")]
+                + [("grad", ctypes.c_void_p * 6), ("work", ctypes.c_void_p)])
+
+
+# the shapes of the six weights, in field.ObservationField.params() order
+_WEIGHT_SHAPES = ((6, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, D_K),
+                  (HIDDEN, D_K))
+
+
+class FitStep:
+    """The compiled step of one fit over its own workspace, a fit step in
+    two kernel calls around numpy's exp:
+
+        s = step.forward(positions, normals)
+        np.exp(s, out=s)
+        grads = step.backward(target)
+
+    forward encodes the weights and writes the float32 slab scores, each row
+    less its maximum, into s (rows, keys); backward runs the float64 row
+    chain, which leaves the logit gradients in s, the float32 slab
+    gradients and the float64 weight chain, and returns the six weight
+    gradients, float64 arrays of the workspace in params() order that the
+    next step overwrites. The kernels read the
+    weights, the keys' arrays and the batch in place, so the weights must be
+    updated in place between steps (autodiff.adam_step does) and the batch
+    given to forward must outlive backward. A step allocates nothing."""
+
+    def __init__(self, lib, weights, basis, V, dV, sup, rows: int):
+        keys = len(basis)
+        f64 = np.float64
+        self.lib = lib
+        self.s = np.empty((rows, keys))
+        self.grads = tuple(np.empty(shape) for shape in _WEIGHT_SHAPES)
+        self._work = np.empty(lib.fit_work(rows, keys))
+        self._operands = (tuple(weights), basis, V, dV, sup)    # kept alive for the kernels
+        self._batch = self._target = None
+        self._fit = _Fit(
+            rows, keys,
+            (ctypes.c_void_p * 6)(*[_address(w, f64, shape)
+                                    for w, shape in zip(weights, _WEIGHT_SHAPES, strict=True)]),
+            _address(basis, f64, (keys, 6)), _address(V, f64, (keys, 3)),
+            _address(dV, f64, (3, keys)), _address(sup, f64, (3,)), None, None, None,
+            self.s.ctypes.data,
+            (ctypes.c_void_p * 6)(*[g.ctypes.data for g in self.grads]), self._work.ctypes.data)
+        self._ref = ctypes.byref(self._fit)
+
+    def forward(self, positions, normals) -> np.ndarray:
+        """The scores of the batch rows at positions with normals (rows, 3),
+        each row less its maximum, in s, which is returned."""
+        shape = (self._fit.nq, 3)
+        self._fit.pos = _address(positions, np.float64, shape)
+        self._fit.nrm = _address(normals, np.float64, shape)
+        self._batch = (positions, normals)
+        self.lib.fit_forward(self._ref)
+        return self.s
+
+    def backward(self, target) -> tuple:
+        """The six weight gradients of the mean squared error of the batch's
+        outputs against target (rows, 3), from forward's s exponentiated in
+        place."""
+        if self._batch is None:
+            raise RuntimeError("FitStep.backward needs a forward first")
+        self._fit.target = _address(target, np.float64, (self._fit.nq, 3))
+        self._target = target
+        self.lib.fit_backward(self._ref)
+        return self.grads
+
+
 class Library:
     """ctypes binding of the compiled kernels. Arrays go in as raw pointers,
     each checked first for dtype, contiguity and shape; a grid's arrays are
@@ -316,6 +705,11 @@ class Library:
         lib.fit_scores.restype = None
         lib.fit_grads.argtypes = [ptr] * 8 + [n, n]
         lib.fit_grads.restype = None
+        lib.fit_work.argtypes = [n, n]
+        lib.fit_work.restype = n
+        for step in (lib.fit_forward, lib.fit_backward):
+            step.argtypes = [ctypes.POINTER(_Fit)]
+            step.restype = None
         lib.attend_scores.argtypes = [ptr] * 4 + [n, n]
         lib.attend_scores.restype = None
         lib.attend_b_grad.argtypes = [ptr] * 5 + [n, n]
@@ -347,6 +741,13 @@ class Library:
         gA, gB, gZ = np.empty((m, HIDDEN)), np.empty((q, HIDDEN)), np.empty((q, HIDDEN))
         self.lib.fit_grads(*args, gA.ctypes.data, gB.ctypes.data, gZ.ctypes.data, q, m)
         return gA, gB, gZ
+
+    def fit_step(self, weights, basis, V, dV, sup, rows: int) -> FitStep:
+        """A fit step (FitStep) of batches of rows training rows against the
+        float64 weights (params() order) and the snapshot's keys: their
+        encoder inputs basis (keys, 6) and attributes V (keys, 3), dV = V.T
+        * 2 / (3 rows) and the attribute ceilings sup (3,)."""
+        return FitStep(self.lib, weights, basis, V, dV, sup, rows)
 
     def attend_scores(self, A, B, Z) -> np.ndarray:
         """The float64 (q, keys) scores sum_h relu(A[m] + B[q])_h Z[q, h] of

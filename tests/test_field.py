@@ -28,10 +28,10 @@ from camopt.field import (
     ObservationField,
     PlacementLoss,
     _encode,
+    _FitBatch,
     _fit_gradients,
     _fit_workspace,
     _logit_grads,
-    _numpy_slab_grads,
     _strided,
     capture_visible,
     lean_neof,
@@ -258,8 +258,13 @@ def tape_fit_grads(field, idx):
     return [p.grad for p in params]
 
 
+def fit_batch(field, idx):
+    return _FitBatch(field.centers[idx], field.normals[idx], field.values[idx])
+
+
 def fused_fit_grads(field, idx):
-    return list(_fit_gradients(field, idx, _fit_workspace(len(idx), len(field.key_idx))))
+    grads = _fit_gradients(field, fit_batch(field, idx), _fit_workspace(field, len(idx)))
+    return [g.copy() for g in grads]
 
 
 def train_batches(field, budget):
@@ -475,6 +480,16 @@ def numpy_flush(g):
     return g.astype(np.float32)
 
 
+def reference_scores(A, B, Z):
+    """The kernel's float32 scores over the full (queries, keys, channels)
+    tensor, summed channel by channel."""
+    relu = np.maximum(A[None, :, :] + B[:, None, :], np.float32(0.0))
+    scores = np.zeros((len(B), len(A)), dtype=np.float32)
+    for h in range(A.shape[1]):
+        scores += relu[:, :, h] * Z[:, None, h]
+    return scores
+
+
 def reference_slab(A, B, Z, g):
     """Scores and (gA, gB, gZ) of the kernel over full (queries, keys,
     channels) float32 tensors for float32 logit gradients g, with numpy
@@ -484,11 +499,9 @@ def reference_slab(A, B, Z, g):
     writes them widened to float64."""
     slab = A[None, :, :] + B[:, None, :]
     relu = np.maximum(slab, np.float32(0.0))
-    scores = np.zeros((len(B), len(A)), dtype=np.float32)
-    for h in range(A.shape[1]):
-        scores += relu[:, :, h] * Z[:, None, h]
     t = g[:, :, None] * np.where(slab > 0, Z[:, None, :], np.float32(0.0))
-    return scores, t.sum(axis=0), t.sum(axis=1), (g[:, :, None] * relu).sum(axis=1)
+    return (reference_scores(A, B, Z), t.sum(axis=0), t.sum(axis=1),
+            (g[:, :, None] * relu).sum(axis=1))
 
 
 def kernel_scores(kernel, A, B, Z):
@@ -601,29 +614,21 @@ class TestFitKernel:
     def test_kernel_is_faster_than_the_numpy_step(self):
         # a build the compiler leaves scalar is slower than the numpy step it
         # replaces (gcc 12 at plain -O3: fit_grads alone 10.7 ms per 128 x
-        # 256 call, against 0.40 ms vectorized and 4.3-5.0 ms for a whole
-        # numpy step), so a kernel that loads but does not vectorize fails
-        # here instead of slowing every fit
-        kernel = native.load()
-        if kernel is None:
+        # 256 call, against 0.2 ms vectorized, a whole compiled step 0.6 ms
+        # and a whole numpy step 2.9 ms), so a library that loads but does
+        # not vectorize fails here instead of slowing every fit
+        if native.load() is None:
             pytest.skip("no fit kernel on this host")
         grid, attrs = real_snapshot("circle")
         field = lean_neof(None, grid, attrs, budget=0, seed=0)
-        idx = next(train_batches(field, 1))
-        enc = _encode(field, field.normals[idx])
-        A, Z = enc.A.astype(np.float32), enc.Z.astype(np.float32)
-        B = field_module._offsets(field, field.centers[idx]).astype(np.float32)
-        assert A.shape == (256, 32) and B.shape == (TRAIN_BATCH, 32)
-        V, target = field.key_values, field.values[idx]
-        dV = V.T * (2.0 / target.size)
-        work, numpy_work = (_fit_workspace(TRAIN_BATCH, len(A)) for _ in range(2))
-        g = _logit_grads(kernel.fit_scores(A, B, Z, work.s), V, target, dV, field.sup,
-                         work.g, work.t)
-
-        kernel_s = best_of_5(lambda: (kernel.fit_scores(A, B, Z, work.s),
-                                      kernel.fit_grads(A, B, Z, g, work.gA32)))
-        numpy_s = best_of_5(lambda: _numpy_slab_grads(A, B, Z, V, target, dV, field.sup,
-                                                      numpy_work))
+        batch = fit_batch(field, next(train_batches(field, 1)))
+        assert len(field.key_idx) == 256 and len(batch.target) == TRAIN_BATCH
+        work = _fit_workspace(field, TRAIN_BATCH)
+        with numpy_step():
+            numpy_work = _fit_workspace(field, TRAIN_BATCH)
+        assert isinstance(work, native.FitStep) and not isinstance(numpy_work, native.FitStep)
+        kernel_s = best_of_5(lambda: _fit_gradients(field, batch, work))
+        numpy_s = best_of_5(lambda: _fit_gradients(field, batch, numpy_work))
         assert kernel_s < numpy_s, f"kernel {kernel_s * 1e3:.2f} ms, numpy {numpy_s * 1e3:.2f} ms"
 
     def test_kernel_and_numpy_steps_agree(self):
@@ -681,6 +686,201 @@ class TestFitKernel:
         scratch = tmp_path / "tmp"
         scratch.mkdir()
         proc = subprocess.run([sys.executable, "-c", code, str(scratch)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the compiled fit step: fit_forward, numpy's exp, fit_backward
+# ---------------------------------------------------------------------------
+
+def ordered_matmul(x, y):
+    """x @ y in float64, each element summed over the inner index in order
+    from 0.0: the fit step kernels' products."""
+    out = np.zeros((x.shape[0], y.shape[1]))
+    for k in range(x.shape[1]):
+        out += x[:, k, None] * y[k]
+    return out
+
+
+def column_sums(x):
+    """The sums of x's columns over its rows in order, from 0.0."""
+    return ordered_matmul(np.ones((1, len(x))), x)[0]
+
+
+def reference_fit_step(weights, basis, V, dV, sup, batch):
+    """The compiled fit step in numpy: (s, g, grads, clamped), the scores
+    less each row's maximum that fit_forward writes, and the logit
+    gradients and the six weight gradients of fit_backward, every float64
+    sum in the kernels' order (ordered_matmul; a row's sums over its keys in
+    key order) and the float32 slab passes as reference_slab sums them; and
+    the mask of the outputs the clamp holds."""
+    W1, b1, W2, b2, WQ, WK = weights
+    pos, nrm, target = batch
+    f32 = np.float32
+    inv_sqrt_dk = 1.0 / np.sqrt(D_K)
+    # forward: the encode, the float32 scores, each row less its maximum
+    A = (ordered_matmul(basis, W1) + b1).astype(f32)
+    B = (ordered_matmul(pos, W1[0:3]) * -1.0).astype(f32)
+    pre = ordered_matmul(nrm, W1[3:6]) + b1
+    h = np.where(pre > 0.0, pre, 0.0)
+    enc = ordered_matmul(h, W2) + b2
+    qrow = ordered_matmul(enc, WQ)
+    fold = ordered_matmul(W2, WK) * inv_sqrt_dk
+    Z = ordered_matmul(qrow, fold.T).astype(f32)
+    s = reference_scores(A, B, Z).astype(np.float64)
+    s -= s.max(axis=1, keepdims=True)
+    # backward: the row chain
+    e = np.exp(s)
+    total = np.zeros(len(e))
+    for m in range(e.shape[1]):
+        total += e[:, m]
+    att = e / total[:, None]
+    raw = ordered_matmul(att, V)
+    up = np.where(raw > 0.0, raw, 0.0)
+    out = np.where(up < sup, up, sup)
+    ge = ordered_matmul((out - target) * (out == raw), dV)
+    dot = np.zeros(len(e))
+    for m in range(e.shape[1]):
+        dot += ge[:, m] * att[:, m]
+    g = (ge - dot[:, None]) * att
+    clamped = out != raw
+    # the slab passes and the weight chain
+    gA, gB, gZ = (x.astype(np.float64) for x in reference_slab(A, B, Z, numpy_flush(g))[1:])
+    g_qrow = ordered_matmul(gZ, fold)
+    g_fold = ordered_matmul(gZ.T, qrow) * inv_sqrt_dk
+    g_enc = ordered_matmul(g_qrow, WQ.T)
+    g_pre = ordered_matmul(g_enc, W2.T) * (h > 0.0)
+    g_W1 = ordered_matmul(basis.T, gA)
+    g_W1[0:3] -= ordered_matmul(pos.T, gB)
+    g_W1[3:6] += ordered_matmul(nrm.T, g_pre)
+    grads = (g_W1, column_sums(gA) + column_sums(g_pre),
+             ordered_matmul(h.T, g_enc) + ordered_matmul(g_fold, WK.T), column_sums(g_enc),
+             ordered_matmul(enc.T, g_qrow), ordered_matmul(W2.T, g_fold))
+    return s, g, grads, clamped
+
+
+def fit_step_case(kind, queries=TRAIN_BATCH, seed=0, margin=0.05, sharpen=1.0):
+    """A field and a batch of training rows: a benchmark snapshot (kind
+    "circle" or "sphere", its first training batch) or a random field of
+    kind keys at `queries` random rows. sharpen scales WQ, and with it every
+    logit, so rows attend to few keys and leave logit gradients to flush."""
+    if kind in ("circle", "sphere"):
+        field = lean_neof(None, *real_snapshot(kind), budget=0, seed=0)
+        idx = next(train_batches(field, 1))
+    else:
+        rng = np.random.default_rng(seed)
+        field = lean_neof(None, scattered_grid(kind, rng),
+                          random_attrs(kind, 3, rng, margin=margin), budget=0, seed=seed)
+        idx = rng.integers(kind, size=queries)
+    field.WQ *= sharpen
+    return field, fit_batch(field, idx)
+
+
+def compiled_fit_step(kernel, field, batch):
+    """(s, g, grads) of one step of the kernel's FitStep: the scores
+    forward writes, and the logit gradients backward leaves in s and the
+    weight gradients it returns."""
+    rows = len(batch.target)
+    dV = np.ascontiguousarray(field.key_values.T * (2.0 / (rows * 3)))
+    step = kernel.fit_step(field.params(), field.key_basis, field.key_values, dV, field.sup,
+                           rows)
+    s = step.forward(batch.positions, batch.normals).copy()
+    np.exp(step.s, out=step.s)
+    grads = [g.copy() for g in step.backward(batch.target)]
+    return s, step.s.copy(), grads
+
+
+def check_fit_step(kernel_O0, field, batch):
+    """The loaded kernel's fit step equals the -O0 build's and the numpy
+    reference's bit for bit, and is the step lean_neof takes. Returns the
+    reference's logit gradients and clamp mask."""
+    rows = len(batch.target)
+    want_s, want_g, want, clamped = reference_fit_step(
+        field.params(), field.key_basis, field.key_values,
+        field.key_values.T * (2.0 / (rows * 3)), field.sup, batch)
+    for build in (native.load(), kernel_O0):
+        s, g, grads = compiled_fit_step(build, field, batch)
+        np.testing.assert_array_equal(s, want_s)
+        np.testing.assert_array_equal(g, want_g)
+        for got, expected in zip(grads, want, strict=True):
+            np.testing.assert_array_equal(got, expected)
+    step = _fit_workspace(field, rows)
+    assert isinstance(step, native.FitStep)
+    for got, expected in zip(_fit_gradients(field, batch, step), want, strict=True):
+        np.testing.assert_array_equal(got, expected)
+    return want_g, clamped
+
+
+class TestFitStepKernel:
+    @pytest.mark.parametrize("kind", ["circle", "sphere"])
+    def test_equals_reference_and_O0_build_on_the_snapshots(self, kernel_O0, kind):
+        check_fit_step(kernel_O0, *fit_step_case(kind))
+
+    def test_equals_reference_and_O0_build_with_clamped_rows_flushed_gradients_and_a_partial_block(
+            self, kernel_O0):
+        # 13 rows: a block of 8 and a partial one of 5
+        field, batch = fit_step_case(200, queries=13, seed=0, margin=-0.3, sharpen=300.0)
+        g, clamped = check_fit_step(kernel_O0, field, batch)
+        assert np.any(clamped[:8]) and np.any(clamped[8:])
+        flushed = (np.abs(g) < field_module._FLUSH) & (g != 0.0)
+        assert np.any(flushed[:8]) and np.any(flushed[8:])
+
+    @settings(max_examples=15, deadline=None)
+    @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
+           seed=st.integers(0, 10_000), margin=st.sampled_from([-0.3, 0.05]),
+           sharpen=st.sampled_from([1.0, 300.0]))
+    def test_equals_reference_and_O0_build_over_batch_and_key_counts(
+            self, kernel_O0, keys, queries, seed, margin, sharpen):
+        check_fit_step(kernel_O0, *fit_step_case(keys, queries, seed, margin, sharpen))
+
+    def test_forward_rows_do_not_depend_on_the_other_rows(self):
+        kernel = loaded_kernel()
+        field, batch = fit_step_case(256, queries=40, seed=2)
+        first = _FitBatch(*(x[:11].copy() for x in batch))
+        np.testing.assert_array_equal(compiled_fit_step(kernel, field, first)[0],
+                                      compiled_fit_step(kernel, field, batch)[0][:11])
+
+    def test_rejects_operands_of_wrong_dtype_shape_or_order(self):
+        kernel = loaded_kernel()
+        field, batch = fit_step_case(40, queries=9, seed=0)
+        V = field.key_values
+        dV = np.ascontiguousarray(V.T * (2.0 / 27))
+        good = {"weights": field.params(), "basis": field.key_basis, "V": V, "dV": dV,
+                "sup": field.sup, "rows": 9}
+        W1 = field.W1
+        for bad in ({"weights": [W1.astype(np.float32)] + field.params()[1:]},
+                    {"weights": [np.asfortranarray(W1)] + field.params()[1:]},
+                    {"weights": field.params()[:5]},
+                    {"basis": field.key_basis[:, :3]}, {"V": V[:-1]},
+                    {"dV": V.T * (2.0 / 27)}, {"dV": dV.astype(np.float32)},
+                    {"sup": field.sup[:2]}):
+            with pytest.raises(ValueError):
+                kernel.fit_step(**{**good, **bad})
+        step = kernel.fit_step(**good)
+        pos, nrm, target = batch
+        for bad_pos, bad_nrm in ((pos[:5], nrm), (pos, nrm.astype(np.float32)),
+                                 (np.asfortranarray(pos), nrm), (pos, nrm.T.copy().T)):
+            with pytest.raises(ValueError):
+                step.forward(bad_pos, bad_nrm)
+        step.forward(pos, nrm)
+        for bad_target in (target[:, :2].copy(), target.astype(np.float32),
+                           np.asfortranarray(target)):
+            with pytest.raises(ValueError):
+                step.backward(bad_target)
+
+
+class TestNativeSource:
+    def test_compiles_without_warnings(self, tmp_path):
+        # build() keeps the compiler's output to itself, so a warning in the
+        # kernels would go unseen there
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        src = tmp_path / "native.c"
+        src.write_text(native.SOURCE)
+        proc = subprocess.run([cc, *native.OPT, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+                               "-o", str(tmp_path / "native.so"), str(src), "-lm"],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
