@@ -15,15 +15,13 @@ gradients over throughput tricks.  The one exception is
 materializing the (query, key, channel) intermediates on the tape.
 
 Nothing on the optimization path builds a tape: the field's weight fit and
-the placement loss's pose gradients are closed-form numpy passes in
-``camopt.field``. The tape serves the gradient checks and the tests'
-float64 references of those passes. The numpy parts the run path does use
-live here as well: the attention-logit helpers ``scores_forward`` and
-``scores_b_grad`` (which ``pairwise_scores`` wraps) over ``score_blocks``,
-which the field's queries and pose gradients call only where no compiled
-library loads (they run in ``camopt.native`` otherwise), and
-``adam_step``, one update of a list of parameter arrays from a list of
-gradients.
+the placement loss's pose gradients are closed-form passes in
+``camopt.field`` and the compiled kernels of ``camopt.native``. The tape
+serves the gradient checks and the tests' float64 references of those
+passes, and the numpy attention-logit helpers ``scores_forward`` and
+``scores_b_grad`` over ``score_blocks``, which ``pairwise_scores`` wraps,
+serve the tape. The run path uses only ``AdamState`` and ``adam_step``,
+one update of a list of parameter arrays from a list of gradients.
 """
 
 from __future__ import annotations
@@ -490,9 +488,9 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
     that intermediate: the pre-activation is built block by block by
     score_blocks, and the backward pass rebuilds it the same way (bit for
     bit) to get the relu mask.  The forward and the b gradient are the numpy
-    helpers scores_forward and scores_b_grad, which the field's queries and
-    pose gradients call directly where no compiled library loads.  Only the
-    inputs that need a gradient get one.
+    helpers scores_forward and scores_b_grad; the field's queries and pose
+    gradients run the same sums in the compiled attention kernels, in
+    another order.  Only the inputs that need a gradient get one.
     """
     a, b, z = _lift(a), _lift(b), _lift(z)
 

@@ -18,51 +18,35 @@ per-query constant shifts every logit of a row equally, so softmax discards
 it and it is dropped. This avoids materializing per-pair encoder activations
 through two linear layers and keeps the hot loop in one fused kernel.
 
-Everything here is plain numpy arrays; nothing builds a tape. A and Z
-depend only on the weights and the query normals, so one encode (_encode)
-serves all three callers: `query` runs the forward; the placement loss
-(placement_loss_grads) runs it at captured points that move with the poses
-and takes the gradients of the poses in closed form back through B, the
-points and each camera's Gram-Schmidt frame (a gradient phase encodes its
-frozen captures once, encode_captures); and the weight fit (`lean_neof`)
-takes the gradients of the six weights from a fused step, _fit_gradients,
-and hands them to autodiff.adam_step. The pose gradients and the fit's
-numpy row chain share the softmax, att @ V and clamp forward (_attend) and
-the softmax backward (_softmax_backward). The fit's slab passes, the
-relu(A + B) scores and the slab contractions for the gradients of A, B and
-Z, run in float32; everything else (the encode, the per-row chain, the
-chain back to the weights, Adam state, `query`, the placement loss) stays
-float64.
+Nothing here builds a tape. A and Z depend only on the weights and the
+query normals, so one encode (_encode) serves all three callers: `query`
+runs the forward; the placement loss (placement_loss_grads) runs it at
+captured points that move with the poses and takes the gradients of the
+poses in closed form back through B, the points and each camera's
+Gram-Schmidt frame (a gradient phase encodes its frozen captures once,
+encode_captures); and the weight fit (`lean_neof`) takes the gradients of
+the six weights from one compiled step, _fit_gradients, and hands them to
+autodiff.adam_step.
 
-Where the compiled library (camopt.native) loads, which the process's
-first fit or visibility traversal builds with the system compiler, a fit
-step is two kernel calls and numpy's exp between them (native.FitStep):
+The heavy parts run in the compiled library (camopt.native), which the
+process's first fit, query or visibility traversal builds. A fit step is
+two kernel calls and numpy's exp between them (native.FitStep):
 fit_forward encodes the weights and writes the scores, each row less its
-maximum, and fit_backward runs the row chain, the slab gradients and the
-chain back to the six weights. Every float64 sum there runs in a fixed
-order, so the fit's bits do not depend on the BLAS kernel. Where no library
-loads, the encode and the weight chain are numpy products, and the slab
-passes and the row chain run in numpy blocks of FIT_BLOCK queries. The two
-paths sum in different orders, so their rigs differ in the last bits; both
-match the float64 tape of the same loss to about 1e-6 relative.
-
-lean_neof allocates a fit's workspace (the FitStep, or a _FitWorkspace for
-the numpy step) and gathers its training batches once per call, so no step
-allocates an array of the (batch, keys) size (256 KB at 128 queries and
-256 keys, where numpy's temporaries turn costly). A 128-query step on the
-benchmark's snapshots takes about 0.6 ms with the library and 2.9 ms in
-numpy on a 2-vCPU Xeon.
-
-The float64 scores of `query` and the placement loss, and the placement
-loss's gradient of them with respect to B, run in the library's attention
-kernels (_scores, _scores_b_grad), which sum over the channels and over the
-keys in order; where no library loads, in the numpy helpers
-autodiff.scores_forward and scores_b_grad, whose sums the BLAS kernel
-orders. So the bits of queries and pose gradients depend on whether the
-library loads (they differ in the last place) and, where it loads, not on
-the BLAS kernel. With 256 keys, a 16-query forward takes about 0.04 ms in the
-kernel and 0.2 ms in numpy, a 160-query forward 0.23 ms and 2.1 ms, and a
-160-query B gradient 0.22 ms and 2.0 ms (2-vCPU Xeon with 512-bit vectors).
+maximum, and fit_backward runs the row chain (softmax, att @ V, clamp,
+error, softmax backward), the slab gradients and the chain back to the six
+weights. The slab passes, the relu(A + B) scores and the contractions for
+the gradients of A, B and Z, run in float32; everything else (the encode,
+the row chain, the weight chain, Adam state, `query`, the placement loss)
+stays float64. lean_neof makes a fit's FitStep and gathers its training
+batches once per call, so no step allocates an array of the (batch, keys)
+size. A 128-query step on the benchmark's snapshots takes about 0.6 ms on
+a 2-vCPU Xeon. The float64 scores of `query` and the placement loss, and
+the placement loss's gradient of them with respect to B, run in the
+library's attention kernels (_scores, _scores_b_grad); the softmax, att @
+V and clamp forward (_attend) and the softmax backward
+(_softmax_backward) around them are numpy. Every float64 sum of the
+kernels runs in a fixed order, so the bits depend on neither the BLAS
+kernel nor the compiler flags.
 """
 
 from dataclasses import dataclass
@@ -84,11 +68,7 @@ TRAIN_QUERY_POOL = 512
 TRAIN_BATCH = 128
 KEY_BASIS_CAP = 256
 LOSS_QUERY_CAP = 16
-# training queries per block of the numpy fit step's float32 relu slab
-# (512 KB at 256 keys and 32 channels)
-FIT_BLOCK = 16
 _INV_SQRT_DK = 1.0 / np.sqrt(D_K)
-_FLUSH = native.FLUSH     # fit-step logit gradients below this are dropped
 
 
 def _strided(total: int, want: int) -> np.ndarray:
@@ -169,31 +149,22 @@ class ObservationField:
 
 class _Encoding(NamedTuple):
     """The weight-only parts of the folded logits for one batch of query
-    normals: the key basis A and the query vectors Z, plus the intermediates
-    the numpy fit step's backward reads."""
+    normals: the key basis A and the query vectors Z."""
     A: np.ndarray        # (keys, 32) field.key_basis @ W1 + b1
-    q_in: np.ndarray     # (q, 6) zero offset and query normal
-    live: np.ndarray     # (q, 32) bool, relu mask of the query encoder
-    h: np.ndarray        # (q, 32) relu(q_in @ W1 + b1)
-    enc: np.ndarray      # (q, 32) h @ W2 + b2
-    qrow: np.ndarray     # (q, dk) enc @ WQ
-    folded: np.ndarray   # (32, dk) (W2 @ WK) / sqrt(dk)
-    Z: np.ndarray        # (q, 32) qrow @ folded.T
+    Z: np.ndarray        # (q, 32) ((relu(q_in @ W1 + b1) @ W2 + b2) @ WQ) @ folded.T
 
 
 def _encode(field: ObservationField, normals: np.ndarray) -> _Encoding:
     """Encode the key basis and the query normals with the current weights,
-    in numpy: the weights are constants to every caller."""
+    in numpy: the weights are constants to every caller. q_in holds a zero
+    offset and the query normal, folded = (W2 @ WK) / sqrt(dk)."""
     W1, b1, W2, b2, WQ, WK = field.params()
     q_in = np.concatenate([np.zeros_like(normals), normals], axis=1)
     pre = q_in @ W1 + b1
-    live = pre > 0
-    h = np.where(live, pre, 0.0)
-    enc = h @ W2 + b2
-    qrow = enc @ WQ
+    h = np.where(pre > 0, pre, 0.0)
+    qrow = (h @ W2 + b2) @ WQ
     folded = (W2 @ WK) * _INV_SQRT_DK
-    return _Encoding(field.key_basis @ W1 + b1, q_in, live, h, enc, qrow, folded,
-                     qrow @ folded.T)
+    return _Encoding(field.key_basis @ W1 + b1, qrow @ folded.T)
 
 
 def _offsets(field: ObservationField, positions: np.ndarray) -> np.ndarray:
@@ -212,34 +183,25 @@ def _attend(s: np.ndarray, V: np.ndarray, sup: np.ndarray):
     return att, raw, np.minimum(np.maximum(raw, 0.0), sup)
 
 
-def _softmax_backward(g: np.ndarray, att: np.ndarray, t=None) -> np.ndarray:
+def _softmax_backward(g: np.ndarray, att: np.ndarray) -> np.ndarray:
     """The gradient g with respect to att, turned in place into the one
-    with respect to the logits: att * (g - sum(g * att)), per row. g * att
-    goes to t, an array of g's shape, when one is given."""
-    g -= np.multiply(g, att, out=t).sum(axis=-1, keepdims=True)
+    with respect to the logits: att * (g - sum(g * att)), per row."""
+    g -= (g * att).sum(axis=-1, keepdims=True)
     g *= att
     return g
 
 
 def _scores(A: np.ndarray, B: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """The float64 scores (q, keys) sum_h relu(A[m, h] + B[q, h]) Z[q, h] of
-    the queries and the placement loss: in the compiled library
-    (native.attend_scores), summed over the channels in order; where no
-    library loads, autodiff.scores_forward."""
-    library = native.load()
-    if library is None:
-        return ad.scores_forward(A, B, Z)
-    return library.attend_scores(A, B, Z)
+    the queries and the placement loss (native.attend_scores, summed over
+    the channels in order)."""
+    return native.load().attend_scores(A, B, Z)
 
 
 def _scores_b_grad(A: np.ndarray, B: np.ndarray, Z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient (q, 32) of sum(g * _scores(A, B, Z)) with respect to B:
-    in the compiled library (native.attend_b_grad), summed over the keys in
-    order; where no library loads, autodiff.scores_b_grad."""
-    library = native.load()
-    if library is None:
-        return ad.scores_b_grad(A, B, Z, g)
-    return library.attend_b_grad(A, B, Z, g)
+    """The gradient (q, 32) of sum(g * _scores(A, B, Z)) with respect to B
+    (native.attend_b_grad, summed over the keys in order)."""
+    return native.load().attend_b_grad(A, B, Z, g)
 
 
 def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
@@ -252,24 +214,6 @@ def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
     return _attend(s, field.key_values, field.sup)[2]
 
 
-def _logit_grads(s, V, target, dV, sup, g, t) -> np.ndarray:
-    """From float64 scores s (rows, keys): the attention forward (_attend),
-    the squared-error gradient where the clamp passes it, and the softmax
-    backward to the logits, written to g; t is scratch. g and t are float64
-    arrays of s's shape, so a step reuses them. Every step is per row."""
-    att, raw, out = _attend(s, V, sup)
-    err = (out - target) * (out == raw)
-    return _softmax_backward(np.matmul(err, dV, out=g), att, t)
-
-
-class _FitWorkspace(NamedTuple):
-    """The arrays the numpy fit step writes, allocated once per lean_neof
-    call (a local of the call: threads fit at the same time)."""
-    dV: np.ndarray       # (3, keys) V.T * 2 / (3 rows): d mean(err ** 2) / d err = 2 err / size
-    g: np.ndarray        # (rows, keys) float64 logit gradients
-    t: np.ndarray        # (rows, keys) float64 scratch of the softmax backward
-
-
 class _FitBatch(NamedTuple):
     """A training batch's snapshot rows, gathered once per fit."""
     positions: np.ndarray    # (rows, 3)
@@ -277,95 +221,29 @@ class _FitBatch(NamedTuple):
     target: np.ndarray       # (rows, 3) their attributes
 
 
-def _fit_workspace(field: ObservationField, rows: int):
-    """The workspace of a fit's steps of `rows` training rows: the compiled
-    step (native.FitStep) where the library loads, else a _FitWorkspace."""
+def _fit_workspace(field: ObservationField, rows: int) -> native.FitStep:
+    """The compiled step (native.FitStep) of a fit's steps of `rows`
+    training rows, with its workspace."""
     V = field.key_values
-    dV = V.T * (2.0 / (rows * V.shape[1]))
-    library = native.load()
-    if library is None:
-        return _FitWorkspace(dV, np.empty((rows, len(V))), np.empty((rows, len(V))))
-    return library.fit_step(field.params(), field.key_basis, V, np.ascontiguousarray(dV),
-                            field.sup, rows)
+    dV = V.T * (2.0 / (rows * V.shape[1]))    # d mean(err ** 2) / d err = 2 err / size
+    return native.load().fit_step(field.params(), field.key_basis, V, np.ascontiguousarray(dV),
+                                  field.sup, rows)
 
 
-def _numpy_slab_grads(A, B, Z, V, target, dV, sup, work):
-    """gA, gB, gZ (float32) in numpy, FIT_BLOCK queries at a time: each
-    block's relu slab is built once and, while it is in cache, runs the
-    scores, the row chain (_logit_grads, on the first rows of the
-    workspace's g and t) and the slab contractions. The step where no
-    compiled library loads."""
-    gA = np.zeros_like(A)
-    gB = np.empty_like(B)
-    gZ = np.empty_like(Z)
-    scores = np.empty((min(len(B), FIT_BLOCK), len(A)), dtype=np.float32)
-    for rows, slab in ad.score_blocks(A, B, FIT_BLOCK):
-        np.maximum(slab, 0.0, out=slab)
-        n = len(slab)
-        s = scores[:n]
-        np.matmul(slab, Z[rows, :, None], out=s[:, :, None])
-        g = _logit_grads(s.astype(np.float64), V, target[rows], dV, sup, work.g[:n],
-                         work.t[:n])
-        # a key the row barely attends to leaves a g far below float32
-        # resolution; as a float32 denormal it would slow every product it
-        # enters many times over, so it is dropped
-        np.putmask(g, np.abs(g) < _FLUSH, 0.0)
-        g = g.astype(np.float32)
-        np.matmul(g[:, None, :], slab, out=gZ[rows, None, :])
-        # last use of the slab: overwrite it with the relu mask times Z;
-        # gB[q] = g[q] @ that, gA[m] = g[:, m] @ that[:, m], one product per key
-        on_z = np.greater(slab, 0.0, out=slab)
-        on_z *= Z[rows, None, :]
-        np.matmul(g[:, None, :], on_z, out=gB[rows, None, :])
-        gA += (g.T[:, None, :] @ on_z.transpose(1, 0, 2))[:, 0, :]
-    return gA, gB, gZ
-
-
-def _fit_gradients(field: ObservationField, batch: _FitBatch, work):
+def _fit_gradients(field: ObservationField, batch: _FitBatch, step: native.FitStep):
     """The gradients of the six weights (in params() order) of the mean
     squared error of the field's outputs at the batch's rows against their
-    attributes, with the workspace work (_fit_workspace).
-
-    The slab passes, the relu(A + B) scores and the contractions for A, B
-    and Z, run in float32; everything else, the encode, the row chain
-    (softmax, clamp, error, softmax backward) and the weight chain, in
-    float64. Where the library loads, the step is two kernel calls and
-    numpy's exp between them (native.FitStep), and every float64 sum runs
-    in a fixed order. Without it, the encode and the weight chain are numpy
-    products and the rest runs in numpy blocks of FIT_BLOCK queries. The
-    gradients match the float64 tape of the same loss to about 1e-6
-    relative; a rare relu or clamp decision at a float32 rounding boundary
-    moves one by up to about 1e-3.
+    attributes, from the fit's compiled step (_fit_workspace): fit_forward,
+    numpy's exp, fit_backward. The slab passes, the relu(A + B) scores and
+    the contractions for A, B and Z, run in float32; the encode, the row
+    chain and the weight chain in float64. The gradients match the float64
+    tape of the same loss to about 1e-6 relative; a rare relu or clamp
+    decision at a float32 rounding boundary moves one by up to about 1e-3.
+    The arrays are the step's, and its next call overwrites them.
     """
-    if isinstance(work, native.FitStep):
-        s = work.forward(batch.positions, batch.normals)
-        np.exp(s, out=s)
-        return work.backward(batch.target)
-    W2, WQ, WK = field.W2, field.WQ, field.WK
-    enc = _encode(field, batch.normals)
-    pos = batch.positions
-    f32 = np.float32
-    A, Z = enc.A.astype(f32), enc.Z.astype(f32)
-    B = _offsets(field, pos).astype(f32)
-    gA, gB, gZ = (x.astype(np.float64) for x in
-                  _numpy_slab_grads(A, B, Z, field.key_values, batch.target, work.dV, field.sup,
-                                    work))
-
-    # Z = qrow @ folded.T, folded = (W2 @ WK) / sqrt(dk), qrow = enc @ WQ,
-    # enc = relu(q_in @ W1 + b1) @ W2 + b2
-    g_qrow = gZ @ enc.folded
-    g_fold = (gZ.T @ enc.qrow) * _INV_SQRT_DK
-    g_enc = g_qrow @ WQ.T
-    g_pre = (g_enc @ W2.T) * enc.live
-    g_W1 = field.key_basis.T @ gA + enc.q_in.T @ g_pre
-    # B = -pos @ W1[:3] touches only the position rows of W1
-    g_W1[0:3] -= pos.T @ gB
-    return (g_W1,
-            gA.sum(axis=0) + g_pre.sum(axis=0),
-            enc.h.T @ g_enc + g_fold @ WK.T,
-            g_enc.sum(axis=0),
-            enc.enc.T @ g_qrow,
-            W2.T @ g_fold)
+    s = step.forward(batch.positions, batch.normals)
+    np.exp(s, out=s)
+    return step.backward(batch.target)
 
 
 def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttributes,

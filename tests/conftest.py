@@ -1,4 +1,31 @@
-"""Prints a one-line verdict per acceptance criterion after the test run."""
+"""Shared fixtures, and a one-line verdict per acceptance criterion printed
+after the test run."""
+
+import shutil
+
+import pytest
+
+from camopt import native
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """A process that has not built the library yet, on a host without cc;
+    the builds it attempts are counted."""
+    builds = []
+    real_build = native.build
+
+    def counting_build(*args):
+        builds.append(1)
+        return real_build(*args)
+
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setattr(native, "build", counting_build)
+    monkeypatch.setattr(native, "_library", None)
+    monkeypatch.setattr(native, "_tried", False)
+    monkeypatch.setattr(native, "_error", None)
+    return builds
+
 
 CRITERIA = {
     1: "autodiff and pose-loss gradients match finite differences",

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,7 @@ import pytest
 import camopt.baselines as baselines
 import camopt.cli as cli
 import camopt.native as native
+import camopt.visibility as visibility
 from camopt import cloudio
 from camopt.attributes import ObservationAttributes
 from camopt.baselines import W_VIS
@@ -31,6 +31,7 @@ from camopt.metrics import evaluate_rig
 from camopt.scene import voxelize
 from test_baselines import torus_scene
 from test_scene import MALFORMED_PLY_CASES, write_malformed_ply
+from traversal_reference import numpy_cell_blocked
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -182,7 +183,7 @@ class TestRun:
             assert main(["optimize", "--config", str(cfg), "--threads", threads]) == 0
             outputs[threads] = tmp_path / f"threads{threads}"
         assert len(builds) == 1
-        assert (native._library is None) == (shutil.which("cc") is None)
+        assert native._library is not None
         for seed in (0, 1):
             name = f"{optimizer}_k3_seed{seed}.json"
             pt, ps = (json.loads((outputs[t] / name).read_text()) for t in ("2", "1"))
@@ -350,6 +351,14 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.json", k_list=[0])
         assert main(["optimize", "--config", str(cfg)]) == 3
         assert "failed" in capsys.readouterr().err
+
+    def test_missing_compiler_exits_3_with_the_build_error(self, tmp_path, capsys, no_compiler):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["optimize", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "cell k=3 seed=0 failed" in err
+        assert "camopt needs a C compiler to build its kernels, and there is no `cc` on PATH" \
+            in err
 
     def assert_rejected_before_any_cell(self, tmp_path, capsys, optimizer, optimizer_config):
         cfg = write_config(tmp_path / "c.json", optimizer=optimizer,
@@ -532,7 +541,7 @@ class TestCompiledLibraryParity:
     def test_sa_files_match_without_the_library(self, tmp_path, monkeypatch):
         # SA never fits, so the traversal is all the compiled library runs:
         # a seeded cell on a written 3000-point torus writes the same files
-        # with the library as with its loader made to fail
+        # with the library's traversal as with its numpy oracle
         scene = torus_scene(count=3000)
         ply = tmp_path / "torus.ply"
         cloudio.write_ply_rgb(ply, scene.points, np.full(scene.points.shape, 128.0),
@@ -541,7 +550,7 @@ class TestCompiledLibraryParity:
         outputs = {}
         for path in ("native", "numpy"):
             if path == "numpy":
-                monkeypatch.setattr(native, "load", lambda: None)
+                monkeypatch.setattr(visibility, "_cell_blocked", numpy_cell_blocked)
             cfg = write_config(tmp_path / f"{path}.json", scene_source={"path": str(ply)},
                                mode="volumetric3d", optimizer="sa", k_list=[8],
                                seeds=[0, 1, 2], K=3, optimizer_config=anneal,

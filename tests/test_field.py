@@ -1,9 +1,7 @@
 """Field tests: attention identities, a dense unfolded reference forward,
 training behaviour, pose gradients of the placement loss."""
 
-import contextlib
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -14,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fit_step_reference as numpy_fit
 import pose_loss_reference as ref
 from camopt import autodiff as ad
 from camopt import field as field_module
@@ -31,7 +30,6 @@ from camopt.field import (
     _FitBatch,
     _fit_gradients,
     _fit_workspace,
-    _logit_grads,
     _strided,
     capture_visible,
     lean_neof,
@@ -267,6 +265,11 @@ def fused_fit_grads(field, idx):
     return [g.copy() for g in grads]
 
 
+def numpy_fit_grads(field, idx):
+    """The oracle's gradients (tests/fit_step_reference.py) of the same step."""
+    return numpy_fit.fit_gradients(field, fit_batch(field, idx))
+
+
 def train_batches(field, budget):
     """The query rows lean_neof trains on at each step."""
     pool = _strided(field.voxel_count, TRAIN_QUERY_POOL)
@@ -315,7 +318,7 @@ def rel_diff(got, want):
 # per-row softmax and error chain and the weight gradients in float64.
 # Measured against the tape: relative gradient differences of at most 7.6e-7
 # on the two snapshots over their first 30 steps and 1.5e-6 over 200 random
-# Hypothesis-style cases for the numpy step, and 1.3e-6 and 1.7e-6 for the
+# Hypothesis-style cases for the numpy oracle, and 1.3e-6 and 1.7e-6 for the
 # compiled kernel, whose sums run over whole rows. Along a 200-step tape fit of each snapshot, one
 # step in 200 had a relu or clamp decision flip at a float32 rounding
 # boundary, which moved the b1 gradient by 1.9e-4 (circle) and 6.1e-4
@@ -324,19 +327,7 @@ def rel_diff(got, want):
 GRAD_REL_BOUND = 1e-3
 
 
-@contextlib.contextmanager
-def numpy_step():
-    """Run the fit step and the visibility traversal in numpy, as where the
-    compiled library cannot be built: the loader is made to fail."""
-    real = native.load
-    native.load = lambda: None
-    try:
-        yield
-    finally:
-        native.load = real
-
-
-def check_snapshot_bounds(kind):
+def check_snapshot_bounds(kind, fit_grads=fused_fit_grads):
     grid, attrs = real_snapshot(kind)
     fresh = lean_neof(None, grid, attrs, budget=0, seed=0)
     assert len(fresh.key_idx) == 256 and fresh.voxel_count > TRAIN_QUERY_POOL
@@ -344,12 +335,12 @@ def check_snapshot_bounds(kind):
     trained = lean_neof(None, grid, attrs, budget=25, seed=0)
     assert trained.adam.step_count == 25
     for field in (fresh, trained):
-        for got, want in zip(fused_fit_grads(field, first), tape_fit_grads(field, first)):
+        for got, want in zip(fit_grads(field, first), tape_fit_grads(field, first)):
             assert got.dtype == np.float64
             assert rel_diff(got, want) <= GRAD_REL_BOUND
 
 
-def check_random_case(keys, queries, seed, margin):
+def check_random_case(keys, queries, seed, margin, fit_grads=fused_fit_grads):
     # a negative margin puts attributes outside their range, so the
     # output clamp is active on some rows; 130 queries leave a partial
     # last block
@@ -359,11 +350,11 @@ def check_random_case(keys, queries, seed, margin):
                       budget=0, seed=seed)
     assert len(field.key_idx) == keys
     idx = rng.integers(keys, size=queries)
-    for got, want in zip(fused_fit_grads(field, idx), tape_fit_grads(field, idx)):
+    for got, want in zip(fit_grads(field, idx), tape_fit_grads(field, idx)):
         assert rel_diff(got, want) <= GRAD_REL_BOUND
 
 
-def check_clamped_component():
+def check_clamped_component(fit_grads=fused_fit_grads):
     # every c value lies above its range, so every output's c is clamped
     # and only phi_cc and phi_co carry error back to the weights
     rng = np.random.default_rng(8)
@@ -374,14 +365,13 @@ def check_clamped_component():
     attrs = ObservationAttributes(c=vals[:, 0], phi_cc=vals[:, 1], phi_co=vals[:, 2], K=3)
     field = lean_neof(None, grid, attrs, budget=0, seed=8)
     idx = np.arange(60)
-    for got, want in zip(fused_fit_grads(field, idx), tape_fit_grads(field, idx)):
+    for got, want in zip(fit_grads(field, idx), tape_fit_grads(field, idx)):
         assert np.max(np.abs(want)) > 0
         assert rel_diff(got, want) <= GRAD_REL_BOUND
 
 
 class TestFloat32FitStep:
-    """The fit step as it runs here: with the compiled kernel wherever a C
-    compiler is on PATH (TestFitKernel checks that it loads)."""
+    """The fit step as it runs: the compiled kernel."""
 
     @pytest.mark.parametrize("kind", ["circle", "sphere"])
     def test_gradients_within_float32_bound_before_and_after_25_steps(self, kind):
@@ -449,23 +439,22 @@ class TestFloat32FitStep:
 
 
 class TestNumpyFitStep:
-    """The same bounds on the numpy step that runs where no kernel loads."""
+    """The same bounds on the numpy oracle of the fit step
+    (tests/fit_step_reference.py), which TestFitKernel compares the kernel
+    with."""
 
     @pytest.mark.parametrize("kind", ["circle", "sphere"])
     def test_gradients_within_float32_bound_before_and_after_25_steps(self, kind):
-        with numpy_step():
-            check_snapshot_bounds(kind)
+        check_snapshot_bounds(kind, numpy_fit_grads)
 
     @settings(max_examples=20, deadline=None)
     @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
            seed=st.integers(0, 10_000), margin=st.sampled_from([-0.3, 0.05]))
     def test_within_float32_bound_over_batch_and_key_counts(self, keys, queries, seed, margin):
-        with numpy_step():
-            check_random_case(keys, queries, seed, margin)
+        check_random_case(keys, queries, seed, margin, numpy_fit_grads)
 
     def test_clamped_component_passes_no_gradient(self):
-        with numpy_step():
-            check_clamped_component()
+        check_clamped_component(numpy_fit_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +463,9 @@ class TestNumpyFitStep:
 
 def numpy_flush(g):
     """The float64 logit gradients g as the numpy fit step hands them to
-    its float32 contractions: below _FLUSH set to +0.0, then rounded."""
+    its float32 contractions: below native.FLUSH set to +0.0, then rounded."""
     g = g.copy()
-    np.putmask(g, np.abs(g) < field_module._FLUSH, 0.0)
+    np.putmask(g, np.abs(g) < native.FLUSH, 0.0)
     return g.astype(np.float32)
 
 
@@ -521,8 +510,7 @@ def slab_operands(keys, queries, seed, margin):
     B = (-(field.centers[idx] @ field.W1[0:3])).astype(np.float32)
     V, target = field.key_values, field.values[idx]
     scores = kernel_scores(native.load(), A, B, Z)
-    g = _logit_grads(scores, V, target, V.T * (2.0 / target.size), field.sup,
-                     np.empty_like(scores), np.empty_like(scores))
+    g = numpy_fit.logit_grads(scores, V, target, V.T * (2.0 / target.size), field.sup)
     return A, B, Z, g
 
 
@@ -543,19 +531,12 @@ def best_of_5(step):
 
 @pytest.fixture(scope="module")
 def kernel_O0():
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    kernel = native.build(opt=("-O0",))
-    assert kernel is not None
-    return kernel
+    return native.build(opt=("-O0",))
 
 
 class TestFitKernel:
     def test_loads_where_cc_is_on_path(self):
-        # a silent fallback to the numpy step would cost about 2x in the fit
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler on PATH")
-        assert native.load() is not None
+        assert isinstance(native.load(), native.Library)
 
     @settings(max_examples=40, deadline=None)
     @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
@@ -590,8 +571,6 @@ class TestFitKernel:
 
     def test_rejects_operands_of_mismatched_shape(self):
         kernel = native.load()
-        if kernel is None:
-            pytest.skip("no fit kernel on this host")
         A, B, Z, g = slab_operands(40, 9, 0, 0.05)
         scores, scratch = np.empty((9, 40)), np.empty_like(A)
         with pytest.raises(ValueError):
@@ -612,40 +591,38 @@ class TestFitKernel:
             kernel.fit_grads(A, B, Z, g.astype(np.float32), scratch)
 
     def test_kernel_is_faster_than_the_numpy_step(self):
-        # a build the compiler leaves scalar is slower than the numpy step it
-        # replaces (gcc 12 at plain -O3: fit_grads alone 10.7 ms per 128 x
+        # a build the compiler leaves scalar is slower than the numpy oracle
+        # of the step (gcc 12 at plain -O3: fit_grads alone 10.7 ms per 128 x
         # 256 call, against 0.2 ms vectorized, a whole compiled step 0.6 ms
         # and a whole numpy step 2.9 ms), so a library that loads but does
         # not vectorize fails here instead of slowing every fit
-        if native.load() is None:
-            pytest.skip("no fit kernel on this host")
         grid, attrs = real_snapshot("circle")
         field = lean_neof(None, grid, attrs, budget=0, seed=0)
         batch = fit_batch(field, next(train_batches(field, 1)))
         assert len(field.key_idx) == 256 and len(batch.target) == TRAIN_BATCH
         work = _fit_workspace(field, TRAIN_BATCH)
-        with numpy_step():
-            numpy_work = _fit_workspace(field, TRAIN_BATCH)
-        assert isinstance(work, native.FitStep) and not isinstance(numpy_work, native.FitStep)
         kernel_s = best_of_5(lambda: _fit_gradients(field, batch, work))
-        numpy_s = best_of_5(lambda: _fit_gradients(field, batch, numpy_work))
+        numpy_s = best_of_5(lambda: numpy_fit.fit_gradients(field, batch))
         assert kernel_s < numpy_s, f"kernel {kernel_s * 1e3:.2f} ms, numpy {numpy_s * 1e3:.2f} ms"
 
     def test_kernel_and_numpy_steps_agree(self):
-        # forcing the loader to fail selects the numpy step; the two steps
-        # sum in different orders and agree to float32 rounding
+        # the kernel and its numpy oracle sum in different orders and agree
+        # to float32 rounding
         grid, attrs = real_snapshot("circle")
         field = lean_neof(None, grid, attrs, budget=0, seed=0)
         idx = next(train_batches(field, 1))
-        with numpy_step():
-            assert native.load() is None
-            slow = fused_fit_grads(field, idx)
-        for got, want in zip(fused_fit_grads(field, idx), slow):
+        for got, want in zip(fused_fit_grads(field, idx), numpy_fit_grads(field, idx)):
             assert rel_diff(got, want) <= 1e-5
 
     def test_import_starts_no_process_and_a_fit_leaves_nothing_behind(self, tmp_path):
+        # the import opens no C source and starts no process; the first
+        # traversal builds the library, in one compiler process, and the
+        # fit after it builds nothing more
         code = (
-            "import os, shutil, subprocess, sys, tempfile\n"
+            "import os, subprocess, sys, tempfile\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda event, args: opened.append(str(args[0]))\n"
+            "                 if event == 'open' else None)\n"
             "started = []\n"
             "real_popen = subprocess.Popen\n"
             "class Counting(real_popen):\n"
@@ -662,18 +639,18 @@ class TestFitKernel:
             "for n in names:\n"
             "    setattr(os, n, real[n])\n"
             "assert started == [], started\n"
+            "assert not [p for p in opened if p.endswith('native.c')], opened\n"
             "assert not native._tried and native._library is None\n"
             "tempfile.tempdir = sys.argv[1]\n"
             "from test_field import real_snapshot\n"
             "grid, attrs = real_snapshot('circle')\n"
-            "built = [] if shutil.which('cc') is None else [1]\n"
-            "assert native._tried and len(started) == len(built), started\n"
+            "assert native._tried and len(started) == 1, started\n"
             "eye = grid.centers.mean(axis=0) + (1.6, 0.0, 0.0)\n"
             "camopt.visible_set(camopt.pose_from_forward(eye, (-1.0, 0.0, 0.0)),\n"
             "                   camopt.default_intrinsics(), grid)\n"
             "field.lean_neof(None, grid, attrs, budget=2, seed=0)\n"
-            "assert len(started) == len(built), started\n"
-            "assert (native._library is None) == (not built)\n"
+            "assert len(started) == 1, started\n"
+            "assert native._library is not None\n"
             "assert os.listdir(sys.argv[1]) == [], os.listdir(sys.argv[1])\n"
             "try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"
@@ -823,7 +800,7 @@ class TestFitStepKernel:
         field, batch = fit_step_case(200, queries=13, seed=0, margin=-0.3, sharpen=300.0)
         g, clamped = check_fit_step(kernel_O0, field, batch)
         assert np.any(clamped[:8]) and np.any(clamped[8:])
-        flushed = (np.abs(g) < field_module._FLUSH) & (g != 0.0)
+        flushed = (np.abs(g) < native.FLUSH) & (g != 0.0)
         assert np.any(flushed[:8]) and np.any(flushed[8:])
 
     @settings(max_examples=15, deadline=None)
@@ -835,14 +812,14 @@ class TestFitStepKernel:
         check_fit_step(kernel_O0, *fit_step_case(keys, queries, seed, margin, sharpen))
 
     def test_forward_rows_do_not_depend_on_the_other_rows(self):
-        kernel = loaded_kernel()
+        kernel = native.load()
         field, batch = fit_step_case(256, queries=40, seed=2)
         first = _FitBatch(*(x[:11].copy() for x in batch))
         np.testing.assert_array_equal(compiled_fit_step(kernel, field, first)[0],
                                       compiled_fit_step(kernel, field, batch)[0][:11])
 
     def test_rejects_operands_of_wrong_dtype_shape_or_order(self):
-        kernel = loaded_kernel()
+        kernel = native.load()
         field, batch = fit_step_case(40, queries=9, seed=0)
         V = field.key_values
         dV = np.ascontiguousarray(V.T * (2.0 / 27))
@@ -872,14 +849,10 @@ class TestFitStepKernel:
 
 class TestNativeSource:
     def test_compiles_without_warnings(self, tmp_path):
-        # build() keeps the compiler's output to itself, so a warning in the
-        # kernels would go unseen there
-        cc = shutil.which("cc")
-        if cc is None:
-            pytest.skip("no C compiler on PATH")
-        src = tmp_path / "native.c"
-        src.write_text(native.SOURCE)
-        proc = subprocess.run([cc, *native.OPT, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+        # build() shows the compiler's output only when the build fails, so
+        # a warning in the kernels would go unseen there
+        src = Path(native.__file__).with_name("native.c")
+        proc = subprocess.run(["cc", *native.OPT, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
                                "-o", str(tmp_path / "native.so"), str(src), "-lm"],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -926,13 +899,6 @@ def attend_operands(queries, keys, seed):
     return A, B, Z, g
 
 
-def loaded_kernel():
-    kernel = native.load()
-    if kernel is None:
-        pytest.skip("no compiled library on this host")
-    return kernel
-
-
 class TestAttendKernel:
     @pytest.mark.parametrize("keys", [1, 63, 64, 65, 256])
     @pytest.mark.parametrize("queries", [1, 8, 16, 160, 161])
@@ -945,7 +911,7 @@ class TestAttendKernel:
             np.testing.assert_array_equal(build.attend_b_grad(A, B, Z, g), b_grad)
 
     def test_rows_do_not_depend_on_the_other_queries(self):
-        kernel = loaded_kernel()
+        kernel = native.load()
         A, B, Z, g = attend_operands(160, 256, 3)
         np.testing.assert_array_equal(kernel.attend_scores(A, B[:5], Z[:5]),
                                       kernel.attend_scores(A, B, Z)[:5])
@@ -955,7 +921,7 @@ class TestAttendKernel:
     @pytest.mark.parametrize("queries,keys", [(1, 1), (16, 256), (161, 65)])
     def test_agrees_with_the_numpy_helpers(self, queries, keys):
         # the two sum the same terms in different orders
-        kernel = loaded_kernel()
+        kernel = native.load()
         A, B, Z, g = attend_operands(queries, keys, 7)
         for got, want in ((kernel.attend_scores(A, B, Z), ad.scores_forward(A, B, Z)),
                           (kernel.attend_b_grad(A, B, Z, g), ad.scores_b_grad(A, B, Z, g))):
@@ -963,7 +929,7 @@ class TestAttendKernel:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_rejects_float32_fortran_and_misshaped_operands(self):
-        kernel = loaded_kernel()
+        kernel = native.load()
         A, B, Z, g = attend_operands(9, 40, 0)
         for bad in ({"A": A.astype(np.float32)}, {"B": B.astype(np.float32)},
                     {"Z": np.asfortranarray(Z)}, {"A": np.asfortranarray(A)},
@@ -979,27 +945,38 @@ class TestAttendKernel:
 
     def test_queries_and_pose_gradients_run_the_kernels_where_the_library_loads(
             self, monkeypatch):
-        # TestCompiledPoseLossEqualsTape cannot tell the two paths apart: it
-        # swaps the numpy helpers for references with the kernels' bits
-        loaded_kernel()
+        # TestCompiledPoseLossEqualsTape cannot tell the kernels from the
+        # numpy helpers: it swaps the helpers for references with the
+        # kernels' bits
         field, rig, E = two_camera_setup(seed=12)
         batch = FieldQueryBatch(field.centers[:4], field.normals[:4])
+        calls = []
 
         def refuse(*args):
             raise AssertionError("numpy score helper called")
 
+        def counting(name):
+            real = getattr(native.Library, name)
+
+            def kernel(self, *args):
+                calls.append(name)
+                return real(self, *args)
+            return kernel
+
         monkeypatch.setattr(ad, "scores_forward", refuse)
         monkeypatch.setattr(ad, "scores_b_grad", refuse)
+        for name in ("attend_scores", "attend_b_grad"):
+            monkeypatch.setattr(native.Library, name, counting(name))
         query(field, batch)
+        assert calls == ["attend_scores"]
         pose_grads(field, rig, E)
-        with numpy_step(), pytest.raises(AssertionError, match="numpy score helper"):
-            query(field, batch)
+        assert calls == ["attend_scores", "attend_scores", "attend_b_grad"]
 
     @pytest.mark.parametrize("queries", [16, 160])
     def test_kernels_are_faster_than_the_numpy_helpers(self, queries):
         # 16 queries is one resampling candidate's query, 160 a gradient
         # phase's ten cameras
-        kernel = loaded_kernel()
+        kernel = native.load()
         A, B, Z, g = attend_operands(queries, 256, queries)
         for compiled, numpy_helper in (
                 (lambda: kernel.attend_scores(A, B, Z), lambda: ad.scores_forward(A, B, Z)),
@@ -1058,8 +1035,6 @@ class TestFitAllocations:
         # temporary of 256 KB or more costly (it walks the C stack to decide
         # whether it may reuse it), and a fit step made 256 KB temporaries
         # in the score widening, err @ dV and g * att
-        if native.load() is None:
-            pytest.skip("no fit kernel on this host; the numpy step's slab is 512 KB")
         grid, attrs = real_snapshot("circle")
         block = TRAIN_BATCH * len(lean_neof(None, grid, attrs, budget=0).key_idx) * 8
         assert block == 256 * 1024
@@ -1223,13 +1198,14 @@ def rig_setup(scene, k, seed, resolution=None):
 
 
 class TestPoseLossEqualsTape:
-    """On the numpy path, the loader forced to fail: the placement loss runs
-    the tape's own score helpers, autodiff.scores_forward and scores_b_grad."""
+    """The placement loss's closed form with the tape's own score helpers,
+    autodiff.scores_forward and scores_b_grad, in place of the compiled
+    attention kernels."""
 
     @pytest.fixture(autouse=True)
-    def score_path(self):
-        with numpy_step():
-            yield
+    def score_path(self, monkeypatch):
+        monkeypatch.setattr(field_module, "_scores", ad.scores_forward)
+        monkeypatch.setattr(field_module, "_scores_b_grad", ad.scores_b_grad)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_rigs(self, seed):
@@ -1282,6 +1258,5 @@ class TestCompiledPoseLossEqualsTape(TestPoseLossEqualsTape):
 
     @pytest.fixture(autouse=True)
     def score_path(self, monkeypatch):
-        loaded_kernel()
         monkeypatch.setattr(ad, "scores_forward", sequential_scores)
         monkeypatch.setattr(ad, "scores_b_grad", sequential_b_grad)

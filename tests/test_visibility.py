@@ -1,4 +1,3 @@
-import shutil
 import time
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camopt import native
+from camopt import visibility
 from camopt.hybrid import initialize
 from camopt.scene import (PLANAR2D, VOLUMETRIC3D, ShapeSpec, TargetScene, VoxelGrid,
                           generate_planar_shape, voxelize)
@@ -22,9 +22,9 @@ from camopt.visibility import (
     rotation_from_six,
     visible_set,
 )
-from camopt.visibility import _cell_blocked, _numpy_cell_blocked
+from camopt.visibility import _cell_blocked
 from test_baselines import torus_scene
-from test_field import numpy_step
+from traversal_reference import numpy_cell_blocked
 
 
 def raycast_visible_oracle(pose, intrinsics, centers, normals, radius):
@@ -504,17 +504,15 @@ def slab_oracle(grid, eye, target_rows):
 
 
 def traversals(grid, eye, rows):
-    """_cell_blocked's masks on the compiled path (numpy again where the
-    library does not load) and on the numpy path."""
-    got = _cell_blocked(grid, eye, rows)
-    with numpy_step():
-        return got, _cell_blocked(grid, eye, rows)
+    """The masks of the compiled traversal (_cell_blocked) and of its numpy
+    oracle (tests/traversal_reference.py)."""
+    return _cell_blocked(grid, eye, rows), numpy_cell_blocked(grid, eye, rows)
 
 
 class TestCellMarch:
     """Exact traversal must equal the brute-force slab oracle, and block a
-    superset of what the quarter-step full-segment march blocks, on both
-    paths."""
+    superset of what the quarter-step full-segment march blocks, compiled
+    and in its numpy oracle."""
 
     def planar_grid(self):
         scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 400, seed=2))
@@ -669,19 +667,12 @@ def bench_scene(request):
 
 @pytest.fixture(scope="module")
 def library():
-    lib = native.load()
-    if lib is None:
-        pytest.skip("no compiled library on this host")
-    return lib
+    return native.load()
 
 
 @pytest.fixture(scope="module")
 def library_O0():
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    lib = native.build(opt=("-O0",))
-    assert lib is not None
-    return lib
+    return native.build(opt=("-O0",))
 
 
 def on_cell_plane(grid, axis, value):
@@ -718,7 +709,7 @@ class TestCompiledTraversal:
                 beside = np.arange(3) != rng.integers(3)
                 eye[beside] = center[beside]
             rows = np.flatnonzero(np.linalg.norm(grid.centers - eye, axis=1) > 1e-12)
-            want = _numpy_cell_blocked(grid, eye, rows)
+            want = numpy_cell_blocked(grid, eye, rows)
             for lib in (library, library_O0):
                 np.testing.assert_array_equal(lib.cell_blocked(grid, eye, rows), want,
                                               err_msg=f"eye {eye.tolist()}")
@@ -726,12 +717,13 @@ class TestCompiledTraversal:
             clear += int((~want).sum())
         assert blocked and clear
 
-    def test_coverage_matrix_is_the_same_without_the_library(self, bench_scene):
+    def test_coverage_matrix_is_the_same_without_the_library(self, bench_scene, monkeypatch):
+        # with the numpy oracle in place of the compiled traversal
         scene, grid = bench_scene
         rig = initialize(scene, 10, 0)
         E = coverage_matrix(rig, grid)
-        with numpy_step():
-            F = coverage_matrix(rig, grid)
+        monkeypatch.setattr(visibility, "_cell_blocked", numpy_cell_blocked)
+        F = coverage_matrix(rig, grid)
         assert E.entries.any()
         np.testing.assert_array_equal(E.entries, F.entries)
 
@@ -753,7 +745,7 @@ class TestCompiledTraversal:
             return min(times)
 
         native_s = best_of_5(_cell_blocked)
-        numpy_s = best_of_5(_numpy_cell_blocked)
+        numpy_s = best_of_5(numpy_cell_blocked)
         assert native_s < numpy_s, f"native {native_s * 1e3:.3f} ms, numpy {numpy_s * 1e3:.3f} ms"
 
     def test_rejects_rows_out_of_range(self, library):
