@@ -9,7 +9,6 @@ holds the random-search and simulated-annealing references, `cli` the batch
 experiment driver.
 """
 
-from camopt.autodiff import AdamState, Tensor, adam_step
 from camopt.scene import (
     PLANAR2D,
     VOLUMETRIC3D,
@@ -67,7 +66,6 @@ from camopt.baselines import (
 )
 
 __all__ = [
-    "AdamState",
     "AnnealConfig",
     "CameraIntrinsics",
     "CameraPose",
@@ -83,11 +81,9 @@ __all__ = [
     "PlacementLoss",
     "ShapeSpec",
     "TargetScene",
-    "Tensor",
     "VOLUMETRIC3D",
     "VoxelGrid",
     "accept_proposal",
-    "adam_step",
     "attributes_from_coverage",
     "capture_visible",
     "coverage_matrix",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cloudio
+from . import cloudio, native
 from .attributes import shape_analyze
 from .baselines import AnnealConfig, random_search, simulated_annealing
 from .hybrid import OptimizerConfig, optimize
@@ -255,6 +255,11 @@ def run(config_path, threads: int = 1, seed_override=None, out_override=None) ->
         return 2
     except Exception as exc:
         print(f"scene load or voxelization failure: {exc}", file=sys.stderr)
+        return 3
+    try:
+        native.load()    # every optimizer's visibility runs in the kernels
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
     out_dir = Path(config.output_dir)

@@ -159,8 +159,9 @@ def read_obj(path):
     return pts, nrm, faces or None
 
 
-def sample_faces(points, faces, count, seed=0):
-    """Area-weighted triangle sampling; returns (points, face normals)."""
+def sample_faces(points, faces, count):
+    """Area-weighted triangle sampling, seeded with 0; returns (points, face
+    normals)."""
     tri = points[np.asarray(faces, dtype=np.intp)]  # (f, 3, 3)
     e1 = tri[:, 1] - tri[:, 0]
     e2 = tri[:, 2] - tri[:, 0]
@@ -169,7 +170,7 @@ def sample_faces(points, faces, count, seed=0):
     total = float(area.sum())
     if total <= 0.0:
         raise ValueError("mesh has zero surface area")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pick = rng.choice(len(area), size=count, p=area / total)
     u = rng.random(count)
     v = rng.random(count)

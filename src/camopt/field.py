@@ -25,16 +25,16 @@ captured points that move with the poses and takes the gradients of the
 poses in closed form back through B, the points and each camera's
 Gram-Schmidt frame (a gradient phase encodes its frozen captures once,
 encode_captures); and the weight fit (`lean_neof`) takes the gradients of
-the six weights from one compiled step, _fit_gradients, and hands them to
+the six weights from one call of the fit's compiled step and hands them to
 autodiff.adam_step.
 
 The heavy parts run in the compiled library (camopt.native), which the
 process's first fit, query or visibility traversal builds. A fit step is
-two kernel calls and numpy's exp between them (native.FitStep):
-fit_forward encodes the weights and writes the scores, each row less its
-maximum, and fit_backward runs the row chain (softmax, att @ V, clamp,
-error, softmax backward), the slab gradients and the chain back to the six
-weights. The slab passes, the relu(A + B) scores and the contractions for
+one call of a native.FitStep, which runs two kernels and numpy's exp
+between them: fit_forward encodes the weights and writes the scores, each
+row less its maximum, and fit_backward runs the row chain (softmax, att @
+V, clamp, error, softmax backward), the slab gradients and the chain back
+to the six weights. The slab passes, the relu(A + B) scores and the contractions for
 the gradients of A, B and Z, run in float32; everything else (the encode,
 the row chain, the weight chain, Adam state, `query`, the placement loss)
 stays float64. lean_neof makes a fit's FitStep and gathers its training
@@ -230,22 +230,6 @@ def _fit_workspace(field: ObservationField, rows: int) -> native.FitStep:
                                   field.sup, rows)
 
 
-def _fit_gradients(field: ObservationField, batch: _FitBatch, step: native.FitStep):
-    """The gradients of the six weights (in params() order) of the mean
-    squared error of the field's outputs at the batch's rows against their
-    attributes, from the fit's compiled step (_fit_workspace): fit_forward,
-    numpy's exp, fit_backward. The slab passes, the relu(A + B) scores and
-    the contractions for A, B and Z, run in float32; the encode, the row
-    chain and the weight chain in float64. The gradients match the float64
-    tape of the same loss to about 1e-6 relative; a rare relu or clamp
-    decision at a float32 rounding boundary moves one by up to about 1e-3.
-    The arrays are the step's, and its next call overwrites them.
-    """
-    s = step.forward(batch.positions, batch.normals)
-    np.exp(s, out=s)
-    return step.backward(batch.target)
-
-
 def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttributes,
               budget: Optional[int] = None, seed: int = 0) -> ObservationField:
     """Fit (or refresh) the field against the current attribute snapshot.
@@ -253,6 +237,14 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
     A fresh field is created and trained for the initial budget when none is
     given; an existing field keeps its weights and Adam state and fine-tunes
     for the smaller budget. Budget 0 only swaps in the new snapshot.
+
+    Each step is one call of the fit's native.FitStep on a batch of
+    snapshot rows, which returns the gradients of the six weights of the
+    mean squared error of the field's outputs at the rows against their
+    attributes, and one autodiff.adam_step. The slab passes run in float32,
+    so the gradients match the float64 tape of the same loss to about 1e-6
+    relative; a rare relu or clamp decision at a float32 rounding boundary
+    moves one by up to about 1e-3.
     """
     if field is None:
         field = ObservationField(seed=seed)
@@ -263,17 +255,17 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
     field.snapshot(grid, attrs)
     pool = _strided(field.voxel_count, TRAIN_QUERY_POOL)
     rows = min(len(pool), TRAIN_BATCH)
-    work = _fit_workspace(field, rows) if budget > 0 else None
+    step = _fit_workspace(field, rows) if budget > 0 else None
     batches = {}
-    for step in range(budget):
+    for i in range(budget):
         # the rows of the pool from a start that advances a batch a step and
         # wraps (the whole pool where it holds no more than a batch)
-        start = (step * rows) % len(pool)
+        start = (i * rows) % len(pool)
         if start not in batches:
             idx = pool[(start + np.arange(rows)) % len(pool)]
             batches[start] = _FitBatch(field.centers[idx], field.normals[idx],
                                        field.values[idx])
-        ad.adam_step(field.params(), _fit_gradients(field, batches[start], work), field.adam)
+        ad.adam_step(field.params(), step(*batches[start]), field.adam)
     field.trained = True
     return field
 

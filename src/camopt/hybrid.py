@@ -350,8 +350,10 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     need stops attracting further cameras, so successive relocations spread
     over distinct regions instead of piling onto the first one.
 
-    Candidate poses recur between passes and phases, so their exact visible
-    rows come from candidate_cache (pose bytes -> sorted read-only row array;
+    A pass scores the current cameras first, and seeks regions and
+    candidate poses only when some camera qualifies. Candidate poses recur
+    between passes and phases, so their exact visible rows come from
+    candidate_cache (pose bytes -> sorted read-only row array;
     a dict owned by the caller, one per run and grid), filled on a miss.
     Their field sums are recomputed, because the field changes after every
     commit.
@@ -370,22 +372,12 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     if candidate_cache is None:
         candidate_cache = {}
 
-    def evaluate_pose(pose):
-        vis = _candidate_visible(pose, rig.intrinsics, grid, candidate_cache)
-        return vis, visible_attr_sum(field, vis)
-
     poses = list(rig.poses)
     committed = []
     replaced = set()
     attrs_cur = attrs
+    rows = [np.flatnonzero(row) for row in E.entries]    # each camera's visible rows
     while True:
-        regions = worst_regions(grid, attrs_cur, config.m)
-        if not regions:
-            break
-        cand_poses = _region_poses(regions, rig.intrinsics)
-        cand_eval = [evaluate_pose(p) for p in cand_poses]
-
-        rows = [np.flatnonzero(row) for row in E.entries]
         sums = np.array([visible_attr_sum(field, r) for r in rows])
         sizes = np.array([len(r) for r in rows])
         L_cur = float(w @ (sup - sums.sum(axis=0) / (k * n)))
@@ -405,15 +397,22 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
         ]
         if not candidates:
             break
+        regions = worst_regions(grid, attrs_cur, config.m)
+        if not regions:
+            break
+        cand_poses = _region_poses(regions, rig.intrinsics)
+        cand_vis = [_candidate_visible(p, rig.intrinsics, grid, candidate_cache)
+                    for p in cand_poses]
+        cand_sums = [visible_attr_sum(field, vis) for vis in cand_vis]
         best = None
         for i in candidates:
-            for ci, (vis, s_new) in enumerate(cand_eval):
+            for ci, s_new in enumerate(cand_sums):
                 L_new = L_cur - float(w @ (s_new - sums[i])) / (k * n)
                 if best is None or L_new < best[0] - 1e-15:
-                    best = (L_new, i, ci, vis, s_new)
-        if best is None or best[0] >= L_cur:
+                    best = (L_new, i, ci)
+        if best[0] >= L_cur:
             break
-        L_new, cam, ci, vis, s_new = best
+        L_new, cam, ci = best
         committed.append({
             "camera": cam,
             "loss_before": L_cur,
@@ -423,11 +422,12 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
         poses[cam] = cand_poses[ci]
         replaced.add(cam)
         # fold the accepted swap back into the need estimate
-        E = replace_row(E, cam, vis)
+        rows[cam] = cand_vis[ci]
+        E = replace_row(E, cam, cand_vis[ci])
         positions = np.stack([p.position for p in poses])
         attrs_cur = attributes_from_coverage(E, positions, grid.centers,
                                              grid.normals, attrs.K)
-        lean_neof(field, grid, attrs_cur, budget=0)
+        field.snapshot(grid, attrs_cur)
     if not committed:
         return rig, [], E, attrs
     return CameraRig(tuple(poses), rig.intrinsics), committed, E, attrs_cur

@@ -1,21 +1,22 @@
 """The compiled kernels: one C source, native.c beside this module, built by
 the system compiler at first use and loaded through ctypes.
 
-The source holds three kernels: the field fit's step, two calls around
-numpy's exp (`fit_forward`, `fit_backward`, bound to one fit's workspace
-as a FitStep), which run the encode of the weights, the float32 slab passes
-(`fit_scores`, `fit_grads`, exported on their own as well), the float64
-row chain and the float64 chain back to the weights; the float64
-attention scores of the field's queries and placement loss and their
-gradient with respect to the query offsets (`attend_scores`,
-`attend_b_grad`); and the exact occupied-cell traversal behind visibility
-(`cell_blocked`). The first call that needs a kernel (a visibility
-traversal, a field fit or a field query) compiles native.c once per
-process into a temporary directory, loads it and deletes the directory
-(`load`). Nothing is built or read at import and nothing is cached on
-disk. The package needs a C compiler: where there is no `cc` on PATH, or
-the build or the load fails, `load` raises a RuntimeError that says why,
-at that call and at every later one.
+The source holds three kernels: the field fit's step, `fit_forward` and
+`fit_backward` around numpy's exp, which one call of a FitStep runs over
+its fit's workspace (the encode of the weights, the float32 slab passes,
+the float64 row chain and the float64 chain back to the weights; the
+library exports the slab passes, `fit_scores` and `fit_grads`, on their
+own as well, and the tests bind them there); the float64 attention
+scores of the field's queries and placement loss and their gradient with
+respect to the query offsets (`attend_scores`, `attend_b_grad`); and the
+exact occupied-cell traversal behind visibility (`cell_blocked`). The
+first call that needs a kernel (a visibility traversal, a field fit or a
+field query) compiles native.c once per process into a temporary
+directory, loads it and deletes the directory (`load`). Nothing is built
+or read at import and nothing is cached on disk. The package needs a C
+compiler: where there is no `cc` on PATH, or the build or the load fails,
+`load` raises a RuntimeError that says why, at that call and at every
+later one.
 
 FP contraction is off and every kernel sums in one fixed sequential order,
 so the results do not depend on the optimization flags or the BLAS kernel:
@@ -92,22 +93,20 @@ _WEIGHT_SHAPES = ((6, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, 
 
 
 class FitStep:
-    """The compiled step of one fit over its own workspace, a fit step in
-    two kernel calls around numpy's exp:
+    """The compiled step of one fit over its own workspace. A call,
 
-        s = step.forward(positions, normals)
-        np.exp(s, out=s)
-        grads = step.backward(target)
+        grads = step(positions, normals, target)
 
-    forward encodes the weights and writes the float32 slab scores, each row
-    less its maximum, into s (rows, keys); backward runs the float64 row
-    chain, which leaves the logit gradients in s, the float32 slab
-    gradients and the float64 weight chain, and returns the six weight
-    gradients, float64 arrays of the workspace in params() order that the
-    next step overwrites. The kernels read the
-    weights, the keys' arrays and the batch in place, so the weights must be
-    updated in place between steps (autodiff.adam_step does) and the batch
-    given to forward must outlive backward. A step allocates nothing."""
+    runs fit_forward, which encodes the weights and writes the float32 slab
+    scores of the batch rows (positions and normals (rows, 3)), each row
+    less its maximum, into s (rows, keys); numpy's exp of s in place; and
+    fit_backward, which runs the float64 row chain against target (rows, 3),
+    leaving the logit gradients in s, the float32 slab gradients and the
+    float64 weight chain. It returns the six weight gradients of the batch's
+    mean squared error, float64 arrays of the workspace in params() order
+    that the next call overwrites. The kernels read the weights and the
+    keys' arrays in place, so the weights must be updated in place between
+    steps (autodiff.adam_step does). A step allocates nothing."""
 
     def __init__(self, lib, weights, basis, V, dV, sup, rows: int):
         keys = len(basis)
@@ -117,7 +116,6 @@ class FitStep:
         self.grads = tuple(np.empty(shape) for shape in _WEIGHT_SHAPES)
         self._work = np.empty(lib.fit_work(rows, keys))
         self._operands = (tuple(weights), basis, V, dV, sup)    # kept alive for the kernels
-        self._batch = self._target = None
         self._fit = _Fit(
             rows, keys,
             (ctypes.c_void_p * 6)(*[_address(w, f64, shape)
@@ -128,42 +126,30 @@ class FitStep:
             (ctypes.c_void_p * 6)(*[g.ctypes.data for g in self.grads]), self._work.ctypes.data)
         self._ref = ctypes.byref(self._fit)
 
-    def forward(self, positions, normals) -> np.ndarray:
-        """The scores of the batch rows at positions with normals (rows, 3),
-        each row less its maximum, in s, which is returned."""
+    def __call__(self, positions, normals, target) -> tuple:
+        """The six weight gradients of one step on the batch rows at
+        positions with normals against their attributes target, all float64
+        (rows, 3)."""
         shape = (self._fit.nq, 3)
         self._fit.pos = _address(positions, np.float64, shape)
         self._fit.nrm = _address(normals, np.float64, shape)
-        self._batch = (positions, normals)
+        self._fit.target = _address(target, np.float64, shape)
         self.lib.fit_forward(self._ref)
-        return self.s
-
-    def backward(self, target) -> tuple:
-        """The six weight gradients of the mean squared error of the batch's
-        outputs against target (rows, 3), from forward's s exponentiated in
-        place."""
-        if self._batch is None:
-            raise RuntimeError("FitStep.backward needs a forward first")
-        self._fit.target = _address(target, np.float64, (self._fit.nq, 3))
-        self._target = target
+        np.exp(self.s, out=self.s)
         self.lib.fit_backward(self._ref)
         return self.grads
 
 
 class Library:
-    """ctypes binding of the compiled kernels. Arrays go in as raw pointers,
-    each checked first for dtype, contiguity and shape; a grid's arrays are
-    checked once, at its first traversal. The functions keep no state and
+    """ctypes binding of the compiled kernels the package calls. Arrays go
+    in as raw pointers, each checked first for dtype, contiguity and shape;
+    a grid's arrays are checked once, at its first traversal. The functions keep no state and
     ctypes releases the GIL around them, so threads run them in parallel."""
 
     def __init__(self, lib):
         ptr, n, f64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
         self.lib = lib
         self._grids = weakref.WeakKeyDictionary()    # grid -> _grid_operands(grid)
-        lib.fit_scores.argtypes = [ptr] * 4 + [n, n]
-        lib.fit_scores.restype = None
-        lib.fit_grads.argtypes = [ptr] * 8 + [n, n]
-        lib.fit_grads.restype = None
         lib.fit_work.argtypes = [n, n]
         lib.fit_work.restype = n
         for step in (lib.fit_forward, lib.fit_backward):
@@ -175,31 +161,6 @@ class Library:
         lib.attend_b_grad.restype = None
         lib.cell_blocked.argtypes = [ptr] * 4 + [f64, ptr, ptr, n] + [f64] * 3 + [ptr, n, ptr]
         lib.cell_blocked.restype = n
-
-    def fit_scores(self, A, B, Z, out) -> np.ndarray:
-        """The (q, keys) scores sum_h relu(A[m] + B[q])_h Z[q, h] of float32
-        A, B and Z, summed in float32 and written widened into the float64
-        array out, which is returned."""
-        q, m = len(B), len(A)
-        f32 = np.float32
-        At = np.ascontiguousarray(A.T)
-        self.lib.fit_scores(_address(At, f32, (HIDDEN, m)), _address(B, f32, (q, HIDDEN)),
-                            _address(Z, f32, (q, HIDDEN)), _address(out, np.float64, (q, m)),
-                            q, m)
-        return out
-
-    def fit_grads(self, A, B, Z, g, scratch):
-        """(gA, gB, gZ), float64, for the float64 logit gradients g (q,
-        keys), which the kernel flushes and rounds to float32; scratch is a
-        float32 array of A's shape that gA sums in."""
-        q, m = len(B), len(A)
-        f32 = np.float32
-        args = (_address(A, f32, (m, HIDDEN)), _address(B, f32, (q, HIDDEN)),
-                _address(Z, f32, (q, HIDDEN)), _address(g, np.float64, (q, m)),
-                _address(scratch, f32, (m, HIDDEN)))
-        gA, gB, gZ = np.empty((m, HIDDEN)), np.empty((q, HIDDEN)), np.empty((q, HIDDEN))
-        self.lib.fit_grads(*args, gA.ctypes.data, gB.ctypes.data, gZ.ctypes.data, q, m)
-        return gA, gB, gZ
 
     def fit_step(self, weights, basis, V, dV, sup, rows: int) -> FitStep:
         """A fit step (FitStep) of batches of rows training rows against the

@@ -420,10 +420,9 @@ def load_scene(path, mode: str = VOLUMETRIC3D) -> TargetScene:
     return _scene_from_arrays(np.asarray(points, dtype=np.float64), normals, mode)
 
 
-def voxelize(scene: TargetScene, resolution: Optional[float] = None,
-             cell_cap: int = DEFAULT_VOXEL_CAP) -> VoxelGrid:
+def voxelize(scene: TargetScene, resolution: Optional[float] = None) -> VoxelGrid:
     """Bin scene points into a grid anchored at the bounds minimum, counting
-    the cells against cell_cap in exact integers.
+    the cells against DEFAULT_VOXEL_CAP in exact integers.
 
     Points are grouped by one flat cell key (`np.unique`): voxel rows follow
     each cell's first point, members are in point order. Voxel normal is the
@@ -433,6 +432,7 @@ def voxelize(scene: TargetScene, resolution: Optional[float] = None,
         resolution = scene.default_resolution()
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
+    cell_cap = DEFAULT_VOXEL_CAP
     bmin = scene.bounds[0]
     extent = scene.bounds[1] - bmin
     # Python ints never wrap; an axis over the cap counts as cap + 1 (no ceil of inf)

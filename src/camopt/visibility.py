@@ -105,19 +105,19 @@ class CameraPose:
         return self.rotation()[:, 2]
 
 
-def pose_from_forward(position, forward, up_hint=(0.0, 0.0, 1.0)) -> CameraPose:
-    """Build a pose at position looking along forward, roll fixed by up_hint."""
+def pose_from_forward(position, forward) -> CameraPose:
+    """Build a pose at position looking along forward, its right axis
+    horizontal (+z x forward), or along +x x forward when forward is
+    vertical."""
     f = np.asarray(forward, dtype=np.float64)
     nf = _norm(f)
     if nf < 1e-12:
         raise ValueError("forward direction is zero")
     f = f / nf
-    up = np.asarray(up_hint, dtype=np.float64)
-    right = _cross(up, f)
+    right = _cross(np.array([0.0, 0.0, 1.0]), f)
     nr = _norm(right)
-    if nr < 1e-9:  # forward parallel to the hint
-        alt = np.array([1.0, 0.0, 0.0]) if abs(f[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        right = _cross(alt, f)
+    if nr < 1e-9:  # forward along z
+        right = _cross(np.array([1.0, 0.0, 0.0]), f)
         nr = _norm(right)
     right = right / nr
     true_up = _cross(f, right)

@@ -1,5 +1,6 @@
 """The field's fit step in numpy: the oracle the tests compare the compiled
-step (`native.FitStep`, behind `field._fit_gradients`) with.
+step (a call of the `native.FitStep` that `field.lean_neof` makes per fit)
+with.
 
 It computes the same gradients as the compiled step, the float32 slab
 passes and the float64 rest, but sums in numpy's and the BLAS kernel's

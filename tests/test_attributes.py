@@ -205,7 +205,7 @@ class TestShapeAnalyze:
                          normals=np.array([[0.0, 0.0, 1.0]]),
                          members=(np.array([0]),), keys=np.zeros((1, 3), dtype=np.int64),
                          origin=np.array([-0.1, -0.1, -0.1]))
-        pose = pose_from_forward([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], up_hint=(0, 1, 0))
+        pose = pose_from_forward([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
         intr = CameraIntrinsics(np.pi / 2, np.pi / 2, 0.1, 5.0)
         rig = CameraRig(poses=(pose,), intrinsics=intr)
         _, attrs = shape_analyze(rig, grid, 3)

@@ -353,12 +353,16 @@ class TestExitCodes:
         assert "failed" in capsys.readouterr().err
 
     def test_missing_compiler_exits_3_with_the_build_error(self, tmp_path, capsys, no_compiler):
-        cfg = write_config(tmp_path / "c.json")
+        # one build attempt and one message before any cell, and no file
+        cfg = write_config(tmp_path / "c.json", seeds=[0, 1])
         assert main(["optimize", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
-        assert "cell k=3 seed=0 failed" in err
-        assert "camopt needs a C compiler to build its kernels, and there is no `cc` on PATH" \
-            in err
+        message = "camopt needs a C compiler to build its kernels, and there is no `cc` on PATH"
+        assert err.count(message) == 1
+        assert f"error: {message}" in err
+        assert "cell k=" not in err
+        assert not (tmp_path / "out").exists()
+        assert no_compiler == [1]
 
     def assert_rejected_before_any_cell(self, tmp_path, capsys, optimizer, optimizer_config):
         cfg = write_config(tmp_path / "c.json", optimizer=optimizer,

@@ -1,6 +1,7 @@
 """Field tests: attention identities, a dense unfolded reference forward,
 training behaviour, pose gradients of the placement loss."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -28,7 +29,6 @@ from camopt.field import (
     PlacementLoss,
     _encode,
     _FitBatch,
-    _fit_gradients,
     _fit_workspace,
     _strided,
     capture_visible,
@@ -261,7 +261,7 @@ def fit_batch(field, idx):
 
 
 def fused_fit_grads(field, idx):
-    grads = _fit_gradients(field, fit_batch(field, idx), _fit_workspace(field, len(idx)))
+    grads = _fit_workspace(field, len(idx))(*fit_batch(field, idx))
     return [g.copy() for g in grads]
 
 
@@ -493,8 +493,48 @@ def reference_slab(A, B, Z, g):
             (g[:, :, None] * relu).sum(axis=1))
 
 
+def slab_passes(kernel):
+    """The CDLL of kernel (a native.Library) with its slab passes, fit_scores
+    and fit_grads, bound: the library exports them, and the package runs
+    them only inside the fit step."""
+    lib, ptr, n = kernel.lib, ctypes.c_void_p, ctypes.c_long
+    lib.fit_scores.argtypes = [ptr] * 4 + [n, n]
+    lib.fit_scores.restype = None
+    lib.fit_grads.argtypes = [ptr] * 8 + [n, n]
+    lib.fit_grads.restype = None
+    return lib
+
+
+def fit_scores(kernel, A, B, Z, out):
+    """The (q, keys) scores sum_h relu(A[m] + B[q])_h Z[q, h] of float32 A,
+    B and Z, summed in float32 by the kernel's fit_scores and written
+    widened into the float64 array out, which is returned."""
+    q, m = len(B), len(A)
+    f32, h = np.float32, native.HIDDEN
+    At = np.ascontiguousarray(A.T)
+    slab_passes(kernel).fit_scores(native._address(At, f32, (h, m)),
+                                   native._address(B, f32, (q, h)),
+                                   native._address(Z, f32, (q, h)),
+                                   native._address(out, np.float64, (q, m)), q, m)
+    return out
+
+
+def fit_grads(kernel, A, B, Z, g, scratch):
+    """(gA, gB, gZ), float64, of the kernel's fit_grads for the float64 logit
+    gradients g (q, keys), which it flushes and rounds to float32; scratch
+    is a float32 array of A's shape that gA sums in."""
+    q, m = len(B), len(A)
+    f32, h = np.float32, native.HIDDEN
+    args = (native._address(A, f32, (m, h)), native._address(B, f32, (q, h)),
+            native._address(Z, f32, (q, h)), native._address(g, np.float64, (q, m)),
+            native._address(scratch, f32, (m, h)))
+    gA, gB, gZ = np.empty((m, h)), np.empty((q, h)), np.empty((q, h))
+    slab_passes(kernel).fit_grads(*args, gA.ctypes.data, gB.ctypes.data, gZ.ctypes.data, q, m)
+    return gA, gB, gZ
+
+
 def kernel_scores(kernel, A, B, Z):
-    return kernel.fit_scores(A, B, Z, np.empty((len(B), len(A))))
+    return fit_scores(kernel, A, B, Z, np.empty((len(B), len(A))))
 
 
 def slab_operands(keys, queries, seed, margin):
@@ -516,7 +556,7 @@ def slab_operands(keys, queries, seed, margin):
 
 def kernel_slab(kernel, A, B, Z, g):
     """The kernel's scores and (gA, gB, gZ), all float64."""
-    return (kernel_scores(kernel, A, B, Z),) + kernel.fit_grads(A, B, Z, g, np.empty_like(A))
+    return (kernel_scores(kernel, A, B, Z),) + fit_grads(kernel, A, B, Z, g, np.empty_like(A))
 
 
 def best_of_5(step):
@@ -566,7 +606,7 @@ class TestFitKernel:
         # the +-1e-30 the rule keeps reach every sum
         assert all(np.any(x != 0.0) for x in want)
         for build in (kernel, kernel_O0):
-            for x, y in zip(build.fit_grads(A, B, Z, g, np.empty_like(A)), want):
+            for x, y in zip(fit_grads(build, A, B, Z, g, np.empty_like(A)), want):
                 np.testing.assert_array_equal(x, y)
 
     def test_rejects_operands_of_mismatched_shape(self):
@@ -574,21 +614,21 @@ class TestFitKernel:
         A, B, Z, g = slab_operands(40, 9, 0, 0.05)
         scores, scratch = np.empty((9, 40)), np.empty_like(A)
         with pytest.raises(ValueError):
-            kernel.fit_scores(A, B[:5], Z, scores)
+            fit_scores(kernel, A, B[:5], Z, scores)
         with pytest.raises(ValueError):
-            kernel.fit_grads(A, B, Z, g[:, :-1], scratch)
+            fit_grads(kernel, A, B, Z, g[:, :-1], scratch)
         with pytest.raises(ValueError):
-            kernel.fit_grads(A, B, Z, g, scratch[:-1])
+            fit_grads(kernel, A, B, Z, g, scratch[:-1])
         # the operands go in as raw pointers, so a wrong dtype or layout is
         # refused as well
         with pytest.raises(ValueError):
-            kernel.fit_scores(A, B.astype(np.float64), Z, scores)
+            fit_scores(kernel, A, B.astype(np.float64), Z, scores)
         with pytest.raises(ValueError):
-            kernel.fit_scores(A, B, Z, np.empty((9, 40), dtype=np.float32))
+            fit_scores(kernel, A, B, Z, np.empty((9, 40), dtype=np.float32))
         with pytest.raises(ValueError):
-            kernel.fit_grads(A, np.asfortranarray(B), Z, g, scratch)
+            fit_grads(kernel, A, np.asfortranarray(B), Z, g, scratch)
         with pytest.raises(ValueError):
-            kernel.fit_grads(A, B, Z, g.astype(np.float32), scratch)
+            fit_grads(kernel, A, B, Z, g.astype(np.float32), scratch)
 
     def test_kernel_is_faster_than_the_numpy_step(self):
         # a build the compiler leaves scalar is slower than the numpy oracle
@@ -601,7 +641,7 @@ class TestFitKernel:
         batch = fit_batch(field, next(train_batches(field, 1)))
         assert len(field.key_idx) == 256 and len(batch.target) == TRAIN_BATCH
         work = _fit_workspace(field, TRAIN_BATCH)
-        kernel_s = best_of_5(lambda: _fit_gradients(field, batch, work))
+        kernel_s = best_of_5(lambda: work(*batch))
         numpy_s = best_of_5(lambda: numpy_fit.fit_gradients(field, batch))
         assert kernel_s < numpy_s, f"kernel {kernel_s * 1e3:.2f} ms, numpy {numpy_s * 1e3:.2f} ms"
 
@@ -668,7 +708,7 @@ class TestFitKernel:
 
 
 # ---------------------------------------------------------------------------
-# the compiled fit step: fit_forward, numpy's exp, fit_backward
+# the compiled fit step: one FitStep call runs fit_forward, numpy's exp, fit_backward
 # ---------------------------------------------------------------------------
 
 def ordered_matmul(x, y):
@@ -686,12 +726,12 @@ def column_sums(x):
 
 
 def reference_fit_step(weights, basis, V, dV, sup, batch):
-    """The compiled fit step in numpy: (s, g, grads, clamped), the scores
-    less each row's maximum that fit_forward writes, and the logit
-    gradients and the six weight gradients of fit_backward, every float64
-    sum in the kernels' order (ordered_matmul; a row's sums over its keys in
-    key order) and the float32 slab passes as reference_slab sums them; and
-    the mask of the outputs the clamp holds."""
+    """The compiled fit step in numpy: (g, grads, clamped), the logit
+    gradients the step leaves in s and the six weight gradients it returns,
+    every float64 sum in the kernels' order (ordered_matmul; a row's sums
+    over its keys in key order) and the float32 slab passes as
+    reference_slab sums them; and the mask of the outputs the clamp
+    holds."""
     W1, b1, W2, b2, WQ, WK = weights
     pos, nrm, target = batch
     f32 = np.float32
@@ -734,7 +774,7 @@ def reference_fit_step(weights, basis, V, dV, sup, batch):
     grads = (g_W1, column_sums(gA) + column_sums(g_pre),
              ordered_matmul(h.T, g_enc) + ordered_matmul(g_fold, WK.T), column_sums(g_enc),
              ordered_matmul(enc.T, g_qrow), ordered_matmul(W2.T, g_fold))
-    return s, g, grads, clamped
+    return g, grads, clamped
 
 
 def fit_step_case(kind, queries=TRAIN_BATCH, seed=0, margin=0.05, sharpen=1.0):
@@ -754,18 +794,17 @@ def fit_step_case(kind, queries=TRAIN_BATCH, seed=0, margin=0.05, sharpen=1.0):
     return field, fit_batch(field, idx)
 
 
-def compiled_fit_step(kernel, field, batch):
-    """(s, g, grads) of one step of the kernel's FitStep: the scores
-    forward writes, and the logit gradients backward leaves in s and the
-    weight gradients it returns."""
+def compiled_fit_step(kernel, field, batch, dV=None):
+    """(g, grads) of one call of the kernel's FitStep: the logit gradients
+    it leaves in s and the weight gradients it returns. dV defaults to the
+    one lean_neof gives a step of the batch's rows."""
     rows = len(batch.target)
-    dV = np.ascontiguousarray(field.key_values.T * (2.0 / (rows * 3)))
+    if dV is None:
+        dV = np.ascontiguousarray(field.key_values.T * (2.0 / (rows * 3)))
     step = kernel.fit_step(field.params(), field.key_basis, field.key_values, dV, field.sup,
                            rows)
-    s = step.forward(batch.positions, batch.normals).copy()
-    np.exp(step.s, out=step.s)
-    grads = [g.copy() for g in step.backward(batch.target)]
-    return s, step.s.copy(), grads
+    grads = [g.copy() for g in step(*batch)]
+    return step.s.copy(), grads
 
 
 def check_fit_step(kernel_O0, field, batch):
@@ -773,18 +812,17 @@ def check_fit_step(kernel_O0, field, batch):
     reference's bit for bit, and is the step lean_neof takes. Returns the
     reference's logit gradients and clamp mask."""
     rows = len(batch.target)
-    want_s, want_g, want, clamped = reference_fit_step(
+    want_g, want, clamped = reference_fit_step(
         field.params(), field.key_basis, field.key_values,
         field.key_values.T * (2.0 / (rows * 3)), field.sup, batch)
     for build in (native.load(), kernel_O0):
-        s, g, grads = compiled_fit_step(build, field, batch)
-        np.testing.assert_array_equal(s, want_s)
+        g, grads = compiled_fit_step(build, field, batch)
         np.testing.assert_array_equal(g, want_g)
         for got, expected in zip(grads, want, strict=True):
             np.testing.assert_array_equal(got, expected)
     step = _fit_workspace(field, rows)
     assert isinstance(step, native.FitStep)
-    for got, expected in zip(_fit_gradients(field, batch, step), want, strict=True):
+    for got, expected in zip(step(*batch), want, strict=True):
         np.testing.assert_array_equal(got, expected)
     return want_g, clamped
 
@@ -811,12 +849,15 @@ class TestFitStepKernel:
             self, kernel_O0, keys, queries, seed, margin, sharpen):
         check_fit_step(kernel_O0, *fit_step_case(keys, queries, seed, margin, sharpen))
 
-    def test_forward_rows_do_not_depend_on_the_other_rows(self):
+    def test_step_rows_do_not_depend_on_the_other_rows(self):
+        # with one dV for both steps, a row's scores and logit gradients are
+        # its own row's alone, whichever block of rows it falls in
         kernel = native.load()
         field, batch = fit_step_case(256, queries=40, seed=2)
+        dV = np.ascontiguousarray(field.key_values.T * (2.0 / (40 * 3)))
         first = _FitBatch(*(x[:11].copy() for x in batch))
-        np.testing.assert_array_equal(compiled_fit_step(kernel, field, first)[0],
-                                      compiled_fit_step(kernel, field, batch)[0][:11])
+        np.testing.assert_array_equal(compiled_fit_step(kernel, field, first, dV)[0],
+                                      compiled_fit_step(kernel, field, batch, dV)[0][:11])
 
     def test_rejects_operands_of_wrong_dtype_shape_or_order(self):
         kernel = native.load()
@@ -839,12 +880,11 @@ class TestFitStepKernel:
         for bad_pos, bad_nrm in ((pos[:5], nrm), (pos, nrm.astype(np.float32)),
                                  (np.asfortranarray(pos), nrm), (pos, nrm.T.copy().T)):
             with pytest.raises(ValueError):
-                step.forward(bad_pos, bad_nrm)
-        step.forward(pos, nrm)
+                step(bad_pos, bad_nrm, target)
         for bad_target in (target[:, :2].copy(), target.astype(np.float32),
                            np.asfortranarray(target)):
             with pytest.raises(ValueError):
-                step.backward(bad_target)
+                step(pos, nrm, bad_target)
 
 
 class TestNativeSource:
@@ -988,9 +1028,10 @@ class TestAttendKernel:
 
 def largest_rise_per_fit_step(run):
     """Call run() under tracemalloc with a tracer on camopt's Python lines
-    and return, for each _fit_gradients call in turn, the largest rise of
-    traced memory over the memory held when a line started, with that line.
-    A block allocated while a line runs raises it by at least its size. The
+    and return, for each fit step (a native.FitStep call) in turn, the
+    largest rise of traced memory over the memory held when a line started,
+    with that line. A block allocated while a line runs raises it by at
+    least its size. The
     tracer itself makes no string: a new interned one can resize Python's
     table of them, which tracemalloc counts as a fresh block of its size."""
     camopt_dir = str(Path(field_module.__file__).parent)
@@ -1010,7 +1051,7 @@ def largest_rise_per_fit_step(run):
         return local
 
     def on_call(frame, event, arg):
-        if frame.f_code is _fit_gradients.__code__:
+        if frame.f_code is native.FitStep.__call__.__code__:
             steps.append((0, None))
         if frame.f_code.co_filename.startswith(camopt_dir):
             next_line(frame)

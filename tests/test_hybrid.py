@@ -320,18 +320,40 @@ class TestGradPhase:
 
 
 class TestNonGradPhase:
-    def test_no_candidates_leaves_rig_unchanged(self):
-        # every camera gets an identical view -> no contribution spread,
-        # nothing qualifies for relocation
+    @staticmethod
+    def identical_views():
+        """A rig whose cameras all get one view: no contribution spread, so
+        no camera qualifies for relocation."""
         scene = circle_scene()
         grid = voxelize(scene, None)
         base = pose_from_forward(np.array([3.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
         rig = CameraRig((base, base, base), default_intrinsics(scene.diagonal))
-        field, attrs = trained_field(rig, grid)
+        return (rig, *trained_field(rig, grid), grid)
+
+    def test_no_candidates_leaves_rig_unchanged(self):
+        rig, field, attrs, grid = self.identical_views()
         rig2, commits, _, _ = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
                                              phase_converged=True)
         assert commits == []
         assert rig2 is rig
+
+    def test_no_candidates_seeks_no_region_and_no_candidate_pose(self, monkeypatch):
+        rig, field, attrs, grid = self.identical_views()
+        calls = []
+
+        def counting(name):
+            real = getattr(hybrid, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("worst_regions", "_candidate_visible"):
+            monkeypatch.setattr(hybrid, name, counting(name))
+        _, commits, _, _ = non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
+                                          phase_converged=True)
+        assert commits == [] and calls == []
 
     def test_empty_camera_relocated_to_uncovered_cluster(self):
         scene = circle_scene()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camopt import cloudio
+from camopt import scene as scene_mod
 from camopt.attributes import ObservationAttributes
 from camopt.field import CapturedCamera, PlacementLoss
 from camopt.hybrid import IterationRecord
@@ -180,11 +181,12 @@ class TestVoxelize:
         # cell center x = 0.2 + 0.5*1.0 = 0.7, nearer to the second point
         assert np.allclose(grid.normals[0], nrm[1])
 
-    def test_cell_cap(self):
+    def test_cell_cap(self, monkeypatch):
         pts = unit_sphere_cloud(50, seed=1)
         scene = TargetScene(pts, pts.copy(), VOLUMETRIC3D, np.stack([pts.min(0), pts.max(0)]))
+        monkeypatch.setattr(scene_mod, "DEFAULT_VOXEL_CAP", 1000)
         with pytest.raises(ValueError):
-            voxelize(scene, resolution=1e-3, cell_cap=1000)
+            voxelize(scene, resolution=1e-3)
 
     @pytest.mark.parametrize("resolution", [2.0 ** -21, 1e-30, 5e-324])
     def test_cell_cap_counts_in_exact_integers(self, resolution):
@@ -196,12 +198,14 @@ class TestVoxelize:
         with pytest.raises(ValueError, match="cap"):
             voxelize(scene, resolution=resolution)
 
-    def test_cell_cap_is_inclusive(self):
+    def test_cell_cap_is_inclusive(self, monkeypatch):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         scene = TargetScene(pts, np.tile([0.0, 0.0, 1.0], (2, 1)), VOLUMETRIC3D, pts)
-        assert len(voxelize(scene, resolution=0.1, cell_cap=1000)) == 2
+        monkeypatch.setattr(scene_mod, "DEFAULT_VOXEL_CAP", 1000)
+        assert len(voxelize(scene, resolution=0.1)) == 2
+        monkeypatch.setattr(scene_mod, "DEFAULT_VOXEL_CAP", 999)
         with pytest.raises(ValueError, match="cap"):
-            voxelize(scene, resolution=0.1, cell_cap=999)
+            voxelize(scene, resolution=0.1)
 
     def test_planar_voxel_centers_stay_on_plane(self):
         scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 200, seed=0))
@@ -222,7 +226,9 @@ class TestVoxelize:
         nrm[np.linalg.norm(nrm, axis=1) < 1e-6] = (1.0, 0.0, 0.0)
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         scene = TargetScene(pts, nrm, VOLUMETRIC3D, np.stack([pts.min(0), pts.max(0)]))
-        grid = voxelize(scene, resolution=res, cell_cap=2**26)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scene_mod, "DEFAULT_VOXEL_CAP", 2**26)
+            grid = voxelize(scene, resolution=res)
         total = sum(len(m) for m in grid.members)
         assert total == n
         seen = np.concatenate([np.asarray(m) for m in grid.members])
@@ -340,7 +346,7 @@ class TestCloudIO:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
         pts, nrm, faces = cloudio.read_obj(path)
         assert len(pts) == 3 and faces == [(0, 1, 2)]
-        sampled, snrm = cloudio.sample_faces(pts, faces, 200, seed=0)
+        sampled, snrm = cloudio.sample_faces(pts, faces, 200)
         assert sampled.shape == (200, 3)
         assert np.allclose(sampled[:, 2], 0.0)
         assert np.all(sampled[:, 0] >= -1e-12) and np.all(sampled[:, 1] >= -1e-12)

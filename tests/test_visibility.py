@@ -84,12 +84,11 @@ def np_cross_rotation_from_six(params):
     return np.stack([c1, c2, np.cross(c1, c2)], axis=1)
 
 
-def np_cross_rot6_from_forward(forward, up_hint=(0.0, 0.0, 1.0)):
+def np_cross_rot6_from_forward(forward):
     """The rot6 pose_from_forward builds, with np.cross for every product."""
     f = np.asarray(forward, dtype=np.float64)
     f = f / np.linalg.norm(f)
-    up = np.asarray(up_hint, dtype=np.float64)
-    right = np.cross(up, f)
+    right = np.cross([0.0, 0.0, 1.0], f)
     if np.linalg.norm(right) < 1e-9:
         alt = np.array([1.0, 0.0, 0.0]) if abs(f[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
         right = np.cross(alt, f)
@@ -167,19 +166,16 @@ class TestRotation:
         for params in six:
             np.testing.assert_array_equal(rotation_from_six(params),
                                           np_cross_rotation_from_six(params))
-        hints = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -0.2, 0.9)]
         forwards = list(rng.normal(size=(300, 3))) + [
-            # parallel to a hint: both fallback axes are taken
+            # along z the fallback axis is taken
             np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -3.0]),
             np.array([1e-12, 0.0, 1.0]), np.array([2.0, 0.0, 0.0]),
             np.array([-1.0, 1e-13, 0.0]), np.array([0.3, -0.2, 0.9]),
             np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])]
         for fwd in forwards:
-            for hint in hints:
-                pose = pose_from_forward(rng.normal(size=3), fwd, hint)
-                np.testing.assert_array_equal(pose.rot6, np_cross_rot6_from_forward(fwd, hint))
-                np.testing.assert_array_equal(pose.rotation(),
-                                              np_cross_rotation_from_six(pose.rot6))
+            pose = pose_from_forward(rng.normal(size=3), fwd)
+            np.testing.assert_array_equal(pose.rot6, np_cross_rot6_from_forward(fwd))
+            np.testing.assert_array_equal(pose.rotation(), np_cross_rotation_from_six(pose.rot6))
 
     def test_pose_from_forward(self):
         pose = pose_from_forward([1.0, 2.0, 0.0], [0.0, -1.0, 0.0])
