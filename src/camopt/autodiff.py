@@ -21,7 +21,7 @@ serves the gradient checks and the tests' float64 references of those
 passes, and the numpy attention-logit helpers ``scores_forward`` and
 ``scores_b_grad`` over ``score_blocks``, which ``pairwise_scores`` wraps,
 serve the tape. The run path uses only ``AdamState`` and ``adam_step``,
-one update of a list of parameter arrays from a list of gradients.
+one update of one flat parameter vector from one gradient of its shape.
 """
 
 from __future__ import annotations
@@ -523,12 +523,10 @@ def pairwise_scores(a: Tensor, b: Tensor, z: Tensor) -> Tensor:
 
 
 class AdamState:
-    """Adam moments plus a stepped learning-rate decay schedule.
-
-    The state is positionally tied to the list of parameter arrays it was
-    built from. The moments of all parameters live in two flat buffers, so
-    one step updates them all at once; m[i] and v[i] are views of parameter
-    i's part. Learning rate at step t (1-based) is
+    """Adam moments of `size` float64 parameters, plus a stepped
+    learning-rate decay schedule. m and v are flat, an element per parameter
+    in the parameters' order, so a caller forgets some parameters by zeroing
+    their span of both. Learning rate at step t (1-based) is
     lr0 * decay ** ((t - 1) // decay_every).
     """
 
@@ -536,51 +534,34 @@ class AdamState:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        lr: float = 1e-3,
-        decay: float = 0.95,
-        decay_every: int = 50,
-    ):
+    def __init__(self, size: int, lr: float = 1e-3, decay: float = 0.95, decay_every: int = 50):
         self.lr0 = lr
         self.decay = decay
         self.decay_every = decay_every
         self.step_count = 0
-        ends = np.cumsum([p.size for p in params]).tolist()
-        self.slots = list(zip([0] + ends[:-1], ends))
-        self.flat_m = np.zeros(ends[-1] if ends else 0)
-        self.flat_v = np.zeros_like(self.flat_m)
-        self.m = [self.flat_m[a:b].reshape(p.shape) for p, (a, b) in zip(params, self.slots)]
-        self.v = [self.flat_v[a:b].reshape(p.shape) for p, (a, b) in zip(params, self.slots)]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def current_lr(self) -> float:
         return self.lr0 * self.decay ** (self.step_count // self.decay_every)
 
-    def reset_slot(self, i: int) -> None:
-        """Forget moments for one parameter (used when a pose is resampled)."""
-        self.m[i][...] = 0.0
-        self.v[i][...] = 0.0
 
-
-def adam_step(params: list[np.ndarray], grads, state: AdamState) -> None:
-    """One in-place Adam update of every parameter array at once, grads[i]
-    being the gradient of params[i], over the flat moment buffers; each
-    element follows the same expressions as a per-parameter update."""
-    if len(grads) != len(params) or any(np.shape(g) != p.shape for p, g in zip(params, grads)):
-        raise ValueError("need one gradient of its parameter's shape per parameter")
+def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """One in-place Adam update of the parameters theta, an array of
+    state's size in any shape, from their gradient g of theta's shape; the
+    moments follow theta's elements in C order."""
+    if np.size(theta) != state.m.size or np.shape(g) != np.shape(theta):
+        raise ValueError(f"need {state.m.size} parameters and a gradient of their shape")
     lr = state.current_lr()
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    g = np.concatenate([np.ravel(g) for g in grads])
-    m, v = state.flat_m, state.flat_v
+    g = np.ravel(g)
+    m, v = state.m, state.v
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * (g * g)
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    update = lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    for p, (a, b) in zip(params, state.slots):
-        p -= update[a:b].reshape(p.shape)
+    theta -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).reshape(theta.shape)

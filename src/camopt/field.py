@@ -24,8 +24,9 @@ runs the forward; the placement loss (placement_loss_grads) runs it at
 captured points that move with the poses and takes the gradients of the
 poses in closed form back through B, the points and each camera's
 Gram-Schmidt frame (a gradient phase encodes its frozen captures once,
-encode_captures); and the weight fit (`lean_neof`) takes the gradients of
-the six weights from one call of the fit's compiled step and hands them to
+encode_captures); and the weight fit (`lean_neof`) takes the gradient of
+the weight vector theta, which holds the six weights one after the other,
+from one call of the fit's compiled step and hands it to
 autodiff.adam_step.
 
 The heavy parts run in the compiled library (camopt.native), which the
@@ -93,7 +94,9 @@ class FieldQueryBatch:
 
 
 class ObservationField:
-    """Encoder + attention weights plus the attributed-voxel snapshot."""
+    """Encoder + attention weights plus the attributed-voxel snapshot. The
+    weights are one float64 vector, theta, which Adam updates in place;
+    W1, b1, W2, b2, WQ and WK are views of it (native.weight_views)."""
 
     def __init__(self, seed: int = 0):
         # WQ/WK start small so initial attention is near-uniform: a large
@@ -101,13 +104,12 @@ class ObservationField:
         # training cannot unlearn at the fixed learning rate. Positive b1
         # keeps most ReLU units live from step one.
         rng = np.random.default_rng(seed)
-        self.W1 = rng.normal(0.0, np.sqrt(2.0 / 6.0), size=(6, HIDDEN))
-        self.b1 = np.full(HIDDEN, 0.5)
-        self.W2 = rng.normal(0.0, np.sqrt(2.0 / HIDDEN), size=(HIDDEN, HIDDEN))
-        self.b2 = np.zeros(HIDDEN)
-        self.WQ = rng.normal(0.0, 0.05, size=(HIDDEN, D_K))
-        self.WK = rng.normal(0.0, 0.05, size=(HIDDEN, D_K))
-        self.adam = ad.AdamState(self.params())
+        self.theta = np.concatenate([
+            rng.normal(0.0, np.sqrt(2.0 / 6.0), size=6 * HIDDEN), np.full(HIDDEN, 0.5),
+            rng.normal(0.0, np.sqrt(2.0 / HIDDEN), size=HIDDEN * HIDDEN), np.zeros(HIDDEN),
+            rng.normal(0.0, 0.05, size=HIDDEN * D_K), rng.normal(0.0, 0.05, size=HIDDEN * D_K)])
+        self.W1, self.b1, self.W2, self.b2, self.WQ, self.WK = native.weight_views(self.theta)
+        self.adam = ad.AdamState(self.theta.size)
         self.centers = None
         self.normals = None
         self.values = None
@@ -117,10 +119,6 @@ class ObservationField:
         self.K = None
         self.sup = None
         self.trained = False
-
-    def params(self):
-        """The weight arrays, in the order of their gradients and Adam slots."""
-        return [self.W1, self.b1, self.W2, self.b2, self.WQ, self.WK]
 
     @property
     def voxel_count(self) -> int:
@@ -158,12 +156,12 @@ def _encode(field: ObservationField, normals: np.ndarray) -> _Encoding:
     """Encode the key basis and the query normals with the current weights,
     in numpy: the weights are constants to every caller. q_in holds a zero
     offset and the query normal, folded = (W2 @ WK) / sqrt(dk)."""
-    W1, b1, W2, b2, WQ, WK = field.params()
+    W1, b1, W2 = field.W1, field.b1, field.W2
     q_in = np.concatenate([np.zeros_like(normals), normals], axis=1)
     pre = q_in @ W1 + b1
     h = np.where(pre > 0, pre, 0.0)
-    qrow = (h @ W2 + b2) @ WQ
-    folded = (W2 @ WK) * _INV_SQRT_DK
+    qrow = (h @ W2 + field.b2) @ field.WQ
+    folded = (W2 @ field.WK) * _INV_SQRT_DK
     return _Encoding(field.key_basis @ W1 + b1, qrow @ folded.T)
 
 
@@ -226,7 +224,7 @@ def _fit_workspace(field: ObservationField, rows: int) -> native.FitStep:
     training rows, with its workspace."""
     V = field.key_values
     dV = V.T * (2.0 / (rows * V.shape[1]))    # d mean(err ** 2) / d err = 2 err / size
-    return native.load().fit_step(field.params(), field.key_basis, V, np.ascontiguousarray(dV),
+    return native.load().fit_step(field.theta, field.key_basis, V, np.ascontiguousarray(dV),
                                   field.sup, rows)
 
 
@@ -239,12 +237,12 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
     for the smaller budget. Budget 0 only swaps in the new snapshot.
 
     Each step is one call of the fit's native.FitStep on a batch of
-    snapshot rows, which returns the gradients of the six weights of the
-    mean squared error of the field's outputs at the rows against their
-    attributes, and one autodiff.adam_step. The slab passes run in float32,
-    so the gradients match the float64 tape of the same loss to about 1e-6
-    relative; a rare relu or clamp decision at a float32 rounding boundary
-    moves one by up to about 1e-3.
+    snapshot rows, which returns the gradient of the weight vector theta of
+    the mean squared error of the field's outputs at the rows against their
+    attributes, and one autodiff.adam_step of theta. The slab passes run in
+    float32, so the gradients match the float64 tape of the same loss to
+    about 1e-6 relative; a rare relu or clamp decision at a float32 rounding
+    boundary moves one by up to about 1e-3.
     """
     if field is None:
         field = ObservationField(seed=seed)
@@ -265,7 +263,7 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
             idx = pool[(start + np.arange(rows)) % len(pool)]
             batches[start] = _FitBatch(field.centers[idx], field.normals[idx],
                                        field.values[idx])
-        ad.adam_step(field.params(), step(*batches[start]), field.adam)
+        ad.adam_step(field.theta, step(*batches[start]), field.adam)
     field.trained = True
     return field
 

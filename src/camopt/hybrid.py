@@ -173,35 +173,35 @@ class PoseOptimizer:
     descent would never quiesce enough for the step-update termination test.
 
     The rate starts at POSE_LR and is multiplied by POSE_LR_DECAY every
-    POSE_LR_DECAY_EVERY steps. Adam's parameters are the rows of `positions`
-    (k, 3) and `rot6` (k, 6), camera by camera, so slots 2i and 2i + 1 are
-    camera i's. `carry` holds the last gradients of a phase that stopped on
-    its loss tolerance, which no step spent: the next step adds them to its
+    POSE_LR_DECAY_EVERY steps. Adam's parameters are `theta` (k, 9), camera
+    by camera [position | rot6], so elements [9i, 9i + 9) of the moments
+    are camera i's; `positions` (k, 3) and `rot6` (k, 6) are its column
+    views. `carry` holds the last (k, 9) gradient of a phase that stopped on
+    its loss tolerance, which no step spent: the next step adds it to its
     own. Seeded rigs depend on this; dropping it changes them.
     """
 
     def __init__(self, rig: CameraRig):
-        self.positions = np.stack([p.position for p in rig.poses])
-        self.rot6 = np.stack([p.rot6 for p in rig.poses])
-        self.params = [row for pair in zip(self.positions, self.rot6) for row in pair]
-        self.adam = ad.AdamState(self.params, lr=POSE_LR, decay=POSE_LR_DECAY,
+        self.theta = np.array([np.concatenate([p.position, p.rot6]) for p in rig.poses])
+        self.positions, self.rot6 = self.theta[:, :3], self.theta[:, 3:]
+        self.adam = ad.AdamState(self.theta.size, lr=POSE_LR, decay=POSE_LR_DECAY,
                                  decay_every=POSE_LR_DECAY_EVERY)
         self.carry = None
 
     def sync_from(self, rig: CameraRig, reset_moments=()):
-        """Copy rig poses into the arrays; cameras whose pose was replaced
+        """Copy rig poses into theta; cameras whose pose was replaced
         outside the gradient flow get their Adam moments zeroed (the old
         moments described a basin the camera no longer occupies)."""
         for i, pose in enumerate(rig.poses):
             self.positions[i] = pose.position
             self.rot6[i] = pose.rot6
         for i in reset_moments:
-            self.adam.reset_slot(2 * i)
-            self.adam.reset_slot(2 * i + 1)
+            self.adam.m[9 * i:9 * i + 9] = 0.0
+            self.adam.v[9 * i:9 * i + 9] = 0.0
 
-    def step(self, g_pos: np.ndarray, g_rot: np.ndarray) -> None:
-        """One Adam step on every pose from (k, 3) and (k, 6) gradients."""
-        ad.adam_step(self.params, [g for pair in zip(g_pos, g_rot) for g in pair], self.adam)
+    def step(self, g: np.ndarray) -> None:
+        """One Adam step on every pose from the (k, 9) gradient of theta."""
+        ad.adam_step(self.theta, g, self.adam)
         self.carry = None
 
 
@@ -251,26 +251,24 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
             # reject the step that got us here; the rig the resampler placed
             # is often already at a proxy minimum and a blind Adam step off
             # it would trade away visibility for nothing
-            positions[...], rot6[...] = snapshot
+            opt.theta[...] = snapshot
             converged = True
             break
         L_last = L_here
         vec_last = loss.components
+        g = np.concatenate([g_pos, g_rot], axis=1)    # theta's (k, 9) layout
         if opt.carry is not None:
-            # the unspent gradients of the last tolerance stop (PoseOptimizer)
-            g_pos += opt.carry[0]
-            g_rot += opt.carry[1]
+            g += opt.carry    # the unspent gradient of the last tolerance stop (PoseOptimizer)
         if planar:
-            g_pos[:, 2] = 0.0
-            g_rot[:, 2:] = 0.0   # keep the right-axis in-plane and up pinned
-        grad_norms = np.array([np.sqrt(np.sum(gp ** 2) + np.sum(gr ** 2))
-                               for gp, gr in zip(g_pos, g_rot)])
+            g[:, 2] = 0.0
+            g[:, 5:] = 0.0   # keep the right-axis in-plane and up pinned
+        grad_norms = np.array([np.sqrt(np.sum(gc[:3] ** 2) + np.sum(gc[3:] ** 2)) for gc in g])
         if L_prev is not None and abs(L_here - L_prev) < config.eps_L:
-            opt.carry = (g_pos, g_rot)
+            opt.carry = g
             converged = True
             break
-        snapshot = (positions.copy(), rot6.copy())
-        opt.step(g_pos, g_rot)
+        snapshot = opt.theta.copy()
+        opt.step(g)
         steps += 1
         L_prev = L_here
 

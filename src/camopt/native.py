@@ -87,49 +87,57 @@ class _Fit(ctypes.Structure):
                 + [("grad", ctypes.c_void_p * 6), ("work", ctypes.c_void_p)])
 
 
-# the shapes of the six weights, in field.ObservationField.params() order
-_WEIGHT_SHAPES = ((6, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, D_K),
-                  (HIDDEN, D_K))
+# the shapes of the six weights, in the order of their spans of field.theta
+WEIGHT_SHAPES = ((6, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, D_K), (HIDDEN, D_K))
+_WEIGHT_ENDS = np.cumsum([np.prod(shape) for shape in WEIGHT_SHAPES]).tolist()
+
+
+def weight_views(flat: np.ndarray) -> tuple:
+    """The six weights W1, b1, W2, b2, WQ and WK as views of one vector of
+    their float64 elements, one after the other in WEIGHT_SHAPES order."""
+    return tuple(part.reshape(shape) for part, shape in
+                 zip(np.split(flat, _WEIGHT_ENDS[:-1]), WEIGHT_SHAPES, strict=True))
 
 
 class FitStep:
     """The compiled step of one fit over its own workspace. A call,
 
-        grads = step(positions, normals, target)
+        grad = step(positions, normals, target)
 
     runs fit_forward, which encodes the weights and writes the float32 slab
     scores of the batch rows (positions and normals (rows, 3)), each row
     less its maximum, into s (rows, keys); numpy's exp of s in place; and
     fit_backward, which runs the float64 row chain against target (rows, 3),
     leaving the logit gradients in s, the float32 slab gradients and the
-    float64 weight chain. It returns the six weight gradients of the batch's
-    mean squared error, float64 arrays of the workspace in params() order
-    that the next call overwrites. The kernels read the weights and the
-    keys' arrays in place, so the weights must be updated in place between
-    steps (autodiff.adam_step does). A step allocates nothing."""
+    float64 weight chain. It returns the gradient of the batch's mean
+    squared error with respect to the weight vector theta, a float64 array
+    of theta's shape in the workspace that the next call overwrites. The
+    kernels read theta and the keys' arrays in place, so theta must be
+    updated in place between steps (autodiff.adam_step does). A step
+    allocates nothing."""
 
-    def __init__(self, lib, weights, basis, V, dV, sup, rows: int):
+    def __init__(self, lib, theta, basis, V, dV, sup, rows: int):
         keys = len(basis)
         f64 = np.float64
+        _address(theta, f64, (_WEIGHT_ENDS[-1],))
         self.lib = lib
         self.s = np.empty((rows, keys))
-        self.grads = tuple(np.empty(shape) for shape in _WEIGHT_SHAPES)
+        self.grad = np.empty_like(theta)
         self._work = np.empty(lib.fit_work(rows, keys))
-        self._operands = (tuple(weights), basis, V, dV, sup)    # kept alive for the kernels
+        self._operands = (theta, basis, V, dV, sup)    # kept alive for the kernels
         self._fit = _Fit(
-            rows, keys,
-            (ctypes.c_void_p * 6)(*[_address(w, f64, shape)
-                                    for w, shape in zip(weights, _WEIGHT_SHAPES, strict=True)]),
+            rows, keys, (ctypes.c_void_p * 6)(*[w.ctypes.data for w in weight_views(theta)]),
             _address(basis, f64, (keys, 6)), _address(V, f64, (keys, 3)),
             _address(dV, f64, (3, keys)), _address(sup, f64, (3,)), None, None, None,
             self.s.ctypes.data,
-            (ctypes.c_void_p * 6)(*[g.ctypes.data for g in self.grads]), self._work.ctypes.data)
+            (ctypes.c_void_p * 6)(*[g.ctypes.data for g in weight_views(self.grad)]),
+            self._work.ctypes.data)
         self._ref = ctypes.byref(self._fit)
 
-    def __call__(self, positions, normals, target) -> tuple:
-        """The six weight gradients of one step on the batch rows at
-        positions with normals against their attributes target, all float64
-        (rows, 3)."""
+    def __call__(self, positions, normals, target) -> np.ndarray:
+        """The weight gradient of one step on the batch rows at positions
+        with normals against their attributes target, all float64 (rows,
+        3)."""
         shape = (self._fit.nq, 3)
         self._fit.pos = _address(positions, np.float64, shape)
         self._fit.nrm = _address(normals, np.float64, shape)
@@ -137,7 +145,7 @@ class FitStep:
         self.lib.fit_forward(self._ref)
         np.exp(self.s, out=self.s)
         self.lib.fit_backward(self._ref)
-        return self.grads
+        return self.grad
 
 
 class Library:
@@ -162,12 +170,12 @@ class Library:
         lib.cell_blocked.argtypes = [ptr] * 4 + [f64, ptr, ptr, n] + [f64] * 3 + [ptr, n, ptr]
         lib.cell_blocked.restype = n
 
-    def fit_step(self, weights, basis, V, dV, sup, rows: int) -> FitStep:
+    def fit_step(self, theta, basis, V, dV, sup, rows: int) -> FitStep:
         """A fit step (FitStep) of batches of rows training rows against the
-        float64 weights (params() order) and the snapshot's keys: their
-        encoder inputs basis (keys, 6) and attributes V (keys, 3), dV = V.T
-        * 2 / (3 rows) and the attribute ceilings sup (3,)."""
-        return FitStep(self.lib, weights, basis, V, dV, sup, rows)
+        float64 weight vector theta (weight_views) and the snapshot's keys:
+        their encoder inputs basis (keys, 6) and attributes V (keys, 3),
+        dV = V.T * 2 / (3 rows) and the attribute ceilings sup (3,)."""
+        return FitStep(self.lib, theta, basis, V, dV, sup, rows)
 
     def attend_scores(self, A, B, Z) -> np.ndarray:
         """The float64 (q, keys) scores sum_h relu(A[m] + B[q])_h Z[q, h] of

@@ -192,7 +192,6 @@ class VoxelGrid:
     resolution: float
     centers: np.ndarray                 # (m, 3)
     normals: np.ndarray                 # (m, 3) unit vectors
-    members: tuple                      # m tuples of point index arrays
     keys: np.ndarray                    # (m, 3) int64 cell keys
     origin: np.ndarray                  # (3,)
 
@@ -425,9 +424,9 @@ def voxelize(scene: TargetScene, resolution: Optional[float] = None) -> VoxelGri
     the cells against DEFAULT_VOXEL_CAP in exact integers.
 
     Points are grouped by one flat cell key (`np.unique`): voxel rows follow
-    each cell's first point, members are in point order. Voxel normal is the
-    normalized mean of member normals (summed in point order); if members
-    cancel, the normal of the member nearest the voxel center is used."""
+    each cell's first point. Voxel normal is the normalized mean of its
+    points' normals (summed in point order); if they cancel, the normal of
+    its point nearest the voxel center is used."""
     if resolution is None:
         resolution = scene.default_resolution()
     if not resolution > 0.0:
@@ -448,7 +447,6 @@ def voxelize(scene: TargetScene, resolution: Optional[float] = None) -> VoxelGri
     row = np.argsort(order)[cell]
     keys = coord[first[order]]
     counts = np.bincount(row)
-    members = tuple(np.split(np.argsort(row, kind="stable"), np.cumsum(counts)[:-1]))
     # a zero-extent axis (planar scenes) keeps its coordinate on the plane
     half = np.where(extent > 1e-12, 0.5, 0.0)
     centers = bmin + (keys + half) * resolution
@@ -459,9 +457,9 @@ def voxelize(scene: TargetScene, resolution: Optional[float] = None) -> VoxelGri
     cancel = length < 1e-9
     normals = mean / np.where(cancel, 1.0, length)[:, None]
     for r in np.flatnonzero(cancel):
-        mem = members[r]
+        mem = np.flatnonzero(row == r)
         d = np.linalg.norm(scene.points[mem] - centers[r], axis=1)
         normals[r] = scene.normals[mem[np.argmin(d)]]
     return VoxelGrid(resolution=float(resolution), centers=centers,
-                     normals=normals, members=members, keys=keys,
+                     normals=normals, keys=keys,
                      origin=bmin.copy())

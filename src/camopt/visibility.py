@@ -100,10 +100,6 @@ class CameraPose:
         """The (3, 3) rotation derived once from rot6, read-only."""
         return self._rotation
 
-    @property
-    def forward(self) -> np.ndarray:
-        return self.rotation()[:, 2]
-
 
 def pose_from_forward(position, forward) -> CameraPose:
     """Build a pose at position looking along forward, its right axis

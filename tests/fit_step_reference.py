@@ -63,10 +63,10 @@ def slab_grads(A, B, Z, V, target, dV, sup):
 
 
 def fit_gradients(field, batch):
-    """The six weight gradients (params() order) of the mean squared error
-    of the field's outputs at the batch's rows (field._FitBatch) against
-    their attributes."""
-    W1, b1, W2, b2, WQ, WK = field.params()
+    """The six weight gradients (native.WEIGHT_SHAPES order) of the mean
+    squared error of the field's outputs at the batch's rows
+    (field._FitBatch) against their attributes."""
+    W1, b1, W2, b2, WQ, WK = native.weight_views(field.theta)
     pos, nrm = batch.positions, batch.normals
     # the encode: A of the keys, and Z of the query normals through the
     # query encoder enc = relu(q_in @ W1 + b1) @ W2 + b2, qrow = enc @ WQ

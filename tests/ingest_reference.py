@@ -175,8 +175,10 @@ def estimate_normals(points, mode=VOLUMETRIC3D):
     return normals / lens
 
 
-def voxelize(scene, resolution):
-    """Bin scene points with a dict keyed by cell and a per-voxel loop."""
+def voxel_members(scene, resolution):
+    """The points of each voxel, grouped with a dict keyed by cell: the
+    cell keys in the order of their first point, and each voxel's point
+    indices in point order."""
     bmin = scene.bounds[0]
     extent = scene.bounds[1] - bmin
     cells = np.maximum(1, np.ceil(extent / resolution - 1e-12).astype(np.int64))
@@ -192,12 +194,19 @@ def voxelize(scene, resolution):
             member_lists.append([pi])
         else:
             member_lists[row].append(pi)
-
     keys = np.array(list(index), dtype=np.int64)
+    return keys, tuple(np.asarray(m_, dtype=np.intp) for m_ in member_lists)
+
+
+def voxelize(scene, resolution):
+    """Bin scene points with voxel_members and a per-voxel loop."""
+    bmin = scene.bounds[0]
+    extent = scene.bounds[1] - bmin
+    keys, members = voxel_members(scene, resolution)
     half = np.where(extent > 1e-12, 0.5, 0.0)
     centers = bmin + (keys + half) * resolution
     normals = np.empty((len(keys), 3))
-    for row, mem in enumerate(member_lists):
+    for row, mem in enumerate(members):
         mean = scene.normals[mem].mean(axis=0)
         length = np.linalg.norm(mean)
         if length < 1e-9:
@@ -205,7 +214,5 @@ def voxelize(scene, resolution):
             normals[row] = scene.normals[mem[int(np.argmin(d))]]
         else:
             normals[row] = mean / length
-    members = tuple(np.asarray(m_, dtype=np.intp) for m_ in member_lists)
     return VoxelGrid(resolution=float(resolution), centers=centers,
-                     normals=normals, members=members, keys=keys,
-                     origin=bmin.copy())
+                     normals=normals, keys=keys, origin=bmin.copy())

@@ -91,7 +91,9 @@ def tape_loss_and_grads(field, positions, rot6, captures, weights=DEFAULT_WEIGHT
 
 def tape_era_adam_step(params, state) -> None:
     """The Adam step as it read the tape: the gradients from each Tensor's
-    .grad, the update written to .data, the gradients cleared."""
+    .grad, the update written to .data, the gradients cleared. The tensors
+    take consecutive spans of the state's moments in order, so their data
+    may be views of one vector, as autodiff.adam_step's theta."""
     for i, p in enumerate(params):
         if p.grad is None:
             raise ValueError(f"parameter {i} has no gradient")
@@ -100,7 +102,7 @@ def tape_era_adam_step(params, state) -> None:
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     g = np.concatenate([p.grad.ravel() for p in params])
-    m, v = state.flat_m, state.flat_v
+    m, v = state.m, state.v
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
@@ -108,6 +110,8 @@ def tape_era_adam_step(params, state) -> None:
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
     update = lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    for p, (a, b) in zip(params, state.slots):
-        p.data -= update[a:b].reshape(p.data.shape)
+    end = 0
+    for p in params:
+        start, end = end, end + p.data.size
+        p.data -= update[start:end].reshape(p.data.shape)
         p.grad = None

@@ -203,7 +203,7 @@ class TestShapeAnalyze:
         from camopt.scene import VoxelGrid
         grid = VoxelGrid(resolution=0.2, centers=np.array([[0.0, 0.0, 0.0]]),
                          normals=np.array([[0.0, 0.0, 1.0]]),
-                         members=(np.array([0]),), keys=np.zeros((1, 3), dtype=np.int64),
+                         keys=np.zeros((1, 3), dtype=np.int64),
                          origin=np.array([-0.1, -0.1, -0.1]))
         pose = pose_from_forward([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
         intr = CameraIntrinsics(np.pi / 2, np.pi / 2, 0.1, 5.0)
@@ -299,7 +299,6 @@ class TestGroupedPassMatchesLoop:
                 seed, k=int(rng.integers(6, 12)), m=60)
             poses = tuple(pose_from_forward(p, -p) for p in positions)
             grid = VoxelGrid(resolution=0.1, centers=centers, normals=normals,
-                             members=tuple(np.array([j]) for j in range(len(centers))),
                              keys=np.zeros((len(centers), 3), dtype=np.int64),
                              origin=centers.min(axis=0))
             self.assert_matches_loop(CameraRig(poses, default_intrinsics()), grid, E)

@@ -148,73 +148,87 @@ def test_matmul_rejects_bad_shapes():
         ad.matmul(a, ad.Tensor(np.ones((2, 2, 2))))
 
 
+def views_of(theta, shapes):
+    """Views of consecutive spans of the flat vector theta, one per shape,
+    with the (start, end) of each span."""
+    ends = np.cumsum([int(np.prod(s)) for s in shapes]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    return [theta[a:b].reshape(s) for (a, b), s in zip(spans, shapes)], spans
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = np.array([1.0, -2.0])
-        state = ad.AdamState([p])
+        state = ad.AdamState(2)
         before = p.copy()
         for _ in range(3):
-            ad.adam_step([p], [np.zeros_like(p)], state)
+            ad.adam_step(p, np.zeros_like(p), state)
         assert np.array_equal(p, before)
         assert state.step_count == 3
 
     def test_missing_gradient_raises(self):
         p = np.ones(2)
-        state = ad.AdamState([p])
+        state = ad.AdamState(2)
         with pytest.raises(ValueError):
-            ad.adam_step([p], [], state)
+            ad.adam_step(p, None, state)
 
     def test_mismatched_gradients_raise_and_leave_the_state_alone(self):
-        params = [np.ones(2), np.ones((2, 3))]
-        state = ad.AdamState(params)
-        for grads in ([np.ones(2)], [np.ones(2), np.ones(2), np.ones(2)],
-                      [np.ones(2), np.ones((3, 2))], [np.ones(2), np.ones(6)]):
+        theta = np.ones(8)
+        state = ad.AdamState(8)
+        for g in (np.ones(2), np.ones(7), np.ones((8, 1)), np.ones((4, 2)), np.ones(0)):
             with pytest.raises(ValueError):
-                ad.adam_step(params, grads, state)
+                ad.adam_step(theta, g, state)
+        with pytest.raises(ValueError):
+            ad.adam_step(np.ones(7), np.ones(7), state)
+        with pytest.raises(ValueError):
+            ad.adam_step(np.ones((2, 4)), np.ones(8), state)
         assert state.step_count == 0
-        assert all(np.array_equal(p, np.ones(p.shape)) for p in params)
+        assert np.array_equal(theta, np.ones(8))
+        assert not state.m.any() and not state.v.any()
 
     def test_constant_gradient_moves_against_its_sign(self):
         p = np.array([0.0, 0.0])
-        state = ad.AdamState([p])
+        state = ad.AdamState(2)
         g = np.array([0.5, -2.0])
         for _ in range(100):
-            ad.adam_step([p], [g.copy()], state)
+            ad.adam_step(p, g.copy(), state)
         assert p[0] < 0.0
         assert p[1] > 0.0
 
     def test_quadratic_bowl_converges(self):
         target = np.array([0.3, -1.1, 0.7])
         p = np.zeros(3)
-        state = ad.AdamState([p], lr=1e-2, decay=1.0)
+        state = ad.AdamState(3, lr=1e-2, decay=1.0)
         for _ in range(2000):
             leaf = ad.Tensor(p.copy(), requires_grad=True)
             diff = ad.sub(leaf, ad.Tensor(target))
             ad.sum_(ad.mul(diff, diff)).backward()
-            ad.adam_step([p], [leaf.grad], state)
+            ad.adam_step(p, leaf.grad, state)
         assert np.linalg.norm(p - target) < 1e-2
 
     def test_gradients_are_left_unchanged_by_a_step(self):
         p = np.ones(2)
-        state = ad.AdamState([p])
+        state = ad.AdamState(2)
         g = np.array([0.25, -1.0])
-        ad.adam_step([p], [g], state)
+        ad.adam_step(p, g, state)
         assert np.array_equal(g, [0.25, -1.0])
 
     def test_fused_step_equals_the_per_parameter_loop(self):
-        # the per-parameter update, element for element, across two
-        # learning-rate decays and a moment reset
+        # the per-parameter update, element for element, on views of one
+        # vector across two learning-rate decays and a moment reset
         rng = np.random.default_rng(4)
         shapes = [(6, 32), (32,), (3,), (2, 2, 2)]
-        params = [rng.normal(size=s) for s in shapes]
-        state = ad.AdamState(params, lr=1e-2, decay=0.5, decay_every=3)
+        theta = rng.normal(size=sum(int(np.prod(s)) for s in shapes))
+        params, spans = views_of(theta, shapes)
+        state = ad.AdamState(theta.size, lr=1e-2, decay=0.5, decay_every=3)
         ref = [p.copy() for p in params]
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         for step in range(8):
             grads = [rng.normal(size=s) for s in shapes]
             if step == 4:
-                state.reset_slot(1)
+                a, b = spans[1]
+                state.m[a:b], state.v[a:b] = 0.0, 0.0
                 m[1], v[1] = np.zeros(shapes[1]), np.zeros(shapes[1])
             lr, t = 1e-2 * 0.5 ** (step // 3), step + 1
             for i, g in enumerate(grads):
@@ -223,44 +237,60 @@ class TestAdam:
                 m_hat = m[i] / (1.0 - 0.9**t)
                 v_hat = v[i] / (1.0 - 0.999**t)
                 ref[i] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-            ad.adam_step(params, grads, state)
-            for i, p in enumerate(params):
+            ad.adam_step(theta, np.concatenate([g.ravel() for g in grads]), state)
+            for i, (p, (a, b)) in enumerate(zip(params, spans)):
                 assert np.array_equal(p, ref[i])
-                assert np.array_equal(state.m[i], m[i]) and np.array_equal(state.v[i], v[i])
+                assert np.array_equal(state.m[a:b], m[i].ravel())
+                assert np.array_equal(state.v[a:b], v[i].ravel())
         assert state.current_lr() == 1e-2 * 0.5 ** 2
 
+    def test_a_shaped_vector_steps_as_its_flat_elements(self):
+        # a (k, 9) pose vector takes the step of its C-order elements
+        rng = np.random.default_rng(5)
+        theta = rng.normal(size=(4, 9))
+        flat = theta.ravel().copy()
+        state, flat_state = ad.AdamState(36), ad.AdamState(36)
+        for _ in range(5):
+            g = rng.normal(size=(4, 9))
+            ad.adam_step(theta, g, state)
+            ad.adam_step(flat, g.ravel(), flat_state)
+            assert np.array_equal(theta.ravel(), flat)
+            assert np.array_equal(state.m, flat_state.m) and np.array_equal(state.v, flat_state.v)
+
     def test_array_step_equals_the_tape_era_step(self):
-        # the tape-era step read each Tensor's .grad; the array step takes
-        # the same gradients as a list and must move every element the same
-        # way, across learning-rate decays and a moment reset
+        # the tape-era step read each Tensor's .grad; the flat step takes
+        # the same gradients as one vector and must move every element the
+        # same way, across learning-rate decays and a moment reset
         rng = np.random.default_rng(9)
         shapes = [(6, 32), (32,), (3,), (6,), (2, 2, 2)]
-        arrays = [rng.normal(size=s) for s in shapes]
-        tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
-        state = ad.AdamState(arrays, lr=1e-2, decay=0.5, decay_every=4)
-        tape_state = ad.AdamState([t.data for t in tensors], lr=1e-2, decay=0.5,
-                                  decay_every=4)
+        theta = rng.normal(size=sum(int(np.prod(s)) for s in shapes))
+        tape_theta = theta.copy()
+        views, spans = views_of(tape_theta, shapes)
+        tensors = [ad.Tensor(view, requires_grad=True) for view in views]
+        assert all(np.shares_memory(t.data, tape_theta) for t in tensors)
+        state = ad.AdamState(theta.size, lr=1e-2, decay=0.5, decay_every=4)
+        tape_state = ad.AdamState(theta.size, lr=1e-2, decay=0.5, decay_every=4)
         for step in range(12):
             grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for s in shapes]
             if step == 5:
-                state.reset_slot(3)
-                tape_state.reset_slot(3)
+                a, b = spans[3]
+                for st in (state, tape_state):
+                    st.m[a:b], st.v[a:b] = 0.0, 0.0
             for t, g in zip(tensors, grads):
                 t.grad = g.copy()
             ref.tape_era_adam_step(tensors, tape_state)
-            ad.adam_step(arrays, grads, state)
-            for a, t in zip(arrays, tensors):
-                assert np.array_equal(a, t.data)
-            assert np.array_equal(state.flat_m, tape_state.flat_m)
-            assert np.array_equal(state.flat_v, tape_state.flat_v)
+            ad.adam_step(theta, np.concatenate([g.ravel() for g in grads]), state)
+            assert np.array_equal(theta, tape_theta)
+            assert np.array_equal(state.m, tape_state.m)
+            assert np.array_equal(state.v, tape_state.v)
 
     def test_learning_rate_schedule(self):
         p = np.ones(1)
-        state = ad.AdamState([p], lr=1e-3, decay=0.95, decay_every=50)
+        state = ad.AdamState(1, lr=1e-3, decay=0.95, decay_every=50)
         assert state.current_lr() == pytest.approx(1e-3)
         for _ in range(50):
-            ad.adam_step([p], [np.ones(1)], state)
+            ad.adam_step(p, np.ones(1), state)
         assert state.current_lr() == pytest.approx(1e-3 * 0.95)
         for _ in range(50):
-            ad.adam_step([p], [np.ones(1)], state)
+            ad.adam_step(p, np.ones(1), state)
         assert state.current_lr() == pytest.approx(1e-3 * 0.95**2)

@@ -62,7 +62,6 @@ def make_grid(centers, normals=None):
         resolution=1.0,
         centers=centers,
         normals=normals,
-        members=tuple(np.array([i]) for i in range(m)),
         keys=keys,
         origin=origin,
     )
@@ -97,7 +96,7 @@ def scattered_grid(m, rng, scale=2.0):
 def naive_query(field, q_pos, q_norm):
     """Encode every (offset, normal) pair through the full MLP and run plain
     scaled dot-product attention, constant term and all."""
-    W1, b1, W2, b2, WQ, WK = field.params()
+    W1, b1, W2, b2, WQ, WK = native.weight_views(field.theta)
 
     def encode(x):
         return np.maximum(x @ W1 + b1, 0.0) @ W2 + b2
@@ -213,9 +212,9 @@ class TestTraining:
         grid = scattered_grid(15, rng)
         field = lean_neof(None, grid, random_attrs(15, 3, rng), budget=10, seed=2)
         new_attrs = random_attrs(15, 3, rng)
-        w_before = [p.copy() for p in field.params()]
+        theta_before = field.theta.copy()
         lean_neof(field, grid, new_attrs, budget=0)
-        assert all(np.array_equal(p, w) for p, w in zip(field.params(), w_before))
+        assert np.array_equal(field.theta, theta_before)
         assert np.allclose(field.values, new_attrs.stack())
 
     def test_training_is_deterministic(self):
@@ -225,7 +224,7 @@ class TestTraining:
                        budget=25, seed=4)
         f2 = lean_neof(None, make_grid(centers), random_attrs(18, 3, np.random.default_rng(1)),
                        budget=25, seed=4)
-        assert all(np.array_equal(a, b) for a, b in zip(f1.params(), f2.params()))
+        assert np.array_equal(f1.theta, f2.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def tape_fit_grads(field, idx):
     then backward(). This is the fit loop lean_neof ran before the fused
     float32 step, kept as its reference."""
     W1, b1, W2, b2, WQ, WK = params = [ad.Tensor(p, requires_grad=True)
-                                       for p in field.params()]
+                                       for p in native.weight_views(field.theta)]
     kidx = field.key_idx
     basis_in = np.concatenate([field.centers[kidx], field.normals[kidx]], axis=1)
     A = ad.add(ad.matmul(ad.Tensor(basis_in), W1), b1)
@@ -261,8 +260,8 @@ def fit_batch(field, idx):
 
 
 def fused_fit_grads(field, idx):
-    grads = _fit_workspace(field, len(idx))(*fit_batch(field, idx))
-    return [g.copy() for g in grads]
+    grad = _fit_workspace(field, len(idx))(*fit_batch(field, idx))
+    return [g.copy() for g in native.weight_views(grad)]
 
 
 def numpy_fit_grads(field, idx):
@@ -286,7 +285,8 @@ def tape_fit(grid, attrs, budget, seed=0):
     reference fit."""
     field = lean_neof(None, grid, attrs, budget=0, seed=seed)
     for idx in train_batches(field, budget):
-        ad.adam_step(field.params(), tape_fit_grads(field, idx), field.adam)
+        grad = np.concatenate([g.ravel() for g in tape_fit_grads(field, idx)])
+        ad.adam_step(field.theta, grad, field.adam)
     field.trained = True
     return field
 
@@ -409,8 +409,10 @@ class TestFloat32FitStep:
     def test_weights_and_moments_stay_float64(self):
         grid, attrs = real_snapshot("circle")
         field = lean_neof(None, grid, attrs, budget=3, seed=0)
-        for arrays in (field.params(), field.adam.m, field.adam.v):
-            assert all(a.dtype == np.float64 for a in arrays)
+        for array in (field.theta, field.adam.m, field.adam.v):
+            assert array.dtype == np.float64 and array.shape == field.theta.shape
+        assert all(np.shares_memory(w, field.theta) for w in
+                   (field.W1, field.b1, field.W2, field.b2, field.WQ, field.WK))
         assert query(field, FieldQueryBatch(grid.centers[:5], grid.normals[:5])).dtype \
             == np.float64
 
@@ -422,7 +424,7 @@ class TestFloat32FitStep:
             "from test_field import real_snapshot\n"
             "from camopt.field import lean_neof\n"
             "field = lean_neof(None, *real_snapshot('sphere'), budget=5, seed=0)\n"
-            "np.savez(sys.argv[1], *field.params())\n")
+            "np.savez(sys.argv[1], field.theta)\n")
         src = Path(__file__).resolve().parent.parent / "src"
         base = {k: v for k, v in os.environ.items()
                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -801,9 +803,8 @@ def compiled_fit_step(kernel, field, batch, dV=None):
     rows = len(batch.target)
     if dV is None:
         dV = np.ascontiguousarray(field.key_values.T * (2.0 / (rows * 3)))
-    step = kernel.fit_step(field.params(), field.key_basis, field.key_values, dV, field.sup,
-                           rows)
-    grads = [g.copy() for g in step(*batch)]
+    step = kernel.fit_step(field.theta, field.key_basis, field.key_values, dV, field.sup, rows)
+    grads = [g.copy() for g in native.weight_views(step(*batch))]
     return step.s.copy(), grads
 
 
@@ -813,7 +814,7 @@ def check_fit_step(kernel_O0, field, batch):
     reference's logit gradients and clamp mask."""
     rows = len(batch.target)
     want_g, want, clamped = reference_fit_step(
-        field.params(), field.key_basis, field.key_values,
+        native.weight_views(field.theta), field.key_basis, field.key_values,
         field.key_values.T * (2.0 / (rows * 3)), field.sup, batch)
     for build in (native.load(), kernel_O0):
         g, grads = compiled_fit_step(build, field, batch)
@@ -822,7 +823,9 @@ def check_fit_step(kernel_O0, field, batch):
             np.testing.assert_array_equal(got, expected)
     step = _fit_workspace(field, rows)
     assert isinstance(step, native.FitStep)
-    for got, expected in zip(step(*batch), want, strict=True):
+    grad = step(*batch)
+    assert grad.shape == field.theta.shape
+    for got, expected in zip(native.weight_views(grad), want, strict=True):
         np.testing.assert_array_equal(got, expected)
     return want_g, clamped
 
@@ -864,12 +867,12 @@ class TestFitStepKernel:
         field, batch = fit_step_case(40, queries=9, seed=0)
         V = field.key_values
         dV = np.ascontiguousarray(V.T * (2.0 / 27))
-        good = {"weights": field.params(), "basis": field.key_basis, "V": V, "dV": dV,
-                "sup": field.sup, "rows": 9}
-        W1 = field.W1
-        for bad in ({"weights": [W1.astype(np.float32)] + field.params()[1:]},
-                    {"weights": [np.asfortranarray(W1)] + field.params()[1:]},
-                    {"weights": field.params()[:5]},
+        theta = field.theta
+        good = {"theta": theta, "basis": field.key_basis, "V": V, "dV": dV, "sup": field.sup,
+                "rows": 9}
+        for bad in ({"theta": theta.astype(np.float32)}, {"theta": theta[:-1]},
+                    {"theta": np.append(theta, 0.0)}, {"theta": np.repeat(theta, 2)[::2]},
+                    {"theta": theta[None]}, {"theta": list(theta)},
                     {"basis": field.key_basis[:, :3]}, {"V": V[:-1]},
                     {"dV": V.T * (2.0 / 27)}, {"dV": dV.astype(np.float32)},
                     {"sup": field.sup[:2]}):

@@ -282,8 +282,8 @@ class TestGradPhase:
         cfg = OptimizerConfig(eps_L=1e3)
         opt = hybrid.PoseOptimizer(rig)
         rig1, _, _, steps, converged = grad_phase(rig, field, grid, cfg, planar=True, opt=opt)
-        assert converged and steps == 1 and opt.carry is not None
-        carry = [g.copy() for g in opt.carry]
+        assert converged and steps == 1 and opt.carry.shape == (6, 9)
+        carry = opt.carry.copy()
 
         fresh, stepped = [], []
         real_loss, real_step = hybrid.placement_loss_grads, hybrid.ad.adam_step
@@ -293,21 +293,49 @@ class TestGradPhase:
             fresh.append([g.copy() for g in out[1:]])
             return out
 
-        def step_spy(params, grads, state):
-            stepped.append([np.array(g) for g in grads])
-            return real_step(params, grads, state)
+        def step_spy(theta, g, state):
+            stepped.append(np.array(g))
+            return real_step(theta, g, state)
 
         monkeypatch.setattr(hybrid, "placement_loss_grads", loss_spy)
         monkeypatch.setattr(hybrid.ad, "adam_step", step_spy)
         monkeypatch.setattr(hybrid, "INNER_STEP_CAP", 1)
         grad_phase(rig1, field, grid, OptimizerConfig(), planar=True, opt=opt)
         assert opt.carry is None
-        want_pos, want_rot = fresh[0][0] + carry[0], fresh[0][1] + carry[1]
+        # the (k, 9) gradient holds each camera's [position | rot6]
+        want_pos, want_rot = fresh[0][0] + carry[:, :3], fresh[0][1] + carry[:, 3:]
         want_pos[:, 2] = 0.0
         want_rot[:, 2:] = 0.0
-        np.testing.assert_array_equal(np.stack(stepped[0][0::2]), want_pos)
-        np.testing.assert_array_equal(np.stack(stepped[0][1::2]), want_rot)
-        assert np.any(carry[0] != 0) and np.any(fresh[0][0] != 0)
+        np.testing.assert_array_equal(stepped[0][:, :3], want_pos)
+        np.testing.assert_array_equal(stepped[0][:, 3:], want_rot)
+        assert np.any(carry[:, :3] != 0) and np.any(fresh[0][0] != 0)
+
+    def test_committed_swap_zeroes_exactly_its_cameras_moments(self, monkeypatch):
+        # a committed swap of camera i forgets its Adam moments, elements
+        # [9i, 9i + 9) of theta's camera-by-camera layout, and keeps every
+        # other camera's
+        resets = []
+        real_sync = hybrid.PoseOptimizer.sync_from
+
+        def sync_spy(opt, rig, reset_moments=()):
+            before = (opt.adam.m.copy(), opt.adam.v.copy())
+            real_sync(opt, rig, reset_moments)
+            if reset_moments:
+                resets.append((list(reset_moments), before,
+                               (opt.adam.m.copy(), opt.adam.v.copy())))
+
+        monkeypatch.setattr(hybrid.PoseOptimizer, "sync_from", sync_spy)
+        # seed 1 commits swaps of some of the cameras, after descent steps
+        optimize(circle_scene(), 6, OptimizerConfig(seed=1, max_outer=4))
+        assert resets
+        for cameras, before, after in resets:
+            swapped = np.zeros(6 * 9, dtype=bool)
+            for i in cameras:
+                swapped[9 * i:9 * i + 9] = True
+            for b, a in zip(before, after):
+                assert b[swapped].any() and b[~swapped].any()
+                assert not a[swapped].any()
+                np.testing.assert_array_equal(a[~swapped], b[~swapped])
 
     def test_planar_masks_out_of_plane_motion(self):
         scene = circle_scene()

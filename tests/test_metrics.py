@@ -28,7 +28,6 @@ def grid_at(centers):
     normals = np.tile([0.0, 0.0, 1.0], (m, 1))
     origin = centers.min(axis=0) - 0.5
     return VoxelGrid(resolution=1.0, centers=centers, normals=normals,
-                     members=tuple(np.array([i]) for i in range(m)),
                      keys=np.floor(centers - origin).astype(np.int64),
                      origin=origin)
 

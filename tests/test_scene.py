@@ -21,6 +21,7 @@ from camopt.scene import (
     voxelize,
 )
 from camopt.visibility import CameraPose, CameraRig, CoverageMatrix, default_intrinsics
+from ingest_reference import voxel_members
 
 
 def unit_sphere_cloud(n, radius=1.0, seed=0):
@@ -142,7 +143,8 @@ class TestVoxelize:
         scene = TargetScene(pts, nrm, VOLUMETRIC3D, np.stack([pts[0], pts[0]]))
         grid = voxelize(scene, resolution=1.0)
         assert len(grid) == 1
-        assert list(grid.members[0]) == [0]
+        assert np.array_equal(grid.keys, [[0, 0, 0]])
+        assert np.array_equal(grid.centers, pts) and np.array_equal(grid.normals, nrm)
 
     def test_two_distant_points_two_voxels(self):
         res = 0.25
@@ -156,8 +158,10 @@ class TestVoxelize:
         pts = unit_sphere_cloud(500, seed=4)
         scene = TargetScene(pts, pts.copy(), VOLUMETRIC3D, np.stack([pts.min(0), pts.max(0)]))
         grid = voxelize(scene, resolution=1.0 / 8.0)
+        keys, members = voxel_members(scene, 1.0 / 8.0)
+        assert np.array_equal(grid.keys, keys)
         counts = np.zeros(len(pts), dtype=int)
-        for mem in grid.members:
+        for mem in members:
             assert len(mem) >= 1
             counts[mem] += 1
         assert np.all(counts == 1)
@@ -169,8 +173,10 @@ class TestVoxelize:
         scene = TargetScene(pts, np.stack([a, b]), VOLUMETRIC3D,
                             np.stack([pts.min(0), pts.max(0)]))
         grid = voxelize(scene, resolution=1.0)
-        expect = (a + b) / np.linalg.norm(a + b)
-        assert np.allclose(grid.normals[0], expect)
+        (mem,) = voxel_members(scene, 1.0)[1]
+        assert mem.tolist() == [0, 1]
+        expect = scene.normals[mem].sum(axis=0)
+        assert np.allclose(grid.normals[0], expect / np.linalg.norm(expect))
 
     def test_cancelling_normals_fall_back_to_nearest_member(self):
         pts = np.array([[0.2, 0.0, 0.0], [0.9, 0.0, 0.0]])
@@ -229,9 +235,11 @@ class TestVoxelize:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scene_mod, "DEFAULT_VOXEL_CAP", 2**26)
             grid = voxelize(scene, resolution=res)
-        total = sum(len(m) for m in grid.members)
+        keys, members = voxel_members(scene, res)
+        assert np.array_equal(grid.keys, keys)
+        total = sum(len(m) for m in members)
         assert total == n
-        seen = np.concatenate([np.asarray(m) for m in grid.members])
+        seen = np.concatenate(members)
         assert len(np.unique(seen)) == n
         assert np.allclose(np.linalg.norm(grid.normals, axis=1), 1.0, atol=1e-6)
 
