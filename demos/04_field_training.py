@@ -20,7 +20,7 @@ from camopt import (
     shape_analyze,
     voxelize,
 )
-from camopt.field import FieldQueryBatch, query
+from camopt.field import query
 
 K = 3
 scene = generate_planar_shape(ShapeSpec("circle", {"radius": 1.0}, 96, seed=0))
@@ -37,7 +37,7 @@ t0 = time.perf_counter()
 field = lean_neof(None, grid, attrs, seed=0)
 t_fit = time.perf_counter() - t0
 
-pred = query(field, FieldQueryBatch(grid.centers, grid.normals))
+pred = query(field, grid.centers, grid.normals)
 err = np.abs(pred - attrs.stack())
 print(f"initial fit: {t_fit * 1e3:.0f} ms, "
       f"mean abs error per attribute = {np.round(err.mean(axis=0), 3)}")
@@ -47,7 +47,7 @@ print(f"attribute ranges: c in [0,{K}], phi_cc in [0,{np.pi/2:.3f}], phi_co in [
 mid = 0.5 * (grid.centers[:-1] + grid.centers[1:])
 mid_n = grid.normals[:-1] + grid.normals[1:]
 mid_n /= np.linalg.norm(mid_n, axis=1, keepdims=True) + 1e-12
-mid_pred = query(field, FieldQueryBatch(mid, mid_n))
+mid_pred = query(field, mid, mid_n)
 print(f"off-lattice probes stay in range: "
       f"{bool((mid_pred.min() >= -0.2) and (mid_pred.max() <= K + 0.2))}")
 
@@ -57,7 +57,7 @@ _, attrs2 = shape_analyze(rig2, grid, K)
 t0 = time.perf_counter()
 field2 = lean_neof(field, grid, attrs2)
 t_warm = time.perf_counter() - t0
-pred2 = query(field2, FieldQueryBatch(grid.centers, grid.normals))
+pred2 = query(field2, grid.centers, grid.normals)
 err2 = np.abs(pred2 - attrs2.stack())
 print(f"\nwarm refresh after dropping 2 cameras: {t_warm * 1e3:.0f} ms "
       f"({t_fit / max(t_warm, 1e-9):.1f}x faster than the initial fit), "

@@ -363,8 +363,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_result(path) -> tuple:
-    """(config, final poses) of a cell results file; a file that does not
-    hold them is a usage error, like a malformed config."""
+    """(payload, config, final poses) of a cell results file; a file that
+    does not hold them is a usage error, like a malformed config."""
     try:
         data = json.loads(Path(path).read_text())
         config = ExperimentConfig.from_dict(
@@ -375,7 +375,7 @@ def _load_result(path) -> tuple:
             for p in data["final"]["poses"])
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"malformed results file {path}: {exc!r}") from exc
-    return config, poses
+    return data, config, poses
 
 
 def main(argv=None) -> int:
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
                        seed_override=args.seed_override, out_override=args.out)
 
         if args.command == "evaluate":
-            config, poses = _load_result(args.results)
+            _, config, poses = _load_result(args.results)
             if args.config:
                 config = parse_config(args.config)
             scene, grid = _scene_and_grid(config)
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "export":
-            config, poses = _load_result(args.results)
+            _, config, poses = _load_result(args.results)
             scene, grid = _scene_and_grid(config)
             rig = CameraRig(poses, _build_intrinsics(config, scene))
             _, attrs = shape_analyze(rig, grid, config.K)
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "report":
-            cells = [json.loads(Path(p).read_text()) for p in args.cells]
+            cells = [_load_result(p)[0] for p in args.cells]
             payload = summarize(cells)
             if args.out:
                 _dump_json(payload, Path(args.out))

@@ -2,9 +2,9 @@
 
 The field maps a spatial query (position + normal) to an estimate of the
 observation-attribute triple by encoding voxel offsets relative to the query
-with a small MLP and attending over the snapshot of attributed voxels. It is
-differentiable with respect to query positions, which is what lets camera
-poses follow its gradient.
+with a small MLP and attending over the snapshot of attributed voxels, which
+a field holds from its construction on. It is differentiable with respect to
+query positions, which is what lets camera poses follow its gradient.
 
 The attention logits are computed in a folded form. With the encoder
 enc(x) = relu(x @ W1 + b1) @ W2 + b2 and keys K_m = enc([C_m - X_q, N_m]) @ WK,
@@ -79,26 +79,13 @@ def _strided(total: int, want: int) -> np.ndarray:
     return np.arange(want) * total // want
 
 
-class FieldQueryBatch:
-    """Query positions with their unit normals."""
-
-    def __init__(self, positions, normals):
-        self.positions = np.asarray(positions, dtype=np.float64)
-        self.normals = np.asarray(normals, dtype=np.float64)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError("positions must be (q, 3)")
-        if self.normals.shape != self.positions.shape:
-            raise ValueError("normals must match positions in shape")
-        if len(self.normals) == 0:
-            raise ValueError("empty query batch")
-
-
 class ObservationField:
-    """Encoder + attention weights plus the attributed-voxel snapshot. The
-    weights are one float64 vector, theta, which Adam updates in place;
+    """Encoder + attention weights plus the attributed-voxel snapshot of a
+    grid and its attributes (taken at construction, replaced by `snapshot`).
+    The weights are one float64 vector, theta, which Adam updates in place;
     W1, b1, W2, b2, WQ and WK are views of it (native.weight_views)."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, grid, attrs: ObservationAttributes, seed: int = 0):
         # WQ/WK start small so initial attention is near-uniform: a large
         # random init produces confidently wrong peaks that the budgeted
         # training cannot unlearn at the fixed learning rate. Positive b1
@@ -110,19 +97,7 @@ class ObservationField:
             rng.normal(0.0, 0.05, size=HIDDEN * D_K), rng.normal(0.0, 0.05, size=HIDDEN * D_K)])
         self.W1, self.b1, self.W2, self.b2, self.WQ, self.WK = native.weight_views(self.theta)
         self.adam = ad.AdamState(self.theta.size)
-        self.centers = None
-        self.normals = None
-        self.values = None
-        self.key_idx = None
-        self.key_basis = None
-        self.key_values = None
-        self.K = None
-        self.sup = None
-        self.trained = False
-
-    @property
-    def voxel_count(self) -> int:
-        return 0 if self.centers is None else len(self.centers)
+        self.snapshot(grid, attrs)
 
     def snapshot(self, grid, attrs: ObservationAttributes):
         if len(attrs) != len(grid.centers):
@@ -132,17 +107,11 @@ class ObservationField:
         self.centers = np.asarray(grid.centers, dtype=np.float64).copy()
         self.normals = np.asarray(grid.normals, dtype=np.float64).copy()
         self.values = attrs.stack()
-        self.key_idx = _strided(len(self.centers), KEY_BASIS_CAP)
+        key_idx = _strided(len(self.centers), KEY_BASIS_CAP)
         # the keys' encoder inputs and attributes, gathered once per snapshot
-        self.key_basis = np.concatenate([self.centers[self.key_idx],
-                                         self.normals[self.key_idx]], axis=1)
-        self.key_values = self.values[self.key_idx]
-        self.K = attrs.K
+        self.key_basis = np.concatenate([self.centers[key_idx], self.normals[key_idx]], axis=1)
+        self.key_values = self.values[key_idx]
         self.sup = sup_vector(attrs.K)
-
-    def _require_snapshot(self):
-        if self.centers is None:
-            raise ValueError("field has no attributed voxel snapshot yet")
 
 
 class _Encoding(NamedTuple):
@@ -202,13 +171,19 @@ def _scores_b_grad(A: np.ndarray, B: np.ndarray, Z: np.ndarray, g: np.ndarray) -
     return native.load().attend_b_grad(A, B, Z, g)
 
 
-def query(field: ObservationField, batch: FieldQueryBatch) -> np.ndarray:
-    """Attributes (q, 3) at the query points under the current weights."""
-    field._require_snapshot()
-    if not field.trained:
-        raise ValueError("field must be trained (lean_neof) before querying")
-    enc = _encode(field, batch.normals)
-    s = _scores(enc.A, _offsets(field, batch.positions), enc.Z)
+def query(field: ObservationField, positions, normals) -> np.ndarray:
+    """Attributes (q, 3) at the query points, positions (q, 3) with their
+    unit normals (q, 3), under the current weights."""
+    positions = np.asarray(positions, dtype=np.float64)
+    normals = np.asarray(normals, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError("positions must be (q, 3)")
+    if normals.shape != positions.shape:
+        raise ValueError("normals must match positions in shape")
+    if len(normals) == 0:
+        raise ValueError("empty query batch")
+    enc = _encode(field, normals)
+    s = _scores(enc.A, _offsets(field, positions), enc.Z)
     return _attend(s, field.key_values, field.sup)[2]
 
 
@@ -232,9 +207,10 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
               budget: Optional[int] = None, seed: int = 0) -> ObservationField:
     """Fit (or refresh) the field against the current attribute snapshot.
 
-    A fresh field is created and trained for the initial budget when none is
-    given; an existing field keeps its weights and Adam state and fine-tunes
-    for the smaller budget. Budget 0 only swaps in the new snapshot.
+    A fresh field (ObservationField(grid, attrs, seed)) is built and trained
+    for the initial budget when none is given; an existing field takes the
+    new snapshot, keeps its weights and Adam state and fine-tunes for the
+    smaller budget. Budget 0 runs no step.
 
     Each step is one call of the fit's native.FitStep on a batch of
     snapshot rows, which returns the gradient of the weight vector theta of
@@ -245,13 +221,14 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
     boundary moves one by up to about 1e-3.
     """
     if field is None:
-        field = ObservationField(seed=seed)
+        field = ObservationField(grid, attrs, seed=seed)
         if budget is None:
             budget = INITIAL_BUDGET
-    elif budget is None:
-        budget = FINETUNE_BUDGET
-    field.snapshot(grid, attrs)
-    pool = _strided(field.voxel_count, TRAIN_QUERY_POOL)
+    else:
+        field.snapshot(grid, attrs)
+        if budget is None:
+            budget = FINETUNE_BUDGET
+    pool = _strided(len(field.centers), TRAIN_QUERY_POOL)
     rows = min(len(pool), TRAIN_BATCH)
     step = _fit_workspace(field, rows) if budget > 0 else None
     batches = {}
@@ -264,7 +241,6 @@ def lean_neof(field: Optional[ObservationField], grid, attrs: ObservationAttribu
             batches[start] = _FitBatch(field.centers[idx], field.normals[idx],
                                        field.values[idx])
         ad.adam_step(field.theta, step(*batches[start]), field.adam)
-    field.trained = True
     return field
 
 
@@ -296,7 +272,7 @@ def visible_attr_sum(field: ObservationField, rows: np.ndarray) -> np.ndarray:
     if len(rows) == 0:
         return np.zeros(3)
     take, scale = _sample_visible(rows)
-    out = query(field, FieldQueryBatch(field.centers[take], field.normals[take]))
+    out = query(field, field.centers[take], field.normals[take])
     return out.sum(axis=0) * scale
 
 
@@ -304,7 +280,6 @@ def capture_visible(field: ObservationField, rig: CameraRig, E: CoverageMatrix):
     """Store each camera's visible voxel centers (its row of the coverage
     matrix E, at most LOSS_QUERY_CAP of them sampled) in its own frame so
     their world positions become a differentiable function of the pose."""
-    field._require_snapshot()
     caps = []
     for pose, row in zip(rig.poses, E.entries):
         rows = np.flatnonzero(row)
@@ -380,8 +355,7 @@ def placement_loss_grads(field: ObservationField, positions: np.ndarray, rot6: n
     Returns (PlacementLoss, (k, 3) position gradients, (k, 6) rot6
     gradients).
     """
-    field._require_snapshot()
-    k, n, sup = len(captures), field.voxel_count, field.sup
+    k, n, sup = len(captures), len(field.centers), field.sup
     w = np.asarray(weights, dtype=np.float64)
     g_pos, g_rot = np.zeros((k, 3)), np.zeros((k, 6))
     live = [i for i, cap in enumerate(captures) if not cap.empty]

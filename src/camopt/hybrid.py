@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from camopt import autodiff as ad
-from camopt.attributes import attributes_from_coverage, shape_analyze, sup_vector
+from camopt.attributes import attributes_from_coverage, shape_analyze
 from camopt.field import (
     DEFAULT_WEIGHTS,
     FINETUNE_BUDGET,
@@ -237,7 +237,7 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
     grad_norms = np.zeros(k)
     L_prev = None
     L_last = np.nan
-    vec_last = field.sup.copy() if field.sup is not None else np.zeros(3)
+    vec_last = field.sup.copy()
     snapshot = None
     steps = 0
     converged = False
@@ -362,7 +362,7 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     k = len(rig)
     n = len(grid.centers)
     w = np.asarray(config.weights, dtype=np.float64)
-    sup = sup_vector(attrs.K)
+    sup = field.sup
     if E is None:
         E = coverage_matrix(rig, grid)
     if grad_norms is None:

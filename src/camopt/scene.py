@@ -223,16 +223,33 @@ class ShapeSpec:
     components: tuple = field(default_factory=tuple)  # for kind == "composite"
 
     def __post_init__(self):
-        kinds = ("circle", "triangle", "square", "composite")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown shape kind {self.kind!r}")
+        if self.kind != "composite":
+            _check_size(self.kind, self.parameters)
+        elif len(self.components) == 0:
+            raise ValueError("composite shape needs at least one component")
         if self.sample_count < 3:
             raise ValueError("sample_count must be at least 3")
-        for key in ("radius", "side"):
-            if key in self.parameters and not self.parameters[key] > 0.0:
-                raise ValueError(f"{key} must be strictly positive")
-        if self.kind == "composite" and len(self.components) == 0:
-            raise ValueError("composite shape needs at least one component")
+        for comp in self.components:
+            if not isinstance(comp, dict):
+                raise ValueError(f"component {comp!r} is not a dict")
+            _check_size(comp.get("kind"), comp.get("parameters"))
+
+
+# each basic kind's size parameter, and its perimeter per unit of that size
+_SIZES = {"circle": ("radius", 2.0 * np.pi), "triangle": ("side", 3.0), "square": ("side", 4.0)}
+
+
+def _check_size(kind, params):
+    """A circle, triangle or square needs its size parameter, > 0."""
+    if kind not in _SIZES:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    key = _SIZES[kind][0]
+    try:
+        size = float(params[key])
+    except (KeyError, TypeError, ValueError):
+        size = math.nan
+    if not size > 0.0:
+        raise ValueError(f"a {kind} needs a strictly positive {key!r} parameter")
 
 
 def _circle_geometry(params):
@@ -280,13 +297,8 @@ def _sample_circle(params, count, phase):
 
 
 def _perimeter(kind, params):
-    if kind == "circle":
-        return 2.0 * np.pi * float(params["radius"])
-    if kind == "square":
-        return 4.0 * float(params["side"])
-    if kind == "triangle":
-        return 3.0 * float(params["side"])
-    raise ValueError(f"no perimeter for kind {kind!r}")
+    key, per_size = _SIZES[kind]
+    return per_size * float(params[key])
 
 
 def _signed_inside(kind, params, pts):

@@ -32,16 +32,15 @@ def _attend(field, A, B, Z) -> ad.Tensor:
     """Attention forward from the logits' parts; returns the clamped outputs
     (q, 3), on the tape where B is."""
     att = ad.softmax(ad.pairwise_scores(ad.Tensor(A), B, ad.Tensor(Z)))
-    return ad.clamp(ad.matmul(att, ad.Tensor(field.values[field.key_idx])), 0.0, field.sup)
+    return ad.clamp(ad.matmul(att, ad.Tensor(field.key_values)), 0.0, field.sup)
 
 
 def placement_loss_graph(field, position_ts, rot6_ts, captures,
                          weights=DEFAULT_WEIGHTS, encoding=None):
     """Differentiable loss over pose parameter tensors; the field's weights
     are constants. Returns (scalar loss, component vector) tensors."""
-    field._require_snapshot()
     k = len(captures)
-    n = field.voxel_count
+    n = len(field.centers)
     sup = field.sup
 
     world_parts, spans, scales = [], [], []

@@ -339,6 +339,15 @@ class TestExitCodes:
         assert "unknown shape kind 'external'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_generator_component_without_size_is_runtime_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", scene_source={"generator": {
+            "kind": "composite", "sample_count": 48,
+            "components": [{"kind": "circle", "parameters": {"radius": 1.0}},
+                           {"kind": "square", "parameters": {"center": [1.0, 0.0]}}]}})
+        assert main(["optimize", "--config", str(cfg)]) == 3
+        assert "a square needs a strictly positive 'side' parameter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unvoxelizable_scene_exits_3_before_any_cell(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", optimizer="sa",
                            optimizer_config={"resolution": 0.0})
@@ -418,6 +427,13 @@ class TestExitCodes:
     def test_evaluate_malformed_result_is_usage_error(self, malformed_result, capsys):
         assert main(["evaluate", str(malformed_result)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_report_malformed_result_is_usage_error(self, malformed_result, tmp_path, capsys):
+        out = tmp_path / "summary.json"
+        assert main(["report", str(malformed_result), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: malformed results file" in err and str(malformed_result) in err
+        assert not out.exists()
 
     def test_export_malformed_result_is_usage_error(self, malformed_result, tmp_path, capsys):
         out = tmp_path / "need.ply"

@@ -22,9 +22,9 @@ from camopt.attributes import ObservationAttributes, shape_analyze, sup_vector
 from camopt.field import (
     D_K,
     INITIAL_BUDGET,
+    KEY_BASIS_CAP,
     TRAIN_BATCH,
     TRAIN_QUERY_POOL,
-    FieldQueryBatch,
     ObservationField,
     PlacementLoss,
     _encode,
@@ -93,6 +93,12 @@ def scattered_grid(m, rng, scale=2.0):
 # reference forward: unfolded attention, recomputed from first principles
 # ---------------------------------------------------------------------------
 
+def key_rows(field):
+    """The snapshot rows the field attends over: KEY_BASIS_CAP of them,
+    evenly strided."""
+    return _strided(len(field.centers), KEY_BASIS_CAP)
+
+
 def naive_query(field, q_pos, q_norm):
     """Encode every (offset, normal) pair through the full MLP and run plain
     scaled dot-product attention, constant term and all."""
@@ -101,7 +107,7 @@ def naive_query(field, q_pos, q_norm):
     def encode(x):
         return np.maximum(x @ W1 + b1, 0.0) @ W2 + b2
 
-    kidx = field.key_idx
+    kidx = key_rows(field)
     q_vec = encode(np.concatenate([np.zeros(3), q_norm])[None, :])[0] @ WQ
     key_in = np.concatenate([field.centers[kidx] - q_pos, field.normals[kidx]], axis=1)
     keys = encode(key_in) @ WK
@@ -119,7 +125,7 @@ class TestQueryForward:
         q_pos = rng.uniform(-2, 2, size=(7, 3))
         q_norm = rng.normal(size=(7, 3))
         q_norm /= np.linalg.norm(q_norm, axis=1, keepdims=True)
-        got = query(field, FieldQueryBatch(q_pos, q_norm))
+        got = query(field, q_pos, q_norm)
         want = np.stack([naive_query(field, p, n) for p, n in zip(q_pos, q_norm)])
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -127,14 +133,14 @@ class TestQueryForward:
         grid = make_grid([[0.3, -0.2, 1.0]])
         attrs = constant_attrs(1, 4, [2.5, 0.7, 0.4])
         field = lean_neof(None, grid, attrs, budget=0)
-        out = query(field, FieldQueryBatch([[5.0, 5.0, 5.0]], [[0.0, 0.0, 1.0]]))
+        out = query(field, [[5.0, 5.0, 5.0]], [[0.0, 0.0, 1.0]])
         assert np.allclose(out[0], [2.5, 0.7, 0.4], atol=1e-12)
 
     def test_identical_voxels_collapse_to_shared_value(self):
         centers = np.tile([1.0, 2.0, 3.0], (4, 1))
         attrs = constant_attrs(4, 2, [1.0, 0.3, 0.8])
         field = lean_neof(None, make_grid(centers), attrs, budget=0)
-        out = query(field, FieldQueryBatch([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]))
+        out = query(field, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
         assert np.allclose(out[0], [1.0, 0.3, 0.8], atol=1e-12)
 
     def test_values_clipped_to_attribute_range(self):
@@ -144,27 +150,34 @@ class TestQueryForward:
         attrs = ObservationAttributes(c=np.array([1.0]), phi_cc=np.array([0.2]),
                                       phi_co=np.array([1.8]), K=2)
         field = lean_neof(None, grid, attrs, budget=0)
-        out = query(field, FieldQueryBatch([[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]))
+        out = query(field, [[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])
         assert out[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_query_requires_training_and_snapshot(self):
-        field = ObservationField(seed=0)
-        batch = FieldQueryBatch([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
-            query(field, batch)
-        with pytest.raises(ValueError):
-            lean_neof(field, make_grid(np.zeros((0, 3)).reshape(0, 3),
-                                       np.zeros((0, 3))),
-                      ObservationAttributes(np.zeros(0), np.zeros(0), np.zeros(0), 3),
-                      budget=0)
+        # a field is built with its snapshot, so there is no field without one
+        with pytest.raises(TypeError):
+            ObservationField()
+        with pytest.raises(TypeError):
+            ObservationField(seed=0)
+        empty = (VoxelGrid(1.0, np.zeros((0, 3)), np.zeros((0, 3)),
+                           np.zeros((0, 3), dtype=np.int64), np.zeros(3)),
+                 ObservationAttributes(np.zeros(0), np.zeros(0), np.zeros(0), 3))
+        with pytest.raises(ValueError, match="empty grid"):
+            ObservationField(*empty)
+        field = lean_neof(None, make_grid([[0.0, 0.0, 0.0]]),
+                          constant_attrs(1, 3, [1.0, 0.5, 0.5]), budget=0)
+        with pytest.raises(ValueError, match="empty grid"):
+            lean_neof(field, *empty, budget=0)
 
     def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            FieldQueryBatch([[0.0, 0.0]], [[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            FieldQueryBatch([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
-            FieldQueryBatch(np.zeros((0, 3)), np.zeros((0, 3)))
+        field = lean_neof(None, make_grid([[0.0, 0.0, 0.0]]),
+                          constant_attrs(1, 3, [1.0, 0.5, 0.5]), budget=0)
+        with pytest.raises(ValueError, match="positions must be"):
+            query(field, [[0.0, 0.0]], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="normals must match"):
+            query(field, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="empty query batch"):
+            query(field, np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 class TestTraining:
@@ -172,11 +185,11 @@ class TestTraining:
         rng = np.random.default_rng(7)
         grid = scattered_grid(30, rng)
         attrs = random_attrs(30, 3, rng)
-        batch = FieldQueryBatch(grid.centers, grid.normals)
+        batch = (grid.centers, grid.normals)
         raw = lean_neof(None, grid, attrs, budget=0, seed=7)
-        mse0 = np.mean((query(raw, batch) - attrs.stack()) ** 2)
+        mse0 = np.mean((query(raw, *batch) - attrs.stack()) ** 2)
         trained = lean_neof(None, grid, attrs, seed=7)  # default initial budget
-        mse1 = np.mean((query(trained, batch) - attrs.stack()) ** 2)
+        mse1 = np.mean((query(trained, *batch) - attrs.stack()) ** 2)
         assert mse1 < 0.25 * mse0
 
     def test_trained_field_reproduces_voxel_attributes_at_centers(self):
@@ -184,7 +197,7 @@ class TestTraining:
         grid = scattered_grid(30, rng)
         attrs = random_attrs(30, 3, rng)
         field = lean_neof(None, grid, attrs, seed=3)
-        out = query(field, FieldQueryBatch(grid.centers, grid.normals))
+        out = query(field, grid.centers, grid.normals)
         err = np.abs(out - attrs.stack()) / field.sup
         assert np.max(err) <= 0.1
 
@@ -193,7 +206,7 @@ class TestTraining:
         grid = scattered_grid(50, rng)
         attrs = constant_attrs(50, 3, [1.5, 0.4, 0.6])
         field = lean_neof(None, grid, attrs, budget=1)
-        out = query(field, FieldQueryBatch(grid.centers, grid.normals))
+        out = query(field, grid.centers, grid.normals)
         assert np.max(np.abs(out - attrs.stack())) < 1e-9
 
     def test_finetune_keeps_adam_state_and_updates_weights(self):
@@ -238,7 +251,7 @@ def tape_fit_grads(field, idx):
     float32 step, kept as its reference."""
     W1, b1, W2, b2, WQ, WK = params = [ad.Tensor(p, requires_grad=True)
                                        for p in native.weight_views(field.theta)]
-    kidx = field.key_idx
+    kidx = key_rows(field)
     basis_in = np.concatenate([field.centers[kidx], field.normals[kidx]], axis=1)
     A = ad.add(ad.matmul(ad.Tensor(basis_in), W1), b1)
     B = ad.mul(ad.matmul(ad.Tensor(field.centers[idx]), W1[0:3]), ad.Tensor(-1.0))
@@ -271,7 +284,7 @@ def numpy_fit_grads(field, idx):
 
 def train_batches(field, budget):
     """The query rows lean_neof trains on at each step."""
-    pool = _strided(field.voxel_count, TRAIN_QUERY_POOL)
+    pool = _strided(len(field.centers), TRAIN_QUERY_POOL)
     for step in range(budget):
         if len(pool) > TRAIN_BATCH:
             start = (step * TRAIN_BATCH) % len(pool)
@@ -287,7 +300,6 @@ def tape_fit(grid, attrs, budget, seed=0):
     for idx in train_batches(field, budget):
         grad = np.concatenate([g.ravel() for g in tape_fit_grads(field, idx)])
         ad.adam_step(field.theta, grad, field.adam)
-    field.trained = True
     return field
 
 
@@ -330,7 +342,7 @@ GRAD_REL_BOUND = 1e-3
 def check_snapshot_bounds(kind, fit_grads=fused_fit_grads):
     grid, attrs = real_snapshot(kind)
     fresh = lean_neof(None, grid, attrs, budget=0, seed=0)
-    assert len(fresh.key_idx) == 256 and fresh.voxel_count > TRAIN_QUERY_POOL
+    assert len(fresh.key_basis) == 256 and len(fresh.centers) > TRAIN_QUERY_POOL
     first = next(train_batches(fresh, 1))
     trained = lean_neof(None, grid, attrs, budget=25, seed=0)
     assert trained.adam.step_count == 25
@@ -348,7 +360,7 @@ def check_random_case(keys, queries, seed, margin, fit_grads=fused_fit_grads):
     grid = scattered_grid(keys, rng)
     field = lean_neof(None, grid, random_attrs(keys, 3, rng, margin=margin),
                       budget=0, seed=seed)
-    assert len(field.key_idx) == keys
+    assert len(field.key_basis) == keys
     idx = rng.integers(keys, size=queries)
     for got, want in zip(fit_grads(field, idx), tape_fit_grads(field, idx)):
         assert rel_diff(got, want) <= GRAD_REL_BOUND
@@ -397,9 +409,9 @@ class TestFloat32FitStep:
         fit32 = lean_neof(None, grid, attrs, seed=0)
         fit64 = tape_fit(grid, attrs, INITIAL_BUDGET)
         assert fit32.adam.step_count == fit64.adam.step_count == INITIAL_BUDGET
-        pool = _strided(fit32.voxel_count, TRAIN_QUERY_POOL)
-        batch = FieldQueryBatch(grid.centers[pool], grid.normals[pool])
-        out32, out64 = query(fit32, batch), query(fit64, batch)
+        pool = _strided(len(fit32.centers), TRAIN_QUERY_POOL)
+        batch = (grid.centers[pool], grid.normals[pool])
+        out32, out64 = query(fit32, *batch), query(fit64, *batch)
         assert np.max(np.abs(out32 - out64) / fit32.sup) <= 1e-4
         target = attrs.stack()[pool]
         mse32 = np.mean((out32 - target) ** 2)
@@ -413,7 +425,7 @@ class TestFloat32FitStep:
             assert array.dtype == np.float64 and array.shape == field.theta.shape
         assert all(np.shares_memory(w, field.theta) for w in
                    (field.W1, field.b1, field.W2, field.b2, field.WQ, field.WK))
-        assert query(field, FieldQueryBatch(grid.centers[:5], grid.normals[:5])).dtype \
+        assert query(field, grid.centers[:5], grid.normals[:5]).dtype \
             == np.float64
 
     def test_weights_do_not_depend_on_blas_thread_count(self, tmp_path):
@@ -641,7 +653,7 @@ class TestFitKernel:
         grid, attrs = real_snapshot("circle")
         field = lean_neof(None, grid, attrs, budget=0, seed=0)
         batch = fit_batch(field, next(train_batches(field, 1)))
-        assert len(field.key_idx) == 256 and len(batch.target) == TRAIN_BATCH
+        assert len(field.key_basis) == 256 and len(batch.target) == TRAIN_BATCH
         work = _fit_workspace(field, TRAIN_BATCH)
         kernel_s = best_of_5(lambda: work(*batch))
         numpy_s = best_of_5(lambda: numpy_fit.fit_gradients(field, batch))
@@ -992,7 +1004,7 @@ class TestAttendKernel:
         # numpy helpers: it swaps the helpers for references with the
         # kernels' bits
         field, rig, E = two_camera_setup(seed=12)
-        batch = FieldQueryBatch(field.centers[:4], field.normals[:4])
+        batch = (field.centers[:4], field.normals[:4])
         calls = []
 
         def refuse(*args):
@@ -1010,7 +1022,7 @@ class TestAttendKernel:
         monkeypatch.setattr(ad, "scores_b_grad", refuse)
         for name in ("attend_scores", "attend_b_grad"):
             monkeypatch.setattr(native.Library, name, counting(name))
-        query(field, batch)
+        query(field, *batch)
         assert calls == ["attend_scores"]
         pose_grads(field, rig, E)
         assert calls == ["attend_scores", "attend_scores", "attend_b_grad"]
@@ -1080,7 +1092,7 @@ class TestFitAllocations:
         # whether it may reuse it), and a fit step made 256 KB temporaries
         # in the score widening, err @ dV and g * att
         grid, attrs = real_snapshot("circle")
-        block = TRAIN_BATCH * len(lean_neof(None, grid, attrs, budget=0).key_idx) * 8
+        block = TRAIN_BATCH * len(lean_neof(None, grid, attrs, budget=0).key_basis) * 8
         assert block == 256 * 1024
         steps = largest_rise_per_fit_step(lambda: lean_neof(None, grid, attrs, budget=20))
         assert len(steps) == 20
@@ -1107,7 +1119,7 @@ def two_camera_setup(seed=0, m=20, K=3):
 
 def coverage_of(field, *rows):
     """Coverage matrix over the field's voxels whose row i marks rows[i]."""
-    entries = np.zeros((len(rows), field.voxel_count), dtype=np.int8)
+    entries = np.zeros((len(rows), len(field.centers)), dtype=np.int8)
     for i, vis in enumerate(rows):
         entries[i, list(vis)] = 1
     return CoverageMatrix(entries)

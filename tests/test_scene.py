@@ -115,11 +115,33 @@ class TestShapeGeneration:
             ShapeSpec("circle", {"radius": 1.0}, sample_count=2)
         with pytest.raises(ValueError):
             ShapeSpec("blob", {"radius": 1.0}, sample_count=10)
+        # each kind needs its own size parameter, present and positive
+        for kind, parameters in (("circle", {}), ("square", {"radius": 1.0}),
+                                 ("triangle", {"side": "wide"})):
+            with pytest.raises(ValueError, match="strictly positive"):
+                ShapeSpec(kind, parameters, sample_count=10)
 
     def test_external_kind_rejected_at_construction(self):
         # point clouds come from load_scene; no generator kind stands for them
         with pytest.raises(ValueError, match="unknown shape kind"):
             ShapeSpec("external", {}, 10)
+
+    @pytest.mark.parametrize("component, message", [
+        ({"kind": "circle", "parameters": {"radius": -1.0}}, "'radius'"),
+        ({"kind": "square", "parameters": {"side": 0.0}}, "'side'"),
+        ({"kind": "triangle", "parameters": {"side": float("nan")}}, "'side'"),
+        ({"kind": "circle", "parameters": {}}, "'radius'"),
+        ({"kind": "circle"}, "'radius'"),
+        ({"kind": "composite", "parameters": {}}, "unknown shape kind"),
+        ({"parameters": {"radius": 1.0}}, "unknown shape kind"),
+        ("circle", "not a dict"),
+    ])
+    def test_composite_checks_each_component(self, component, message):
+        # unchecked, a negative radius samples inward-facing points beyond
+        # the requested count, and a missing one raises KeyError at sampling
+        good = {"kind": "circle", "parameters": {"radius": 1.0, "center": (1.2, 0.0)}}
+        with pytest.raises(ValueError, match=message):
+            ShapeSpec("composite", {}, 100, seed=0, components=(good, component))
 
 
 class TestSceneInvariants:
