@@ -364,9 +364,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load_result(path) -> tuple:
     """(payload, config, final poses) of a cell results file; a file that
-    does not hold them is a usage error, like a malformed config."""
+    does not hold them, or the final uc and angle quality that `report`
+    summarizes, is a usage error, like a malformed config."""
     try:
         data = json.loads(Path(path).read_text())
+        for key in ("uc", "angle_quality"):
+            if not isinstance(data["final"].get(key), (int, float)):
+                raise ValueError(f"final {key} is missing or not a number")
         config = ExperimentConfig.from_dict(
             {k: v for k, v in data["config"].items() if k not in ("k", "seed")})
         poses = tuple(

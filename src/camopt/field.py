@@ -40,14 +40,18 @@ the gradients of A, B and Z, run in float32; everything else (the encode,
 the row chain, the weight chain, Adam state, `query`, the placement loss)
 stays float64. lean_neof makes a fit's FitStep and gathers its training
 batches once per call, so no step allocates an array of the (batch, keys)
-size. A 128-query step on the benchmark's snapshots takes about 0.6 ms on
-a 2-vCPU Xeon. The float64 scores of `query` and the placement loss, and
-the placement loss's gradient of them with respect to B, run in the
-library's attention kernels (_scores, _scores_b_grad); the softmax, att @
-V and clamp forward (_attend) and the softmax backward
-(_softmax_backward) around them are numpy. Every float64 sum of the
-kernels runs in a fixed order, so the bits depend on neither the BLAS
-kernel nor the compiler flags.
+size. A 128-query step on the benchmark's snapshots takes about 0.45 ms
+on a 2-vCPU Xeon with 512-bit vectors. The float64 scores of `query` and
+the placement loss, and the placement loss's gradient of them with
+respect to B, run in the library's attention kernels (_scores,
+_scores_b_grad); the softmax (_softmax), the att @ V and clamp forward
+(_values) and the softmax backward (_softmax_backward) around them are
+numpy. A query's attention (_attention) depends on the weights and the
+keys' encoder inputs, not on the keys' attributes, so the resampler,
+which only swaps attributes between its field sums, keeps it for a
+phase (visible_attr_sum). Every float64 sum of the kernels runs in a
+fixed order, so the bits depend on neither the BLAS kernel nor the
+compiler flags.
 """
 
 from dataclasses import dataclass
@@ -139,15 +143,20 @@ def _offsets(field: ObservationField, positions: np.ndarray) -> np.ndarray:
     return (positions @ field.W1[0:3]) * -1.0
 
 
-def _attend(s: np.ndarray, V: np.ndarray, sup: np.ndarray):
-    """The row chain's forward from float64 scores s (rows, keys): the
-    softmax (in place in s), raw = att @ V and the outputs raw clamped to
-    [0, sup]. Returns (att, raw, out); every step is per row."""
+def _softmax(s: np.ndarray) -> np.ndarray:
+    """The softmax of float64 scores s (rows, keys) along each row, in place
+    in s, which is returned."""
     s -= s.max(axis=-1, keepdims=True)
     att = np.exp(s, out=s)
     att /= att.sum(axis=-1, keepdims=True)
+    return att
+
+
+def _values(att: np.ndarray, V: np.ndarray, sup: np.ndarray):
+    """The row chain's forward from the attention att (rows, keys): raw =
+    att @ V and the outputs raw clamped to [0, sup]. Returns (raw, out)."""
     raw = att @ V
-    return att, raw, np.minimum(np.maximum(raw, 0.0), sup)
+    return raw, np.minimum(np.maximum(raw, 0.0), sup)
 
 
 def _softmax_backward(g: np.ndarray, att: np.ndarray) -> np.ndarray:
@@ -171,6 +180,15 @@ def _scores_b_grad(A: np.ndarray, B: np.ndarray, Z: np.ndarray, g: np.ndarray) -
     return native.load().attend_b_grad(A, B, Z, g)
 
 
+def _attention(field: ObservationField, positions: np.ndarray,
+               normals: np.ndarray) -> np.ndarray:
+    """The attention (q, keys) of the query points over the keys, the half
+    of `query` that depends on the weights and the keys' encoder inputs
+    alone, not on the keys' attributes."""
+    enc = _encode(field, normals)
+    return _softmax(_scores(enc.A, _offsets(field, positions), enc.Z))
+
+
 def query(field: ObservationField, positions, normals) -> np.ndarray:
     """Attributes (q, 3) at the query points, positions (q, 3) with their
     unit normals (q, 3), under the current weights."""
@@ -182,9 +200,7 @@ def query(field: ObservationField, positions, normals) -> np.ndarray:
         raise ValueError("normals must match positions in shape")
     if len(normals) == 0:
         raise ValueError("empty query batch")
-    enc = _encode(field, normals)
-    s = _scores(enc.A, _offsets(field, positions), enc.Z)
-    return _attend(s, field.key_values, field.sup)[2]
+    return _values(_attention(field, positions, normals), field.key_values, field.sup)[1]
 
 
 class _FitBatch(NamedTuple):
@@ -265,14 +281,24 @@ def _sample_visible(rows: np.ndarray):
     return take, len(rows) / len(take)
 
 
-def visible_attr_sum(field: ObservationField, rows: np.ndarray) -> np.ndarray:
+def visible_attr_sum(field: ObservationField, rows: np.ndarray, attention: dict) -> np.ndarray:
     """Componentwise sum of field attributes over one camera's sorted visible
     voxel rows (at most LOSS_QUERY_CAP of them sampled, the sum rescaled), the
-    additive per-camera share of the loss; zeros when there are none."""
+    additive per-camera share of the loss; zeros when there are none.
+
+    attention maps the sampled rows' bytes to their attention (_attention),
+    read on a hit and filled on a miss. Its entries hold while the weights
+    and the keys' encoder inputs do: a snapshot of the same grid changes
+    only the keys' attributes, which the values half (_values) reads afresh
+    on every call."""
     if len(rows) == 0:
         return np.zeros(3)
     take, scale = _sample_visible(rows)
-    out = query(field, field.centers[take], field.normals[take])
+    key = take.tobytes()
+    att = attention.get(key)
+    if att is None:
+        att = attention[key] = _attention(field, field.centers[take], field.normals[take])
+    out = _values(att, field.key_values, field.sup)[1]
     return out.sum(axis=0) * scale
 
 
@@ -371,7 +397,8 @@ def placement_loss_grads(field: ObservationField, positions: np.ndarray, rot6: n
     X = np.concatenate([captures[i].local @ r + positions[i] for i, r in zip(live, rows)])
     B = _offsets(field, X)
     V = field.key_values
-    att, raw, out = _attend(_scores(encoding.A, B, encoding.Z), V, sup)
+    att = _softmax(_scores(encoding.A, B, encoding.Z))
+    raw, out = _values(att, V, sup)
     total = None
     for (lo, hi), i in zip(spans, live):
         part = np.sum(out[lo:hi], axis=0) * captures[i].scale

@@ -284,7 +284,12 @@ def grad_phase(rig: CameraRig, field: ObservationField, grid, config: OptimizerC
 def worst_regions(grid, attrs, m: int):
     """Cluster the voxels that still need observation into up to m regions by
     greedy farthest-point seeding (distance weighted by residual coverage c),
-    then summarize each region by its c-weighted centroid and mean normal."""
+    then summarize each region by its c-weighted centroid and mean normal.
+
+    Each pool voxel keeps its distance to the nearest seed so far and that
+    seed's index, updated as each seed is added; a later seed takes a voxel
+    only when strictly nearer, so a tie goes to the earlier seed. This costs
+    O(pool m)."""
     c = attrs.c
     pool = np.nonzero(c > 1e-12)[0]
     if len(pool) == 0:
@@ -292,13 +297,17 @@ def worst_regions(grid, attrs, m: int):
     pts = grid.centers[pool]
     w = c[pool]
     seeds = [int(pool[np.argmax(w)])]
+    d = np.linalg.norm(pts - grid.centers[seeds[0]], axis=1)
+    assign = np.zeros(len(pool), dtype=np.intp)
     while len(seeds) < min(m, len(pool)):
-        d = np.min(np.linalg.norm(pts[:, None, :] - grid.centers[seeds][None], axis=2), axis=1)
         score = w * d
         if score.max() <= 1e-12:
             break
         seeds.append(int(pool[np.argmax(score)]))
-    assign = np.argmin(np.linalg.norm(pts[:, None, :] - grid.centers[seeds][None], axis=2), axis=1)
+        d_new = np.linalg.norm(pts - grid.centers[seeds[-1]], axis=1)
+        nearer = d_new < d
+        d[nearer] = d_new[nearer]
+        assign[nearer] = len(seeds) - 1
     regions = []
     for s in range(len(seeds)):
         rows = pool[assign == s]
@@ -353,8 +362,10 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     between passes and phases, so their exact visible rows come from
     candidate_cache (pose bytes -> sorted read-only row array;
     a dict owned by the caller, one per run and grid), filled on a miss.
-    Their field sums are recomputed, because the field changes after every
-    commit.
+    The field's weights and keys stay fixed for the phase, so a sampled row
+    set's attention does too: the phase keeps it in a dict of its own
+    (visible_attr_sum), and a field sum after a commit recomputes only the
+    values half, att @ V and the clamp, against the new snapshot.
 
     Returns (rig', committed, E', attrs'): the accepted swaps, and the
     coverage matrix and attributes of rig'.
@@ -375,8 +386,9 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
     replaced = set()
     attrs_cur = attrs
     rows = [np.flatnonzero(row) for row in E.entries]    # each camera's visible rows
+    attention = {}    # sampled rows' bytes -> their attention, for visible_attr_sum
     while True:
-        sums = np.array([visible_attr_sum(field, r) for r in rows])
+        sums = np.array([visible_attr_sum(field, r, attention) for r in rows])
         sizes = np.array([len(r) for r in rows])
         L_cur = float(w @ (sup - sums.sum(axis=0) / (k * n)))
 
@@ -401,7 +413,7 @@ def non_grad_phase(rig: CameraRig, field: ObservationField, grid, attrs,
         cand_poses = _region_poses(regions, rig.intrinsics)
         cand_vis = [_candidate_visible(p, rig.intrinsics, grid, candidate_cache)
                     for p in cand_poses]
-        cand_sums = [visible_attr_sum(field, vis) for vis in cand_vis]
+        cand_sums = [visible_attr_sum(field, vis, attention) for vis in cand_vis]
         best = None
         for i in candidates:
             for ci, s_new in enumerate(cand_sums):

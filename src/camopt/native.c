@@ -58,14 +58,52 @@ void name(const real *restrict at, const real *restrict b, const real *restrict 
    gradients come in as double and are rounded to float32 here. */
 SCORES(fit_scores, float)
 
-/* With w[q, m] the logit gradient g[q, m] rounded to float32, or +0 where
-   |g| < FLUSH (as a float32 denormal it would slow every product it
-   enters), and t[q, m, h] = w[q, m] * (z[q, h] * on[q, m, h]), on the relu
-   mask of a[m, h] + b[q, h]: gz[q] = sum_m w[q, m] * relu(a[m] + b[q]),
-   gb[q] = sum_m t[q, m] and ga[m] = sum_q t[q, m], each summed in float32
-   and stored as double. ga32 (nm, H) is the float32 scratch ga sums in.
-   The mask stays a product: written as a select, gcc emits branches and
-   the pass runs ten times slower. */
+/* HV vectors of FL float lanes hold a row of the H channels, and a
+   comparison of two gives a lane mask of FL ints, all ones where it holds.
+   FL is the width of the target's widest float vector: 16 with AVX-512, 8
+   with AVX, 4 otherwise (SSE2, NEON). gcc splits a vector wider than the
+   target's into far slower code: 16 lanes at -march=haswell took 2.8 ms a
+   128 x 256 pass, 8 lanes 0.27 ms. Each lane sums its own channel, so the
+   width leaves the bits as they are. aligned(4): the rows start at any
+   float. */
+#if defined(__AVX512F__)
+#define FL 16
+#elif defined(__AVX__)
+#define FL 8
+#else
+#define FL 4
+#endif
+#if H % FL
+#error "H must be a multiple of the float lanes"
+#endif
+#define HV (H / FL)
+typedef float f32v __attribute__((vector_size(FL * sizeof(float)), aligned(4)));
+typedef int32_t maskv __attribute__((vector_size(FL * sizeof(int32_t)), aligned(4)));
+
+/* x where the mask is set, +0 elsewhere. */
+static inline f32v masked(f32v x, maskv on)
+{
+    return (f32v)((maskv)x & on);
+}
+
+/* A logit gradient rounded to float32, or +0 where |g| < FLUSH (as a
+   float32 denormal it would slow every product it enters). */
+static inline float flushed(double g)
+{
+    return fabs(g) < FLUSH ? 0.0f : (float)g;
+}
+
+/* With w[q, m] the flushed logit gradient g[q, m] and t[q, m, h] = w[q, m]
+   * z[q, h] where a[m, h] + b[q, h] > 0 and +0 elsewhere: gz[q] = sum_m
+   w[q, m] * relu(a[m] + b[q]), gb[q] = sum_m t[q, m] and ga[m] = sum_q t[q,
+   m], each summed in float32 and stored as double. ga32 (nm, H) is the
+   float32 scratch ga sums in. The relu mask is a lane mask ANDed into the
+   products, so the loops have no branches. Each sum starts at +0, which no
+   float32 add of +-0 turns into -0, so the +0 the mask leaves adds exactly
+   what the product with a 0/1 mask did. Two rows share each walk over the
+   keys, so a key's a and ga32 rows are loaded and stored once a pair; ga
+   adds the first row's term before the second's, the order over the rows.
+   An odd last row pairs with itself at weight 0, whose terms add +-0. */
 void fit_grads(const float *restrict a, const float *restrict b,
                const float *restrict z, const double *restrict g,
                float *restrict ga32, double *restrict ga, double *restrict gb,
@@ -73,26 +111,36 @@ void fit_grads(const float *restrict a, const float *restrict b,
 {
     for (long i = 0; i < nm * H; i++)
         ga32[i] = 0.0f;
-    for (long q = 0; q < nq; q++) {
-        const float *restrict bq = b + q * H, *restrict zq = z + q * H;
-        float sb[H] = {0.0f}, sz[H] = {0.0f};
+    for (long q = 0; q < nq; q += 2) {
+        const long r = q + 1 < nq ? q + 1 : q;
+        const f32v *bq = (const f32v *)(b + q * H), *zq = (const f32v *)(z + q * H);
+        const f32v *br = (const f32v *)(b + r * H), *zr = (const f32v *)(z + r * H);
+        const double *restrict gq = g + q * nm, *restrict gr = g + r * nm;
+        f32v sbq[HV] = {{0.0f}}, szq[HV] = {{0.0f}}, sbr[HV] = {{0.0f}}, szr[HV] = {{0.0f}};
         for (long m = 0; m < nm; m++) {
-            const double gqm = g[q * nm + m];
-            const float w = fabs(gqm) < FLUSH ? 0.0f : (float)gqm;
-            const float *restrict am = a + m * H;
-            float *restrict gam = ga32 + m * H;
-            for (long h = 0; h < H; h++) {
-                const float pre = am[h] + bq[h], on = pre > 0.0f;
-                const float t = w * (zq[h] * on);
-                sz[h] += w * (pre * on);
-                sb[h] += t;
-                gam[h] += t;
+            const float wq = flushed(gq[m]), wr = r > q ? flushed(gr[m]) : 0.0f;
+            const f32v *am = (const f32v *)(a + m * H);
+            f32v *gam = (f32v *)(ga32 + m * H);
+            for (int v = 0; v < HV; v++) {
+                const f32v pq = am[v] + bq[v], pr = am[v] + br[v];
+                const maskv onq = pq > 0.0f, onr = pr > 0.0f;
+                const f32v tq = masked(wq * zq[v], onq), tr = masked(wr * zr[v], onr);
+                szq[v] += masked(wq * pq, onq);
+                szr[v] += masked(wr * pr, onr);
+                sbq[v] += tq;
+                sbr[v] += tr;
+                gam[v] = (gam[v] + tq) + tr;
             }
         }
-        for (long h = 0; h < H; h++) {
-            gb[q * H + h] = sb[h];
-            gz[q * H + h] = sz[h];
-        }
+        for (int v = 0; v < HV; v++)
+            for (int j = 0; j < FL; j++) {
+                gb[q * H + v * FL + j] = sbq[v][j];
+                gz[q * H + v * FL + j] = szq[v][j];
+                if (r > q) {
+                    gb[r * H + v * FL + j] = sbr[v][j];
+                    gz[r * H + v * FL + j] = szr[v][j];
+                }
+            }
     }
     for (long i = 0; i < nm * H; i++)
         ga[i] = ga32[i];

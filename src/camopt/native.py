@@ -46,7 +46,8 @@ FLUSH = 1e-30        # fit-step logit gradients below this in magnitude are drop
 
 # -march=native is safe: the library is built on the host that runs it and
 # kept nowhere, and its results do not depend on the flags. Without it gcc
-# 12 leaves the fit's gradient loop scalar, about 50 times slower.
+# 12 builds for the architecture's baseline (SSE2 on x86-64), and a fit step
+# takes about twice as long.
 # Where an x86 host has 512-bit vectors, gcc uses them only when asked, and
 # the slab passes and the attention scores run faster in them; other
 # architectures have no such option.

@@ -15,7 +15,7 @@ import numpy as np
 
 from camopt import autodiff as ad
 from camopt import native
-from camopt.field import D_K, _attend, _softmax_backward
+from camopt.field import D_K, _softmax, _softmax_backward, _values
 
 # training queries per block of the float32 relu slab (512 KB at 256 keys
 # and 32 channels)
@@ -25,10 +25,12 @@ _INV_SQRT_DK = 1.0 / np.sqrt(D_K)
 
 def logit_grads(s, V, target, dV, sup) -> np.ndarray:
     """From float64 scores s (rows, keys): the attention forward
-    (field._attend, which overwrites s), the squared-error gradient where
-    the clamp passes it, and the softmax backward to the logits. dV is V.T *
-    2 / target.size. Every step is per row."""
-    att, raw, out = _attend(s, V, sup)
+    (field._softmax, which overwrites s, and field._values), the
+    squared-error gradient where the clamp passes it, and the softmax
+    backward to the logits. dV is V.T * 2 / target.size. Every step is per
+    row."""
+    att = _softmax(s)
+    raw, out = _values(att, V, sup)
     err = (out - target) * (out == raw)
     return _softmax_backward(err @ dV, att)
 

@@ -435,6 +435,20 @@ class TestExitCodes:
         assert "config error: malformed results file" in err and str(malformed_result) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["uc", "angle_quality"])
+    def test_report_result_without_a_final_score_is_usage_error(self, key, tmp_path, capsys):
+        assert run(write_config(tmp_path / "c.json")) == 0
+        cell = tmp_path / "out" / "hybrid_k3_seed0.json"
+        data = json.loads(cell.read_text())
+        del data["final"][key]
+        cell.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "summary.json"
+        assert main(["report", str(cell), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: malformed results file" in err and str(cell) in err
+        assert not out.exists()
+
     def test_export_malformed_result_is_usage_error(self, malformed_result, tmp_path, capsys):
         out = tmp_path / "need.ply"
         assert main(["export", str(malformed_result), "--out", str(out)]) == 2

@@ -3,6 +3,7 @@ training behaviour, pose gradients of the placement loss."""
 
 import ctypes
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -36,6 +37,7 @@ from camopt.field import (
     placement_loss,
     placement_loss_grads,
     query,
+    visible_attr_sum,
 )
 from camopt.hybrid import initialize
 from camopt.scene import (
@@ -178,6 +180,35 @@ class TestQueryForward:
             query(field, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="empty query batch"):
             query(field, np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+class TestAttentionReuse:
+    """visible_attr_sum's attention dict, which non_grad_phase keeps for a
+    phase: a snapshot of the same grid leaves the attention as it was."""
+
+    @pytest.mark.parametrize("count", [5, 16, 90])
+    def test_reused_attention_sum_equals_a_fresh_query_sum_after_a_snapshot(
+            self, monkeypatch, count):
+        rng = np.random.default_rng(count)
+        grid = scattered_grid(300, rng)
+        field = lean_neof(None, grid, random_attrs(300, 3, rng), budget=5, seed=1)
+        rows = np.sort(rng.choice(300, size=count, replace=False))
+        attention = {}
+        before = visible_attr_sum(field, rows, attention)
+        assert len(attention) == 1
+        field.snapshot(grid, random_attrs(300, 3, rng, margin=-0.3))
+        computed = []
+        real = field_module._attention
+        monkeypatch.setattr(field_module, "_attention",
+                            lambda *args: computed.append(1) or real(*args))
+        reused = visible_attr_sum(field, rows, attention)
+        assert computed == [] and len(attention) == 1
+        take = rows[_strided(len(rows), field_module.LOSS_QUERY_CAP)]
+        fresh = query(field, field.centers[take], field.normals[take]).sum(axis=0) \
+            * (len(rows) / len(take))
+        assert reused.tobytes() == fresh.tobytes()
+        assert reused.tobytes() == visible_attr_sum(field, rows, {}).tobytes()
+        assert not np.array_equal(reused, before)
 
 
 class TestTraining:
@@ -588,6 +619,22 @@ def kernel_O0():
     return native.build(opt=("-O0",))
 
 
+@pytest.fixture(scope="module")
+def kernel_x86_64():
+    """The kernels built for the x86-64 baseline, whose slab-gradient
+    vectors have SSE2's 4 float lanes where the loaded build's have 16
+    (AVX-512) or 8 (AVX); None on other architectures, where -march=x86-64
+    names no target and the tests compare the -O0 build alone."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return None
+    return native.build(opt=("-O2", "-march=x86-64"))
+
+
+def other_builds(*kernels):
+    """The builds of kernels that exist on this host."""
+    return [kernel for kernel in kernels if kernel is not None]
+
+
 class TestFitKernel:
     def test_loads_where_cc_is_on_path(self):
         assert isinstance(native.load(), native.Library)
@@ -595,19 +642,21 @@ class TestFitKernel:
     @settings(max_examples=40, deadline=None)
     @given(keys=st.integers(1, 256), queries=st.integers(1, 130),
            seed=st.integers(0, 10_000), margin=st.sampled_from([-0.3, 0.05]))
-    def test_equals_full_tensor_reference_and_O0_build(self, kernel_O0, keys, queries,
-                                                       seed, margin):
+    def test_equals_full_tensor_reference_and_O0_build(self, kernel_O0, kernel_x86_64, keys,
+                                                       queries, seed, margin):
         # a negative margin puts attributes outside their range, so the
         # clamp zeroes some of g
         A, B, Z, g = slab_operands(keys, queries, seed, margin)
         got = kernel_slab(native.load(), A, B, Z, g)
         reference = [x.astype(np.float64) for x in reference_slab(A, B, Z, numpy_flush(g))]
-        for other in (reference, kernel_slab(kernel_O0, A, B, Z, g)):
+        for other in [reference] + [kernel_slab(build, A, B, Z, g)
+                                    for build in other_builds(kernel_O0, kernel_x86_64)]:
             for x, y in zip(got, other):
                 assert x.dtype == y.dtype == np.float64
                 np.testing.assert_array_equal(x, y)
 
-    def test_flushes_and_rounds_logit_gradients_like_the_numpy_step(self, kernel_O0):
+    def test_flushes_and_rounds_logit_gradients_like_the_numpy_step(self, kernel_O0,
+                                                                   kernel_x86_64):
         # rows of nothing but values at and below the flush threshold, so
         # each sum is made of them alone: a 9.9e-31 or a 1e-40 the kernel
         # kept would leave a nonzero sum where the numpy rule leaves 0
@@ -619,7 +668,7 @@ class TestFitKernel:
         want = [x.astype(np.float64) for x in reference_slab(A, B, Z, numpy_flush(g))[1:]]
         # the +-1e-30 the rule keeps reach every sum
         assert all(np.any(x != 0.0) for x in want)
-        for build in (kernel, kernel_O0):
+        for build in [kernel] + other_builds(kernel_O0, kernel_x86_64):
             for x, y in zip(fit_grads(build, A, B, Z, g, np.empty_like(A)), want):
                 np.testing.assert_array_equal(x, y)
 
@@ -645,11 +694,11 @@ class TestFitKernel:
             fit_grads(kernel, A, B, Z, g.astype(np.float32), scratch)
 
     def test_kernel_is_faster_than_the_numpy_step(self):
-        # a build the compiler leaves scalar is slower than the numpy oracle
-        # of the step (gcc 12 at plain -O3: fit_grads alone 10.7 ms per 128 x
-        # 256 call, against 0.2 ms vectorized, a whole compiled step 0.6 ms
-        # and a whole numpy step 2.9 ms), so a library that loads but does
-        # not vectorize fails here instead of slowing every fit
+        # an unoptimized build is slower than the numpy oracle of the step
+        # (gcc 12 on a 2-vCPU Xeon: a whole compiled step 0.42 ms at
+        # native.OPT, 0.92 ms at plain -O3, in SSE2's 4 lanes, and 9.6 ms
+        # at -O0, against 2.3 ms for the numpy step), so a library that
+        # loads but runs unoptimized fails here instead of slowing every fit
         grid, attrs = real_snapshot("circle")
         field = lean_neof(None, grid, attrs, budget=0, seed=0)
         batch = fit_batch(field, next(train_batches(field, 1)))
@@ -820,15 +869,15 @@ def compiled_fit_step(kernel, field, batch, dV=None):
     return step.s.copy(), grads
 
 
-def check_fit_step(kernel_O0, field, batch):
-    """The loaded kernel's fit step equals the -O0 build's and the numpy
-    reference's bit for bit, and is the step lean_neof takes. Returns the
-    reference's logit gradients and clamp mask."""
+def check_fit_step(builds, field, batch):
+    """The loaded kernel's fit step equals the numpy reference's and those of
+    the other builds (other_builds) bit for bit, and is the step lean_neof
+    takes. Returns the reference's logit gradients and clamp mask."""
     rows = len(batch.target)
     want_g, want, clamped = reference_fit_step(
         native.weight_views(field.theta), field.key_basis, field.key_values,
         field.key_values.T * (2.0 / (rows * 3)), field.sup, batch)
-    for build in (native.load(), kernel_O0):
+    for build in [native.load()] + builds:
         g, grads = compiled_fit_step(build, field, batch)
         np.testing.assert_array_equal(g, want_g)
         for got, expected in zip(grads, want, strict=True):
@@ -844,14 +893,16 @@ def check_fit_step(kernel_O0, field, batch):
 
 class TestFitStepKernel:
     @pytest.mark.parametrize("kind", ["circle", "sphere"])
-    def test_equals_reference_and_O0_build_on_the_snapshots(self, kernel_O0, kind):
-        check_fit_step(kernel_O0, *fit_step_case(kind))
+    def test_equals_reference_and_O0_build_on_the_snapshots(self, kernel_O0, kernel_x86_64,
+                                                            kind):
+        check_fit_step(other_builds(kernel_O0, kernel_x86_64), *fit_step_case(kind))
 
     def test_equals_reference_and_O0_build_with_clamped_rows_flushed_gradients_and_a_partial_block(
-            self, kernel_O0):
-        # 13 rows: a block of 8 and a partial one of 5
+            self, kernel_O0, kernel_x86_64):
+        # 13 rows: a block of 8 and a partial one of 5, and an odd last row
+        # for the slab-gradient pass, which walks the keys in pairs of rows
         field, batch = fit_step_case(200, queries=13, seed=0, margin=-0.3, sharpen=300.0)
-        g, clamped = check_fit_step(kernel_O0, field, batch)
+        g, clamped = check_fit_step(other_builds(kernel_O0, kernel_x86_64), field, batch)
         assert np.any(clamped[:8]) and np.any(clamped[8:])
         flushed = (np.abs(g) < native.FLUSH) & (g != 0.0)
         assert np.any(flushed[:8]) and np.any(flushed[8:])
@@ -861,8 +912,9 @@ class TestFitStepKernel:
            seed=st.integers(0, 10_000), margin=st.sampled_from([-0.3, 0.05]),
            sharpen=st.sampled_from([1.0, 300.0]))
     def test_equals_reference_and_O0_build_over_batch_and_key_counts(
-            self, kernel_O0, keys, queries, seed, margin, sharpen):
-        check_fit_step(kernel_O0, *fit_step_case(keys, queries, seed, margin, sharpen))
+            self, kernel_O0, kernel_x86_64, keys, queries, seed, margin, sharpen):
+        check_fit_step(other_builds(kernel_O0, kernel_x86_64),
+                       *fit_step_case(keys, queries, seed, margin, sharpen))
 
     def test_step_rows_do_not_depend_on_the_other_rows(self):
         # with one dV for both steps, a row's scores and logit gradients are

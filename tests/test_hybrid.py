@@ -1,8 +1,11 @@
 """Hybrid optimizer: initialization, the two phases, and the full loop."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from camopt import field as field_module
 from camopt import hybrid, visibility
 from camopt.attributes import shape_analyze
 from camopt.field import lean_neof, placement_loss
@@ -436,6 +439,40 @@ class TestNonGradPhase:
         for c in commits:
             assert c["loss_after"] < c["loss_before"]
 
+    def test_same_swaps_as_with_an_attention_cache_that_never_hits(self, monkeypatch):
+        class NeverHits(dict):
+            def get(self, key, default=None):
+                return default
+
+        scene = circle_scene()
+        grid = voxelize(scene, None)
+        rig = initialize(scene, 6, seed=11)
+        computed = []
+        real_attention, real_sum = field_module._attention, hybrid.visible_attr_sum
+        monkeypatch.setattr(field_module, "_attention",
+                            lambda *args: computed.append(1) or real_attention(*args))
+        runs = []
+        for cache in ("phase", "never hits"):
+            field, attrs = trained_field(rig, grid, seed=11)
+            if cache == "never hits":
+                monkeypatch.setattr(hybrid, "visible_attr_sum",
+                                    lambda f, rows, attention: real_sum(f, rows, NeverHits()))
+            computed.clear()
+            runs.append((non_grad_phase(rig, field, grid, attrs, OptimizerConfig(),
+                                        phase_converged=True), len(computed)))
+        (reused, reused_count), (fresh, fresh_count) = runs
+        assert len(reused[1]) > 1, "reuse needs a pass after a commit"
+        assert reused_count < fresh_count
+        assert [(c["camera"], c["loss_before"], c["loss_after"], c["position"].tobytes())
+                for c in reused[1]] == \
+            [(c["camera"], c["loss_before"], c["loss_after"], c["position"].tobytes())
+             for c in fresh[1]]
+        for pa, pb in zip(reused[0].poses, fresh[0].poses):
+            assert pa.position.tobytes() == pb.position.tobytes()
+            assert pa.rot6.tobytes() == pb.rot6.tobytes()
+        assert np.array_equal(reused[2].entries, fresh[2].entries)
+        assert reused[3].stack().tobytes() == fresh[3].stack().tobytes()
+
     def test_returned_matrix_is_the_new_rigs(self):
         scene = circle_scene()
         grid = voxelize(scene, None)
@@ -484,7 +521,78 @@ class TestResultPositions:
         assert max(r.index for r in run[1].records) == 1
 
 
+def reference_worst_regions(grid, attrs, m: int):
+    """worst_regions in its quadratic form, the oracle of the running
+    minimum: each seeding step and the final assignment take the distances
+    from every pool voxel to every seed, O(pool m^2)."""
+    c = attrs.c
+    pool = np.nonzero(c > 1e-12)[0]
+    if len(pool) == 0:
+        return []
+    pts = grid.centers[pool]
+    w = c[pool]
+    seeds = [int(pool[np.argmax(w)])]
+    while len(seeds) < min(m, len(pool)):
+        d = np.min(np.linalg.norm(pts[:, None, :] - grid.centers[seeds][None], axis=2), axis=1)
+        score = w * d
+        if score.max() <= 1e-12:
+            break
+        seeds.append(int(pool[np.argmax(score)]))
+    assign = np.argmin(np.linalg.norm(pts[:, None, :] - grid.centers[seeds][None], axis=2), axis=1)
+    regions = []
+    for s in range(len(seeds)):
+        rows = pool[assign == s]
+        ww = c[rows][:, None]
+        centroid = (grid.centers[rows] * ww).sum(axis=0) / ww.sum()
+        nsum = (grid.normals[rows] * ww).sum(axis=0)
+        norm = np.linalg.norm(nsum)
+        normal = nsum / norm if norm > 1e-9 else grid.normals[seeds[s]].copy()
+        regions.append((centroid, normal))
+    return regions
+
+
+def need_case(voxels, seed, lattice):
+    """A grid stand-in (centers, unit normals) and an attribute stand-in (c)
+    of `voxels` random voxels, about a third of them with no need. On a
+    lattice of small integer coordinates many distances tie exactly."""
+    rng = np.random.default_rng(seed)
+    centers = (rng.integers(-3, 4, size=(voxels, 3)).astype(np.float64) if lattice
+               else rng.uniform(-2.0, 2.0, size=(voxels, 3)))
+    normals = rng.normal(size=(voxels, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    c = rng.uniform(0.0, 1.0, size=voxels) * (rng.uniform(size=voxels) > 0.3)
+    if lattice:
+        c = np.round(c, 1)    # equal weights tie the weighted scores as well
+    return SimpleNamespace(centers=centers, normals=normals), SimpleNamespace(c=c)
+
+
+def same_regions(got, want):
+    return len(got) == len(want) and all(
+        a.tobytes() == b.tobytes() for g, w in zip(got, want) for a, b in zip(g, w))
+
+
 class TestWorstRegions:
+    @pytest.mark.parametrize("m", [1, 3, 5, 12])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_equals_the_quadratic_reference_over_random_needs(self, m, lattice):
+        for seed in range(60):
+            grid, attrs = need_case(1 + seed * 7 % 150, seed, lattice)
+            want = reference_worst_regions(grid, attrs, m)
+            assert same_regions(worst_regions(grid, attrs, m), want), (m, lattice, seed)
+
+    def test_a_voxel_equally_far_from_two_seeds_joins_the_earlier(self):
+        # seeds at x = 0 (the largest need) and x = 2 (the largest weighted
+        # distance); the voxel at x = 1 is exactly 1 from both
+        grid = SimpleNamespace(centers=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                                                 [1.0, 0.0, 0.0]]),
+                               normals=np.tile([0.0, 0.0, 1.0], (3, 1)))
+        attrs = SimpleNamespace(c=np.array([1.0, 0.9, 0.5]))
+        regions = worst_regions(grid, attrs, 2)
+        assert same_regions(regions, reference_worst_regions(grid, attrs, 2))
+        # the tied voxel pulls the first region's centroid toward it
+        np.testing.assert_array_equal(regions[0][0], [0.5 / 1.5, 0.0, 0.0])
+        np.testing.assert_array_equal(regions[1][0], [2.0, 0.0, 0.0])
+
     def test_regions_cover_distinct_areas(self):
         scene = circle_scene()
         grid = voxelize(scene, None)
